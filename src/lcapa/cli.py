@@ -18,6 +18,9 @@ from . import __version__
 from .scene import DEFAULT_WAVELENGTH, FREE_SPACE_IMPEDANCE
 
 
+_POLICY_MODES = ("surrogate", "analytic")
+
+
 class UsageError(Exception):
     pass
 
@@ -58,16 +61,16 @@ def _build_parser() -> _Parser:
                           ("--checkpoint-dir", str)):
             p.add_argument(flag, type=typ)
         if name == "train-policy":
-            p.add_argument("--policy-mode", choices=("surrogate", "analytic"))
+            p.add_argument("--policy-mode", choices=_POLICY_MODES)
 
     p = add("eval", "evaluate a trained policy on a fresh test set")
     for flag, typ in (("--num-users", int), ("--zeta", float),
                       ("--aperture-area", float), ("--num-nodes", int),
                       ("--num-nodes-eval", int), ("--num-train", int),
                       ("--num-test-scenes", int), ("--scene-seed", int),
-                      ("--checkpoint-dir", str), ("--output-dir", str),
-                      ("--policy-mode", str)):
+                      ("--checkpoint-dir", str), ("--output-dir", str)):
         p.add_argument(flag, type=typ)
+    p.add_argument("--policy-mode", choices=_POLICY_MODES)
 
     p = add("baseline", "run the WMMSE baseline over a test set")
     for flag, typ in (("--num-users", int), ("--zeta", float),
@@ -79,6 +82,7 @@ def _build_parser() -> _Parser:
     p = add("experiment", "run a sweep or timing experiment")
     p.add_argument("--kind", choices=("sweep-ntr", "sweep-snr", "sweep-aperture",
                                       "sweep-m", "timing", "single"))
+    p.add_argument("--policy-mode", choices=_POLICY_MODES)
     p.add_argument("--train-inline", action="store_true", default=None)
     p.add_argument("--output-dir")
     p.add_argument("--checkpoint-dir")

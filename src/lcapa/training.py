@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gnn import GnnParams, GnnSpec, LayerParams, init_params
+from .gnn import PARAM_NAMES, GnnParams, GnnSpec, LayerParams, init_params
 from .heads import (
     GnnModel,
     policy_backward,
@@ -675,8 +675,7 @@ def save_checkpoint(model: GnnModel, path: str, report: TrainReport | None = Non
     layers = []
     for lp in model.params.layers:
         entry = {}
-        for name in ("w_self", "w_other", "w_ein", "w_eout", "b_v",
-                     "u_edge", "u_src", "u_dst", "b_e", "u_agg"):
+        for name in PARAM_NAMES:
             arr = getattr(lp, name)
             entry[name] = None if arr is None else {
                 "shape": list(arr.shape), "data": arr.ravel().tolist()}
@@ -711,8 +710,7 @@ def load_checkpoint(path: str) -> GnnModel:
     layers = []
     for t, entry in enumerate(rec["layers"]):
         kwargs = {}
-        for name in ("w_self", "w_other", "w_ein", "w_eout", "b_v",
-                     "u_edge", "u_src", "u_dst", "b_e", "u_agg"):
+        for name in PARAM_NAMES:
             stored = entry.get(name)
             ref = getattr(reference.layers[t], name) if t < len(reference.layers) else None
             if stored is None:

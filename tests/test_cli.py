@@ -1,0 +1,28 @@
+import json
+
+import pytest
+
+import lcapa.experiments
+from lcapa.cli import main
+
+
+@pytest.mark.parametrize("command", ["eval", "experiment", "train-policy"])
+def test_unknown_policy_mode_is_a_usage_error(command, capsys):
+    assert main([command, "--policy-mode", "bogus"]) == 1
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_experiment_policy_mode_flag_overrides_config(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_run(config):
+        seen.append(config)
+        return {}
+
+    monkeypatch.setattr(lcapa.experiments, "run_experiment", fake_run)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"policy_mode": "surrogate"}))
+    assert main(["experiment", "--config", str(cfg)]) == 0
+    assert main(["experiment", "--config", str(cfg),
+                 "--policy-mode", "analytic"]) == 0
+    assert [c.policy_mode for c in seen] == ["surrogate", "analytic"]

@@ -4,6 +4,8 @@ import pytest
 from conftest import all_permutations, random_weights
 from lcapa.gnn import (
     GnnSpec,
+    _act_grad,
+    _offdiag_mask,
     gnn_backward,
     gnn_forward,
     init_params,
@@ -230,6 +232,98 @@ class TestBackward:
         with pytest.raises(ValueError, match="stale"):
             gnn_backward(spec, other, cache, np.zeros_like(d_out),
                          np.zeros_like(e_out))
+
+
+def _einsum_backward(spec, params, cache, d_out_grad, e_out_grad):
+    """Reference backward: every weight gradient as one direct einsum."""
+    k = cache.d_inputs[0].shape[1]
+    mask = _offdiag_mask(k)
+    grads = zeros_like_params(params)
+    gd = np.asarray(d_out_grad, dtype=float)
+    ge = (np.asarray(e_out_grad, dtype=float) * mask
+          if params.layers[-1].u_edge is not None else None)
+    for t in range(spec.transitions - 1, -1, -1):
+        lp, gl = params.layers[t], grads.layers[t]
+        last = t == spec.transitions - 1
+        v_act = spec.vertex_head_activation if last else "leaky"
+        e_act = "identity" if last else "leaky"
+        d_in, e_in = cache.d_inputs[t], cache.e_inputs[t]
+        sum_d = d_in.sum(axis=1, keepdims=True)
+        col, row = e_in.sum(axis=1), e_in.sum(axis=2)
+
+        gzv = gd * _act_grad(cache.zv[t], v_act, spec.hidden_slope)
+        gl.w_self += np.einsum("nkp,nkq->pq", gzv, d_in)
+        gl.w_other += np.einsum("nkp,nkq->pq", gzv, sum_d - d_in)
+        gl.w_ein += np.einsum("nkp,nkq->pq", gzv, col)
+        gl.w_eout += np.einsum("nkp,nkq->pq", gzv, row)
+        gl.b_v += gzv.sum(axis=(0, 1))
+        sum_gzv = gzv.sum(axis=1, keepdims=True)
+        gd_prev = gzv @ lp.w_self + (sum_gzv - gzv) @ lp.w_other
+        ge_prev = ((gzv @ lp.w_ein)[:, None, :, :]
+                   + (gzv @ lp.w_eout)[:, :, None, :])
+
+        if lp.u_edge is not None:
+            gze = ge * _act_grad(cache.ze[t], e_act, spec.hidden_slope) * mask
+            gl.u_edge += np.einsum("nijp,nijq->pq", gze, e_in)
+            gl.u_src += np.einsum("nijp,niq->pq", gze, d_in)
+            gl.u_dst += np.einsum("nijp,njq->pq", gze, d_in)
+            gl.b_e += gze.sum(axis=(0, 1, 2))
+            gd_prev += gze.sum(axis=2) @ lp.u_src + gze.sum(axis=1) @ lp.u_dst
+            ge_prev += gze @ lp.u_edge
+            if lp.u_agg is not None:
+                agg = row[:, :, None, :] + col[:, None, :, :] - 2.0 * e_in
+                gl.u_agg += np.einsum("nijp,nijq->pq", gze, agg)
+                z = gze @ lp.u_agg
+                ge_prev += (z.sum(axis=2)[:, :, None, :]
+                            + z.sum(axis=1)[:, None, :, :] - 2.0 * z)
+        gd, ge = gd_prev, ge_prev * mask
+    return grads, gd, ge
+
+
+def _backward_case(kind, agg, n, k):
+    spec = {"policy": policy_spec, "proj": proj_spec,
+            "value": value_spec}[kind](hidden=64, layers=4,
+                                       edge_aggregation=agg)
+    params = init_params(spec, 31)
+    rng = np.random.default_rng(32)
+    d0, e0 = random_features(rng, spec, n, k)
+    d_out, e_out, cache = gnn_forward(spec, params, d0, e0)
+    wd = rng.standard_normal(d_out.shape)
+    we = rng.standard_normal(e_out.shape) if e_out is not None else None
+    return spec, params, cache, wd, we
+
+
+def _named_outputs(result):
+    grads, gd0, ge0 = result
+    return list(grads.iter_arrays()) + [("d_input", gd0), ("e_input", ge0)]
+
+
+class TestBackwardReference:
+    """The GEMM-form backward against the direct einsum contractions."""
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (1, 4), (3, 5), (64, 4)])
+    @pytest.mark.parametrize("agg", [False, True])
+    @pytest.mark.parametrize("kind", ["policy", "proj", "value"])
+    def test_matches_einsum_reference(self, kind, agg, n, k):
+        spec, params, cache, wd, we = _backward_case(kind, agg, n, k)
+        got = _named_outputs(gnn_backward(spec, params, cache, wd, we))
+        ref = _named_outputs(_einsum_backward(spec, params, cache, wd, we))
+        assert [name for name, _ in got] == [name for name, _ in ref]
+        for (name, a), (_, b) in zip(got, ref):
+            assert a.shape == b.shape, name
+            err = np.max(np.abs(a - b))
+            scale = np.max(np.abs(b))
+            assert err <= 1e-12 * scale, (
+                f"{name}: max abs difference {err:.3e} against max abs {scale:.3e}")
+
+    @pytest.mark.parametrize("agg", [False, True])
+    @pytest.mark.parametrize("kind", ["policy", "proj", "value"])
+    def test_repeated_calls_bit_identical(self, kind, agg):
+        spec, params, cache, wd, we = _backward_case(kind, agg, 64, 4)
+        first = _named_outputs(gnn_backward(spec, params, cache, wd, we))
+        second = _named_outputs(gnn_backward(spec, params, cache, wd, we))
+        for (name, a), (_, b) in zip(first, second):
+            assert a.tobytes() == b.tobytes(), name
 
 
 class TestPolicyHead:
