@@ -1,23 +1,33 @@
 """Multi-user current-distribution learning on continuous-aperture arrays.
 
-The package provides, in layers:
+The aperture integrals reduce to one K x K coupling Gram per scene; powers,
+couplings, the spectral efficiency and the policy loss are all functions of
+the user positions, that Gram and the weight matrix.  The package provides,
+in layers:
 
 * :mod:`lcapa.scene` -- problem instances: aperture geometry, user placement,
   physical constants, and the line-of-sight channel response.
 * :mod:`lcapa.quadrature` -- midpoint discretization of the aperture, sampled
-  channel matrices, and the Gram-factorized / pointwise integral oracles.
+  channel matrices, the coupling Gram, and the Gram / pointwise integral
+  oracles.
 * :mod:`lcapa.objective` -- SINR and spectral-efficiency evaluation, power
   projection, current reconstruction, and the in-subspace dominance check.
 * :mod:`lcapa.wmmse` -- the discretized WMMSE precoding baseline and the
   least-squares lift back onto the channel subspace.
 * :mod:`lcapa.gnn` -- the permutation-equivariant vertex+edge graph network
-  with exact reverse-mode gradients, instantiated as PolicyNet / ProjNet /
-  ValueNet.
-* :mod:`lcapa.training` -- supervised surrogate training, unsupervised policy
-  training (surrogate and analytic chains), gradient checking, checkpoints.
+  with exact reverse-mode gradients.
+* :mod:`lcapa.heads` -- its PolicyNet / ProjNet / ValueNet instantiations:
+  feature packing, output scaling, and the gradients through them.
+* :mod:`lcapa.optim` -- the Adam optimizer.
+* :mod:`lcapa.training` -- scene pools and supervised datasets, surrogate
+  training, unsupervised policy training (surrogate and analytic chains),
+  exact policy evaluation, gradient checking, checkpoints.
 * :mod:`lcapa.experiments` -- paired sweep/timing experiment runner with
   reproducible CSV outputs.
 * :mod:`lcapa.cli` -- the ``lcapa`` command-line front end.
+
+The package namespace re-exports the scene, quadrature and objective layers
+(``__all__``); import the other modules directly.
 """
 
 __version__ = "0.1.0"

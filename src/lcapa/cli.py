@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: gen-data, train-proj, train-value, train-policy, eval, baseline,
+Subcommands: train-proj, train-value, train-policy, eval, baseline,
 experiment, grad-check, info.  A JSON config file supplies defaults; explicit
 flags override it.  Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
@@ -16,9 +16,7 @@ import numpy as np
 
 from . import __version__
 from .scene import DEFAULT_WAVELENGTH, FREE_SPACE_IMPEDANCE
-
-
-_POLICY_MODES = ("surrogate", "analytic")
+from .training import POLICY_MODES
 
 
 class UsageError(Exception):
@@ -39,15 +37,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="JSON config file with defaults")
         return p
 
-    p = add("gen-data", "generate a supervised dataset (JSON lines)")
-    p.add_argument("--mode", choices=("proj", "value"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--count", type=int)
-    p.add_argument("--num-users", type=int)
-    p.add_argument("--num-nodes", type=int)
-    p.add_argument("--zeta", type=float)
-    p.add_argument("--out", required=True)
-
     for name, help_text in (("train-proj", "train the power surrogate"),
                             ("train-value", "train the coupling surrogate"),
                             ("train-policy", "train the policy network")):
@@ -61,7 +50,7 @@ def _build_parser() -> _Parser:
                           ("--checkpoint-dir", str)):
             p.add_argument(flag, type=typ)
         if name == "train-policy":
-            p.add_argument("--policy-mode", choices=_POLICY_MODES)
+            p.add_argument("--policy-mode", choices=POLICY_MODES)
 
     p = add("eval", "evaluate a trained policy on a fresh test set")
     for flag, typ in (("--num-users", int), ("--zeta", float),
@@ -70,7 +59,7 @@ def _build_parser() -> _Parser:
                       ("--num-test-scenes", int), ("--scene-seed", int),
                       ("--checkpoint-dir", str), ("--output-dir", str)):
         p.add_argument(flag, type=typ)
-    p.add_argument("--policy-mode", choices=_POLICY_MODES)
+    p.add_argument("--policy-mode", choices=POLICY_MODES)
 
     p = add("baseline", "run the WMMSE baseline over a test set")
     for flag, typ in (("--num-users", int), ("--zeta", float),
@@ -82,7 +71,7 @@ def _build_parser() -> _Parser:
     p = add("experiment", "run a sweep or timing experiment")
     p.add_argument("--kind", choices=("sweep-ntr", "sweep-snr", "sweep-aperture",
                                       "sweep-m", "timing", "single"))
-    p.add_argument("--policy-mode", choices=_POLICY_MODES)
+    p.add_argument("--policy-mode", choices=POLICY_MODES)
     p.add_argument("--train-inline", action="store_true", default=None)
     p.add_argument("--output-dir")
     p.add_argument("--checkpoint-dir")
@@ -103,32 +92,6 @@ def _load_config(path: str | None) -> dict:
         return json.load(fh)
 
 
-def _merged(args: argparse.Namespace, config: dict, mapping: dict) -> dict:
-    """Resolve option values: CLI flag > config file > default."""
-    out = {}
-    for dest, (cfg_key, default) in mapping.items():
-        flag_val = getattr(args, dest, None)
-        out[dest] = (flag_val if flag_val is not None
-                     else config.get(cfg_key, default))
-    return out
-
-
-def _cmd_gen_data(args) -> int:
-    from .training import dataset_to_jsonl, gen_supervised_dataset
-
-    cfg = _load_config(args.config)
-    opts = _merged(args, cfg, {
-        "mode": ("mode", "proj"), "seed": ("seed", 100),
-        "count": ("count", 2000), "num_users": ("num_users", 4),
-        "num_nodes": ("num_nodes", 256), "zeta": ("zeta", 1e6)})
-    dataset = gen_supervised_dataset(opts["seed"], opts["count"],
-                                     opts["num_users"], opts["num_nodes"],
-                                     opts["mode"], zeta=opts["zeta"])
-    dataset_to_jsonl(dataset, args.out)
-    print(f"wrote {len(dataset)} {opts['mode']} samples to {args.out}")
-    return 0
-
-
 def _experiment_config(args, cfg: dict, **overrides):
     from .experiments import ExperimentConfig
 
@@ -143,7 +106,10 @@ def _experiment_config(args, cfg: dict, **overrides):
     merged.update({k: v for k, v in overrides.items() if v is not None})
     known = set(ExperimentConfig.__dataclass_fields__)
     merged = {k: v for k, v in merged.items() if k in known}
-    return ExperimentConfig.from_dict(merged)
+    try:
+        return ExperimentConfig.from_dict(merged)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _cmd_train(args, which: str) -> int:
@@ -339,7 +305,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     handlers = {
-        "gen-data": _cmd_gen_data,
         "train-proj": lambda a: _cmd_train(a, "proj"),
         "train-value": lambda a: _cmd_train(a, "value"),
         "train-policy": lambda a: _cmd_train(a, "policy"),

@@ -11,17 +11,16 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import __version__
 from .gnn import policy_spec, proj_spec, value_spec
 from .heads import GnnModel, policy_forward, proj_forward
-from .objective import sinr_vector, sum_se
-from .quadrature import build_grid, channel_matrix, gram_pair
 from .scene import sample_scene, square_aperture
 from .training import (
+    POLICY_MODES,
     ScenePool,
     TrainHyper,
     exact_policy_se,
@@ -76,6 +75,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in SWEEP_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        if self.policy_mode not in POLICY_MODES:
+            raise ValueError(f"unknown policy mode {self.policy_mode!r}; "
+                             f"choose one of {', '.join(POLICY_MODES)}")
         swept = {"sweep-ntr": self.ntr_list, "sweep-snr": self.zeta_list,
                  "sweep-aperture": self.aperture_list, "sweep-m": self.m_list}
         lst = swept.get(self.kind)

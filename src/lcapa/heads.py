@@ -71,6 +71,30 @@ def _weight_grad_from_features(gd0: np.ndarray, ge0: np.ndarray, a_scale: float
     return g_re, g_im
 
 
+def _unpack_complex(d_out: np.ndarray, e_out: np.ndarray, scale: float
+                    ) -> np.ndarray:
+    """Complex K x K output: entry (k, j) from edge (k, j), a_kk from vertex k."""
+    out = (e_out[..., 0] + 1j * e_out[..., 1]) * scale
+    idx = np.arange(out.shape[1])
+    out[:, idx, idx] = (d_out[:, :, 0] + 1j * d_out[:, :, 1]) * scale
+    return out
+
+
+def _complex_head_backward(model: GnnModel, cache, grad_re: np.ndarray,
+                           grad_im: np.ndarray):
+    """gnn_backward from dLoss/d(Re, Im) of a :func:`_unpack_complex` output."""
+    g_re = _as_batched_matrix(grad_re).real.astype(float)
+    g_im = _as_batched_matrix(grad_im).real.astype(float)
+    scale = model.norm("out_scale")
+    idx = np.arange(g_re.shape[1])
+    gd = np.zeros(cache.zv[-1].shape)
+    gd[:, :, 0] = g_re[:, idx, idx] * scale
+    gd[:, :, 1] = g_im[:, idx, idx] * scale
+    ge = np.stack([g_re, g_im], axis=3) * scale
+    ge[:, idx, idx, :] = 0.0
+    return gnn_backward(model.spec, model.params, cache, gd, ge)
+
+
 # -- PolicyNet ----------------------------------------------------------------
 
 def policy_forward(model: GnnModel, positions: np.ndarray):
@@ -84,27 +108,14 @@ def policy_forward(model: GnnModel, positions: np.ndarray):
     d0 = pos / model.norm("pos_scale", POSITION_SCALE)
     e0 = np.zeros((n, k, k, model.spec.edge_widths[0]))
     d_out, e_out, cache = gnn_forward(model.spec, model.params, d0, e0)
-    scale = model.norm("out_scale")
-    weights = (e_out[..., 0] + 1j * e_out[..., 1]) * scale
-    idx = np.arange(k)
-    weights[:, idx, idx] = (d_out[:, :, 0] + 1j * d_out[:, :, 1]) * scale
+    weights = _unpack_complex(d_out, e_out, model.norm("out_scale"))
     return (weights[0] if squeeze else weights), cache
 
 
 def policy_backward(model: GnnModel, cache, grad_re: np.ndarray,
                     grad_im: np.ndarray) -> GnnParams:
     """Parameter gradients of the policy from dLoss/d(Re A, Im A)."""
-    g_re = _as_batched_matrix(grad_re).real.astype(float)
-    g_im = _as_batched_matrix(grad_im).real.astype(float)
-    n, k = g_re.shape[:2]
-    scale = model.norm("out_scale")
-    idx = np.arange(k)
-    gd = np.zeros(cache.zv[-1].shape)
-    gd[:, :, 0] = g_re[:, idx, idx] * scale
-    gd[:, :, 1] = g_im[:, idx, idx] * scale
-    ge = np.stack([g_re, g_im], axis=3) * scale
-    ge[:, idx, idx, :] = 0.0
-    grads, _, _ = gnn_backward(model.spec, model.params, cache, gd, ge)
+    grads, _, _ = _complex_head_backward(model, cache, grad_re, grad_im)
     return grads
 
 
@@ -142,27 +153,13 @@ def value_forward(model: GnnModel, positions: np.ndarray, weights: np.ndarray):
     d0, e0 = _pack_weight_features(w, model.norm("a_scale"),
                                    pos, model.norm("pos_scale", POSITION_SCALE))
     d_out, e_out, cache = gnn_forward(model.spec, model.params, d0, e0)
-    scale = model.norm("out_scale")
-    couplings = (e_out[..., 0] + 1j * e_out[..., 1]) * scale
-    k = w.shape[1]
-    idx = np.arange(k)
-    couplings[:, idx, idx] = (d_out[:, :, 0] + 1j * d_out[:, :, 1]) * scale
+    couplings = _unpack_complex(d_out, e_out, model.norm("out_scale"))
     return (couplings[0] if squeeze else couplings), cache
 
 
 def value_backward(model: GnnModel, cache, grad_re: np.ndarray,
                    grad_im: np.ndarray) -> tuple[GnnParams, np.ndarray, np.ndarray]:
     """Gradients of the coupling head: (params, dLoss/dRe A, dLoss/dIm A)."""
-    g_re = _as_batched_matrix(grad_re).real.astype(float)
-    g_im = _as_batched_matrix(grad_im).real.astype(float)
-    n, k = g_re.shape[:2]
-    scale = model.norm("out_scale")
-    idx = np.arange(k)
-    gd = np.zeros(cache.zv[-1].shape)
-    gd[:, :, 0] = g_re[:, idx, idx] * scale
-    gd[:, :, 1] = g_im[:, idx, idx] * scale
-    ge = np.stack([g_re, g_im], axis=3) * scale
-    ge[:, idx, idx, :] = 0.0
-    grads, gd0, ge0 = gnn_backward(model.spec, model.params, cache, gd, ge)
+    grads, gd0, ge0 = _complex_head_backward(model, cache, grad_re, grad_im)
     g_re_in, g_im_in = _weight_grad_from_features(gd0, ge0, model.norm("a_scale"))
     return grads, g_re_in, g_im_in

@@ -26,10 +26,6 @@ class SeReport:
     rates: np.ndarray
     sum_se: float
 
-    def csv_row(self, scene_id: str, method: str, m_eval: int) -> str:
-        rates = ",".join(f"{r:.12g}" for r in self.rates)
-        return f"{scene_id},{method},{m_eval},{rates},{self.sum_se:.12g}"
-
 
 def sinr_vector(couplings: np.ndarray, user_apertures: np.ndarray,
                 noise_vars: np.ndarray) -> np.ndarray:

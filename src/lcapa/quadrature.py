@@ -4,7 +4,7 @@ The aperture integrals that drive everything else (per-user powers and
 channel/current couplings) are defined on a uniform midpoint grid.  Two
 independent compute routes are provided:
 
-* the Gram route -- factorize once per scene into the K x K Gram matrices and
+* the Gram route -- factorize once per scene into the K x K coupling Gram and
   evaluate any candidate weight matrix with small matrix products;
 * the pointwise route (:func:`direct_integral_check`) -- rebuild the current
   distribution sample-by-sample on the grid and sum directly.
@@ -28,7 +28,6 @@ Reproducibility promise:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,37 +75,24 @@ class ChannelMatrix:
         h.setflags(write=False)
         object.__setattr__(self, "h", h)
 
-    @property
-    def num_users(self) -> int:
-        return self.h.shape[0]
-
 
 @dataclass(frozen=True)
 class GramPair:
-    """Channel Gram matrices on a grid.
-
-    ``bilinear`` (B) carries no conjugation: B[k, i] = sum_m H_k H_i * delta.
-    It is exactly symmetric and, for the oscillatory channels used here, is a
-    grid-aliasing diagnostic rather than a convergent integral.
+    """The coupling Gram of the sampled channels on a grid.
 
     ``coupling`` (C) is the conjugated Gram: C[i, j] = sum_m H_i* H_j * delta.
     It is Hermitian positive semidefinite, gives per-user powers through
-    p_k = a_k^H C a_k, and gives couplings through G = C A.
+    p_k = a_k^H C a_k, and gives couplings through G = C A; every downstream
+    quantity (powers, couplings, SE, the policy loss) is a function of it.
     """
 
-    bilinear: np.ndarray
     coupling: np.ndarray
     cell_area: float
 
     def __post_init__(self):
-        for name in ("bilinear", "coupling"):
-            m = np.array(getattr(self, name))
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
-
-    @property
-    def num_users(self) -> int:
-        return self.coupling.shape[0]
+        m = np.array(self.coupling)
+        m.setflags(write=False)
+        object.__setattr__(self, "coupling", m)
 
 
 def build_grid(aperture: ApertureSpec, num_nodes: int | None = None,
@@ -173,26 +159,16 @@ def channel_matrix(scene: Scene, grid: ApertureGrid) -> ChannelMatrix:
 
 
 def gram_pair(h: np.ndarray, cell_area: float) -> GramPair:
-    """Both Gram matrices of the sampled channels.
+    """The coupling Gram of the sampled channels, as one matrix product.
 
-    Each (k, i) pair is reduced once and mirrored, so B == B.T holds exactly
-    and C is exactly Hermitian with a real diagonal.
+    C = delta * conj(h) @ h.T, then (C + C^H) / 2, which makes C exactly
+    Hermitian with an exactly real diagonal.  Bit-identical across calls on
+    one build; against a per-pair pairwise sum it differs only by the BLAS
+    summation order.
     """
     h = np.asarray(h)
-    num = h.shape[0]
-    bil = np.empty((num, num), dtype=complex)
-    coup = np.empty((num, num), dtype=complex)
-    for k in range(num):
-        # exactly real diagonal: |h|^2 summed as reals
-        coup[k, k] = np.sum(h[k].real ** 2 + h[k].imag ** 2) * cell_area
-        bil[k, k] = np.sum(h[k] * h[k]) * cell_area
-        for i in range(k + 1, num):
-            bil[k, i] = np.sum(h[k] * h[i]) * cell_area
-            bil[i, k] = bil[k, i]
-            cki = np.sum(np.conj(h[k]) * h[i]) * cell_area
-            coup[k, i] = cki
-            coup[i, k] = np.conj(cki)
-    return GramPair(bilinear=bil, coupling=coup, cell_area=cell_area)
+    c = (np.conj(h) @ h.T) * cell_area
+    return GramPair(coupling=(c + c.conj().T) / 2, cell_area=cell_area)
 
 
 def _require_hermitian(c: np.ndarray) -> None:
@@ -240,10 +216,8 @@ def quadrature_convergence(scene: Scene, weights: np.ndarray,
                            node_counts: list[int]) -> list[dict]:
     """Per-grid integrals for convergence reporting.
 
-    Returns one row per M with the Gram matrices and the resulting powers and
-    couplings.  The conjugated quantities converge under refinement; the
-    bilinear Gram drifts (oscillatory integrand) and is reported, not
-    asserted.
+    Returns one row per M with the coupling Gram and the resulting powers and
+    couplings.
     """
     rows = []
     for m in node_counts:
@@ -253,45 +227,6 @@ def quadrature_convergence(scene: Scene, weights: np.ndarray,
             "num_nodes": m,
             "powers": integral_power(weights, grams.coupling),
             "couplings": integral_couplings(weights, grams.coupling),
-            "bilinear_gram": grams.bilinear,
             "coupling_gram": grams.coupling,
         })
     return rows
-
-
-def midpoint_sum(fn, grid: ApertureGrid) -> float | complex:
-    """Midpoint-rule integral of a pointwise function over the aperture."""
-    return np.sum(fn(grid.nodes)) * grid.cell_area
-
-
-# -- JSON dumps (complex as [re, im] pairs, 17 significant digits) -----------
-
-def _complex_matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(f"{v.real:.17g}"), float(f"{v.imag:.17g}")] for v in row]
-            for row in np.asarray(m, dtype=complex)]
-
-
-def _complex_matrix_from_json(data: list) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
-def dump_grams(grams: GramPair, path: str) -> None:
-    rec = {
-        "record": "gram_pair",
-        "cell_area": repr(grams.cell_area),
-        "bilinear": _complex_matrix_to_json(grams.bilinear),
-        "coupling": _complex_matrix_to_json(grams.coupling),
-    }
-    with open(path, "w") as fh:
-        json.dump(rec, fh)
-
-
-def load_grams(path: str) -> GramPair:
-    with open(path) as fh:
-        rec = json.load(fh)
-    if rec.get("record") != "gram_pair":
-        raise ValueError("not a gram_pair record")
-    return GramPair(bilinear=_complex_matrix_from_json(rec["bilinear"]),
-                    coupling=_complex_matrix_from_json(rec["coupling"]),
-                    cell_area=float(rec["cell_area"]))

@@ -27,7 +27,7 @@ from .heads import (
     value_backward,
     value_forward,
 )
-from .objective import project_weights, sinr_vector, sum_se
+from .objective import project_weights
 from .optim import Adam
 from .quadrature import (
     build_grid,
@@ -36,7 +36,7 @@ from .quadrature import (
     integral_couplings,
     integral_power,
 )
-from .scene import Scene, sample_scene
+from .scene import Scene, sample_scene, square_aperture
 
 CHECKPOINT_VERSION = 1
 
@@ -111,10 +111,29 @@ class TrainReport:
         }, indent=1)
 
 
-# -- dataset generation -------------------------------------------------------
+# -- scene pools and supervised datasets --------------------------------------
 
 def _sample_rng(root_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([root_seed, index]))
+
+
+def _scenes_and_grams(seed: int, count: int, num_users: int, num_nodes: int,
+                      zeta: float, aperture_area: float, power_budget: float):
+    """Yield (rng, scene, C) for samples 0..count-1 of one seed.
+
+    Sample i draws its scene from the stream ``SeedSequence([seed, i])``; the
+    stream is yielded past that draw so a caller may draw more per-sample data
+    from it.  C is the scene's coupling Gram on one shared M-node grid.
+    """
+    aperture = square_aperture(aperture_area)
+    grid = build_grid(aperture, num_nodes)
+    for i in range(count):
+        rng = _sample_rng(seed, i)
+        scene = sample_scene(int(rng.integers(2 ** 31)), num_users,
+                             aperture=aperture, zeta=zeta,
+                             power_budget=power_budget)
+        yield rng, scene, gram_pair(channel_matrix(scene, grid).h,
+                                    grid.cell_area).coupling
 
 
 def gen_supervised_dataset(seed: int, count: int, num_users: int, num_nodes: int,
@@ -128,89 +147,55 @@ def gen_supervised_dataset(seed: int, count: int, num_users: int, num_nodes: int
     [0.1, 10] x budget (the operating range of the projection).  ``value``
     mode additionally projects the weights exactly onto the power budget and
     targets the coupling matrix; ``proj`` mode targets the per-user powers of
-    the unprojected weights.
+    the unprojected weights.  The scenes are those of
+    ``ScenePool.generate`` with the same seed.
     """
     if mode not in ("proj", "value"):
         raise ValueError(f"unknown dataset mode {mode!r}")
-    from .scene import square_aperture
-
-    aperture = square_aperture(aperture_area)
     samples = []
-    for i in range(count):
-        rng = _sample_rng(seed, i)
-        scene_seed = int(rng.integers(2 ** 31))
-        scene = sample_scene(scene_seed, num_users, aperture=aperture, zeta=zeta,
-                             power_budget=power_budget)
-        grid = build_grid(aperture, num_nodes)
-        grams = gram_pair(channel_matrix(scene, grid).h, grid.cell_area)
+    for i, (rng, scene, coupling) in enumerate(_scenes_and_grams(
+            seed, count, num_users, num_nodes, zeta, aperture_area, power_budget)):
         raw = (rng.standard_normal((num_users, num_users))
                + 1j * rng.standard_normal((num_users, num_users)))
-        total = integral_power(raw, grams.coupling).sum()
+        total = integral_power(raw, coupling).sum()
         target_total = power_budget * 10.0 ** rng.uniform(-1.0, 1.0)
         weights = raw * np.sqrt(target_total / total)
+        powers = integral_power(weights, coupling)
         if mode == "proj":
             samples.append(SupervisedSample(
-                scene=scene, weights=weights,
-                target_powers=integral_power(weights, grams.coupling),
+                scene=scene, weights=weights, target_powers=powers,
                 target_couplings=None, seed_pair=(seed, i)))
         else:
-            powers = integral_power(weights, grams.coupling)
             projected = project_weights(weights, powers, power_budget)
             samples.append(SupervisedSample(
                 scene=scene, weights=projected, target_powers=None,
-                target_couplings=integral_couplings(projected, grams.coupling),
+                target_couplings=integral_couplings(projected, coupling),
                 seed_pair=(seed, i)))
     return SupervisedDataset(mode=mode, samples=samples, num_nodes=num_nodes,
                              root_seed=seed)
 
 
-def dataset_to_jsonl(dataset: SupervisedDataset, path: str) -> None:
-    def cpx(m):
-        return [[[f"{v.real:.17g}", f"{v.imag:.17g}"] for v in row] for row in m]
+@dataclass
+class ScenePool:
+    """Precomputed scenes and their coupling Grams on the training grid."""
 
-    with open(path, "w") as fh:
-        header = {"record": "dataset_header", "mode": dataset.mode,
-                  "num_nodes": dataset.num_nodes, "root_seed": dataset.root_seed}
-        fh.write(json.dumps(header) + "\n")
-        for s in dataset.samples:
-            rec = {"scene": json.loads(s.scene.to_json()),
-                   "weights": cpx(s.weights),
-                   "seed_pair": list(s.seed_pair)}
-            if s.target_powers is not None:
-                rec["target_powers"] = [f"{v:.17g}" for v in s.target_powers]
-            if s.target_couplings is not None:
-                rec["target_couplings"] = cpx(s.target_couplings)
-            fh.write(json.dumps(rec) + "\n")
+    scenes: list[Scene]
+    positions: np.ndarray
+    coupling_grams: np.ndarray
 
-
-def dataset_from_jsonl(path: str) -> SupervisedDataset:
-    def cpx(data):
-        arr = np.asarray(data, dtype=object)
-        out = np.empty(arr.shape[:2], dtype=complex)
-        for i, row in enumerate(data):
-            for j, (re, im) in enumerate(row):
-                out[i, j] = complex(float(re), float(im))
-        return out
-
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    header = json.loads(lines[0])
-    if header.get("record") != "dataset_header":
-        raise ValueError("not a dataset file")
-    samples = []
-    for ln in lines[1:]:
-        rec = json.loads(ln)
-        scene = Scene.from_json(json.dumps(rec["scene"]))
-        powers = (np.array([float(v) for v in rec["target_powers"]])
-                  if "target_powers" in rec else None)
-        couplings = (cpx(rec["target_couplings"])
-                     if "target_couplings" in rec else None)
-        samples.append(SupervisedSample(
-            scene=scene, weights=cpx(rec["weights"]), target_powers=powers,
-            target_couplings=couplings, seed_pair=tuple(rec["seed_pair"])))
-    return SupervisedDataset(mode=header["mode"], samples=samples,
-                             num_nodes=header["num_nodes"],
-                             root_seed=header["root_seed"])
+    @classmethod
+    def generate(cls, seed: int, count: int, num_users: int, num_nodes: int,
+                 zeta: float, aperture_area: float = 4.0,
+                 power_budget: float = 1.0) -> "ScenePool":
+        scenes, grams = [], []
+        for _, scene, coupling in _scenes_and_grams(
+                seed, count, num_users, num_nodes, zeta, aperture_area,
+                power_budget):
+            scenes.append(scene)
+            grams.append(coupling)
+        return cls(scenes=scenes,
+                   positions=np.stack([s.positions for s in scenes]),
+                   coupling_grams=np.stack(grams))
 
 
 # -- supervised training ------------------------------------------------------
@@ -340,49 +325,87 @@ def train_supervised(spec: GnnSpec, dataset: SupervisedDataset,
 # -- policy loss and chains ---------------------------------------------------
 
 LN2 = float(np.log(2.0))
+POLICY_MODES = ("surrogate", "analytic")
 
 
-def policy_loss(couplings: np.ndarray, user_apertures: np.ndarray,
-                noise_vars: np.ndarray) -> float:
-    """Negated batch-mean sum SE of (possibly estimated) couplings."""
-    g = np.asarray(couplings, dtype=complex)
-    if g.ndim == 2:
-        g = g[None, ...]
-    total = 0.0
-    for gi in g:
-        total += sum_se(sinr_vector(gi, user_apertures, noise_vars)).sum_se
-    return -total / g.shape[0]
+def _batched_sinr(couplings: np.ndarray, user_apertures: np.ndarray,
+                  noise_vars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user SINR of (N, K, K) couplings and its denominators, both (N, K).
+
+    The batched form of :func:`~lcapa.objective.sinr_vector`, with the same
+    terms in the same order.
+    """
+    ap = np.asarray(user_apertures, dtype=float)
+    nv = np.asarray(noise_vars, dtype=float)
+    if np.any(nv <= 0.0):
+        raise ValueError("noise variances must be positive")
+    k = couplings.shape[1]
+    idx = np.arange(k)
+    weighted = ap[None, None, :] * np.abs(couplings) ** 2
+    signal = weighted[:, idx, idx]
+    denom = weighted.sum(axis=2) - signal + nv[None, :]
+    return signal / denom, denom
+
+
+@dataclass(frozen=True)
+class GramForward:
+    """The exact Gram-domain forward pass of a batch of raw weight matrices.
+
+    With C the coupling Grams and A the raw weights, all (N, K, K):
+    ``ca`` = C A, ``powers`` p_k = a_k^H C a_k (N, K), ``total`` their sum,
+    ``scale`` = sqrt(budget / total) (0 where total <= 0), ``a_bar`` = scale A
+    and ``couplings`` G = C A_bar.
+    """
+
+    ca: np.ndarray
+    powers: np.ndarray
+    total: np.ndarray
+    scale: np.ndarray
+    a_bar: np.ndarray
+    couplings: np.ndarray
+
+    @classmethod
+    def evaluate(cls, a_raw: np.ndarray, coupling_grams: np.ndarray,
+                 power_budget: float) -> "GramForward":
+        ca = np.asarray(coupling_grams, dtype=complex) @ a_raw
+        powers = np.sum(np.conj(a_raw) * ca, axis=1).real
+        total = powers.sum(axis=1)
+        live = total > 0.0
+        scale = np.where(live, np.sqrt(power_budget / np.where(live, total, 1.0)),
+                         0.0)
+        return cls(ca=ca, powers=powers, total=total, scale=scale,
+                   a_bar=a_raw * scale[:, None, None],
+                   couplings=ca * scale[:, None, None])
+
+    def sum_se(self, user_apertures: np.ndarray,
+               noise_vars: np.ndarray) -> np.ndarray:
+        """Per-scene sum SE in bit/s/Hz.
+
+        Weights carrying no power have scale 0, hence zero couplings and
+        SE 0.
+        """
+        gamma, _ = _batched_sinr(self.couplings, user_apertures, noise_vars)
+        return np.sum(np.log1p(gamma) / LN2, axis=1)
 
 
 def policy_loss_grad(couplings: np.ndarray, user_apertures: np.ndarray,
                      noise_vars: np.ndarray
                      ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss and its gradients with respect to (Re G, Im G), batched."""
+    """Negated batch-mean sum SE of (N, K, K) couplings and its gradients
+    w.r.t. (Re G, Im G)."""
     g = np.asarray(couplings, dtype=complex)
-    squeeze = g.ndim == 2
-    if squeeze:
-        g = g[None, ...]
     n, k, _ = g.shape
     ap = np.asarray(user_apertures, dtype=float)
-    nv = np.asarray(noise_vars, dtype=float)
-
-    weighted = ap[None, None, :] * np.abs(g) ** 2
-    idx = np.arange(k)
-    signal = weighted[:, idx, idx]
-    denom = weighted.sum(axis=2) - signal + nv[None, :]
-    gamma = signal / denom
+    gamma, denom = _batched_sinr(g, ap, noise_vars)
     loss = -float(np.sum(np.log1p(gamma)) / (LN2 * n))
 
     # d loss / d |g_kj|^2
+    idx = np.arange(k)
     coef = np.zeros((n, k, k))
     inv = 1.0 / ((1.0 + gamma) * denom)          # (n, k)
     coef += (gamma * inv)[:, :, None] * ap[None, None, :] / (LN2 * n)
     coef[:, idx, idx] = -inv * ap[None, :] / (LN2 * n)
-    grad_re = 2.0 * coef * g.real
-    grad_im = 2.0 * coef * g.imag
-    if squeeze:
-        return loss, grad_re[0], grad_im[0]
-    return loss, grad_re, grad_im
+    return loss, 2.0 * coef * g.real, 2.0 * coef * g.imag
 
 
 def _projection_chain_backward(grad_re_bar, grad_im_bar, weights, scale,
@@ -441,64 +464,28 @@ def analytic_chain_loss_and_grads(policy: GnnModel, positions: np.ndarray,
 
     Powers and couplings come from the per-scene coupling Gram directly
     (p = a^H C a, G = C A-bar), giving a differentiable exact chain that
-    upper-references the surrogate path.
+    upper-references the surrogate path.  C must be Hermitian, as
+    :func:`~lcapa.quadrature.gram_pair` builds it.
     """
     a_raw, cache_p = policy_forward(policy, positions)
     c = np.asarray(coupling_grams, dtype=complex)
-    total = np.einsum("njk,nji,nik->n", np.conj(a_raw), c, a_raw).real
-    if np.any(total <= 0.0):
+    fwd = GramForward.evaluate(a_raw, c, power_budget)
+    if np.any(fwd.total <= 0.0):
         raise DegenerateBatchError("zero-power policy output")
-    scale = np.sqrt(power_budget / total)
-    a_bar = a_raw * scale[:, None, None]
-    couplings = np.einsum("nki,nij->nkj", c, a_bar)
-    loss, g_re_c, g_im_c = policy_loss_grad(couplings, user_apertures, noise_vars)
-
-    # back through G = C A_bar
-    g_re_bar = (np.einsum("nki,nkj->nij", c.real, g_re_c)
-                + np.einsum("nki,nkj->nij", c.imag, g_im_c))
-    g_im_bar = (np.einsum("nki,nkj->nij", c.real, g_im_c)
-                - np.einsum("nki,nkj->nij", c.imag, g_re_c))
+    loss, g_re_c, g_im_c = policy_loss_grad(fwd.couplings, user_apertures,
+                                            noise_vars)
+    # back through G = C A_bar: d loss / d A_bar = C^H (d loss / d G) = C (...)
+    g_bar = c @ (g_re_c + 1j * g_im_c)
     g_re, g_im, dl_dtotal = _projection_chain_backward(
-        g_re_bar, g_im_bar, a_raw, scale, total)
-    # power path: d total / d A = 2 C A (Hermitian C)
-    ca = np.einsum("nij,njk->nik", c, a_raw)
-    g_re += 2.0 * dl_dtotal[:, None, None] * ca.real
-    g_im += 2.0 * dl_dtotal[:, None, None] * ca.imag
+        g_bar.real, g_bar.imag, a_raw, fwd.scale, fwd.total)
+    # power path: d total / d A = 2 C A
+    g_re += 2.0 * dl_dtotal[:, None, None] * fwd.ca.real
+    g_im += 2.0 * dl_dtotal[:, None, None] * fwd.ca.imag
     grads = policy_backward(policy, cache_p, g_re, g_im)
-    return loss, grads, {"scale": scale, "couplings": couplings}
+    return loss, grads, {"scale": fwd.scale, "couplings": fwd.couplings}
 
 
 # -- policy training ----------------------------------------------------------
-
-@dataclass
-class ScenePool:
-    """Precomputed scenes and their coupling Grams on the training grid."""
-
-    scenes: list[Scene]
-    positions: np.ndarray
-    coupling_grams: np.ndarray
-
-    @classmethod
-    def generate(cls, seed: int, count: int, num_users: int, num_nodes: int,
-                 zeta: float, aperture_area: float = 4.0,
-                 power_budget: float = 1.0) -> "ScenePool":
-        from .scene import square_aperture
-
-        aperture = square_aperture(aperture_area)
-        grid = build_grid(aperture, num_nodes)
-        scenes, grams = [], []
-        for i in range(count):
-            rng = _sample_rng(seed, i)
-            scene = sample_scene(int(rng.integers(2 ** 31)), num_users,
-                                 aperture=aperture, zeta=zeta,
-                                 power_budget=power_budget)
-            scenes.append(scene)
-            grams.append(gram_pair(channel_matrix(scene, grid).h,
-                                   grid.cell_area).coupling)
-        return cls(scenes=scenes,
-                   positions=np.stack([s.positions for s in scenes]),
-                   coupling_grams=np.stack(grams))
-
 
 def exact_policy_se(policy: GnnModel, pool: ScenePool, power_budget: float,
                     user_apertures: np.ndarray, noise_vars: np.ndarray
@@ -506,20 +493,12 @@ def exact_policy_se(policy: GnnModel, pool: ScenePool, power_budget: float,
     """Exact-quadrature sum SE of the policy on every scene in a pool.
 
     The emitted weights are projected with exact powers; the coupling
-    surrogate plays no role here.
+    surrogate plays no role here.  A scene whose weights carry no power
+    scores 0.
     """
     a_raw, _ = policy_forward(policy, pool.positions)
-    c = pool.coupling_grams
-    total = np.einsum("njk,nji,nik->n", np.conj(a_raw), c, a_raw).real
-    live = total > 0.0
-    scale = np.where(live, np.sqrt(power_budget / np.where(live, total, 1.0)), 0.0)
-    a_bar = a_raw * scale[:, None, None]
-    couplings = np.einsum("nki,nij->nkj", c, a_bar)
-    out = np.zeros(len(pool.scenes))
-    for i, g in enumerate(couplings):
-        if live[i]:
-            out[i] = sum_se(sinr_vector(g, user_apertures, noise_vars)).sum_se
-    return out
+    return GramForward.evaluate(a_raw, pool.coupling_grams, power_budget).sum_se(
+        user_apertures, noise_vars)
 
 
 def train_policy(spec: GnnSpec, proj_model: GnnModel | None,
@@ -533,7 +512,7 @@ def train_policy(spec: GnnSpec, proj_model: GnnModel | None,
     SE on the held-out pool is recorded, and the best-evaluated parameters
     are returned.  Surrogate parameters are bit-identical on exit.
     """
-    if mode not in ("surrogate", "analytic"):
+    if mode not in POLICY_MODES:
         raise ValueError(f"unknown policy training mode {mode!r}")
     if mode == "surrogate" and (proj_model is None or value_model is None):
         raise ValueError("surrogate mode requires trained surrogates")
@@ -614,17 +593,13 @@ def train_policy(spec: GnnSpec, proj_model: GnnModel | None,
                     raise AssertionError("frozen surrogate parameters changed")
         # surrogate fidelity on the policy's own outputs (diagnostic)
         a_raw, _ = policy_forward(policy, eval_pool.positions)
-        p_exact = np.einsum("njk,nji,nik->nk", np.conj(a_raw),
-                            eval_pool.coupling_grams, a_raw).real
+        fwd = GramForward.evaluate(a_raw, eval_pool.coupling_grams, power_budget)
         p_hat, _ = proj_forward(proj_model, eval_pool.positions, a_raw)
         report.final_metrics["proj_nmse_on_policy_outputs"] = normalized_mse(
-            p_hat, p_exact)
-        scale = np.sqrt(power_budget / p_exact.sum(axis=1))
-        a_bar = a_raw * scale[:, None, None]
-        g_exact = np.einsum("nki,nij->nkj", eval_pool.coupling_grams, a_bar)
-        g_hat, _ = value_forward(value_model, eval_pool.positions, a_bar)
+            p_hat, fwd.powers)
+        g_hat, _ = value_forward(value_model, eval_pool.positions, fwd.a_bar)
         report.final_metrics["value_nmse_on_policy_outputs"] = normalized_mse(
-            g_hat, g_exact)
+            g_hat, fwd.couplings)
 
     report.wall_clock_seconds = time.perf_counter() - start
     return policy, report

@@ -91,11 +91,6 @@ class BaselineResult:
     num_nodes: int
     num_nodes_eval: int
 
-    def csv_row(self, scene_id: str) -> str:
-        return (f"{scene_id},{self.num_nodes},{self.num_nodes_eval},"
-                f"{self.info.iterations},{int(self.info.converged)},"
-                f"{self.se_report.sum_se:.12g},{self.runtime_seconds:.6g}")
-
 
 def discretize_channels(scene: Scene, grid: ApertureGrid) -> np.ndarray:
     """Per-user effective channel samples h_k[m] = H_k(r_m)."""

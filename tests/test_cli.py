@@ -26,3 +26,15 @@ def test_experiment_policy_mode_flag_overrides_config(tmp_path, monkeypatch):
     assert main(["experiment", "--config", str(cfg),
                  "--policy-mode", "analytic"]) == 0
     assert [c.policy_mode for c in seen] == ["surrogate", "analytic"]
+
+
+def test_gen_data_is_gone(capsys):
+    assert main(["gen-data", "--out", "unused.jsonl"]) == 1
+    assert "invalid choice: 'gen-data'" in capsys.readouterr().err
+
+
+def test_unknown_policy_mode_in_config_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"policy_mode": "bogus"}))
+    assert main(["experiment", "--config", str(cfg), "--train-inline"]) == 1
+    assert "unknown policy mode 'bogus'" in capsys.readouterr().err

@@ -91,13 +91,6 @@ class TestSumSe:
         rep = sum_se(np.array([0.3, 2.0, 11.0]))
         assert rep.sum_se == pytest.approx(rep.rates.sum(), rel=1e-15)
 
-    def test_csv_row(self):
-        rep = sum_se(np.array([1.0, 3.0]))
-        row = rep.csv_row("scene-7", "wmmse", 256)
-        parts = row.split(",")
-        assert parts[:3] == ["scene-7", "wmmse", "256"]
-        assert float(parts[-1]) == pytest.approx(rep.sum_se)
-
     def test_permutation_invariance(self, seed1_grams):
         rng = np.random.default_rng(3)
         g = random_weights(rng, 4)

@@ -1,10 +1,22 @@
 import json
 
+import numpy as np
 import pytest
 
-from lcapa.gnn import init_params, value_spec
-from lcapa.heads import GnnModel
-from lcapa.training import CheckpointError, load_checkpoint, save_checkpoint
+from lcapa.gnn import init_params, policy_spec, value_spec
+from lcapa.heads import GnnModel, policy_forward
+from lcapa.objective import project_weights, sinr_vector, sum_se
+from lcapa.quadrature import integral_couplings, integral_power
+from lcapa.training import (
+    CheckpointError,
+    ScenePool,
+    analytic_chain_loss_and_grads,
+    exact_policy_se,
+    finite_diff_check,
+    gen_supervised_dataset,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 # The array keys of one checkpoint layer, in the order they are written.
 CHECKPOINT_LAYER_KEYS = ["w_self", "w_other", "w_ein", "w_eout", "b_v",
@@ -51,3 +63,77 @@ class TestCheckpoint:
             json.dump(rec, fh)
         with pytest.raises(CheckpointError, match="missing array u_agg in layer 1"):
             load_checkpoint(path)
+
+
+def tiny_policy(pool: ScenePool, seed: int) -> GnnModel:
+    """A policy emitting weights at the pool's natural projected scale."""
+    k = pool.coupling_grams.shape[1]
+    c_diag = np.mean([np.trace(c).real / k for c in pool.coupling_grams])
+    a_nat = float(np.sqrt(1.0 / (k * c_diag)))
+    spec = policy_spec(hidden=8, layers=3)
+    return GnnModel(spec=spec, params=init_params(spec, seed),
+                    norms={"pos_scale": 30.0, "a_scale": a_nat, "out_scale": a_nat})
+
+
+def per_scene_exact_se(policy, pool, power_budget, user_apertures, noise_vars):
+    """exact_policy_se one scene at a time through the objective functions."""
+    a_raw, _ = policy_forward(policy, pool.positions)
+    out = []
+    for a, c in zip(a_raw, pool.coupling_grams):
+        powers = integral_power(a, c)
+        if powers.sum() <= 0.0:
+            out.append(0.0)
+            continue
+        weights = project_weights(a, powers, power_budget)
+        gamma = sinr_vector(integral_couplings(weights, c), user_apertures,
+                            noise_vars)
+        out.append(sum_se(gamma).sum_se)
+    return np.array(out)
+
+
+class TestScenesAndGrams:
+    def test_pool_and_datasets_share_scenes_and_grams(self):
+        pool = ScenePool.generate(7, 3, 3, 16, 1e6)
+        for mode in ("proj", "value"):
+            ds = gen_supervised_dataset(7, 3, 3, 16, mode)
+            assert ([s.scene.to_json() for s in ds.samples]
+                    == [s.to_json() for s in pool.scenes])
+            positions = np.stack([s.scene.positions for s in ds.samples])
+            assert positions.tobytes() == pool.positions.tobytes()
+        # the proj targets are the powers under the pool's own Grams
+        ds = gen_supervised_dataset(7, 3, 3, 16, "proj")
+        for sample, c in zip(ds.samples, pool.coupling_grams):
+            assert np.array_equal(sample.target_powers,
+                                  integral_power(sample.weights, c))
+
+
+class TestExactPolicySe:
+    def test_matches_per_scene_reference_with_a_zero_power_scene(self):
+        pool = ScenePool.generate(11, 4, 3, 64, 1e6)
+        policy = tiny_policy(pool, 4)
+        grams = pool.coupling_grams.copy()
+        grams[2] = 0.0
+        pool = ScenePool(scenes=pool.scenes, positions=pool.positions,
+                         coupling_grams=grams)
+        scene = pool.scenes[0]
+        args = (pool, scene.power_budget, scene.user_apertures(),
+                scene.noise_vars())
+        se = exact_policy_se(policy, *args)
+        ref = per_scene_exact_se(policy, *args)
+        assert se[2] == 0.0 and ref[2] == 0.0
+        assert np.all(se[[0, 1, 3]] > 0.0)
+        assert np.allclose(se, ref, rtol=1e-12, atol=0.0)
+
+
+class TestAnalyticChain:
+    def test_finite_difference(self):
+        pool = ScenePool.generate(3, 2, 3, 64, 1e6)
+        policy = tiny_policy(pool, 5)
+        scene = pool.scenes[0]
+        args = (pool.positions, pool.coupling_grams, scene.user_apertures(),
+                scene.noise_vars(), scene.power_budget)
+        _, grads, _ = analytic_chain_loss_and_grads(policy, *args)
+        worst = finite_diff_check(
+            lambda: analytic_chain_loss_and_grads(policy, *args)[0],
+            policy.params, grads, probes=120, seed=6)
+        assert worst <= 1e-5, f"max relative gradient error {worst:.2e}"
