@@ -206,8 +206,8 @@ def _cmd_grad_check(args) -> int:
     from .gnn import policy_spec, proj_spec, value_spec, init_params
     from .heads import (GnnModel, policy_forward, policy_backward, proj_forward,
                         proj_backward, value_forward, value_backward)
-    from .training import (ScenePool, finite_diff_check,
-                           surrogate_chain_loss_and_grads)
+    from .training import (ScenePool, analytic_chain_loss_and_grads,
+                           finite_diff_check, surrogate_chain_loss_and_grads)
 
     rng = np.random.default_rng(args.seed)
     pos = rng.uniform(10.0, 25.0, (2, 3, 3))
@@ -280,6 +280,13 @@ def _cmd_grad_check(args) -> int:
     report("policy-chain", finite_diff_check(chain_loss, policy.params, grads,
                                              probes=args.probes,
                                              seed=args.seed + 6))
+
+    chain_args = (pool.positions, pool.coupling_grams, scene.user_apertures(),
+                  scene.noise_vars(), scene.power_budget)
+    _, grads, _ = analytic_chain_loss_and_grads(policy, *chain_args)
+    report("analytic-chain", finite_diff_check(
+        lambda: analytic_chain_loss_and_grads(policy, *chain_args)[0],
+        policy.params, grads, probes=args.probes, seed=args.seed + 7))
     return 0 if not failures else 2
 
 

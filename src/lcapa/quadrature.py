@@ -172,7 +172,10 @@ def gram_pair(h: np.ndarray, cell_area: float) -> GramPair:
 
 
 def _require_hermitian(c: np.ndarray) -> None:
-    if not np.allclose(c, c.conj().T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(c).max()))):
+    # an inf entry makes atol inf and a NaN entry makes the maximum NaN;
+    # either fails the check
+    atol = 1e-12 * max(1.0, float(np.abs(c).max()))
+    if not (np.isfinite(atol) and np.max(np.abs(c - c.conj().T)) <= atol):
         raise AssertionError("coupling Gram is not Hermitian")
 
 

@@ -3,10 +3,13 @@
 The aperture is discretized to M patches, which reduces the functional
 problem to conventional multi-user MISO precoding.  The precoders are
 optimized with the classic three-block weighted-MMSE alternation (receive
-scalars, MSE weights, regularized least-squares precoders with the sum-power
-multiplier found by bisection).  The optimized discrete precoder is then
-lifted back onto the span of the channel functions by least squares and
-evaluated with the exact quadrature path.
+scalars, MSE weights, regularized least-squares precoders under a sum-power
+multiplier; Shi, Razaviyayn, Luo & He, IEEE TSP 2011).  Every iterate lies in
+the span of the K sampled channels, so the alternation runs in K x K Gram
+coordinates and its per-iteration cost does not grow with M; the multiplier
+solves the trust-region secular equation by Newton's method.  The optimized
+discrete precoder is then lifted back onto the span of the channel functions
+by least squares and evaluated with the exact quadrature path.
 """
 
 from __future__ import annotations
@@ -34,7 +37,10 @@ class LiftConditionError(RuntimeError):
 
 
 class BisectionError(RuntimeError):
-    """Raised when the power-multiplier bisection cannot bracket a solution."""
+    """Raised when the sum-power multiplier search finds no root."""
+
+
+_NEWTON_STEPS = 100     # cap on Newton steps for the power multiplier
 
 
 @dataclass(frozen=True)
@@ -111,6 +117,36 @@ def _shared_aperture(user_apertures: np.ndarray) -> float:
     return float(ap[0])
 
 
+def _power_multiplier(c: np.ndarray, lam: np.ndarray, power: float) -> float:
+    """Sum-power multiplier: the mu >= 0 with sum_i c_i / (lam_i + mu)^2 = power.
+
+    c >= 0 and lam > 0.  mu = 0 when P(0) = sum_i c_i / lam_i^2 is within the
+    budget.  Otherwise this is the trust-region secular equation: 1/sqrt(P(mu))
+    is concave and increasing in mu, so Newton's method on it from mu = 0
+    climbs monotonically to the root without overshooting (More & Sorensen,
+    SIAM J. Sci. Stat. Comput. 1983).  It stops once a step is at most
+    1e-13 mu, and raises :class:`BisectionError` when no root exists (a
+    non-positive budget) or the iteration does not converge.
+    """
+    if np.sum(c / lam ** 2) <= power:
+        return 0.0
+    if not power > 0.0:
+        raise BisectionError(f"no power multiplier reaches the budget {power:g}")
+    target = 1.0 / np.sqrt(power)
+    mu = 0.0
+    for _ in range(_NEWTON_STEPS):
+        r = 1.0 / (lam + mu)
+        cr2 = c * r * r
+        p = cr2.sum()
+        # d(1/sqrt(P))/dmu = P^(-3/2) sum_i c_i / (lam_i + mu)^3
+        step = (target - 1.0 / np.sqrt(p)) * p * np.sqrt(p) / (cr2 * r).sum()
+        mu += step
+        if abs(step) <= 1e-13 * mu:
+            return float(mu)
+    raise BisectionError(f"Newton's method did not converge on the power "
+                         f"multiplier in {_NEWTON_STEPS} steps (mu={mu:g})")
+
+
 def wmmse_precoding(h: np.ndarray, cell_area: float, user_apertures: np.ndarray,
                     noise_vars: np.ndarray, power_budget: float,
                     options: WmmseOptions | None = None
@@ -121,10 +157,18 @@ def wmmse_precoding(h: np.ndarray, cell_area: float, user_apertures: np.ndarray,
     channels e_k = sqrt(|A_u|) * delta * h_k, so the algorithm maximizes the
     discrete sum SE directly.  Deterministic matched-filter initialization;
     stops when the sum-SE change falls below the relative tolerance.
+
+    Every iterate lies in the span of the channels, V = eff^T B, so the
+    iteration runs in K x K Gram coordinates on E = conj(eff) eff^T
+    (= |A_u| delta C): the couplings are E B, the regularized least-squares
+    step eigendecomposes D E D with D = diag(sqrt(alpha)), and the sum-power
+    multiplier comes from :func:`_power_multiplier` (Newton's method, stopped
+    once a step is at most 1e-13 mu).  Only forming E and the final
+    V = eff^T B with its rescale to the exact budget touch the M nodes.
     """
     options = options or WmmseOptions()
     h = np.asarray(h, dtype=complex)
-    num_users, num_nodes = h.shape
+    num_users = h.shape[0]
     ap_u = _shared_aperture(user_apertures)
     noise = np.asarray(noise_vars, dtype=float)
     power = power_budget / cell_area          # budget for sum_k ||v_k||^2
@@ -133,79 +177,55 @@ def wmmse_precoding(h: np.ndarray, cell_area: float, user_apertures: np.ndarray,
     eff_norms = np.linalg.norm(eff, axis=1)
     if np.any(eff_norms == 0.0):
         raise ValueError("a user has an identically zero channel")
+    e = np.conj(eff) @ eff.T                  # [k, j] = e_k^H e_j
+
+    def sum_rate(t: np.ndarray) -> float:
+        sig = np.abs(t.diagonal()) ** 2
+        interference = (np.abs(t) ** 2).sum(axis=1) - sig
+        return float(np.sum(np.log1p(sig / (interference + noise)) / np.log(2.0)))
 
     # matched-filter start with equal power split; the coupling is e_k^H v_j,
     # so the matched direction is v ~ e_k itself
-    v = (eff / eff_norms[:, None]).T.copy()
-    v *= np.sqrt(power / num_users)
-
-    def couplings(vmat: np.ndarray) -> np.ndarray:
-        return np.conj(eff) @ vmat            # [k, j] = e_k^H v_j
-
-    def sum_rate(vmat: np.ndarray) -> float:
-        t = couplings(vmat)
-        sig = np.abs(np.diag(t)) ** 2
-        interference = np.sum(np.abs(t) ** 2, axis=1) - sig
-        return float(np.sum(np.log1p(sig / (interference + noise)) / np.log(2.0)))
-
-    trace = [sum_rate(v)]
+    b = np.diag(np.sqrt(power / num_users) / eff_norms)
+    t = e @ b                                 # couplings [k, j] = e_k^H v_j
+    trace = [sum_rate(t)]
     converged = False
     iterations = 0
     for iterations in range(1, options.max_iterations + 1):
-        t = couplings(v)
-        totals = np.sum(np.abs(t) ** 2, axis=1) + noise
-        u = np.diag(t) / totals
-        mse = 1.0 - (np.conj(u) * np.diag(t)).real
+        t_diag = t.diagonal()
+        totals = (np.abs(t) ** 2).sum(axis=1) + noise
+        u = t_diag / totals
+        mse = 1.0 - (np.conj(u) * t_diag).real
         w = 1.0 / mse
 
-        alpha = w * np.abs(u) ** 2
-        scaled = np.conj(eff) * np.sqrt(alpha)[:, None]     # rows sqrt(a_k) e_k^H
-        gram_small = scaled @ scaled.conj().T               # K x K, Hermitian PSD
-        lam, q = np.linalg.eigh(gram_small)
+        d = np.sqrt(w * np.abs(u) ** 2)                    # sqrt(alpha_k)
+        lam, q = np.linalg.eigh(d[:, None] * e * d[None, :])
         keep = lam > max(1e-14 * lam.max(), 0.0)
         lam_kept = lam[keep]
-        basis = scaled.conj().T @ (q[:, keep] / np.sqrt(lam_kept)[None, :])  # (M, r)
+        # eff^T q_tilde is an orthonormal basis of the weighted channel span
+        q_tilde = d[:, None] * (q[:, keep] / np.sqrt(lam_kept)[None, :])
 
-        coeff = basis.conj().T @ eff.T                     # (r, K): basis^H e_j
-        gains = (w * np.abs(u)) ** 2                       # |w_j u_j|^2
-        filt_sq = np.abs(coeff) ** 2 * gains[None, :]
+        coeff = q_tilde.conj().T @ e                       # (r, K): basis^H e_j
+        wu = w * u
+        mu = _power_multiplier(np.abs(coeff) ** 2 @ np.abs(wu) ** 2,
+                               lam_kept, power)
 
-        def total_power(mu: float) -> float:
-            return float(np.sum(filt_sq / (lam_kept[:, None] + mu) ** 2))
-
-        if total_power(0.0) <= power:
-            mu = 0.0
-        else:
-            hi = max(lam_kept.max(), 1.0)
-            for _ in range(200):
-                if total_power(hi) < power:
-                    break
-                hi *= 2.0
-            else:
-                raise BisectionError("could not bracket the power multiplier "
-                                     f"(hi={hi:g}, P(hi)={total_power(hi):g})")
-            lo = 0.0
-            scale_ref = hi
-            while hi - lo > 1e-10 * scale_ref:
-                mid = 0.5 * (lo + hi)
-                if total_power(mid) > power:
-                    lo = mid
-                else:
-                    hi = mid
-            mu = 0.5 * (lo + hi)
-
-        v = basis @ (coeff / (lam_kept[:, None] + mu)) * (w * u)[None, :]
-        trace.append(sum_rate(v))
+        b = q_tilde @ (coeff / (lam_kept[:, None] + mu)) * wu[None, :]
+        t = e @ b
+        trace.append(sum_rate(t))
         if abs(trace[-1] - trace[-2]) <= options.tolerance * max(1.0, abs(trace[-1])):
             converged = True
             break
 
     # final scaling to the exact power budget (scaling every precoder up
     # raises every SINR, so this never decreases the objective)
+    v = eff.T @ b
     current = float(np.sum(np.abs(v) ** 2))
     if current > 0.0:
-        v = v * np.sqrt(power / current)
-    trace.append(sum_rate(v))
+        scale = np.sqrt(power / current)
+        v = v * scale
+        t = t * scale
+    trace.append(sum_rate(t))
 
     precoder = DiscretePrecoder(values=v, cell_area=cell_area)
     info = WmmseInfo(iterations=iterations, converged=converged,

@@ -38,3 +38,10 @@ def test_unknown_policy_mode_in_config_is_a_usage_error(tmp_path, capsys):
     cfg.write_text(json.dumps({"policy_mode": "bogus"}))
     assert main(["experiment", "--config", str(cfg), "--train-inline"]) == 1
     assert "unknown policy mode 'bogus'" in capsys.readouterr().err
+
+
+def test_grad_check_covers_the_analytic_chain(capsys):
+    assert main(["grad-check", "--probes", "40"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    analytic = [line for line in lines if line.startswith("analytic-chain ")]
+    assert len(analytic) == 1 and analytic[0].endswith("[ok]")

@@ -312,6 +312,19 @@ class TestIntegralOracles:
         with pytest.raises(AssertionError):
             integral_power(np.eye(2, dtype=complex), bad)
 
+    @pytest.mark.parametrize("defect", ["none", "off_hermitian", "nan", "inf"])
+    def test_hermitian_check_tolerance(self, seed1_grams, defect):
+        # the check allows |C - C^H| up to 1e-12 max(1, max|C|) per entry
+        c = seed1_grams.coupling.copy()
+        atol = 1e-12 * max(1.0, float(np.abs(c).max()))
+        if defect == "none":
+            integral_power(np.eye(4, dtype=complex), c)
+            return
+        c[0, 1] += {"off_hermitian": 2.0 * atol, "nan": np.nan,
+                    "inf": np.inf}[defect]
+        with pytest.raises(AssertionError, match="not Hermitian"):
+            integral_power(np.eye(4, dtype=complex), c)
+
 
 class TestPermutationCovariance:
     def test_all_permutations_k4(self, seed1_scene, seed1_grid256, seed1_grams):

@@ -6,9 +6,13 @@ from lcapa.quadrature import build_grid, channel_matrix, gram_pair
 from lcapa.scene import sample_scene
 from lcapa.wmmse import (
     BaselineResult,
+    BisectionError,
     DiscretePrecoder,
     LiftConditionError,
+    WmmseInfo,
     WmmseOptions,
+    _power_multiplier,
+    _shared_aperture,
     baseline_se,
     discrete_sinr,
     discretize_channels,
@@ -207,3 +211,185 @@ class TestBaseline:
             hi = baseline_se(scene, num_nodes=256, num_nodes_eval=1024)
             gains.append(hi.se_report.sum_se - lo.se_report.sum_se)
         assert np.mean(gains) > 0.0
+
+
+def _reference_wmmse(h, cell_area, user_apertures, noise_vars, power_budget,
+                     options=None):
+    """WMMSE on the M-row node-domain matrices, with a bisection multiplier.
+
+    The node-domain form of :func:`wmmse_precoding`: every product runs over
+    the M nodes and the sum-power multiplier is bisected to 1e-10 of its
+    bracket.  Kept as the oracle for the Gram-coordinate iteration.
+    """
+    options = options or WmmseOptions()
+    h = np.asarray(h, dtype=complex)
+    num_users, num_nodes = h.shape
+    ap_u = _shared_aperture(user_apertures)
+    noise = np.asarray(noise_vars, dtype=float)
+    power = power_budget / cell_area
+
+    eff = np.sqrt(ap_u) * cell_area * h
+    eff_norms = np.linalg.norm(eff, axis=1)
+    if np.any(eff_norms == 0.0):
+        raise ValueError("a user has an identically zero channel")
+
+    v = (eff / eff_norms[:, None]).T.copy()
+    v *= np.sqrt(power / num_users)
+
+    def couplings(vmat):
+        return np.conj(eff) @ vmat
+
+    def sum_rate(vmat):
+        t = couplings(vmat)
+        sig = np.abs(np.diag(t)) ** 2
+        interference = np.sum(np.abs(t) ** 2, axis=1) - sig
+        return float(np.sum(np.log1p(sig / (interference + noise)) / np.log(2.0)))
+
+    trace = [sum_rate(v)]
+    converged = False
+    iterations = 0
+    for iterations in range(1, options.max_iterations + 1):
+        t = couplings(v)
+        totals = np.sum(np.abs(t) ** 2, axis=1) + noise
+        u = np.diag(t) / totals
+        mse = 1.0 - (np.conj(u) * np.diag(t)).real
+        w = 1.0 / mse
+
+        alpha = w * np.abs(u) ** 2
+        scaled = np.conj(eff) * np.sqrt(alpha)[:, None]
+        gram_small = scaled @ scaled.conj().T
+        lam, q = np.linalg.eigh(gram_small)
+        keep = lam > max(1e-14 * lam.max(), 0.0)
+        lam_kept = lam[keep]
+        basis = scaled.conj().T @ (q[:, keep] / np.sqrt(lam_kept)[None, :])
+
+        coeff = basis.conj().T @ eff.T
+        gains = (w * np.abs(u)) ** 2
+        filt_sq = np.abs(coeff) ** 2 * gains[None, :]
+
+        def total_power(mu):
+            return float(np.sum(filt_sq / (lam_kept[:, None] + mu) ** 2))
+
+        if total_power(0.0) <= power:
+            mu = 0.0
+        else:
+            hi = max(lam_kept.max(), 1.0)
+            for _ in range(200):
+                if total_power(hi) < power:
+                    break
+                hi *= 2.0
+            else:
+                raise BisectionError("could not bracket the power multiplier")
+            lo = 0.0
+            scale_ref = hi
+            while hi - lo > 1e-10 * scale_ref:
+                mid = 0.5 * (lo + hi)
+                if total_power(mid) > power:
+                    lo = mid
+                else:
+                    hi = mid
+            mu = 0.5 * (lo + hi)
+
+        v = basis @ (coeff / (lam_kept[:, None] + mu)) * (w * u)[None, :]
+        trace.append(sum_rate(v))
+        if abs(trace[-1] - trace[-2]) <= options.tolerance * max(1.0, abs(trace[-1])):
+            converged = True
+            break
+
+    current = float(np.sum(np.abs(v) ** 2))
+    if current > 0.0:
+        v = v * np.sqrt(power / current)
+    trace.append(sum_rate(v))
+    return (DiscretePrecoder(values=v, cell_area=cell_area),
+            WmmseInfo(iterations=iterations, converged=converged,
+                      objective_trace=np.asarray(trace)))
+
+
+AGREEMENT_CASES = ([(seed, k, m) for seed in range(9000, 9004)
+                    for k in (4, 16) for m in (64, 256)]
+                   + [(9000, 16, 4)])      # M < K: a rank-deficient Gram
+
+
+class TestGramDomainAgreement:
+    @pytest.mark.parametrize("seed,num_users,num_nodes", AGREEMENT_CASES)
+    def test_matches_node_domain_reference(self, seed, num_users, num_nodes):
+        scene = sample_scene(seed=seed, num_users=num_users)
+        grid = build_grid(scene.aperture, num_nodes)
+        h = discretize_channels(scene, grid)
+        args = (h, grid.cell_area, scene.user_apertures(), scene.noise_vars(),
+                scene.power_budget)
+        precoder, info = wmmse_precoding(*args)
+        ref_precoder, ref_info = _reference_wmmse(*args)
+        assert (info.iterations, info.converged) \
+            == (ref_info.iterations, ref_info.converged)
+        assert np.allclose(info.objective_trace, ref_info.objective_trace,
+                           rtol=1e-9, atol=0.0)
+        ref_v = ref_precoder.values
+        assert np.max(np.abs(precoder.values - ref_v)) \
+            <= 1e-8 * np.max(np.abs(ref_v))
+
+
+def _secular_power(c, lam, mu):
+    return float(np.sum(c / (lam + mu) ** 2))
+
+
+def _bisected_multiplier(c, lam, power):
+    """Bisection on P(mu) = power down to adjacent doubles."""
+    if _secular_power(c, lam, 0.0) <= power:
+        return 0.0
+    lo, hi = 0.0, max(lam.max(), 1.0)
+    while _secular_power(c, lam, hi) >= power:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(2000):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if _secular_power(c, lam, mid) > power:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _random_secular_case(rng):
+    r = int(rng.integers(1, 17))
+    lam = 10.0 ** rng.uniform(-6.0, 3.0, r)
+    c = 10.0 ** rng.uniform(-8.0, 2.0, r)
+    c[rng.random(r) < 0.25] = 0.0
+    if not c.any():
+        c[int(rng.integers(r))] = 1.0
+    power = _secular_power(c, lam, 0.0) * 10.0 ** rng.uniform(-8.0, 0.5)
+    return c, lam, power
+
+
+class TestPowerMultiplier:
+    def test_root_matches_bisection_reference(self):
+        rng = np.random.default_rng(77)
+        binding = 0
+        for _ in range(400):
+            c, lam, power = _random_secular_case(rng)
+            mu = _power_multiplier(c, lam, power)
+            ref = _bisected_multiplier(c, lam, power)
+            assert abs(mu - ref) <= 1e-10 * max(lam.max(), 1.0)
+            if mu > 0.0:
+                binding += 1
+                assert abs(_secular_power(c, lam, mu) - power) <= 1e-12 * power
+        assert binding >= 300
+
+    def test_zero_when_the_budget_is_not_binding(self):
+        rng = np.random.default_rng(78)
+        for _ in range(50):
+            c, lam, _ = _random_secular_case(rng)
+            p0 = _secular_power(c, lam, 0.0)
+            for power in (p0, 2.0 * p0):
+                assert _power_multiplier(c, lam, power) == 0.0
+        assert _power_multiplier(np.zeros(3), np.ones(3), 0.0) == 0.0
+
+    @pytest.mark.parametrize("power", [0.0, -1.0])
+    def test_non_positive_budget_raises(self, power):
+        with pytest.raises(BisectionError):
+            _power_multiplier(np.array([1.0, 0.0]), np.array([0.5, 2.0]), power)
+
+    def test_non_finite_input_raises(self):
+        with pytest.raises(BisectionError):
+            _power_multiplier(np.array([np.nan, 1.0]), np.ones(2), 0.5)
