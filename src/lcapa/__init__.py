@@ -28,6 +28,18 @@ in layers:
 
 The package namespace re-exports the scene, quadrature and objective layers
 (``__all__``); import the other modules directly.
+
+Three of those exports are test oracles, not pipeline stages: no training,
+baseline, experiment or CLI path calls them.  Each reaches a result by a
+route independent of the Gram-domain code, so the tests can check it:
+
+* :func:`~lcapa.quadrature.direct_integral_check` -- powers and couplings
+  summed pointwise over the grid, against the Gram route;
+* :func:`~lcapa.objective.reconstruct_current` -- the continuous current
+  distributions V_k(r) = sum_j a_jk H_j(r) of a weight matrix;
+* :func:`~lcapa.objective.subspace_improvement_check` -- the SE of a
+  solution with an out-of-subspace component against its rescaled
+  in-subspace part, which must score higher.
 """
 
 __version__ = "0.1.0"

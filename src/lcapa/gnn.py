@@ -14,6 +14,22 @@ quantities enter and leave as (real, imaginary) feature pairs.  Forward
 passes retain every pre-activation in a cache so the backward pass can
 accumulate exact reverse-mode gradients; no autodiff framework is involved.
 
+Kernel contract.  The elementwise work runs no select kernel and makes few
+fresh full-size (N, K, K, width) arrays.  Per edge layer the forward pass
+allocates only what it keeps: the cached pre-activation and its activation.
+The backward pass scales the spent edge gradient in place; it allocates the
+activation derivative, one buffer that holds the ``gze @ U`` products, and
+the edge gradient it passes down.  Edge aggregation adds its aggregate
+and, in the forward pass, the products formed from it.
+The leaky ReLU is ``max(z, slope z)`` and its derivative
+``max(1{z > 0}, slope)``, exact for ``0 <= hidden_slope <= 1``, which
+:class:`GnnSpec` enforces; self-edges are zeroed by index.  Forward outputs,
+every cached pre-activation and every gradient equal (``np.array_equal``)
+those of the select-and-mask forms ``where(z > 0, z, slope z)`` and
+``x * offdiag_mask``, which the tests keep as oracles.  The one exception is
+``slope = 0`` with a ``+inf`` pre-activation: ``0 * inf`` makes it NaN where
+the select form gives ``inf``.
+
 Three head configurations are provided: ``policy`` (positions -> weight
 matrix), ``proj`` (positions + raw weights -> per-user powers through a
 strictly positive output), and ``value`` (positions + projected weights ->
@@ -58,6 +74,10 @@ class GnnSpec:
             raise ValueError("vertex widths must be >= 1")
         if any(w < 1 for w in self.edge_widths[:-1]) or self.edge_widths[-1] < 0:
             raise ValueError("edge widths must be >= 1 (final may be 0)")
+        if not 0.0 <= self.hidden_slope <= 1.0:
+            # the max-form leaky ReLU and its derivative are exact only here
+            raise ValueError(f"hidden_slope must be a finite number in [0, 1], "
+                             f"got {self.hidden_slope!r}")
 
     @property
     def layers(self) -> int:
@@ -186,11 +206,15 @@ def zeros_like_params(params: GnnParams) -> GnnParams:
 # -- activations --------------------------------------------------------------
 
 def _leaky(z, slope):
-    return np.where(z > 0.0, z, slope * z)
+    # max(z, slope z) is the leaky ReLU for 0 <= slope <= 1, with no select
+    y = z * slope
+    return np.maximum(z, y, out=y)
 
 
 def _dleaky(z, slope):
-    return np.where(z > 0.0, 1.0, slope)
+    # max(1{z > 0}, slope) is 1 or slope for 0 <= slope <= 1, with no select
+    d = (z > 0.0).astype(float)
+    return np.maximum(d, slope, out=d)
 
 
 def _softplus(z):
@@ -234,8 +258,11 @@ class GnnCache:
     ze: list[np.ndarray | None]
 
 
-def _offdiag_mask(k: int) -> np.ndarray:
-    return (~np.eye(k, dtype=bool))[None, :, :, None]
+def _zero_diagonal(x: np.ndarray) -> np.ndarray:
+    """Zero the unused self-edges x[:, k, k] in place; returns x."""
+    idx = np.arange(x.shape[1])
+    x[:, idx, idx] = 0.0
+    return x
 
 
 def gnn_forward(spec: GnnSpec, params: GnnParams, d0: np.ndarray,
@@ -245,8 +272,10 @@ def gnn_forward(spec: GnnSpec, params: GnnParams, d0: np.ndarray,
     ``d0`` is (N, K, Fv) and ``e0`` is (N, K, K, Fe) with the diagonal unused
     (forced to zero).  Returns vertex outputs (N, K, out), edge outputs
     (N, K, K, out) or None when the spec has no edge head, and the cache for
-    :func:`gnn_backward`.  Neighbor sums run over numpy's fixed deterministic
-    reduction order, so identical inputs give bit-identical outputs.
+    :func:`gnn_backward`.  An identity-activated output is the cached
+    pre-activation itself, so callers must not write to the outputs.
+    Neighbor sums run over numpy's fixed deterministic reduction order, so
+    identical inputs give bit-identical outputs.
     """
     d0 = np.asarray(d0, dtype=float)
     e0 = np.asarray(e0, dtype=float)
@@ -261,8 +290,7 @@ def gnn_forward(spec: GnnSpec, params: GnnParams, d0: np.ndarray,
             f"feature widths {(d0.shape[2], e0.shape[3])} do not match spec "
             f"{(spec.vertex_widths[0], spec.edge_widths[0])}")
 
-    mask = _offdiag_mask(k)
-    d, e = d0, e0 * mask
+    d, e = d0, _zero_diagonal(e0.copy())
     cache = GnnCache(spec=spec, params=params, d_inputs=[], e_inputs=[],
                      zv=[], ze=[])
     for t, lp in enumerate(params.layers):
@@ -276,25 +304,29 @@ def gnn_forward(spec: GnnSpec, params: GnnParams, d0: np.ndarray,
         sum_d = d.sum(axis=1, keepdims=True)
         col = e.sum(axis=1)            # sum_i e[i, k]
         row = e.sum(axis=2)            # sum_i e[k, i]
-        zv = (d @ lp.w_self.T + (sum_d - d) @ lp.w_other.T
-              + col @ lp.w_ein.T + row @ lp.w_eout.T + lp.b_v)
+        zv = d @ lp.w_self.T
+        zv += (sum_d - d) @ lp.w_other.T
+        zv += col @ lp.w_ein.T
+        zv += row @ lp.w_eout.T
+        zv += lp.b_v
         cache.zv.append(zv)
-        d = _apply_act(zv, v_act, spec.hidden_slope)
 
         if lp.u_edge is not None:
-            ze = (e @ lp.u_edge.T
-                  + (cache.d_inputs[-1] @ lp.u_src.T)[:, :, None, :]
-                  + (cache.d_inputs[-1] @ lp.u_dst.T)[:, None, :, :]
-                  + lp.b_e)
+            ze = e @ lp.u_edge.T
+            ze += (d @ lp.u_src.T)[:, :, None, :]
+            ze += (d @ lp.u_dst.T)[:, None, :, :]
+            ze += lp.b_e
             if lp.u_agg is not None:
-                agg = row[:, :, None, :] + col[:, None, :, :] - 2.0 * e
-                ze = ze + agg @ lp.u_agg.T
-            ze = ze * mask
-            cache.ze.append(ze)
-            e = _apply_act(ze, e_act, spec.hidden_slope) * mask
+                agg = row[:, :, None, :] + col[:, None, :, :]
+                agg -= 2.0 * e
+                ze += agg @ lp.u_agg.T
+            cache.ze.append(_zero_diagonal(ze))
+            # both edge activations map 0 to 0, so e keeps a zero diagonal
+            e = _apply_act(ze, e_act, spec.hidden_slope)
         else:
             cache.ze.append(None)
             e = None
+        d = _apply_act(zv, v_act, spec.hidden_slope)
     return d, e, cache
 
 
@@ -322,8 +354,6 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
     """
     if cache.params is not params or cache.spec is not spec:
         raise ValueError("cache does not belong to these parameters (stale cache)")
-    n, k = cache.d_inputs[0].shape[:2]
-    mask = _offdiag_mask(k)
     grads = zeros_like_params(params)
 
     gd = np.asarray(d_out_grad, dtype=float)
@@ -333,7 +363,8 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
     if last_lp.u_edge is not None:
         if e_out_grad is None:
             raise ValueError("edge output gradient required for this spec")
-        ge = np.asarray(e_out_grad, dtype=float) * mask
+        # a private copy: every layer scales its ge in place
+        ge = _zero_diagonal(np.array(e_out_grad, dtype=float))
     else:
         ge = None
 
@@ -350,7 +381,8 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
         col = e_in.sum(axis=1)
         row = e_in.sum(axis=2)
 
-        gzv = gd * _act_grad(cache.zv[t], v_act, spec.hidden_slope)
+        gzv = _act_grad(cache.zv[t], v_act, spec.hidden_slope)
+        gzv *= gd
 
         gl.w_self += _wgrad(gzv, d_in)
         gl.w_other += _wgrad(gzv, sum_d - d_in)
@@ -359,13 +391,15 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
         gl.b_v += gzv.sum(axis=(0, 1))
 
         sum_gzv = gzv.sum(axis=1, keepdims=True)
-        gd_prev = gzv @ lp.w_self + (sum_gzv - gzv) @ lp.w_other
+        gd_prev = gzv @ lp.w_self
+        gd_prev += (sum_gzv - gzv) @ lp.w_other
         ge_prev = ((gzv @ lp.w_ein)[:, None, :, :]
                    + (gzv @ lp.w_eout)[:, :, None, :])
 
         if lp.u_edge is not None:
-            # ge is already zero on the diagonal, so gze is too.
-            gze = ge * _act_grad(cache.ze[t], e_act, spec.hidden_slope)
+            # ge has a zero diagonal, so gze does too
+            gze = ge
+            gze *= _act_grad(cache.ze[t], e_act, spec.hidden_slope)
             gze_src = gze.sum(axis=2)      # sum_j gze[k, j]
             gze_dst = gze.sum(axis=1)      # sum_i gze[i, k]
             gl.u_edge += _wgrad(gze, e_in)
@@ -373,13 +407,18 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
             gl.u_dst += _wgrad(gze_dst, d_in)
             gl.b_e += gze.sum(axis=(0, 1, 2))
             gd_prev += gze_src @ lp.u_src + gze_dst @ lp.u_dst
-            ge_prev += gze @ lp.u_edge
+            buf = gze @ lp.u_edge          # (N, K, K, in width); agg reuses it
+            ge_prev += buf
             if lp.u_agg is not None:
-                agg = row[:, :, None, :] + col[:, None, :, :] - 2.0 * e_in
+                agg = row[:, :, None, :] + col[:, None, :, :]
+                agg -= np.multiply(e_in, 2.0, out=buf)
                 gl.u_agg += _wgrad(gze, agg)
-                z = gze @ lp.u_agg
-                ge_prev += (z.sum(axis=2)[:, :, None, :]
-                            + z.sum(axis=1)[:, None, :, :] - 2.0 * z)
+                z = np.matmul(gze, lp.u_agg, out=buf)
+                spread = np.add(z.sum(axis=2)[:, :, None, :],
+                                z.sum(axis=1)[:, None, :, :], out=agg)
+                z *= 2.0
+                spread -= z
+                ge_prev += spread
 
-        gd, ge = gd_prev, ge_prev * mask
+        gd, ge = gd_prev, _zero_diagonal(ge_prev)
     return grads, gd, ge

@@ -165,7 +165,12 @@ def wmmse_precoding(h: np.ndarray, cell_area: float, user_apertures: np.ndarray,
     multiplier comes from :func:`_power_multiplier` (Newton's method, stopped
     once a step is at most 1e-13 mu).  Only forming E and the final
     V = eff^T B with its rescale to the exact budget touch the M nodes.
+    Raises ``ValueError`` for a ``power_budget`` that is not positive and
+    finite.
     """
+    if not 0.0 < power_budget < np.inf:
+        raise ValueError(f"power_budget must be positive and finite, "
+                         f"got {power_budget!r}")
     options = options or WmmseOptions()
     h = np.asarray(h, dtype=complex)
     num_users = h.shape[0]

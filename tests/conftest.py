@@ -39,3 +39,20 @@ def all_permutations(k):
         p[list(perm), range(k)] = 1.0
         mats.append(p)
     return mats
+
+
+def cpu_umath():
+    """numpy's compiled umath module, which reports the CPU dispatch targets."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        try:
+            from numpy.core import _multiarray_umath
+        except ImportError:
+            return None
+    return _multiarray_umath
+
+
+def cpu_dispatch_targets():
+    """Every CPU feature numpy can dispatch to; NPY_DISABLE_CPU_FEATURES takes them."""
+    return list(getattr(cpu_umath(), "__cpu_dispatch__", None) or [])

@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import all_permutations, random_weights
+import lcapa
+from conftest import all_permutations, cpu_dispatch_targets, random_weights
 from lcapa.gnn import (
+    GnnCache,
     GnnSpec,
-    _act_grad,
-    _offdiag_mask,
+    _dleaky,
+    _leaky,
     gnn_backward,
     gnn_forward,
     init_params,
@@ -48,6 +55,17 @@ class TestSpec:
             GnnSpec(kind="policy", vertex_widths=(3,), edge_widths=(1,))
         with pytest.raises(ValueError):
             GnnSpec(kind="policy", vertex_widths=(3, 2), edge_widths=(1, 2, 2))
+        for slope in (-0.1, 1.5, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="hidden_slope"):
+                GnnSpec(kind="policy", vertex_widths=(3, 2), edge_widths=(1, 2),
+                        hidden_slope=slope)
+            # a checkpoint records the spec as this dict
+            data = policy_spec(**SMALL).to_dict()
+            data["hidden_slope"] = slope
+            with pytest.raises(ValueError, match="hidden_slope"):
+                GnnSpec.from_dict(data)
+        for slope in (0.0, 0.37, 1.0):
+            assert policy_spec(**SMALL, hidden_slope=slope).hidden_slope == slope
 
     def test_factories(self):
         assert policy_spec().vertex_widths == (3, 64, 64, 2)
@@ -234,6 +252,125 @@ class TestBackward:
                          np.zeros_like(e_out))
 
 
+# -- reference forms ------------------------------------------------------------
+# The select-and-mask forms the layer kernels replaced.  They import nothing
+# from lcapa.gnn but the cache record, so a fault in the kernels cannot hide
+# in the oracle.
+
+def _offdiag_mask(k):
+    return (~np.eye(k, dtype=bool))[None, :, :, None]
+
+
+def _ref_act(z, name, slope):
+    if name == "leaky":
+        return np.where(z > 0.0, z, slope * z)
+    if name == "softplus":
+        return np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
+    return z
+
+
+def _ref_act_grad(z, name, slope):
+    if name == "leaky":
+        return np.where(z > 0.0, 1.0, slope)
+    if name == "softplus":
+        out = np.empty_like(z)
+        pos = z >= 0.0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+    return np.ones_like(z)
+
+
+def _ref_wgrad(g, x):
+    return g.reshape(-1, g.shape[-1]).T @ x.reshape(-1, x.shape[-1])
+
+
+def _reference_forward(spec, params, d0, e0):
+    """Forward pass through np.where activations and a bool off-diagonal mask."""
+    d0 = np.asarray(d0, dtype=float)
+    e0 = np.asarray(e0, dtype=float)
+    mask = _offdiag_mask(d0.shape[1])
+    d, e = d0, e0 * mask
+    cache = GnnCache(spec=spec, params=params, d_inputs=[], e_inputs=[],
+                     zv=[], ze=[])
+    for t, lp in enumerate(params.layers):
+        last = t == spec.transitions - 1
+        v_act = spec.vertex_head_activation if last else "leaky"
+        e_act = "identity" if last else "leaky"
+        cache.d_inputs.append(d)
+        cache.e_inputs.append(e)
+        sum_d = d.sum(axis=1, keepdims=True)
+        col = e.sum(axis=1)
+        row = e.sum(axis=2)
+        zv = (d @ lp.w_self.T + (sum_d - d) @ lp.w_other.T
+              + col @ lp.w_ein.T + row @ lp.w_eout.T + lp.b_v)
+        cache.zv.append(zv)
+        d = _ref_act(zv, v_act, spec.hidden_slope)
+        if lp.u_edge is not None:
+            ze = (e @ lp.u_edge.T
+                  + (cache.d_inputs[-1] @ lp.u_src.T)[:, :, None, :]
+                  + (cache.d_inputs[-1] @ lp.u_dst.T)[:, None, :, :]
+                  + lp.b_e)
+            if lp.u_agg is not None:
+                agg = row[:, :, None, :] + col[:, None, :, :] - 2.0 * e
+                ze = ze + agg @ lp.u_agg.T
+            ze = ze * mask
+            cache.ze.append(ze)
+            e = _ref_act(ze, e_act, spec.hidden_slope) * mask
+        else:
+            cache.ze.append(None)
+            e = None
+    return d, e, cache
+
+
+def _reference_backward(spec, params, cache, d_out_grad, e_out_grad):
+    """GEMM-form backward through np.where derivatives and the bool mask."""
+    mask = _offdiag_mask(cache.d_inputs[0].shape[1])
+    grads = zeros_like_params(params)
+    gd = np.asarray(d_out_grad, dtype=float)
+    ge = (np.asarray(e_out_grad, dtype=float) * mask
+          if params.layers[-1].u_edge is not None else None)
+    for t in range(spec.transitions - 1, -1, -1):
+        lp, gl = params.layers[t], grads.layers[t]
+        last = t == spec.transitions - 1
+        v_act = spec.vertex_head_activation if last else "leaky"
+        e_act = "identity" if last else "leaky"
+        d_in, e_in = cache.d_inputs[t], cache.e_inputs[t]
+        sum_d = d_in.sum(axis=1, keepdims=True)
+        col, row = e_in.sum(axis=1), e_in.sum(axis=2)
+
+        gzv = gd * _ref_act_grad(cache.zv[t], v_act, spec.hidden_slope)
+        gl.w_self += _ref_wgrad(gzv, d_in)
+        gl.w_other += _ref_wgrad(gzv, sum_d - d_in)
+        gl.w_ein += _ref_wgrad(gzv, col)
+        gl.w_eout += _ref_wgrad(gzv, row)
+        gl.b_v += gzv.sum(axis=(0, 1))
+        sum_gzv = gzv.sum(axis=1, keepdims=True)
+        gd_prev = gzv @ lp.w_self + (sum_gzv - gzv) @ lp.w_other
+        ge_prev = ((gzv @ lp.w_ein)[:, None, :, :]
+                   + (gzv @ lp.w_eout)[:, :, None, :])
+
+        if lp.u_edge is not None:
+            gze = ge * _ref_act_grad(cache.ze[t], e_act, spec.hidden_slope)
+            gze_src = gze.sum(axis=2)
+            gze_dst = gze.sum(axis=1)
+            gl.u_edge += _ref_wgrad(gze, e_in)
+            gl.u_src += _ref_wgrad(gze_src, d_in)
+            gl.u_dst += _ref_wgrad(gze_dst, d_in)
+            gl.b_e += gze.sum(axis=(0, 1, 2))
+            gd_prev += gze_src @ lp.u_src + gze_dst @ lp.u_dst
+            ge_prev += gze @ lp.u_edge
+            if lp.u_agg is not None:
+                agg = row[:, :, None, :] + col[:, None, :, :] - 2.0 * e_in
+                gl.u_agg += _ref_wgrad(gze, agg)
+                z = gze @ lp.u_agg
+                ge_prev += (z.sum(axis=2)[:, :, None, :]
+                            + z.sum(axis=1)[:, None, :, :] - 2.0 * z)
+        gd, ge = gd_prev, ge_prev * mask
+    return grads, gd, ge
+
+
 def _einsum_backward(spec, params, cache, d_out_grad, e_out_grad):
     """Reference backward: every weight gradient as one direct einsum."""
     k = cache.d_inputs[0].shape[1]
@@ -251,7 +388,7 @@ def _einsum_backward(spec, params, cache, d_out_grad, e_out_grad):
         sum_d = d_in.sum(axis=1, keepdims=True)
         col, row = e_in.sum(axis=1), e_in.sum(axis=2)
 
-        gzv = gd * _act_grad(cache.zv[t], v_act, spec.hidden_slope)
+        gzv = gd * _ref_act_grad(cache.zv[t], v_act, spec.hidden_slope)
         gl.w_self += np.einsum("nkp,nkq->pq", gzv, d_in)
         gl.w_other += np.einsum("nkp,nkq->pq", gzv, sum_d - d_in)
         gl.w_ein += np.einsum("nkp,nkq->pq", gzv, col)
@@ -263,7 +400,7 @@ def _einsum_backward(spec, params, cache, d_out_grad, e_out_grad):
                    + (gzv @ lp.w_eout)[:, :, None, :])
 
         if lp.u_edge is not None:
-            gze = ge * _act_grad(cache.ze[t], e_act, spec.hidden_slope) * mask
+            gze = ge * _ref_act_grad(cache.ze[t], e_act, spec.hidden_slope) * mask
             gl.u_edge += np.einsum("nijp,nijq->pq", gze, e_in)
             gl.u_src += np.einsum("nijp,niq->pq", gze, d_in)
             gl.u_dst += np.einsum("nijp,njq->pq", gze, d_in)
@@ -324,6 +461,133 @@ class TestBackwardReference:
         second = _named_outputs(gnn_backward(spec, params, cache, wd, we))
         for (name, a), (_, b) in zip(first, second):
             assert a.tobytes() == b.tobytes(), name
+
+
+# Special values the activation kernels must map like the select forms.
+_SPECIAL = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0,
+                     5e-324, -5e-324, 1e-310, -1e-310, 1e308, -1e308])
+_KERNEL_SLOPES = (0.0, 0.2, 0.37, 1.0)
+_KERNEL_SHAPES = ((1, 1), (1, 4), (3, 5), (64, 4), (8, 16))
+
+
+def _same_values(a, b):
+    """Equal values with equal zero signs; any NaN matches any NaN."""
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan], b[~nan])
+            and np.array_equal(np.signbit(a[~nan]), np.signbit(b[~nan])))
+
+
+def _assert_activation_kernels_exact(slope):
+    z = np.concatenate([_SPECIAL,
+                        np.random.default_rng(40).standard_normal(1000)])
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, ref = _leaky(z, slope), _ref_act(z, "leaky", slope)
+    # the documented exception: 0 * inf is NaN where the select form keeps inf
+    exception = (slope == 0.0) & (z == np.inf)
+    assert _same_values(got[~exception], ref[~exception]), slope
+    assert np.all(np.isnan(got[exception])), slope
+    assert _same_values(_dleaky(z, slope), _ref_act_grad(z, "leaky", slope)), slope
+
+
+def _snapshot(arrays):
+    return [None if a is None else a.copy() for a in arrays]
+
+
+def _assert_unchanged(before, arrays, what):
+    for i, (a, b) in enumerate(zip(before, arrays)):
+        assert (a is None and b is None) or a.tobytes() == b.tobytes(), (
+            f"{what}[{i}] was written to")
+
+
+def _cache_arrays(cache):
+    return cache.d_inputs + cache.e_inputs + cache.zv + cache.ze
+
+
+def _assert_matches_reference(kind, agg, n, k):
+    """Kernels equal the reference forms and write to none of their inputs."""
+    spec = {"policy": policy_spec, "proj": proj_spec,
+            "value": value_spec}[kind](hidden=64, layers=4,
+                                       edge_aggregation=agg)
+    params = init_params(spec, 31)
+    rng = np.random.default_rng(32)
+    for name, arr in params.iter_arrays():
+        if name.endswith((".b_v", ".b_e")):
+            # zero biases would hide the order in which the sums take them
+            arr[...] = rng.uniform(-1.0, 1.0, arr.shape)
+    d0, e0 = random_features(rng, spec, n, k)
+    wd = rng.standard_normal((n, k, spec.vertex_widths[-1]))
+    we = (rng.standard_normal((n, k, k, spec.edge_widths[-1]))
+          if spec.edge_widths[-1] else None)
+    inputs = [d0, e0, wd, we] + [a for _, a in params.iter_arrays()]
+    before = _snapshot(inputs)
+    case = f"{kind} agg={agg} n={n} k={k}"
+
+    d_out, e_out, cache = gnn_forward(spec, params, d0, e0)
+    d_ref, e_ref, ref_cache = _reference_forward(spec, params, d0, e0)
+    assert np.array_equal(d_out, d_ref), case
+    assert (e_out is None and e_ref is None) or np.array_equal(e_out, e_ref), case
+    for name in ("d_inputs", "e_inputs", "zv", "ze"):
+        for t, (a, b) in enumerate(zip(getattr(cache, name),
+                                       getattr(ref_cache, name), strict=True)):
+            assert (a is None and b is None) or np.array_equal(a, b), (
+                f"{case}: cache.{name}[{t}]")
+    _assert_unchanged(before, inputs, f"{case} forward input")
+
+    cached = _snapshot(_cache_arrays(cache))
+    got = _named_outputs(gnn_backward(spec, params, cache, wd, we))
+    ref = _named_outputs(_reference_backward(spec, params, ref_cache, wd, we))
+    assert [name for name, _ in got] == [name for name, _ in ref]
+    for (name, a), (_, b) in zip(got, ref):
+        assert np.array_equal(a, b), f"{case}: {name}"
+    _assert_unchanged(before, inputs, f"{case} backward input")
+    _assert_unchanged(cached, _cache_arrays(cache), f"{case} cache")
+
+
+def _assert_all_kernels_match():
+    for slope in _KERNEL_SLOPES:
+        _assert_activation_kernels_exact(slope)
+    for kind in ("policy", "proj", "value"):
+        for agg in (False, True):
+            for n, k in _KERNEL_SHAPES:
+                _assert_matches_reference(kind, agg, n, k)
+
+
+_ALL_KERNELS_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import test_gnn
+test_gnn._assert_all_kernels_match()
+"""
+
+
+class TestLayerKernels:
+    """The allocation-lean kernels against the select-and-mask forms."""
+
+    @pytest.mark.parametrize("slope", _KERNEL_SLOPES)
+    def test_activation_kernels_exact(self, slope):
+        _assert_activation_kernels_exact(slope)
+
+    @pytest.mark.parametrize("n,k", _KERNEL_SHAPES)
+    @pytest.mark.parametrize("agg", [False, True])
+    @pytest.mark.parametrize("kind", ["policy", "proj", "value"])
+    def test_bit_identical_to_reference(self, kind, agg, n, k):
+        _assert_matches_reference(kind, agg, n, k)
+
+    @pytest.mark.skipif(not cpu_dispatch_targets(),
+                        reason="numpy reports no CPU dispatch targets")
+    def test_all_dispatch_targets_disabled(self):
+        disabled = " ".join(cpu_dispatch_targets())
+        src = str(Path(lcapa.__file__).resolve().parents[1])
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        run = subprocess.run(
+            [sys.executable, "-c", _ALL_KERNELS_SCRIPT,
+             str(Path(__file__).resolve().parent)],
+            env=env, capture_output=True, text=True)
+        assert run.returncode == 0, (
+            f"with NPY_DISABLE_CPU_FEATURES={disabled!r}:\n{run.stderr}")
 
 
 class TestPolicyHead:

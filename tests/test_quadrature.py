@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import lcapa
-from conftest import all_permutations, random_weights
+from conftest import (all_permutations, cpu_dispatch_targets, cpu_umath,
+                      random_weights)
 from lcapa.quadrature import (
     build_grid,
     channel_matrix,
@@ -55,24 +56,9 @@ def _worst_deviation(h, reference):
     return float(dev[k, m]), (int(k), int(m))
 
 
-def _cpu_umath():
-    try:
-        from numpy._core import _multiarray_umath
-    except ImportError:  # numpy 1.x
-        try:
-            from numpy.core import _multiarray_umath
-        except ImportError:
-            return None
-    return _multiarray_umath
-
-
-def _cpu_dispatch_targets():
-    return list(getattr(_cpu_umath(), "__cpu_dispatch__", None) or [])
-
-
 def _golden_report(worst, k, m, reference="h_gold"):
-    features = getattr(_cpu_umath(), "__cpu_features__", {})
-    active = [t for t in _cpu_dispatch_targets() if features.get(t)]
+    features = getattr(cpu_umath(), "__cpu_features__", {})
+    active = [t for t in cpu_dispatch_targets() if features.get(t)]
     return (f"h[{k},{m}] is {worst:.3g} eps*|{reference}| off, above the bound "
             f"{GOLDEN_C}; numpy {np.__version__}, active dispatch targets {active}")
 
@@ -188,10 +174,10 @@ class TestChannelMatrix:
                                     _golden_channels())
         assert worst > GOLDEN_C
 
-    @pytest.mark.skipif(not _cpu_dispatch_targets(),
+    @pytest.mark.skipif(not cpu_dispatch_targets(),
                         reason="numpy reports no CPU dispatch targets")
     def test_all_dispatch_targets_disabled_within_bound(self, seed1_channels):
-        disabled = " ".join(_cpu_dispatch_targets())
+        disabled = " ".join(cpu_dispatch_targets())
         h = _seed1_channel_in_subprocess({"NPY_DISABLE_CPU_FEATURES": disabled})
         worst, (k, m) = _worst_deviation(h, seed1_channels.h)
         assert worst <= GOLDEN_C, (

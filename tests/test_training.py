@@ -3,19 +3,23 @@ import json
 import numpy as np
 import pytest
 
-from lcapa.gnn import init_params, policy_spec, value_spec
+import lcapa.training as training
+from lcapa.gnn import (init_params, policy_spec, proj_spec, value_spec,
+                       zeros_like_params)
 from lcapa.heads import GnnModel, policy_forward
 from lcapa.objective import project_weights, sinr_vector, sum_se
 from lcapa.quadrature import integral_couplings, integral_power
 from lcapa.training import (
     CheckpointError,
     ScenePool,
+    TrainHyper,
     analytic_chain_loss_and_grads,
     exact_policy_se,
     finite_diff_check,
     gen_supervised_dataset,
     load_checkpoint,
     save_checkpoint,
+    train_policy,
 )
 
 # The array keys of one checkpoint layer, in the order they are written.
@@ -62,6 +66,17 @@ class TestCheckpoint:
         with open(path, "w") as fh:
             json.dump(rec, fh)
         with pytest.raises(CheckpointError, match="missing array u_agg in layer 1"):
+            load_checkpoint(path)
+
+    def test_out_of_range_slope_rejected(self, tmp_path):
+        path = str(tmp_path / "value.json")
+        save_checkpoint(tiny_aggregating_model(), path)
+        with open(path) as fh:
+            rec = json.load(fh)
+        rec["spec"]["hidden_slope"] = 1.5
+        with open(path, "w") as fh:
+            json.dump(rec, fh)
+        with pytest.raises(ValueError, match="hidden_slope"):
             load_checkpoint(path)
 
 
@@ -137,3 +152,70 @@ class TestAnalyticChain:
             lambda: analytic_chain_loss_and_grads(policy, *args)[0],
             policy.params, grads, probes=120, seed=6)
         assert worst <= 1e-5, f"max relative gradient error {worst:.2e}"
+
+
+class TestTrainPolicy:
+    """train_policy end to end at a tiny config: K=3, H=8, L=3, 8-scene pools."""
+
+    EPOCHS = 3
+    BATCH = 4
+
+    @pytest.fixture(scope="class")
+    def pools(self):
+        return (ScenePool.generate(21, 8, 3, 64, 1e6),
+                ScenePool.generate(22, 8, 3, 64, 1e6))
+
+    def train(self, pools, mode, proj=None, value=None):
+        pool, eval_pool = pools
+        hyper = TrainHyper(learning_rate=0.1, batch_size=self.BATCH,
+                           epochs=self.EPOCHS, num_nodes=64, num_train=8)
+        return train_policy(policy_spec(hidden=8, layers=3), proj, value, pool,
+                            eval_pool, hyper, 0, mode)
+
+    def test_analytic_returns_the_best_epoch_snapshot(self, pools, monkeypatch):
+        snapshots = []
+        evaluate = training.exact_policy_se
+
+        def spy(policy, *args):
+            snapshots.append(policy.params.copy())
+            return evaluate(policy, *args)
+
+        # train_policy evaluates once per epoch, after that epoch's steps
+        monkeypatch.setattr(training, "exact_policy_se", spy)
+        policy, report = self.train(pools, "analytic")
+        assert len(snapshots) == len(report.eval_curve) == self.EPOCHS
+        assert report.skipped_batches == 0
+        assert report.best_epoch == int(np.argmax(report.eval_curve))
+        # this config peaks before its last epoch, so the final parameters
+        # are not the ones to return
+        assert report.best_epoch < self.EPOCHS - 1
+        best = snapshots[report.best_epoch]
+        for (name, a), (_, b) in zip(policy.params.iter_arrays(),
+                                     best.iter_arrays(), strict=True):
+            assert a.tobytes() == b.tobytes(), name
+        assert report.final_metrics["held_out_exact_se"] == max(report.eval_curve)
+
+    def test_zero_policy_skips_every_batch(self, pools, monkeypatch):
+        monkeypatch.setattr(
+            training, "init_params",
+            lambda spec, seed: zeros_like_params(init_params(spec, seed)))
+        policy, report = self.train(pools, "analytic")
+        batches = -(-len(pools[0].scenes) // self.BATCH)
+        assert report.skipped_batches == self.EPOCHS * batches
+        assert report.eval_curve == [0.0] * self.EPOCHS
+        assert all(np.all(a == 0.0) for _, a in policy.params.iter_arrays())
+
+    def test_surrogate_mode_leaves_the_surrogates_untouched(self, pools):
+        norms = {"pos_scale": 30.0, "a_scale": 1e-3, "out_scale": 1.0}
+        proj, value = (GnnModel(spec=spec, params=init_params(spec, seed),
+                                norms=norms)
+                       for spec, seed in ((proj_spec(hidden=8, layers=3), 1),
+                                          (value_spec(hidden=8, layers=3), 2)))
+        frozen = [a.copy() for m in (proj, value) for _, a in m.params.iter_arrays()]
+        policy, report = self.train(pools, "surrogate", proj, value)
+        after = [a for m in (proj, value) for _, a in m.params.iter_arrays()]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(frozen, after, strict=True))
+        assert len(report.eval_curve) == self.EPOCHS
+        assert report.best_epoch == int(np.argmax(report.eval_curve))
+        assert np.isfinite(report.final_metrics["proj_nmse_on_policy_outputs"])
+        assert np.isfinite(report.final_metrics["value_nmse_on_policy_outputs"])

@@ -95,6 +95,15 @@ class TestIterationProperties:
             wmmse_precoding(h, grid.cell_area, np.array([1e-5, 2e-5]),
                             scene.noise_vars(), 1.0)
 
+    @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan"), float("inf")])
+    def test_power_budget_validated(self, budget):
+        scene = sample_scene(seed=1, num_users=4)
+        grid = build_grid(scene.aperture, 64)
+        h = discretize_channels(scene, grid)
+        with pytest.raises(ValueError, match="power_budget"):
+            wmmse_precoding(h, grid.cell_area, scene.user_apertures(),
+                            scene.noise_vars(), budget)
+
     def test_permutation_covariance_with_fixed_init(self):
         scene = sample_scene(seed=4, num_users=4)
         grid, chan_h, precoder, _ = run_wmmse(scene, 64)
