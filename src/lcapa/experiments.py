@@ -18,6 +18,7 @@ import numpy as np
 from . import __version__
 from .gnn import policy_spec, proj_spec, value_spec
 from .heads import GnnModel, policy_forward, proj_forward
+from .objective import project_weights
 from .scene import sample_scene, square_aperture
 from .training import (
     POLICY_MODES,
@@ -329,12 +330,16 @@ def _run_sweep_m(config: ExperimentConfig) -> dict:
 
 def policy_inference_seconds(policy: GnnModel, proj_model: GnnModel,
                              positions: np.ndarray, power_budget: float) -> float:
-    """One timed inference: weights, estimated powers, projection scaling."""
+    """One timed inference: weights, estimated powers, projection scaling.
+
+    The projection is :func:`~lcapa.objective.project_weights`, as deployed,
+    so a power estimate that is not positive raises its
+    ``DegenerateProjectionError``.
+    """
     start = time.perf_counter()
     a_raw, _ = policy_forward(policy, positions)
     p_hat, _ = proj_forward(proj_model, positions, a_raw)
-    total = p_hat.sum()
-    a_raw * np.sqrt(power_budget / total)
+    project_weights(a_raw, p_hat, power_budget)
     return time.perf_counter() - start
 
 

@@ -29,6 +29,7 @@ Reproducibility promise:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -102,6 +103,10 @@ def build_grid(aperture: ApertureSpec, num_nodes: int | None = None,
     For a square aperture pass ``num_nodes`` as a perfect square; for a
     rectangular one either pass (nx, nz) explicitly or a ``num_nodes`` that
     splits in the side ratio.
+
+    Grids are memoised on the aperture's geometry and (nx, nz): repeated calls
+    return one shared, read-only grid.  Its ``aperture`` holds the caller's
+    geometry as float tuples.
     """
     if nx is None or nz is None:
         if num_nodes is None:
@@ -117,7 +122,18 @@ def build_grid(aperture: ApertureSpec, num_nodes: int | None = None,
                 f"nearest valid values: {hints}")
     elif num_nodes is not None and num_nodes != nx * nz:
         raise ValueError("num_nodes inconsistent with nx * nz")
+    return _midpoint_grid(tuple(map(float, aperture.center)),
+                          tuple(map(float, aperture.normal)),
+                          float(aperture.side_x), float(aperture.side_z), nx, nz)
 
+
+@lru_cache(maxsize=8)
+def _midpoint_grid(center: tuple[float, float, float],
+                   normal: tuple[float, float, float],
+                   side_x: float, side_z: float, nx: int, nz: int) -> ApertureGrid:
+    """The nx-by-nz midpoint grid, keyed on hashable floats (a spec may hold lists)."""
+    aperture = ApertureSpec(center=center, normal=normal, side_x=side_x,
+                            side_z=side_z)
     u, w = aperture.in_plane_axes()
     center = np.asarray(aperture.center, dtype=float)
     xs = (np.arange(nx) + 0.5) / nx - 0.5

@@ -5,11 +5,23 @@ transmit aperture, physical constants, user positions, the shared user
 aperture size, the noise variance, and the power budget.  All functions here
 are pure and operate on immutable inputs, so they are safe to call from any
 number of workers.
+
+Sampling contract of :func:`sample_scene`: one generator,
+``numpy.random.default_rng(seed)``, supplies every draw.  Its stream is read
+as consecutive (r, theta, phi) triples; a triple is accepted when its point
+lies strictly in front of the aperture plane, and accepted triples become
+users 0, 1, ... in stream order.  Users are drawn in batches, but the stream
+is consumed in exactly this order, so the positions are bit-identical to
+placing one user at a time.  A user that sees ``MAX_DRAWS_PER_USER`` (1000)
+consecutive rejected triples raises :class:`SceneGeometryError` naming that
+user.  Scene inputs that are not finite, or not positive where they must be,
+raise ``ValueError``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -23,9 +35,18 @@ DEFAULT_WAVELENGTH = 0.0107
 DEFAULT_APERTURE_AREA = 4.0
 DEFAULT_NORMAL = (0.0, 1.0, 0.0)
 
+# Consecutive rejected draws after which sample_scene gives up on a user.
+MAX_DRAWS_PER_USER = 1000
+
 
 class SceneGeometryError(ValueError):
     """Raised when geometry violates the in-front-of-aperture requirement."""
+
+
+def _require_positive(name: str, value: float) -> None:
+    """Raise ``ValueError`` unless ``value`` is finite and > 0."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -33,7 +54,8 @@ class PhysicalConstants:
     """Wavelength, wavenumber, and free-space impedance.
 
     The wavenumber is derived from the wavelength; construction verifies
-    ``k0 * wavelength == 2*pi`` to 1e-9.
+    ``k0 * wavelength == 2*pi`` to 1e-9.  All three must be positive and
+    finite.
     """
 
     wavelength: float
@@ -41,8 +63,9 @@ class PhysicalConstants:
     impedance: float = FREE_SPACE_IMPEDANCE
 
     def __post_init__(self):
-        if self.wavelength <= 0.0:
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
+        _require_positive("wavelength", self.wavelength)
+        _require_positive("wavenumber", self.wavenumber)
+        _require_positive("impedance", self.impedance)
         if abs(self.wavenumber * self.wavelength - 2.0 * np.pi) > 1e-9:
             raise ValueError("wavenumber is inconsistent with wavelength")
 
@@ -101,7 +124,10 @@ def square_aperture(area: float = DEFAULT_APERTURE_AREA,
 
 @dataclass(frozen=True)
 class Region:
-    """Spherical-coordinate sampling box for user positions."""
+    """Spherical-coordinate sampling box for user positions.
+
+    Every bound is finite, so a uniform draw in the box is finite too.
+    """
 
     r_min: float = 20.0
     r_max: float = 30.0
@@ -111,8 +137,8 @@ class Region:
     phi_max: float = np.pi / 3
 
     def __post_init__(self):
-        if not (0.0 < self.r_min < self.r_max):
-            raise ValueError("require 0 < r_min < r_max")
+        if not (0.0 < self.r_min < self.r_max < math.inf):
+            raise ValueError("require 0 < r_min < r_max < inf")
         if not (0.0 <= self.theta_min < self.theta_max <= np.pi):
             raise ValueError("theta bounds must satisfy 0 <= min < max <= pi")
         if not (0.0 <= self.phi_min < self.phi_max < 2.0 * np.pi):
@@ -126,7 +152,8 @@ class Scene:
     ``positions`` is a (K, 3) array of user aperture centers in meters;
     ``user_aperture`` is the shared user aperture size |A_k| in m^2;
     ``noise_variance`` is the shared sigma_0^2 in watts, tied to ``snr_zeta``
-    by sigma_0^2 = |A_k| k0^2 eta^2 / (4 pi zeta).
+    by sigma_0^2 = |A_k| k0^2 eta^2 / (4 pi zeta).  Positions must be finite;
+    the aperture size, noise, power budget and zeta positive and finite.
     """
 
     aperture: ApertureSpec
@@ -143,6 +170,10 @@ class Scene:
         pos = np.array(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
             raise ValueError("positions must be a (K, 3) array with K >= 1")
+        if not np.isfinite(pos).all():
+            raise ValueError("positions must be finite")
+        _require_positive("noise_var", self.noise_var)
+        _require_positive("power_budget", self.power_budget)
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
         expected = noise_variance(self.snr_zeta, self.constants, self.user_aperture)
@@ -230,16 +261,17 @@ def spherical_to_cartesian(r: float, theta: float, phi: float) -> np.ndarray:
 
     ``theta`` is the polar angle from +z and ``phi`` the azimuth from +x in
     the x-y plane.  Accepts scalars or broadcastable arrays; the domain is
-    r > 0, theta in [0, pi], phi in [0, 2*pi).
+    r > 0 and finite, theta in [0, pi], phi in [0, 2*pi), and a NaN anywhere
+    raises ``ValueError``.
     """
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    if np.any(r <= 0.0):
-        raise ValueError("radius must be positive")
-    if np.any(theta < 0.0) or np.any(theta > np.pi):
+    if not ((r > 0.0) & (r < np.inf)).all():
+        raise ValueError("radius must be positive and finite")
+    if not ((theta >= 0.0) & (theta <= np.pi)).all():
         raise ValueError("polar angle must lie in [0, pi]")
-    if np.any(phi < 0.0) or np.any(phi >= 2.0 * np.pi):
+    if not ((phi >= 0.0) & (phi < 2.0 * np.pi)).all():
         raise ValueError("azimuth must lie in [0, 2*pi)")
     st = np.sin(theta)
     out = np.stack([r * st * np.cos(phi), r * st * np.sin(phi), r * np.cos(theta)],
@@ -252,10 +284,11 @@ def noise_variance(zeta: float, constants: PhysicalConstants,
     """Noise power sigma_0^2 implied by the SNR knob zeta.
 
     zeta is defined as |A_k| k0^2 eta^2 / (4 pi sigma_0^2), so
-    sigma_0^2 = |A_k| k0^2 eta^2 / (4 pi zeta).
+    sigma_0^2 = |A_k| k0^2 eta^2 / (4 pi zeta).  Both ``zeta`` and
+    ``user_aperture`` must be positive and finite.
     """
-    if zeta <= 0.0:
-        raise ValueError(f"zeta must be positive, got {zeta}")
+    _require_positive("zeta", zeta)
+    _require_positive("user_aperture", user_aperture)
     k0 = constants.wavenumber
     eta = constants.impedance
     return user_aperture * k0 ** 2 * eta ** 2 / (4.0 * np.pi * zeta)
@@ -278,6 +311,15 @@ def sample_scene(seed: int, num_users: int,
     uniformly in (r, theta, phi) over the region, converted to Cartesian.
     Draws that land behind the aperture plane (possible only for custom
     regions) are re-drawn from the same stream.
+
+    The stream is read as consecutive (r, theta, phi) triples and the
+    accepted ones are kept in stream order.  Each round draws one triple for
+    every user still missing, as one ``rng.uniform(low, high, size=(n, 3))``
+    call converted by one :func:`spherical_to_cartesian` call.  Placing one
+    user at a time would read at least as many triples as users are missing,
+    so the positions are bit-identical to that loop's.  The user that sees
+    ``MAX_DRAWS_PER_USER`` consecutive rejected triples raises
+    :class:`SceneGeometryError`.
     """
     if num_users < 1:
         raise ValueError("num_users must be >= 1")
@@ -287,20 +329,28 @@ def sample_scene(seed: int, num_users: int,
     rng = np.random.default_rng(seed)
     normal = np.asarray(aperture.normal, dtype=float)
     center = np.asarray(aperture.center, dtype=float)
+    low = np.array([region.r_min, region.theta_min, region.phi_min])
+    high = np.array([region.r_max, region.theta_max, region.phi_max])
 
     positions = np.empty((num_users, 3))
-    for k in range(num_users):
-        for _ in range(1000):
-            r = rng.uniform(region.r_min, region.r_max)
-            th = rng.uniform(region.theta_min, region.theta_max)
-            ph = rng.uniform(region.phi_min, region.phi_max)
-            p = spherical_to_cartesian(r, th, ph)
-            if (p - center) @ normal > 0.0:
-                positions[k] = p
-                break
-        else:
+    placed = 0
+    misses = 0  # rejected draws since the last accepted one
+    while placed < num_users:
+        r, th, ph = rng.uniform(low, high, size=(num_users - placed, 3)).T
+        p = spherical_to_cartesian(r, th, ph)
+        hits = np.flatnonzero((p - center) @ normal > 0.0)
+        # Rejected draws before each accepted one (the first run continues the
+        # carried-over misses), then the rejected draws after the last.
+        edges = np.concatenate(([-1 - misses], hits, [len(p)]))
+        runs = edges[1:] - edges[:-1] - 1
+        if runs.max() >= MAX_DRAWS_PER_USER:
+            k = placed + int(np.argmax(runs >= MAX_DRAWS_PER_USER))
             raise SceneGeometryError(
-                f"could not place user {k} in front of the aperture after 1000 draws")
+                f"could not place user {k} in front of the aperture after "
+                f"{MAX_DRAWS_PER_USER} draws")
+        positions[placed:placed + hits.size] = p[hits]
+        placed += hits.size
+        misses = int(runs[-1])
 
     user_ap = default_user_aperture(constants)
     return Scene(aperture=aperture, constants=constants, positions=positions,

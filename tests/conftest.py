@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lcapa
 from lcapa.quadrature import build_grid, channel_matrix, gram_pair
 from lcapa.scene import sample_scene
 
@@ -56,3 +62,23 @@ def cpu_umath():
 def cpu_dispatch_targets():
     """Every CPU feature numpy can dispatch to; NPY_DISABLE_CPU_FEATURES takes them."""
     return list(getattr(cpu_umath(), "__cpu_dispatch__", None) or [])
+
+
+def assert_passes_without_dispatch(module, call):
+    """Run ``module.call`` in a fresh interpreter with every dispatch target off.
+
+    ``module`` is a test module in this directory and ``call`` an expression
+    on it, such as ``"_check()"``; it must finish without raising.
+    """
+    disabled = " ".join(cpu_dispatch_targets())
+    tests_dir = str(Path(__file__).resolve().parent)
+    src = str(Path(lcapa.__file__).resolve().parents[1])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    script = (f"import sys; sys.path.insert(0, {tests_dir!r}); "
+              f"import {module}; {module}.{call}")
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, (
+        f"with NPY_DISABLE_CPU_FEATURES={disabled!r}:\n{run.stderr}")

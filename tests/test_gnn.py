@@ -1,13 +1,8 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import lcapa
-from conftest import all_permutations, cpu_dispatch_targets, random_weights
+from conftest import (all_permutations, assert_passes_without_dispatch,
+                      cpu_dispatch_targets, random_weights)
 from lcapa.gnn import (
     GnnCache,
     GnnSpec,
@@ -553,14 +548,6 @@ def _assert_all_kernels_match():
                 _assert_matches_reference(kind, agg, n, k)
 
 
-_ALL_KERNELS_SCRIPT = """
-import sys
-sys.path.insert(0, sys.argv[1])
-import test_gnn
-test_gnn._assert_all_kernels_match()
-"""
-
-
 class TestLayerKernels:
     """The allocation-lean kernels against the select-and-mask forms."""
 
@@ -577,17 +564,7 @@ class TestLayerKernels:
     @pytest.mark.skipif(not cpu_dispatch_targets(),
                         reason="numpy reports no CPU dispatch targets")
     def test_all_dispatch_targets_disabled(self):
-        disabled = " ".join(cpu_dispatch_targets())
-        src = str(Path(lcapa.__file__).resolve().parents[1])
-        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        run = subprocess.run(
-            [sys.executable, "-c", _ALL_KERNELS_SCRIPT,
-             str(Path(__file__).resolve().parent)],
-            env=env, capture_output=True, text=True)
-        assert run.returncode == 0, (
-            f"with NPY_DISABLE_CPU_FEATURES={disabled!r}:\n{run.stderr}")
+        assert_passes_without_dispatch("test_gnn", "_assert_all_kernels_match()")
 
 
 class TestPolicyHead:

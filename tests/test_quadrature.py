@@ -104,6 +104,42 @@ class TestBuildGrid:
         assert (grid.nx, grid.nz) == (16, 4)
         assert abs(64 * grid.cell_area - 4.0) < 1e-9
 
+    def test_repeated_call_returns_the_shared_grid(self):
+        grid = build_grid(square_aperture(4.0), 256)
+        assert build_grid(square_aperture(4.0), 256) is grid
+        assert build_grid(square_aperture(4.0), nx=16, nz=16) is grid
+        assert not grid.nodes.flags.writeable
+
+    def test_other_m_or_aperture_gets_its_own_grid(self):
+        from lcapa.scene import ApertureSpec
+
+        grid = build_grid(square_aperture(4.0), 256)
+        others = [build_grid(square_aperture(4.0), 1024),
+                  build_grid(square_aperture(9.0), 256),
+                  build_grid(square_aperture(4.0, center=(0.0, 0.0, 1.0)), 256),
+                  build_grid(ApertureSpec(center=(0, 0, 0), normal=(0, 0, 1),
+                                          side_x=2.0, side_z=2.0), 256)]
+        for other in others:
+            assert other is not grid
+            assert not np.array_equal(other.nodes, grid.nodes)
+
+    def test_list_fields_share_the_tuple_grid(self):
+        from lcapa.scene import ApertureSpec
+
+        listed = ApertureSpec(center=[0, 0, 0], normal=[0, 1, 0],
+                              side_x=2, side_z=2)
+        assert build_grid(listed, 256) is build_grid(square_aperture(4.0), 256)
+
+    def test_evicted_grid_is_rebuilt_bit_identically(self):
+        grid = build_grid(square_aperture(4.0), 64)
+        nodes = grid.nodes.copy()
+        for area in range(1, 20):  # more distinct grids than the cache holds
+            build_grid(square_aperture(float(area) + 0.5), 64)
+        again = build_grid(square_aperture(4.0), 64)
+        assert again is not grid
+        assert np.array_equal(again.nodes, nodes)
+        assert again.cell_area == grid.cell_area
+
 
 class TestChannelMatrix:
     def test_k1_m1_matches_single_call(self):

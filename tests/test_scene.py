@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from conftest import assert_passes_without_dispatch, cpu_dispatch_targets
 from lcapa.scene import (
+    DEFAULT_WAVELENGTH,
+    MAX_DRAWS_PER_USER,
     ApertureSpec,
     PhysicalConstants,
     Region,
@@ -24,6 +27,82 @@ GOLDEN_SEED1_POSITIONS = np.array([
     [13.096830020702228, 13.795300185428395, 20.922546023671153],
     [11.160606266270893, 11.615547360757988, 12.313387959808816],
 ])
+
+# About half of all draws land behind the aperture plane: only phi in (0, pi)
+# is in front, so pi/6 ~ 0.52 of the draws are accepted.
+HALF_REJECTING = Region(phi_min=0.0, phi_max=6.0)
+# About 1 draw in 500 is accepted, so a user fails its 1000 draws with
+# probability (1 - 1/500)**1000 ~ e**-2.
+RARE_ACCEPTING = Region(phi_min=np.pi * (1.0 - 1.0 / 499.0),
+                        phi_max=2.0 * np.pi - 1e-9)
+
+
+def _reference_sample_scene(seed, num_users, region=None):
+    """Positions from the one-user-at-a-time loop that sample_scene replaced."""
+    region = region or Region()
+    aperture = square_aperture()
+    rng = np.random.default_rng(seed)
+    normal = np.asarray(aperture.normal, dtype=float)
+    center = np.asarray(aperture.center, dtype=float)
+    positions = np.empty((num_users, 3))
+    for k in range(num_users):
+        for _ in range(1000):
+            r = rng.uniform(region.r_min, region.r_max)
+            th = rng.uniform(region.theta_min, region.theta_max)
+            ph = rng.uniform(region.phi_min, region.phi_max)
+            p = spherical_to_cartesian(r, th, ph)
+            if (p - center) @ normal > 0.0:
+                positions[k] = p
+                break
+        else:
+            raise SceneGeometryError(
+                f"could not place user {k} in front of the aperture after 1000 draws")
+    return positions
+
+
+class _ScriptedGenerator:
+    """Stands in for ``default_rng``: hands out scripted values in stream order."""
+
+    def __init__(self, triples):
+        self._values = iter(np.asarray(triples, dtype=float).ravel())
+
+    def uniform(self, low, high, size=None):
+        count = 1 if size is None else int(np.prod(size))
+        out = np.fromiter(self._values, dtype=float, count=count)
+        return out[0] if size is None else out.reshape(size)
+
+
+def _outcome(sample, *args):
+    """Positions, or the message of the SceneGeometryError raised instead."""
+    try:
+        return sample(*args)
+    except SceneGeometryError as exc:
+        return str(exc)
+
+
+def _assert_sampler_matches_reference(cases, region=None):
+    """Same positions, or the same SceneGeometryError, on every (seed, K)."""
+    raised = 0
+    for seed, k in cases:
+        got = _outcome(lambda *a: sample_scene(*a).positions, seed, k, region)
+        want = _outcome(_reference_sample_scene, seed, k, region)
+        if isinstance(want, str):
+            raised += 1
+            assert got == want, (seed, k)
+        else:
+            assert isinstance(got, np.ndarray) and np.array_equal(got, want), (seed, k)
+    return raised
+
+
+_DEFAULT_CASES = [(seed, k) for k in (1, 3, 4, 16) for seed in range(300)]
+_HALF_CASES = [(seed, k) for k in (1, 4, 16) for seed in range(1000, 1150)]
+# Five of these raise, naming user 0, 1 or 2; the other sixteen place all three.
+_RARE_CASES = [(seed, 3) for seed in range(2000, 2021)]
+
+
+def _assert_every_tenth_case_matches():
+    _assert_sampler_matches_reference(_DEFAULT_CASES[::10])
+    _assert_sampler_matches_reference(_HALF_CASES[::10], HALF_REJECTING)
 
 
 class TestSphericalToCartesian:
@@ -48,6 +127,10 @@ class TestSphericalToCartesian:
         (1.0, np.pi + 0.1, 1.0),
         (1.0, 1.0, -0.1),
         (1.0, 1.0, 2 * np.pi),
+        (np.nan, 1.0, 1.0),
+        (np.inf, 1.0, 1.0),
+        (1.0, np.nan, 1.0),
+        (1.0, 1.0, np.nan),
     ])
     def test_domain_rejected(self, r, theta, phi):
         with pytest.raises(ValueError):
@@ -79,6 +162,61 @@ class TestNoiseVariance:
         c = PhysicalConstants.from_wavelength()
         with pytest.raises(ValueError):
             noise_variance(0.0, c, 1e-5)
+
+    @pytest.mark.parametrize("zeta,user_aperture", [
+        (np.nan, 1e-5), (np.inf, 1e-5), (1e6, np.nan), (1e6, 0.0)])
+    def test_rejects_non_finite_inputs(self, zeta, user_aperture):
+        c = PhysicalConstants.from_wavelength()
+        with pytest.raises(ValueError):
+            noise_variance(zeta, c, user_aperture)
+
+
+class TestInputValidation:
+    """Bad scene inputs raise ValueError instead of building NaN or inf."""
+
+    def test_nan_zeta(self):
+        with pytest.raises(ValueError, match="zeta"):
+            sample_scene(1, 4, zeta=np.nan)
+
+    def test_inf_zeta(self):
+        with pytest.raises(ValueError, match="zeta"):
+            sample_scene(1, 4, zeta=np.inf)
+
+    def test_nan_wavelength(self):
+        with pytest.raises(ValueError, match="wavelength"):
+            sample_scene(1, 4, wavelength=np.nan)
+
+    def test_negative_power_budget(self):
+        with pytest.raises(ValueError, match="power_budget"):
+            sample_scene(1, 4, power_budget=-1.0)
+
+    def test_nan_power_budget(self):
+        with pytest.raises(ValueError, match="power_budget"):
+            sample_scene(1, 4, power_budget=np.nan)
+
+    def test_infinite_r_max(self):
+        with pytest.raises(ValueError, match="r_max"):
+            Region(r_max=np.inf)
+
+    @pytest.mark.parametrize("field", ["wavelength", "wavenumber", "impedance"])
+    def test_constants_must_be_finite(self, field):
+        kwargs = dict(wavelength=DEFAULT_WAVELENGTH,
+                      wavenumber=2.0 * np.pi / DEFAULT_WAVELENGTH,
+                      impedance=120.0 * np.pi)
+        kwargs[field] = np.inf
+        with pytest.raises(ValueError, match=field):
+            PhysicalConstants(**kwargs)
+
+    def test_scene_rejects_nan_noise_and_positions(self):
+        s = sample_scene(seed=1, num_users=2)
+        with pytest.raises(ValueError, match="noise_var"):
+            Scene(aperture=s.aperture, constants=s.constants, positions=s.positions,
+                  user_aperture=s.user_aperture, noise_var=np.nan,
+                  power_budget=1.0, snr_zeta=s.snr_zeta)
+        bad = s.positions.copy()
+        bad[0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            s.with_positions(bad)
 
 
 class TestSampleScene:
@@ -125,6 +263,41 @@ class TestSampleScene:
         s = sample_scene(seed=1, num_users=1)
         lam = s.constants.wavelength
         assert np.isclose(s.user_aperture, lam ** 2 / (4 * np.pi), rtol=1e-14)
+
+
+class TestSamplerMatchesPerUserLoop:
+    """The batched sampler against the one-user-at-a-time loop it replaced."""
+
+    def test_default_region(self):
+        assert _assert_sampler_matches_reference(_DEFAULT_CASES) == 0
+
+    def test_half_rejecting_region(self):
+        assert _assert_sampler_matches_reference(_HALF_CASES, HALF_REJECTING) == 0
+
+    def test_rare_accepting_region_raises_alike(self):
+        raised = _assert_sampler_matches_reference(_RARE_CASES, RARE_ACCEPTING)
+        assert 0 < raised < len(_RARE_CASES)
+
+    @pytest.mark.parametrize("misses", [MAX_DRAWS_PER_USER - 1, MAX_DRAWS_PER_USER])
+    def test_last_allowed_draw(self, misses, monkeypatch):
+        # User 0 is accepted at once; user 1 only after `misses` rejections.
+        front, behind = (25.0, 1.0, 1.0), (25.0, 1.0, 4.0)
+        script = [front] + [behind] * misses + [front]
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: _ScriptedGenerator(script))
+        got = _outcome(lambda: sample_scene(0, 2).positions)
+        want = _outcome(_reference_sample_scene, 0, 2)
+        if misses < MAX_DRAWS_PER_USER:
+            assert np.array_equal(got, want)
+        else:
+            assert got == want == (f"could not place user 1 in front of the "
+                                   f"aperture after {MAX_DRAWS_PER_USER} draws")
+
+    @pytest.mark.skipif(not cpu_dispatch_targets(),
+                        reason="numpy reports no CPU dispatch targets")
+    def test_all_dispatch_targets_disabled(self):
+        assert_passes_without_dispatch("test_scene",
+                                       "_assert_every_tenth_case_matches()")
 
 
 class TestChannelResponse:
