@@ -113,7 +113,7 @@ def _experiment_config(args, cfg: dict, **overrides):
 
 
 def _cmd_train(args, which: str) -> int:
-    from .experiments import train_policy_for, train_surrogates
+    from .experiments import train_policy_for, train_surrogate
 
     cfg = _load_config(args.config)
     epochs = getattr(args, "epochs", None)
@@ -128,8 +128,8 @@ def _cmd_train(args, which: str) -> int:
         train_policy_for(config, config.zeta, config.aperture_area,
                          config.num_train)
     else:
-        train_surrogates(config, config.zeta, config.aperture_area,
-                         config.num_train)
+        train_surrogate(config, config.zeta, config.aperture_area,
+                        config.num_train, which)
     from .experiments import checkpoint_paths
 
     paths = checkpoint_paths(config, config.zeta, config.aperture_area,

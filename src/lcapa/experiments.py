@@ -118,40 +118,40 @@ def _hyper(config: ExperimentConfig, lr: float, epochs: int,
                       num_train=n_train, lr_decay=0.5, lr_decay_every=50)
 
 
-def train_surrogates(config: ExperimentConfig, zeta: float, area: float,
-                     n_train: int) -> tuple[GnnModel, GnnModel]:
-    """Train (or load) the power and coupling surrogates for one setting."""
-    paths = checkpoint_paths(config, zeta, area, n_train)
-    if os.path.exists(paths["proj"]) and os.path.exists(paths["value"]):
-        return load_checkpoint(paths["proj"]), load_checkpoint(paths["value"])
+# Each surrogate's network spec, and the offset of its data and init seeds
+# from the config's.
+_SURROGATES = {"proj": (proj_spec, 0), "value": (value_spec, 1)}
+
+
+def train_surrogate(config: ExperimentConfig, zeta: float, area: float,
+                    n_train: int, head: str) -> GnnModel:
+    """Train (or load) one surrogate for one setting.
+
+    ``head`` is ``"proj"`` (the power surrogate) or ``"value"`` (the coupling
+    surrogate); each has its own checkpoint, and only the one asked for is
+    trained or loaded.
+    """
+    spec, offset = _SURROGATES[head]
+    path = checkpoint_paths(config, zeta, area, n_train)[head]
+    if os.path.exists(path):
+        return load_checkpoint(path)
     if not config.train_inline:
         raise MissingCheckpointError(
-            f"missing surrogate checkpoints under {config.checkpoint_dir!r}; "
-            f"run the train-proj / train-value subcommands first or pass "
-            f"--train-inline")
+            f"missing surrogate checkpoint {path!r}; run the train-{head} "
+            f"subcommand first or pass --train-inline")
     os.makedirs(config.checkpoint_dir, exist_ok=True)
     hyper = _hyper(config, config.supervised_lr, config.surrogate_epochs, n_train)
-    proj_set = gen_supervised_dataset(config.data_seed, n_train, config.num_users,
-                                      config.num_nodes, "proj", zeta=zeta,
-                                      aperture_area=area,
-                                      power_budget=config.power_budget)
-    proj_model, proj_report = train_supervised(
-        proj_spec(hidden=config.hidden, layers=config.layers), proj_set, hyper,
-        seed=config.init_seed)
-    save_checkpoint(proj_model, paths["proj"], report=proj_report,
-                    seed_lineage={"data": config.data_seed,
-                                  "init": config.init_seed})
-    value_set = gen_supervised_dataset(config.data_seed + 1, n_train,
-                                       config.num_users, config.num_nodes,
-                                       "value", zeta=zeta, aperture_area=area,
-                                       power_budget=config.power_budget)
-    value_model, value_report = train_supervised(
-        value_spec(hidden=config.hidden, layers=config.layers), value_set, hyper,
-        seed=config.init_seed + 1)
-    save_checkpoint(value_model, paths["value"], report=value_report,
-                    seed_lineage={"data": config.data_seed + 1,
-                                  "init": config.init_seed + 1})
-    return proj_model, value_model
+    data = gen_supervised_dataset(config.data_seed + offset, n_train,
+                                  config.num_users, config.num_nodes, head,
+                                  zeta=zeta, aperture_area=area,
+                                  power_budget=config.power_budget)
+    model, report = train_supervised(
+        spec(hidden=config.hidden, layers=config.layers), data, hyper,
+        seed=config.init_seed + offset)
+    save_checkpoint(model, path, report=report,
+                    seed_lineage={"data": config.data_seed + offset,
+                                  "init": config.init_seed + offset})
+    return model
 
 
 def train_policy_for(config: ExperimentConfig, zeta: float, area: float,
@@ -166,7 +166,8 @@ def train_policy_for(config: ExperimentConfig, zeta: float, area: float,
             f"train-policy subcommand first or pass --train-inline")
     proj_model = value_model = None
     if config.policy_mode == "surrogate":
-        proj_model, value_model = train_surrogates(config, zeta, area, n_train)
+        proj_model = train_surrogate(config, zeta, area, n_train, "proj")
+        value_model = train_surrogate(config, zeta, area, n_train, "value")
     pool = ScenePool.generate(config.data_seed + 2, n_train, config.num_users,
                               config.num_nodes, zeta, aperture_area=area,
                               power_budget=config.power_budget)
@@ -353,7 +354,7 @@ def bench_timing(config: ExperimentConfig) -> dict:
     """
     zeta, area = config.zeta, config.aperture_area
     policy = train_policy_for(config, zeta, area, config.num_train)
-    proj_model, _ = train_surrogates(config, zeta, area, config.num_train)
+    proj_model = train_surrogate(config, zeta, area, config.num_train, "proj")
     scenes = [sample_scene(config.scene_seed + i, config.num_users,
                            aperture=square_aperture(area), zeta=zeta,
                            power_budget=config.power_budget)

@@ -20,10 +20,11 @@ Reproducibility promise:
   process, and after a ``Scene.to_json``/``from_json`` round trip.
 * Across numpy builds, libm builds or SIMD dispatch targets, the channel
   samples agree entry by entry to |h - h'| <= 11 eps |h'| (eps = 2**-52),
-  not bit for bit.  The final complex products and divisions in
-  :func:`~lcapa.scene.channel_response` run in numpy's SIMD-dispatched loops
-  (with or without FMA), and ``exp`` of a complex argument goes through the
-  platform's libm; see :func:`channel_matrix` for the bound.
+  not bit for bit.  :func:`~lcapa.scene.channel_response` keeps every real
+  quantity in real, correctly rounded arithmetic; only ``exp`` of a complex
+  argument (the platform's libm) and its one genuine complex product (numpy's
+  SIMD-dispatched loop, with or without FMA) can round differently; see
+  :func:`channel_matrix` for the bound.
 """
 
 from __future__ import annotations
@@ -152,18 +153,29 @@ def channel_matrix(scene: Scene, grid: ApertureGrid) -> ChannelMatrix:
 
     On one numpy build and CPU the result is bit-identical across repeated
     runs and processes.  Across builds or dispatch targets each entry agrees
-    to within 11 eps |h|.  The real inputs (distances, obliquity, k0 d and
-    their square roots) use IEEE-754 correctly rounded operations in a fixed
-    order, so every build computes the same bits for them.  (The obliquity
-    takes a BLAS dot product with the aperture normal; it is exact for an
-    axis-aligned normal such as the default, but a tilted normal leaves its
-    summation order to the BLAS build.)  What can differ is the complex
-    exponential (libm cos/sin, faithful to 2u, u = eps/2) and four complex
-    products or divisions by a real, each within sqrt(5) u (Brent,
-    Percival & Zimmermann, Math. Comp. 2007).  One build is thus
-    within (1 + 2u)(1 + sqrt(5) u)^4 - 1 of the exact value, and two builds
-    differ by at most twice that: (2 + 4 sqrt(5)) eps ~= 10.94 eps of |h|,
-    rounded up to 11.
+    to within 11 eps |h|.  The real inputs (distances, the obliquity's
+    three-term sum, k0 d, the correction's two components, 1/(4 pi d) and
+    sqrt(cos_dep)) use IEEE-754 correctly rounded operations in a fixed
+    order, for any aperture normal, so every build computes the same bits
+    for them.  The exponential's argument (0, -k0 d) is exact.  With
+    u = eps/2, one build's result is then within, of the exact value on
+    those inputs:
+
+    * 2u for exp(-j k0 d): libm cos and sin, each faithful;
+    * u each for the three component-wise products: by j k0 eta (pure
+      imaginary, so each component is k0 eta times one component of the
+      exponential), by 1/(4 pi d) and by sqrt(cos_dep); each component is
+      one correctly rounded real product;
+    * sqrt(5) u for the product with the correction, the one genuine complex
+      product (Brent, Percival & Zimmermann, Math. Comp. 2007).
+
+    So one build is within rho = (1 + 2u)(1 + u)^3 (1 + sqrt(5) u) - 1 of
+    the exact value, and two builds differ by at most 2 rho / (1 - rho) of
+    either's |h|: (5 + sqrt(5)) eps ~= 7.24 eps to first order.  The stated
+    11 eps is the looser (2 + 4 sqrt(5)) eps ~= 10.94 eps that counts each
+    of the three real products as a complex one (sqrt(5) u); it is the bound
+    ``tests/test_quadrature.py`` holds its golden fixture to, and it holds
+    with room to spare.
     """
     rows = []
     for k in range(scene.num_users):

@@ -82,7 +82,9 @@ class ApertureSpec:
 
     The rectangle is centered at ``center`` with unit normal ``normal`` and
     side lengths ``side_x`` / ``side_z`` along the two in-plane axes returned
-    by :meth:`in_plane_axes`.
+    by :meth:`in_plane_axes`.  The center and normal must have three finite
+    components and the sides must be positive and finite; anything else
+    raises ``ValueError``.
     """
 
     center: tuple[float, float, float]
@@ -92,10 +94,15 @@ class ApertureSpec:
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=float)
+        for name, v in (("center", np.asarray(self.center, dtype=float)),
+                        ("normal", n)):
+            if v.shape != (3,) or not np.isfinite(v).all():
+                raise ValueError(f"aperture {name} must be 3 finite components, "
+                                 f"got {getattr(self, name)!r}")
         if abs(np.linalg.norm(n) - 1.0) > 1e-12:
             raise ValueError("aperture normal must be a unit vector")
-        if self.side_x <= 0.0 or self.side_z <= 0.0:
-            raise ValueError("aperture side lengths must be positive")
+        _require_positive("aperture side_x", self.side_x)
+        _require_positive("aperture side_z", self.side_z)
 
     @property
     def area(self) -> float:
@@ -379,25 +386,52 @@ def channel_response(scene: Scene, k: int, points: np.ndarray) -> np.ndarray:
     sqrt(e_r.(s_k - r)/||r - s_k||), the spherical-wave kernel
     j k0 eta exp(-j k0 d) / (4 pi d), and the near-field correction
     (1 + j/(k0 d) - 1/(k0 d)^2).
+
+    Arithmetic contract: every real quantity stays real.  With
+    (dx, dy, dz) = s_k - r, the distance is sqrt((dx dx + dy dy) + dz dz)
+    and the obliquity (dx n0 + dy n1 + dz n2) / d, each summed in that fixed
+    order.  The correction is written as its real part 1 - 1/(k0 d)^2 and
+    its imaginary part 1/(k0 d).  The wave (j k0 eta) exp(-j k0 d) is scaled
+    component-wise by 1/(4 pi d) and then by sqrt(cos_dep), which is what a
+    complex division and product by a real compute (Smith's rule rounds
+    x / y to x * (1/y) when y is real).  The product with j k0 eta is
+    component-wise too, as its real part is an exact zero, so the one
+    genuine complex product is the one with the correction.  The result is
+    therefore bit-identical to evaluating the formula with every real factor
+    promoted to complex and the obliquity as a BLAS dot product whenever
+    that dot product is exact, as it is for an axis-aligned normal; for a
+    tilted normal the two differ only by the rounding of that three-term sum.
     """
     pts = np.asarray(points, dtype=float)
     squeeze = pts.ndim == 1
     pts = np.atleast_2d(pts)
-    s_k = scene.positions[k]
-    diff = s_k[None, :] - pts
-    dist = np.linalg.norm(diff, axis=1)
-    if np.any(dist <= 0.0):
+    sx, sy, sz = scene.positions[k]
+    dx = sx - pts[:, 0]
+    dy = sy - pts[:, 1]
+    dz = sz - pts[:, 2]
+    dist = np.sqrt((dx * dx + dy * dy) + dz * dz)
+    if (dist <= 0.0).any():
         raise SceneGeometryError(f"user {k} coincides with an evaluation point")
-    normal = np.asarray(scene.aperture.normal, dtype=float)
-    cos_dep = (diff @ normal) / dist
-    if np.any(cos_dep <= 0.0):
+    n0, n1, n2 = scene.aperture.normal
+    cos_dep = (dx * n0 + dy * n1 + dz * n2) / dist
+    if (cos_dep <= 0.0).any():
         raise SceneGeometryError(
             f"user {k} is not in front of the aperture at some evaluation point")
     k0 = scene.constants.wavenumber
     eta = scene.constants.impedance
     kd = k0 * dist
-    correction = 1.0 + 1j / kd - 1.0 / kd ** 2
-    h = (np.sqrt(cos_dep)
-         * (1j * k0 * eta * np.exp(-1j * kd) / (4.0 * np.pi * dist))
-         * correction)
+    correction = np.empty(kd.shape, dtype=complex)
+    np.subtract(1.0, 1.0 / (kd * kd), out=correction.real)
+    np.divide(1.0, kd, out=correction.imag)
+    h = 1j * k0 * eta * np.exp(-1j * kd)
+    re, im = h.real, h.imag     # views: scaling them scales h in place
+    scale = 1.0 / (4.0 * np.pi * dist)
+    re *= scale
+    im *= scale
+    scale = np.sqrt(cos_dep)
+    re *= scale
+    im *= scale
+    # out of place, as numpy's in-place complex product of a single element
+    # takes a loop that can round differently
+    h = h * correction
     return h[0] if squeeze else h

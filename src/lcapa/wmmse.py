@@ -184,21 +184,25 @@ def wmmse_precoding(h: np.ndarray, cell_area: float, user_apertures: np.ndarray,
         raise ValueError("a user has an identically zero channel")
     e = np.conj(eff) @ eff.T                  # [k, j] = e_k^H e_j
 
-    def sum_rate(t: np.ndarray) -> float:
+    def row_power(t: np.ndarray) -> np.ndarray:
+        return (np.abs(t) ** 2).sum(axis=1)   # sum_j |t_kj|^2
+
+    def sum_rate(t: np.ndarray, rows: np.ndarray) -> float:
         sig = np.abs(t.diagonal()) ** 2
-        interference = (np.abs(t) ** 2).sum(axis=1) - sig
+        interference = rows - sig
         return float(np.sum(np.log1p(sig / (interference + noise)) / np.log(2.0)))
 
     # matched-filter start with equal power split; the coupling is e_k^H v_j,
     # so the matched direction is v ~ e_k itself
     b = np.diag(np.sqrt(power / num_users) / eff_norms)
     t = e @ b                                 # couplings [k, j] = e_k^H v_j
-    trace = [sum_rate(t)]
+    rows = row_power(t)                       # shared by sum_rate and totals
+    trace = [sum_rate(t, rows)]
     converged = False
     iterations = 0
     for iterations in range(1, options.max_iterations + 1):
         t_diag = t.diagonal()
-        totals = (np.abs(t) ** 2).sum(axis=1) + noise
+        totals = rows + noise
         u = t_diag / totals
         mse = 1.0 - (np.conj(u) * t_diag).real
         w = 1.0 / mse
@@ -217,7 +221,8 @@ def wmmse_precoding(h: np.ndarray, cell_area: float, user_apertures: np.ndarray,
 
         b = q_tilde @ (coeff / (lam_kept[:, None] + mu)) * wu[None, :]
         t = e @ b
-        trace.append(sum_rate(t))
+        rows = row_power(t)
+        trace.append(sum_rate(t, rows))
         if abs(trace[-1] - trace[-2]) <= options.tolerance * max(1.0, abs(trace[-1])):
             converged = True
             break
@@ -230,7 +235,7 @@ def wmmse_precoding(h: np.ndarray, cell_area: float, user_apertures: np.ndarray,
         scale = np.sqrt(power / current)
         v = v * scale
         t = t * scale
-    trace.append(sum_rate(t))
+    trace.append(sum_rate(t, row_power(t)))
 
     precoder = DiscretePrecoder(values=v, cell_area=cell_area)
     info = WmmseInfo(iterations=iterations, converged=converged,

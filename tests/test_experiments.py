@@ -3,9 +3,11 @@ import pytest
 
 from lcapa.experiments import (
     ExperimentConfig,
+    MissingCheckpointError,
     bench_timing,
     policy_inference_seconds,
     read_result_file,
+    train_surrogate,
 )
 from lcapa.gnn import init_params, policy_spec, proj_spec
 from lcapa.heads import GnnModel
@@ -34,6 +36,26 @@ def test_bench_timing_writes_medians_and_a_positive_ratio(tmp_path):
     assert np.all(np.isfinite(values))
     assert np.all(values[:-2] > 0.0) and np.all(values[-2:] >= 0.0)
     assert all(r[3] == "2" for r in rows)
+    # the timed chain uses only the power surrogate: no coupling surrogate
+    written = sorted(p.name.split("_")[0] for p in (tmp_path / "ck").iterdir())
+    assert written == ["policy", "proj"]
+
+
+def test_train_surrogate_trains_or_loads_only_the_head_asked_for(tmp_path):
+    config = ExperimentConfig(checkpoint_dir=str(tmp_path), **TINY)
+    value = train_surrogate(config, config.zeta, config.aperture_area,
+                            config.num_train, "value")
+    assert [p.name.split("_")[0] for p in tmp_path.iterdir()] == ["value"]
+    loaded = train_surrogate(config, config.zeta, config.aperture_area,
+                             config.num_train, "value")
+    assert loaded.spec == value.spec
+    assert [(n, a.tobytes()) for n, a in loaded.params.iter_arrays()] == [
+        (n, a.tobytes()) for n, a in value.params.iter_arrays()]
+    offline = ExperimentConfig(checkpoint_dir=str(tmp_path),
+                               **dict(TINY, train_inline=False))
+    with pytest.raises(MissingCheckpointError, match="train-proj"):
+        train_surrogate(offline, config.zeta, config.aperture_area,
+                        config.num_train, "proj")
 
 
 def test_inference_timing_rejects_a_dead_power_estimate():

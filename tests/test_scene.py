@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_passes_without_dispatch, cpu_dispatch_targets
+from lcapa.quadrature import build_grid
 from lcapa.scene import (
     DEFAULT_WAVELENGTH,
     MAX_DRAWS_PER_USER,
@@ -103,6 +104,68 @@ _RARE_CASES = [(seed, 3) for seed in range(2000, 2021)]
 def _assert_every_tenth_case_matches():
     _assert_sampler_matches_reference(_DEFAULT_CASES[::10])
     _assert_sampler_matches_reference(_HALF_CASES[::10], HALF_REJECTING)
+
+
+def _reference_channel_response(scene, k, points):
+    """The channel kernel as first written: every real factor promoted to
+    complex, the distance from ``np.linalg.norm`` and the obliquity from a
+    BLAS dot product with the normal."""
+    pts = np.asarray(points, dtype=float)
+    squeeze = pts.ndim == 1
+    pts = np.atleast_2d(pts)
+    s_k = scene.positions[k]
+    diff = s_k[None, :] - pts
+    dist = np.linalg.norm(diff, axis=1)
+    if np.any(dist <= 0.0):
+        raise SceneGeometryError(f"user {k} coincides with an evaluation point")
+    normal = np.asarray(scene.aperture.normal, dtype=float)
+    cos_dep = (diff @ normal) / dist
+    if np.any(cos_dep <= 0.0):
+        raise SceneGeometryError(
+            f"user {k} is not in front of the aperture at some evaluation point")
+    k0 = scene.constants.wavenumber
+    eta = scene.constants.impedance
+    kd = k0 * dist
+    correction = 1.0 + 1j / kd - 1.0 / kd ** 2
+    h = (np.sqrt(cos_dep)
+         * (1j * k0 * eta * np.exp(-1j * kd) / (4.0 * np.pi * dist))
+         * correction)
+    return h[0] if squeeze else h
+
+
+# Axis-aligned apertures: the default +y normal, a +x normal over the default
+# region (x > 0 there), and a -z normal over a region below the x-y plane.
+_AXIS_APERTURES = {
+    "+y": (square_aperture(), None),
+    "+x": (square_aperture(normal=(1.0, 0.0, 0.0)), None),
+    "-z": (square_aperture(normal=(0.0, 0.0, -1.0)),
+           Region(theta_min=2 * np.pi / 3, theta_max=5 * np.pi / 6)),
+}
+_KERNEL_CASES = [(seed, k) for k in (1, 4, 16) for seed in range(3000, 3200)]
+_KERNEL_GRIDS = (16, 256, 1024)
+
+
+def _assert_kernel_matches_reference(cases, apertures=("+y",)):
+    """Bit-identical channels on every user, grid node and single point."""
+    for name in apertures:
+        aperture, region = _AXIS_APERTURES[name]
+        grids = [build_grid(aperture, m).nodes for m in _KERNEL_GRIDS]
+        for seed, num_users in cases:
+            scene = sample_scene(seed, num_users, region=region, aperture=aperture)
+            for k in range(num_users):
+                for nodes in grids:
+                    got = channel_response(scene, k, nodes)
+                    want = _reference_channel_response(scene, k, nodes)
+                    assert np.array_equal(got, want), (name, seed, num_users, k)
+                point = grids[0][seed % len(grids[0])]
+                got = channel_response(scene, k, point)
+                assert np.ndim(got) == 0
+                assert got == _reference_channel_response(scene, k, point), (
+                    name, seed, num_users, k)
+
+
+def _assert_every_tenth_kernel_case_matches():
+    _assert_kernel_matches_reference(_KERNEL_CASES[::10], tuple(_AXIS_APERTURES))
 
 
 class TestSphericalToCartesian:
@@ -374,6 +437,50 @@ class TestChannelResponse:
                            rtol=1e-15)
 
 
+class TestChannelKernelMatchesReference:
+    """The real-arithmetic kernel against the all-complex form it replaced."""
+
+    def test_default_normal_bit_identical(self):
+        _assert_kernel_matches_reference(_KERNEL_CASES)
+
+    @pytest.mark.parametrize("name", ["+x", "-z"])
+    def test_other_axis_normals_bit_identical(self, name):
+        _assert_kernel_matches_reference(_KERNEL_CASES[::4], (name,))
+
+    def test_tilted_normal_within_four_eps(self):
+        # Only the obliquity's three-term sum may round differently from the
+        # BLAS dot product; every term is positive here, so each order is
+        # within about 3u of the exact sum and sqrt halves that.
+        n = np.array([1.0, 2.0, 2.0]) / 3.0
+        aperture = square_aperture(normal=tuple(n))
+        nodes = build_grid(aperture, 256).nodes
+        worst = 0.0
+        for seed in range(3000, 3030):
+            scene = sample_scene(seed, 16, aperture=aperture)
+            for k in range(16):
+                got = channel_response(scene, k, nodes)
+                want = _reference_channel_response(scene, k, nodes)
+                dev = np.abs(got - want) / (np.finfo(float).eps * np.abs(want))
+                worst = max(worst, float(dev.max()))
+        assert worst <= 4.0
+
+    @pytest.mark.parametrize("offset", [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    def test_geometry_errors_unchanged(self, offset):
+        scene = sample_scene(seed=3, num_users=3)
+        points = np.stack([np.zeros(3), scene.positions[2] + offset])
+        with pytest.raises(SceneGeometryError) as want:
+            _reference_channel_response(scene, 2, points)
+        with pytest.raises(SceneGeometryError) as got:
+            channel_response(scene, 2, points)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.skipif(not cpu_dispatch_targets(),
+                        reason="numpy reports no CPU dispatch targets")
+    def test_all_dispatch_targets_disabled(self):
+        assert_passes_without_dispatch(
+            "test_scene", "_assert_every_tenth_kernel_case_matches()")
+
+
 class TestSceneSerialization:
     def test_round_trip(self):
         s = sample_scene(seed=11, num_users=4)
@@ -405,6 +512,28 @@ class TestApertureSpec:
     def test_positive_sides_required(self):
         with pytest.raises(ValueError):
             ApertureSpec(center=(0, 0, 0), normal=(0, 1, 0), side_x=0, side_z=1)
+
+    @pytest.mark.parametrize("center", [(np.nan, 0, 0), (0, np.inf, 0)])
+    def test_non_finite_center_rejected(self, center):
+        with pytest.raises(ValueError, match="center"):
+            ApertureSpec(center=center, normal=(0, 1, 0), side_x=1, side_z=1)
+
+    @pytest.mark.parametrize("normal", [(np.nan, 1, 0), (0, 1, np.nan),
+                                        (0, np.inf, 0)])
+    def test_non_finite_normal_rejected(self, normal):
+        with pytest.raises(ValueError, match="normal"):
+            ApertureSpec(center=(0, 0, 0), normal=normal, side_x=1, side_z=1)
+
+    @pytest.mark.parametrize("sides", [(np.inf, 1.0), (1.0, np.nan),
+                                       (np.nan, 1.0), (1.0, np.inf)])
+    def test_non_finite_side_rejected(self, sides):
+        with pytest.raises(ValueError, match="side"):
+            ApertureSpec(center=(0, 0, 0), normal=(0, 1, 0), side_x=sides[0],
+                         side_z=sides[1])
+
+    def test_normal_must_have_three_components(self):
+        with pytest.raises(ValueError, match="normal"):
+            ApertureSpec(center=(0, 0, 0), normal=(0, 1), side_x=1, side_z=1)
 
     def test_in_plane_axes_orthonormal(self):
         ap = square_aperture(4.0)
