@@ -40,6 +40,17 @@ route independent of the Gram-domain code, so the tests can check it:
 * :func:`~lcapa.objective.subspace_improvement_check` -- the SE of a
   solution with an out-of-subspace component against its rescaled
   in-subspace part, which must score higher.
+
+Importing the package sets one process-wide allocator policy.  On glibc it
+raises ``M_MMAP_THRESHOLD`` and ``M_TRIM_THRESHOLD`` to 32 MiB (glibc's own
+64-bit ceiling for its dynamic mmap threshold) through ``mallopt``.  Without
+it, glibc hands every freed block of a few hundred KiB back to the kernel,
+so each GNN forward and backward call page-faults its full-size edge, cache
+and gradient arrays in afresh (about a thousand minor faults a call at
+N=64, K=4, H=64); with it, a freed block stays in the heap and the next call
+reuses it.  The largest per-call GNN array (8 MiB at K=16, N=64, H=64) stays
+below the threshold.  Other C libraries are left alone.  The policy decides
+only where memory comes from, so it changes no result.
 """
 
 __version__ = "0.1.0"
@@ -108,3 +119,26 @@ __all__ = [
     "sum_se",
     "__version__",
 ]
+
+
+def _keep_freed_blocks_in_heap() -> None:
+    """Stop glibc returning freed blocks below 32 MiB to the kernel."""
+    import ctypes
+    import os
+
+    if os.name != "posix":
+        return
+    libc = ctypes.CDLL(None)
+    # the parameter numbers below are glibc's; other libcs number them apart
+    if not hasattr(libc, "gnu_get_libc_version"):
+        return
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    threshold = 32 * 1024 * 1024
+    mallopt = libc.mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(m_mmap_threshold, threshold)
+    mallopt(m_trim_threshold, threshold)
+
+
+_keep_freed_blocks_in_heap()

@@ -334,7 +334,7 @@ def policy_inference_seconds(policy: GnnModel, proj_model: GnnModel,
     """One timed inference: weights, estimated powers, projection scaling.
 
     The projection is :func:`~lcapa.objective.project_weights`, as deployed,
-    so a power estimate that is not positive raises its
+    so a power estimate that is not positive and finite raises its
     ``DegenerateProjectionError``.
     """
     start = time.perf_counter()

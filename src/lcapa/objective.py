@@ -16,7 +16,7 @@ from .scene import Scene, channel_response
 
 
 class DegenerateProjectionError(RuntimeError):
-    """Raised when the total power estimate is non-positive (dead output)."""
+    """Raised when the total power estimate is not positive and finite."""
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,18 @@ def project_weights(weights: np.ndarray, powers: np.ndarray,
 
     With exact per-user powers the projected matrix satisfies the power
     equality; with estimated powers it satisfies it to the estimate's
-    accuracy.
+    accuracy.  Raises ``ValueError`` for a ``power_budget`` that is not
+    positive and finite, and :class:`DegenerateProjectionError` when the
+    total power is not (a NaN or infinite total would scale the weights to
+    all-NaN or all-zero).
     """
+    if not 0.0 < power_budget < np.inf:
+        raise ValueError(f"power_budget must be positive and finite, "
+                         f"got {power_budget!r}")
     total = float(np.sum(powers))
-    if total <= 0.0:
+    if not 0.0 < total < np.inf:
         raise DegenerateProjectionError(
-            f"total power estimate {total:g} is not positive")
+            f"total power estimate {total:g} is not positive and finite")
     return np.asarray(weights, dtype=complex) * np.sqrt(power_budget / total)
 
 

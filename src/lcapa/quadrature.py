@@ -19,7 +19,7 @@ Reproducibility promise:
   scene gives bit-identical channels and Grams in one process, in a fresh
   process, and after a ``Scene.to_json``/``from_json`` round trip.
 * Across numpy builds, libm builds or SIMD dispatch targets, the channel
-  samples agree entry by entry to |h - h'| <= 11 eps |h'| (eps = 2**-52),
+  samples agree entry by entry to |h - h'| <= 8 eps |h'| (eps = 2**-52),
   not bit for bit.  :func:`~lcapa.scene.channel_response` keeps every real
   quantity in real, correctly rounded arithmetic; only ``exp`` of a complex
   argument (the platform's libm) and its one genuine complex product (numpy's
@@ -153,7 +153,7 @@ def channel_matrix(scene: Scene, grid: ApertureGrid) -> ChannelMatrix:
 
     On one numpy build and CPU the result is bit-identical across repeated
     runs and processes.  Across builds or dispatch targets each entry agrees
-    to within 11 eps |h|.  The real inputs (distances, the obliquity's
+    to within 8 eps |h|.  The real inputs (distances, the obliquity's
     three-term sum, k0 d, the correction's two components, 1/(4 pi d) and
     sqrt(cos_dep)) use IEEE-754 correctly rounded operations in a fixed
     order, for any aperture normal, so every build computes the same bits
@@ -171,11 +171,9 @@ def channel_matrix(scene: Scene, grid: ApertureGrid) -> ChannelMatrix:
 
     So one build is within rho = (1 + 2u)(1 + u)^3 (1 + sqrt(5) u) - 1 of
     the exact value, and two builds differ by at most 2 rho / (1 - rho) of
-    either's |h|: (5 + sqrt(5)) eps ~= 7.24 eps to first order.  The stated
-    11 eps is the looser (2 + 4 sqrt(5)) eps ~= 10.94 eps that counts each
-    of the three real products as a complex one (sqrt(5) u); it is the bound
-    ``tests/test_quadrature.py`` holds its golden fixture to, and it holds
-    with room to spare.
+    either's |h|: (5 + sqrt(5)) eps ~= 7.24 eps to first order, which rounds
+    up to the stated 8 eps.  ``tests/test_quadrature.py`` holds its golden
+    fixture, and a run with every SIMD dispatch target disabled, to it.
     """
     rows = []
     for k in range(scene.num_users):

@@ -64,21 +64,30 @@ def cpu_dispatch_targets():
     return list(getattr(cpu_umath(), "__cpu_dispatch__", None) or [])
 
 
-def assert_passes_without_dispatch(module, call):
-    """Run ``module.call`` in a fresh interpreter with every dispatch target off.
+def run_in_fresh_interpreter(module, call, **env_overrides):
+    """Evaluate ``module.call`` in a fresh interpreter; return the finished run.
 
     ``module`` is a test module in this directory and ``call`` an expression
-    on it, such as ``"_check()"``; it must finish without raising.
+    on it, such as ``"_check()"``.  The interpreter imports ``lcapa`` from the
+    same source tree as this one.
     """
-    disabled = " ".join(cpu_dispatch_targets())
     tests_dir = str(Path(__file__).resolve().parent)
     src = str(Path(lcapa.__file__).resolve().parents[1])
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled)
+    env = dict(os.environ, **env_overrides)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     script = (f"import sys; sys.path.insert(0, {tests_dir!r}); "
               f"import {module}; {module}.{call}")
-    run = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+
+
+def assert_passes_without_dispatch(module, call):
+    """Run ``module.call`` in a fresh interpreter with every dispatch target off.
+
+    ``call`` must finish without raising.
+    """
+    disabled = " ".join(cpu_dispatch_targets())
+    run = run_in_fresh_interpreter(module, call, NPY_DISABLE_CPU_FEATURES=disabled)
     assert run.returncode == 0, (
         f"with NPY_DISABLE_CPU_FEATURES={disabled!r}:\n{run.stderr}")

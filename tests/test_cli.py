@@ -45,3 +45,15 @@ def test_grad_check_covers_the_analytic_chain(capsys):
     lines = capsys.readouterr().out.splitlines()
     analytic = [line for line in lines if line.startswith("analytic-chain ")]
     assert len(analytic) == 1 and analytic[0].endswith("[ok]")
+
+
+def test_info_exits_zero(capsys):
+    assert main(["info"]) == 0
+    assert "default wavelength" in capsys.readouterr().out
+
+
+def test_missing_checkpoint_is_a_runtime_failure(tmp_path, capsys):
+    assert main(["eval", "--checkpoint-dir", str(tmp_path),
+                 "--num-test-scenes", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "MissingCheckpointError" in err and "train-policy" in err

@@ -1,8 +1,13 @@
+import ctypes
+import os
+import resource
+
 import numpy as np
 import pytest
 
 from conftest import (all_permutations, assert_passes_without_dispatch,
-                      cpu_dispatch_targets, random_weights)
+                      cpu_dispatch_targets, random_weights,
+                      run_in_fresh_interpreter)
 from lcapa.gnn import (
     GnnCache,
     GnnSpec,
@@ -565,6 +570,36 @@ class TestLayerKernels:
                         reason="numpy reports no CPU dispatch targets")
     def test_all_dispatch_targets_disabled(self):
         assert_passes_without_dispatch("test_gnn", "_assert_all_kernels_match()")
+
+
+def _print_minor_faults_per_call(calls=20):
+    """Minor page faults per value-spec forward+backward at N=64, K=4, H=64."""
+    spec = value_spec(hidden=64)
+    params = init_params(spec, 0)
+    d0, e0 = random_features(np.random.default_rng(0), spec, 64, 4)
+
+    def step():
+        d, e, cache = gnn_forward(spec, params, d0, e0)
+        gnn_backward(spec, params, cache, np.ones_like(d), np.ones_like(e))
+
+    for _ in range(3):
+        step()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        step()
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls)
+
+
+class TestAllocation:
+    @pytest.mark.skipif(
+        os.name != "posix" or not hasattr(ctypes.CDLL(None), "gnu_get_libc_version"),
+        reason="the allocator policy applies to glibc's mallopt only")
+    def test_passes_reuse_freed_blocks(self):
+        # without the policy glibc returns each freed 512 KiB edge array to
+        # the kernel, about a thousand minor faults per call
+        run = run_in_fresh_interpreter("test_gnn", "_print_minor_faults_per_call()")
+        assert run.returncode == 0, run.stderr
+        assert float(run.stdout) <= 2.0
 
 
 class TestPolicyHead:

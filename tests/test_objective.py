@@ -133,6 +133,17 @@ class TestProjectWeights:
         with pytest.raises(DegenerateProjectionError):
             project_weights(np.eye(2, dtype=complex), np.zeros(2), 1.0)
 
+    # unchecked, a NaN total scales to all-NaN weights and an inf total to zeros
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_total_rejected(self, bad):
+        with pytest.raises(DegenerateProjectionError, match="not positive and finite"):
+            project_weights(np.eye(2, dtype=complex), np.array([1.0, bad]), 1.0)
+
+    @pytest.mark.parametrize("budget", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="power_budget"):
+            project_weights(np.eye(2, dtype=complex), np.ones(2), budget)
+
 
 class TestReconstructCurrent:
     def test_unit_weight_reproduces_channel(self, seed1_scene, seed1_grid256):

@@ -25,11 +25,12 @@ from lcapa.scene import DEFAULT_WAVELENGTH, Scene, sample_scene, square_aperture
 FIXTURES = Path(__file__).parent / "fixtures"
 EPS = np.finfo(float).eps
 _U = EPS / 2
-# one build's relative channel error: libm exp (2u) and four complex
-# products or divisions (sqrt(5) u each); test_golden_bit_stable derives it.
-# (1 + 2u)(1 + sqrt(5) u)^4 - 1, through log1p/expm1 because plain floating
-# point rounds 1 + sqrt(5) u to 1 + eps
-_RHO = math.expm1(math.log1p(2 * _U) + 4 * math.log1p(math.sqrt(5) * _U))
+# one build's relative channel error: libm exp (2u), three component-wise
+# real products (u each) and one complex product (sqrt(5) u);
+# test_golden_bit_stable derives it.  (1 + 2u)(1 + u)^3 (1 + sqrt(5) u) - 1,
+# through log1p/expm1 because plain floating point rounds 1 + u to 1
+_RHO = math.expm1(math.log1p(2 * _U) + 3 * math.log1p(_U)
+                  + math.log1p(math.sqrt(5) * _U))
 # two builds may differ by the sum of both errors, measured against |h_gold|
 GOLDEN_C = math.ceil(2 * _RHO / (1 - _RHO) / EPS)
 
@@ -174,20 +175,20 @@ class TestChannelMatrix:
         bound.  What a build may change, with u = eps / 2:
 
         * exp(-j kd): libm cos and sin, each faithful, so within 2u;
-        * (j k0 eta) * e, the division by 4 pi d, sqrt(cos_dep) * (...) and
-          (...) * correction: four complex products or divisions by a real,
-          each within sqrt(5) u (Brent, Percival & Zimmermann, "Error bounds
-          on complex floating-point multiplication", Math. Comp. 2007; with a
-          zero imaginary part in the divisor every division algorithm rounds
-          each component at most twice, so within 2u < sqrt(5) u);
+        * the three component-wise products, by j k0 eta (pure imaginary),
+          by 1/(4 pi d) and by sqrt(cos_dep): each component is one correctly
+          rounded real product, so within u each;
+        * the product with the correction, the one genuine complex product,
+          within sqrt(5) u (Brent, Percival & Zimmermann, "Error bounds on
+          complex floating-point multiplication", Math. Comp. 2007);
         * the division j / kd inside the correction, whose error is below
           2e-4 u of |correction| because kd > 1e4.
 
-        One build is within rho = (1 + 2u)(1 + sqrt(5) u)^4 - 1 of the exact
-        value h, so two builds differ by at most 2 rho |h|, and
-        |h| <= |h_gold| / (1 - rho).  That is (2 + 4 sqrt(5)) eps ~= 10.94 eps
+        One build is within rho = (1 + 2u)(1 + u)^3 (1 + sqrt(5) u) - 1 of
+        the exact value h, so two builds differ by at most 2 rho |h|, and
+        |h| <= |h_gold| / (1 - rho).  That is (5 + sqrt(5)) eps ~= 7.24 eps
         of |h_gold| to first order; rounding up absorbs the correction term,
-        giving GOLDEN_C = 11.  The bound is relative to |h_gold| and not per
+        giving GOLDEN_C = 8.  The bound is relative to |h_gold| and not per
         component, because cancellation leaves components as small as 1.09
         against |h| of 370 to 713.
         """

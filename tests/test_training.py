@@ -6,7 +6,7 @@ import pytest
 import lcapa.training as training
 from lcapa.gnn import (init_params, policy_spec, proj_spec, value_spec,
                        zeros_like_params)
-from lcapa.heads import GnnModel, policy_forward
+from lcapa.heads import GnnModel, policy_forward, proj_forward, value_forward
 from lcapa.objective import project_weights, sinr_vector, sum_se
 from lcapa.quadrature import integral_couplings, integral_power
 from lcapa.training import (
@@ -18,8 +18,10 @@ from lcapa.training import (
     finite_diff_check,
     gen_supervised_dataset,
     load_checkpoint,
+    normalized_mse,
     save_checkpoint,
     train_policy,
+    train_supervised,
 )
 
 # The array keys of one checkpoint layer, in the order they are written.
@@ -152,6 +154,48 @@ class TestAnalyticChain:
             lambda: analytic_chain_loss_and_grads(policy, *args)[0],
             policy.params, grads, probes=120, seed=6)
         assert worst <= 1e-5, f"max relative gradient error {worst:.2e}"
+
+
+class TestTrainSupervised:
+    """train_supervised end to end at a tiny config: K=3, H=8, L=2, 12 samples."""
+
+    HEADS = {"proj": (proj_spec, proj_forward), "value": (value_spec, value_forward)}
+    SAMPLES = 12
+    VALIDATION = 3
+
+    def train(self, mode):
+        dataset = gen_supervised_dataset(5, self.SAMPLES, 3, 16, mode)
+        hyper = TrainHyper(learning_rate=0.2, batch_size=4, epochs=20,
+                           num_nodes=16, num_train=self.SAMPLES)
+        spec = self.HEADS[mode][0](hidden=8, layers=2)
+        model, report = train_supervised(
+            spec, dataset, hyper, seed=3,
+            validation_fraction=self.VALIDATION / self.SAMPLES)
+        return dataset, model, report
+
+    @pytest.mark.parametrize("mode", ["proj", "value"])
+    def test_returns_the_best_validation_snapshot(self, mode):
+        dataset, model, report = self.train(mode)
+        _, again, again_report = self.train(mode)
+        for (name, a), (_, b) in zip(model.params.iter_arrays(),
+                                     again.params.iter_arrays(), strict=True):
+            assert a.tobytes() == b.tobytes(), name
+        first, second = json.loads(report.to_json()), json.loads(again_report.to_json())
+        del first["wall_clock_seconds"], second["wall_clock_seconds"]
+        assert first == second
+
+        assert report.best_epoch == int(np.argmin(report.eval_curve))
+        # this config peaks before its last epoch, so the final parameters
+        # are not the ones to return
+        assert report.best_epoch < len(report.eval_curve) - 1
+        held_out = dataset.samples[-self.VALIDATION:]
+        positions = np.stack([s.scene.positions for s in held_out])
+        weights = np.stack([s.weights for s in held_out])
+        targets = np.stack([s.target_powers if mode == "proj" else s.target_couplings
+                            for s in held_out])
+        pred, _ = self.HEADS[mode][1](model, positions, weights)
+        nmse = normalized_mse(pred, targets)
+        assert nmse == report.final_metrics["validation_nmse"] == min(report.eval_curve)
 
 
 class TestTrainPolicy:
