@@ -238,7 +238,7 @@ def _cmd_grad_check(args) -> int:
                      norms=norms)
     wp = rng.standard_normal((2, 3))
     _, cache = proj_forward(model, pos, weights)
-    grads, _, _ = proj_backward(model, cache, wp)
+    grads, _, _ = proj_backward(model, cache, wp, wrt="params")
     report("proj", finite_diff_check(
         lambda: float(np.sum(proj_forward(model, pos, weights)[0] * wp)),
         model.params, grads, probes=args.probes, seed=args.seed + 1))
@@ -247,7 +247,7 @@ def _cmd_grad_check(args) -> int:
     model = GnnModel(spec=spec, params=init_params(spec, args.seed + 2),
                      norms=norms)
     _, cache = value_forward(model, pos, weights)
-    grads, _, _ = value_backward(model, cache, wr, wi)
+    grads, _, _ = value_backward(model, cache, wr, wi, wrt="params")
     report("value", finite_diff_check(
         lambda: float(np.sum(value_forward(model, pos, weights)[0].real * wr)
                       + np.sum(value_forward(model, pos, weights)[0].imag * wi)),

@@ -20,7 +20,13 @@ allocates only what it keeps: the cached pre-activation and its activation.
 The backward pass scales the spent edge gradient in place; it allocates the
 activation derivative, one buffer that holds the ``gze @ U`` products, and
 the edge gradient it passes down.  Edge aggregation adds its aggregate
-and, in the forward pass, the products formed from it.
+and, in the forward pass, the products formed from it.  The backward pass
+computes only the outputs its ``wrt`` argument names and returns None for
+the rest: ``"inputs"`` (the frozen surrogates in the policy chain) runs no
+weight-gradient GEMM and builds no gradient tree, and ``"params"`` (every
+trained net) forms no layer-0 input gradient, so its layer 0 skips the
+``gze @ U`` buffer and the aggregation spread.  Each output computed
+equals (``np.array_equal``) that of ``"both"``.
 The leaky ReLU is ``max(z, slope z)`` and its derivative
 ``max(1{z > 0}, slope)``, exact for ``0 <= hidden_slope <= 1``, which
 :class:`GnnSpec` enforces; self-edges are zeroed by index.  Forward outputs,
@@ -335,14 +341,26 @@ def _wgrad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return g.reshape(-1, g.shape[-1]).T @ x.reshape(-1, x.shape[-1])
 
 
+_WRT = ("both", "params", "inputs")
+
+
 def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
-                 d_out_grad: np.ndarray, e_out_grad: np.ndarray | None
-                 ) -> tuple[GnnParams, np.ndarray, np.ndarray]:
+                 d_out_grad: np.ndarray, e_out_grad: np.ndarray | None,
+                 wrt: str = "both"
+                 ) -> tuple[GnnParams | None, np.ndarray | None, np.ndarray | None]:
     """Exact reverse-mode gradients for a cached forward pass.
 
     Returns (parameter gradients, input vertex-feature gradients, input
     edge-feature gradients).  The cache must come from a forward call with
     the same parameter object.
+
+    ``wrt`` names the outputs the caller uses; the others are not computed
+    and come back as None.  ``"both"`` computes all three.  ``"params"``
+    computes the parameter gradients only: it skips the layer-0 input
+    gradients.  ``"inputs"`` computes the two input gradients only: it
+    skips every weight-gradient GEMM and the gradient tree.  Each output
+    that is computed equals (``np.array_equal``) the same output of
+    ``"both"``, because it comes from the same operations.
 
     Each weight gradient is one GEMM over the flattened batch, vertex and
     edge axes; the per-source and per-destination edge sums are reduced
@@ -352,9 +370,12 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
     and the like), so across the two forms every returned array, parameter
     and input gradients alike, agrees to within 1e-12 of its largest entry.
     """
+    if wrt not in _WRT:
+        raise ValueError(f"wrt must be one of {_WRT}, got {wrt!r}")
     if cache.params is not params or cache.spec is not spec:
         raise ValueError("cache does not belong to these parameters (stale cache)")
-    grads = zeros_like_params(params)
+    want_inputs = wrt != "params"
+    grads = zeros_like_params(params) if wrt != "inputs" else None
 
     gd = np.asarray(d_out_grad, dtype=float)
     if gd.shape != cache.zv[-1].shape:
@@ -370,31 +391,35 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
 
     for t in range(spec.transitions - 1, -1, -1):
         lp = params.layers[t]
-        gl = grads.layers[t]
+        gl = grads.layers[t] if grads is not None else None
+        # this layer's input gradients feed the layer below or the caller
+        pass_down = want_inputs or t > 0
         last = t == spec.transitions - 1
         v_act = spec.vertex_head_activation if last else "leaky"
         e_act = "identity" if last else "leaky"
 
         d_in = cache.d_inputs[t]
         e_in = cache.e_inputs[t]
-        sum_d = d_in.sum(axis=1, keepdims=True)
-        col = e_in.sum(axis=1)
-        row = e_in.sum(axis=2)
 
         gzv = _act_grad(cache.zv[t], v_act, spec.hidden_slope)
         gzv *= gd
 
-        gl.w_self += _wgrad(gzv, d_in)
-        gl.w_other += _wgrad(gzv, sum_d - d_in)
-        gl.w_ein += _wgrad(gzv, col)
-        gl.w_eout += _wgrad(gzv, row)
-        gl.b_v += gzv.sum(axis=(0, 1))
+        if gl is not None:
+            sum_d = d_in.sum(axis=1, keepdims=True)
+            col = e_in.sum(axis=1)
+            row = e_in.sum(axis=2)
+            gl.w_self += _wgrad(gzv, d_in)
+            gl.w_other += _wgrad(gzv, sum_d - d_in)
+            gl.w_ein += _wgrad(gzv, col)
+            gl.w_eout += _wgrad(gzv, row)
+            gl.b_v += gzv.sum(axis=(0, 1))
 
-        sum_gzv = gzv.sum(axis=1, keepdims=True)
-        gd_prev = gzv @ lp.w_self
-        gd_prev += (sum_gzv - gzv) @ lp.w_other
-        ge_prev = ((gzv @ lp.w_ein)[:, None, :, :]
-                   + (gzv @ lp.w_eout)[:, :, None, :])
+        if pass_down:
+            sum_gzv = gzv.sum(axis=1, keepdims=True)
+            gd_prev = gzv @ lp.w_self
+            gd_prev += (sum_gzv - gzv) @ lp.w_other
+            ge_prev = ((gzv @ lp.w_ein)[:, None, :, :]
+                       + (gzv @ lp.w_eout)[:, :, None, :])
 
         if lp.u_edge is not None:
             # ge has a zero diagonal, so gze does too
@@ -402,23 +427,31 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
             gze *= _act_grad(cache.ze[t], e_act, spec.hidden_slope)
             gze_src = gze.sum(axis=2)      # sum_j gze[k, j]
             gze_dst = gze.sum(axis=1)      # sum_i gze[i, k]
-            gl.u_edge += _wgrad(gze, e_in)
-            gl.u_src += _wgrad(gze_src, d_in)
-            gl.u_dst += _wgrad(gze_dst, d_in)
-            gl.b_e += gze.sum(axis=(0, 1, 2))
-            gd_prev += gze_src @ lp.u_src + gze_dst @ lp.u_dst
-            buf = gze @ lp.u_edge          # (N, K, K, in width); agg reuses it
-            ge_prev += buf
+            if gl is not None:
+                gl.u_edge += _wgrad(gze, e_in)
+                gl.u_src += _wgrad(gze_src, d_in)
+                gl.u_dst += _wgrad(gze_dst, d_in)
+                gl.b_e += gze.sum(axis=(0, 1, 2))
+            buf = agg = None               # reused as scratch when both exist
+            if pass_down:
+                gd_prev += gze_src @ lp.u_src + gze_dst @ lp.u_dst
+                buf = gze @ lp.u_edge      # (N, K, K, in width)
+                ge_prev += buf
             if lp.u_agg is not None:
-                agg = row[:, :, None, :] + col[:, None, :, :]
-                agg -= np.multiply(e_in, 2.0, out=buf)
-                gl.u_agg += _wgrad(gze, agg)
-                z = np.matmul(gze, lp.u_agg, out=buf)
-                spread = np.add(z.sum(axis=2)[:, :, None, :],
-                                z.sum(axis=1)[:, None, :, :], out=agg)
-                z *= 2.0
-                spread -= z
-                ge_prev += spread
+                if gl is not None:
+                    agg = row[:, :, None, :] + col[:, None, :, :]
+                    agg -= np.multiply(e_in, 2.0, out=buf)
+                    gl.u_agg += _wgrad(gze, agg)
+                if pass_down:
+                    z = np.matmul(gze, lp.u_agg, out=buf)
+                    spread = np.add(z.sum(axis=2)[:, :, None, :],
+                                    z.sum(axis=1)[:, None, :, :], out=agg)
+                    z *= 2.0
+                    spread -= z
+                    ge_prev += spread
 
-        gd, ge = gd_prev, _zero_diagonal(ge_prev)
+        if pass_down:
+            gd, ge = gd_prev, _zero_diagonal(ge_prev)
+    if not want_inputs:
+        return grads, None, None
     return grads, gd, ge

@@ -81,7 +81,7 @@ def _unpack_complex(d_out: np.ndarray, e_out: np.ndarray, scale: float
 
 
 def _complex_head_backward(model: GnnModel, cache, grad_re: np.ndarray,
-                           grad_im: np.ndarray):
+                           grad_im: np.ndarray, wrt: str):
     """gnn_backward from dLoss/d(Re, Im) of a :func:`_unpack_complex` output."""
     g_re = _as_batched_matrix(grad_re).real.astype(float)
     g_im = _as_batched_matrix(grad_im).real.astype(float)
@@ -92,7 +92,7 @@ def _complex_head_backward(model: GnnModel, cache, grad_re: np.ndarray,
     gd[:, :, 1] = g_im[:, idx, idx] * scale
     ge = np.stack([g_re, g_im], axis=3) * scale
     ge[:, idx, idx, :] = 0.0
-    return gnn_backward(model.spec, model.params, cache, gd, ge)
+    return gnn_backward(model.spec, model.params, cache, gd, ge, wrt=wrt)
 
 
 # -- PolicyNet ----------------------------------------------------------------
@@ -115,7 +115,8 @@ def policy_forward(model: GnnModel, positions: np.ndarray):
 def policy_backward(model: GnnModel, cache, grad_re: np.ndarray,
                     grad_im: np.ndarray) -> GnnParams:
     """Parameter gradients of the policy from dLoss/d(Re A, Im A)."""
-    grads, _, _ = _complex_head_backward(model, cache, grad_re, grad_im)
+    grads, _, _ = _complex_head_backward(model, cache, grad_re, grad_im,
+                                         wrt="params")
     return grads
 
 
@@ -132,14 +133,26 @@ def proj_forward(model: GnnModel, positions: np.ndarray, weights: np.ndarray):
     return (powers[0] if squeeze else powers), cache
 
 
-def proj_backward(model: GnnModel, cache, grad_powers: np.ndarray
-                  ) -> tuple[GnnParams, np.ndarray, np.ndarray]:
-    """Gradients of the power head: (params, dLoss/dRe A, dLoss/dIm A)."""
+def proj_backward(model: GnnModel, cache, grad_powers: np.ndarray,
+                  wrt: str = "both"
+                  ) -> tuple[GnnParams | None, np.ndarray | None, np.ndarray | None]:
+    """Gradients of the power head: (params, dLoss/dRe A, dLoss/dIm A).
+
+    ``wrt`` is passed to :func:`~lcapa.gnn.gnn_backward`: ``"params"``
+    computes the parameter gradients only and returns None for both weight
+    gradients; ``"inputs"`` computes the weight gradients only and returns
+    None for the parameters, so the first return value may be None.  Every
+    array returned equals (``np.array_equal``) the same one under
+    ``"both"``.
+    """
     gp = np.asarray(grad_powers, dtype=float)
     if gp.ndim == 1:
         gp = gp[None, ...]
     gd = gp[..., None] * model.norm("out_scale")
-    grads, gd0, ge0 = gnn_backward(model.spec, model.params, cache, gd, None)
+    grads, gd0, ge0 = gnn_backward(model.spec, model.params, cache, gd, None,
+                                   wrt=wrt)
+    if gd0 is None:
+        return grads, None, None
     g_re, g_im = _weight_grad_from_features(gd0, ge0, model.norm("a_scale"))
     return grads, g_re, g_im
 
@@ -158,8 +171,18 @@ def value_forward(model: GnnModel, positions: np.ndarray, weights: np.ndarray):
 
 
 def value_backward(model: GnnModel, cache, grad_re: np.ndarray,
-                   grad_im: np.ndarray) -> tuple[GnnParams, np.ndarray, np.ndarray]:
-    """Gradients of the coupling head: (params, dLoss/dRe A, dLoss/dIm A)."""
-    grads, gd0, ge0 = _complex_head_backward(model, cache, grad_re, grad_im)
+                   grad_im: np.ndarray, wrt: str = "both"
+                   ) -> tuple[GnnParams | None, np.ndarray | None, np.ndarray | None]:
+    """Gradients of the coupling head: (params, dLoss/dRe A, dLoss/dIm A).
+
+    ``wrt`` selects the outputs as in :func:`proj_backward`; the first
+    return value is None under ``"inputs"``, the other two under
+    ``"params"``, and every array returned equals the same one under
+    ``"both"``.
+    """
+    grads, gd0, ge0 = _complex_head_backward(model, cache, grad_re, grad_im,
+                                             wrt=wrt)
+    if gd0 is None:
+        return grads, None, None
     g_re_in, g_im_in = _weight_grad_from_features(gd0, ge0, model.norm("a_scale"))
     return grads, g_re_in, g_im_in

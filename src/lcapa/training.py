@@ -267,7 +267,7 @@ def train_supervised(spec: GnnSpec, dataset: SupervisedDataset,
             err = (pred - targets[idx]) / out_scale
             loss = float(np.sum(err ** 2) / len(idx))
             grad_out = 2.0 * err / (out_scale * len(idx))
-            grads, _, _ = proj_backward(model, cache, grad_out)
+            grads, _, _ = proj_backward(model, cache, grad_out, wrt="params")
         else:
             pred, cache = value_forward(model, pos[idx], weights[idx])
             err = (pred - targets[idx]) / out_scale
@@ -275,7 +275,7 @@ def train_supervised(spec: GnnSpec, dataset: SupervisedDataset,
             grads, _, _ = value_backward(
                 model, cache,
                 2.0 * err.real / (out_scale * len(idx)),
-                2.0 * err.imag / (out_scale * len(idx)))
+                2.0 * err.imag / (out_scale * len(idx)), wrt="params")
         return loss, grads
 
     def validation_nmse():
@@ -443,11 +443,13 @@ def surrogate_chain_loss_and_grads(policy: GnnModel, proj: GnnModel,
     couplings, cache_v = value_forward(value, positions, a_bar)
     loss, g_re_c, g_im_c = policy_loss_grad(couplings, user_apertures, noise_vars)
 
-    _, g_re_bar, g_im_bar = value_backward(value, cache_v, g_re_c, g_im_c)
+    _, g_re_bar, g_im_bar = value_backward(value, cache_v, g_re_c, g_im_c,
+                                           wrt="inputs")
     g_re, g_im, dl_dtotal = _projection_chain_backward(
         g_re_bar, g_im_bar, a_raw, scale, total)
     grad_powers = np.repeat(dl_dtotal[:, None], powers.shape[1], axis=1)
-    _, g_re_p, g_im_p = proj_backward(proj, cache_proj, grad_powers)
+    _, g_re_p, g_im_p = proj_backward(proj, cache_proj, grad_powers,
+                                      wrt="inputs")
     grads = policy_backward(policy, cache_p, g_re + g_re_p, g_im + g_im_p)
     return loss, grads, {"scale": scale, "couplings": couplings}
 

@@ -463,6 +463,54 @@ class TestBackwardReference:
             assert a.tobytes() == b.tobytes(), name
 
 
+class TestBackwardWrt:
+    """``wrt="params"`` and ``wrt="inputs"`` compute parts of ``"both"``."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("agg", [False, True])
+    @pytest.mark.parametrize("kind", ["policy", "proj", "value"])
+    def test_parts_equal_both(self, kind, agg, n, k):
+        spec, params, cache, wd, we = _backward_case(kind, agg, n, k)
+        grads, gd0, ge0 = gnn_backward(spec, params, cache, wd, we)
+        p_grads, p_gd0, p_ge0 = gnn_backward(spec, params, cache, wd, we,
+                                             wrt="params")
+        i_grads, i_gd0, i_ge0 = gnn_backward(spec, params, cache, wd, we,
+                                             wrt="inputs")
+        assert p_gd0 is None and p_ge0 is None and i_grads is None
+        for (name, a), (p_name, b) in zip(grads.iter_arrays(),
+                                          p_grads.iter_arrays(), strict=True):
+            assert name == p_name and np.array_equal(a, b), name
+        assert np.array_equal(gd0, i_gd0) and np.array_equal(ge0, i_ge0)
+
+    def test_unknown_wrt_rejected(self):
+        spec, params, cache, wd, we = _backward_case("value", False, 1, 2)
+        with pytest.raises(ValueError, match="wrt"):
+            gnn_backward(spec, params, cache, wd, we, wrt="weights")
+
+    @pytest.mark.parametrize("kind", ["proj", "value"])
+    def test_head_input_gradients_equal_both(self, kind):
+        model = small_model(kind, a_scale=0.5, out_scale=2.0)
+        rng = np.random.default_rng(29)
+        pos = rng.uniform(10, 20, (2, 4, 3))
+        a = np.stack([random_weights(rng, 4) for _ in range(2)])
+        if kind == "proj":
+            _, cache = proj_forward(model, pos, a)
+            upstream = (rng.standard_normal((2, 4)),)
+            backward = proj_backward
+        else:
+            _, cache = value_forward(model, pos, a)
+            upstream = (rng.standard_normal((2, 4, 4)),
+                        rng.standard_normal((2, 4, 4)))
+            backward = value_backward
+        _, g_re, g_im = backward(model, cache, *upstream)
+        grads, i_re, i_im = backward(model, cache, *upstream, wrt="inputs")
+        assert grads is None
+        assert np.array_equal(g_re, i_re) and np.array_equal(g_im, i_im)
+        _, p_re, p_im = backward(model, cache, *upstream, wrt="params")
+        assert p_re is None and p_im is None
+
+
 # Special values the activation kernels must map like the select forms.
 _SPECIAL = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0,
                      5e-324, -5e-324, 1e-310, -1e-310, 1e308, -1e308])

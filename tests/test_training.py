@@ -6,7 +6,9 @@ import pytest
 import lcapa.training as training
 from lcapa.gnn import (init_params, policy_spec, proj_spec, value_spec,
                        zeros_like_params)
-from lcapa.heads import GnnModel, policy_forward, proj_forward, value_forward
+from lcapa.heads import (GnnModel, policy_backward, policy_forward,
+                         proj_backward, proj_forward, value_backward,
+                         value_forward)
 from lcapa.objective import project_weights, sinr_vector, sum_se
 from lcapa.quadrature import integral_couplings, integral_power
 from lcapa.training import (
@@ -19,7 +21,9 @@ from lcapa.training import (
     gen_supervised_dataset,
     load_checkpoint,
     normalized_mse,
+    policy_loss_grad,
     save_checkpoint,
+    surrogate_chain_loss_and_grads,
     train_policy,
     train_supervised,
 )
@@ -154,6 +158,50 @@ class TestAnalyticChain:
             lambda: analytic_chain_loss_and_grads(policy, *args)[0],
             policy.params, grads, probes=120, seed=6)
         assert worst <= 1e-5, f"max relative gradient error {worst:.2e}"
+
+
+def surrogate_chain_with_every_gradient(policy, proj, value, positions,
+                                        user_apertures, noise_vars,
+                                        power_budget):
+    """surrogate_chain_loss_and_grads with full (``wrt="both"``) backward
+    passes through the frozen surrogates: the oracle for the input-only ones."""
+    a_raw, cache_p = policy_forward(policy, positions)
+    powers, cache_proj = proj_forward(proj, positions, a_raw)
+    total = powers.sum(axis=1)
+    scale = np.sqrt(power_budget / total)
+    couplings, cache_v = value_forward(value, positions,
+                                       a_raw * scale[:, None, None])
+    loss, g_re_c, g_im_c = policy_loss_grad(couplings, user_apertures, noise_vars)
+    _, g_re_bar, g_im_bar = value_backward(value, cache_v, g_re_c, g_im_c)
+    g_re, g_im, dl_dtotal = training._projection_chain_backward(
+        g_re_bar, g_im_bar, a_raw, scale, total)
+    grad_powers = np.repeat(dl_dtotal[:, None], powers.shape[1], axis=1)
+    _, g_re_p, g_im_p = proj_backward(proj, cache_proj, grad_powers)
+    return loss, policy_backward(policy, cache_p, g_re + g_re_p, g_im + g_im_p)
+
+
+class TestSurrogateChain:
+    @pytest.mark.parametrize("agg", [False, True])
+    def test_gradients_equal_the_full_backward_oracle(self, agg):
+        pool = ScenePool.generate(3, 4, 3, 64, 1e6)
+        policy = tiny_policy(pool, 5)
+        norms = {"pos_scale": 30.0, "a_scale": policy.norm("a_scale"),
+                 "out_scale": 1.0}
+        proj, value = (GnnModel(spec=spec, params=init_params(spec, seed),
+                                norms=norms)
+                       for spec, seed in (
+                           (proj_spec(hidden=8, layers=3, edge_aggregation=agg), 1),
+                           (value_spec(hidden=8, layers=3, edge_aggregation=agg), 2)))
+        scene = pool.scenes[0]
+        args = (policy, proj, value, pool.positions, scene.user_apertures(),
+                scene.noise_vars(), scene.power_budget)
+        loss, grads, _ = surrogate_chain_loss_and_grads(*args)
+        ref_loss, ref_grads = surrogate_chain_with_every_gradient(*args)
+        assert loss == ref_loss
+        assert any(np.any(a != 0.0) for _, a in grads.iter_arrays())
+        for (name, a), (_, b) in zip(grads.iter_arrays(), ref_grads.iter_arrays(),
+                                     strict=True):
+            assert np.array_equal(a, b), name
 
 
 class TestTrainSupervised:
