@@ -8,10 +8,10 @@ in layers:
 * :mod:`lcapa.scene` -- problem instances: aperture geometry, user placement,
   physical constants, and the line-of-sight channel response.
 * :mod:`lcapa.quadrature` -- midpoint discretization of the aperture, sampled
-  channel matrices, the coupling Gram, and the Gram / pointwise integral
-  oracles.
-* :mod:`lcapa.objective` -- SINR and spectral-efficiency evaluation, power
-  projection, current reconstruction, and the in-subspace dominance check.
+  channel matrices, the coupling Gram, and the powers and couplings it
+  gives.
+* :mod:`lcapa.objective` -- SINR and spectral-efficiency evaluation, and
+  power projection.
 * :mod:`lcapa.wmmse` -- the discretized WMMSE precoding baseline and the
   least-squares lift back onto the channel subspace.
 * :mod:`lcapa.gnn` -- the permutation-equivariant vertex+edge graph network
@@ -19,27 +19,18 @@ in layers:
 * :mod:`lcapa.heads` -- its PolicyNet / ProjNet / ValueNet instantiations:
   feature packing, output scaling, and the gradients through them.
 * :mod:`lcapa.optim` -- the Adam optimizer.
-* :mod:`lcapa.training` -- scene pools and supervised datasets, surrogate
-  training, unsupervised policy training (surrogate and analytic chains),
-  exact policy evaluation, gradient checking, checkpoints.
+* :mod:`lcapa.training` -- scene pools and stacked supervised datasets, one
+  epoch loop that fits the two surrogates supervised and then the policy
+  unsupervised (surrogate and analytic chains), exact policy evaluation,
+  gradient checking, checkpoints.
 * :mod:`lcapa.experiments` -- paired sweep/timing experiment runner with
   reproducible CSV outputs.
 * :mod:`lcapa.cli` -- the ``lcapa`` command-line front end.
 
 The package namespace re-exports the scene, quadrature and objective layers
-(``__all__``); import the other modules directly.
-
-Three of those exports are test oracles, not pipeline stages: no training,
-baseline, experiment or CLI path calls them.  Each reaches a result by a
-route independent of the Gram-domain code, so the tests can check it:
-
-* :func:`~lcapa.quadrature.direct_integral_check` -- powers and couplings
-  summed pointwise over the grid, against the Gram route;
-* :func:`~lcapa.objective.reconstruct_current` -- the continuous current
-  distributions V_k(r) = sum_j a_jk H_j(r) of a weight matrix;
-* :func:`~lcapa.objective.subspace_improvement_check` -- the SE of a
-  solution with an out-of-subspace component against its rescaled
-  in-subspace part, which must score higher.
+(``__all__``); import the other modules directly.  The test oracles (the
+pointwise integrals, the continuous current reconstruction and the
+in-subspace dominance check) live with the tests, in ``tests/oracles.py``.
 
 Importing the package sets one process-wide allocator policy.  On glibc it
 raises ``M_MMAP_THRESHOLD`` and ``M_TRIM_THRESHOLD`` to 32 MiB (glibc's own
@@ -73,7 +64,6 @@ from .quadrature import (
     GramPair,
     build_grid,
     channel_matrix,
-    direct_integral_check,
     gram_pair,
     integral_couplings,
     integral_power,
@@ -83,9 +73,7 @@ from .objective import (
     DegenerateProjectionError,
     SeReport,
     project_weights,
-    reconstruct_current,
     sinr_vector,
-    subspace_improvement_check,
     sum_se,
 )
 
@@ -105,7 +93,6 @@ __all__ = [
     "GramPair",
     "build_grid",
     "channel_matrix",
-    "direct_integral_check",
     "gram_pair",
     "integral_couplings",
     "integral_power",
@@ -113,9 +100,7 @@ __all__ = [
     "DegenerateProjectionError",
     "SeReport",
     "project_weights",
-    "reconstruct_current",
     "sinr_vector",
-    "subspace_improvement_check",
     "sum_se",
     "__version__",
 ]

@@ -164,20 +164,18 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    from .experiments import _write_csv
-    from .scene import sample_scene, square_aperture
+    from .experiments import _write_csv, build_test_pool
     from .wmmse import baseline_se
 
     cfg = _load_config(args.config)
     config = _experiment_config(args, cfg)
+    # the scenes, and so the scene ids, of ``lcapa eval``
+    pool = build_test_pool(config, config.zeta, config.aperture_area,
+                           config.num_nodes)
     rows = []
-    for i in range(config.num_test_scenes):
-        scene = sample_scene(config.scene_seed + i, config.num_users,
-                             aperture=square_aperture(config.aperture_area),
-                             zeta=config.zeta,
-                             power_budget=config.power_budget)
+    for i, scene in enumerate(pool.scenes):
         res = baseline_se(scene, config.num_nodes, config.num_nodes_eval)
-        rows.append([f"scene-{config.scene_seed + i}", res.num_nodes,
+        rows.append([f"scene-{config.scene_seed}-{i}", res.num_nodes,
                      res.num_nodes_eval, res.info.iterations,
                      int(res.info.converged), res.se_report.sum_se,
                      res.runtime_seconds])

@@ -1,18 +1,10 @@
-"""SINR / spectral-efficiency evaluation, power projection, reconstruction.
-
-Also hosts :func:`subspace_improvement_check`, a numerical verification that
-any current distribution with a component outside the channel subspace is
-strictly dominated by its in-subspace part rescaled to the power budget.
-"""
+"""SINR / spectral-efficiency evaluation and power projection."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .quadrature import ApertureGrid, channel_matrix, gram_pair
-from .scene import Scene, channel_response
 
 
 class DegenerateProjectionError(RuntimeError):
@@ -74,110 +66,3 @@ def project_weights(weights: np.ndarray, powers: np.ndarray,
         raise DegenerateProjectionError(
             f"total power estimate {total:g} is not positive and finite")
     return np.asarray(weights, dtype=complex) * np.sqrt(power_budget / total)
-
-
-def reconstruct_current(weights: np.ndarray, scene: Scene):
-    """Continuous current distributions V_k(r) = sum_j a_jk H_j(r).
-
-    Returns an evaluator mapping (N, 3) aperture points to an (N, K) complex
-    array; points outside the aperture rectangle are rejected.  The evaluator
-    captures immutable scene data and is safe to share.
-    """
-    a = np.array(weights, dtype=complex)
-    aperture = scene.aperture
-    u, w = aperture.in_plane_axes()
-    center = np.asarray(aperture.center, dtype=float)
-
-    def evaluate(points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        rel = pts - center[None, :]
-        eps = 1e-9
-        if (np.any(np.abs(rel @ u) > aperture.side_x / 2 + eps)
-                or np.any(np.abs(rel @ w) > aperture.side_z / 2 + eps)):
-            raise ValueError("evaluation point outside the aperture")
-        h = np.stack([channel_response(scene, k, pts)
-                      for k in range(scene.num_users)])
-        return h.T @ a
-
-    return evaluate
-
-
-def _orthogonalize_against_span(vec: np.ndarray, h: np.ndarray,
-                                coupling: np.ndarray, delta: float) -> np.ndarray:
-    """Remove the channel-subspace component of a grid-sampled function.
-
-    Projection under the conjugated grid inner product <f, g> = sum f g* delta,
-    so the remainder satisfies sum_m H_j*(r_m) v(r_m) delta = 0 for every j.
-    """
-    rhs = (np.conj(h) @ vec) * delta
-    coeffs = np.linalg.solve(coupling, rhs)
-    residual = vec - h.T @ coeffs
-    leak = np.abs(np.conj(h) @ residual) * delta
-    norm = np.sqrt(np.sum(np.abs(residual) ** 2) * delta)
-    if np.any(leak > 1e-9 * max(1.0, norm)):
-        raise AssertionError("orthogonalization against the channel span leaked")
-    return residual
-
-
-def subspace_improvement_check(scene: Scene, grid: ApertureGrid,
-                               weights: np.ndarray, perp_seed: int,
-                               perturbed_user: int | None = None
-                               ) -> tuple[float, float]:
-    """SE of a mixed solution vs. its rescaled in-subspace part.
-
-    Starting from in-subspace currents given by ``weights``, adds to one
-    user's distribution a random grid function orthogonalized against the
-    channel span, renormalizes the mixed solution to the power budget, and
-    returns (R0, R1): the SE of the mixed solution and the SE of the
-    in-subspace part rescaled back up to the budget.  Whenever the orthogonal
-    component has positive norm and the signal couplings are nonzero,
-    R1 > R0 strictly.
-    """
-    a = np.asarray(weights, dtype=complex)
-    chan = channel_matrix(scene, grid)
-    h = chan.h
-    delta = grid.cell_area
-    grams = gram_pair(h, delta)
-    rng = np.random.default_rng(perp_seed)
-    k = int(rng.integers(scene.num_users)) if perturbed_user is None else perturbed_user
-
-    v_span = h.T @ a                                # (M, K)
-    span_power = np.sum(np.abs(v_span) ** 2) * delta
-    if span_power <= 0.0:
-        raise ValueError("weights carry no power")
-
-    perp = None
-    for _ in range(16):
-        raw = (rng.standard_normal(grid.num_nodes)
-               + 1j * rng.standard_normal(grid.num_nodes))
-        candidate = _orthogonalize_against_span(raw, h, grams.coupling, delta)
-        if np.sqrt(np.sum(np.abs(candidate) ** 2) * delta) >= 1e-12:
-            perp = candidate
-            break
-    if perp is None:
-        raise RuntimeError("could not draw a non-degenerate orthogonal component")
-
-    # Give the orthogonal part a power comparable to the perturbed user's.
-    user_power = max(np.sum(np.abs(v_span[:, k]) ** 2) * delta,
-                     1e-6 * span_power)
-    target = rng.uniform(0.05, 0.5) * user_power
-    perp = perp * np.sqrt(target / (np.sum(np.abs(perp) ** 2) * delta))
-
-    v_mixed = v_span.copy()
-    v_mixed[:, k] = v_mixed[:, k] + perp
-    total_mixed = np.sum(np.abs(v_mixed) ** 2) * delta
-    scale = np.sqrt(scene.power_budget / total_mixed)
-    v_mixed *= scale
-    v_inspan = v_span * scale
-
-    def exact_se(v: np.ndarray) -> float:
-        couplings = (np.conj(h) @ v) * delta
-        gamma = sinr_vector(couplings, scene.user_apertures(), scene.noise_vars())
-        return sum_se(gamma).sum_se
-
-    r0 = exact_se(v_mixed)
-
-    inspan_power = np.sum(np.abs(v_inspan) ** 2) * delta
-    c_factor = np.sqrt(scene.power_budget / inspan_power)
-    r1 = exact_se(c_factor * v_inspan)
-    return r0, r1

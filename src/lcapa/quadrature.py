@@ -1,17 +1,12 @@
-"""Aperture discretization, sampled channels, and the integral oracles.
+"""Aperture discretization, sampled channels, and the Gram-route integrals.
 
 The aperture integrals that drive everything else (per-user powers and
-channel/current couplings) are defined on a uniform midpoint grid.  Two
-independent compute routes are provided:
-
-* the Gram route -- factorize once per scene into the K x K coupling Gram and
-  evaluate any candidate weight matrix with small matrix products;
-* the pointwise route (:func:`direct_integral_check`) -- rebuild the current
-  distribution sample-by-sample on the grid and sum directly.
-
-The Gram route is the production path; the pointwise route is kept purely as
-its oracle.  All reductions use numpy's deterministic pairwise summation over
-fixed index order.
+channel/current couplings) are defined on a uniform midpoint grid.  They
+factorize once per scene into the K x K coupling Gram, and any candidate
+weight matrix is then evaluated with small matrix products.  (The tests
+check this route against a pointwise oracle that rebuilds the current
+distribution sample by sample on the grid.)  All reductions use numpy's
+deterministic pairwise summation over fixed index order.
 
 Reproducibility promise:
 
@@ -223,22 +218,6 @@ def integral_power(weights: np.ndarray, coupling: np.ndarray) -> np.ndarray:
 def integral_couplings(weights: np.ndarray, coupling: np.ndarray) -> np.ndarray:
     """Coupling matrix G = C A; G[k, j] pairs user k's channel with user j's current."""
     return np.asarray(coupling) @ np.asarray(weights, dtype=complex)
-
-
-def direct_integral_check(scene: Scene, grid: ApertureGrid,
-                          weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise-route powers and couplings; the oracle for the Gram route.
-
-    Builds V_k(r_m) = sum_j a_jk H_j(r_m) explicitly on the grid, then sums
-    |V_k|^2 * delta and H_k* V_j * delta directly.
-    """
-    a = np.asarray(weights, dtype=complex)
-    h = channel_matrix(scene, grid).h
-    v = h.T @ a                       # (M, K): V_k sampled at the nodes
-    delta = grid.cell_area
-    powers = np.sum(np.abs(v) ** 2, axis=0) * delta
-    couplings = (np.conj(h) @ v) * delta
-    return powers, couplings
 
 
 def quadrature_convergence(scene: Scene, weights: np.ndarray,

@@ -5,6 +5,9 @@ are trained supervised against quadrature targets; the policy net is then
 trained unsupervised by back-propagating the negated sum-SE through the
 frozen surrogates (``surrogate`` mode) or through the exact Gram forms
 (``analytic`` mode, a reference chain that quantifies surrogate fidelity).
+All three networks go through one epoch loop (per-epoch seeded shuffles,
+mini-batch Adam, a divergence check, the best held-out snapshot); the
+trainers differ only in the batch loss and the held-out score they hand it.
 Evaluation always goes through the exact quadrature path; the coupling
 surrogate is never used to score a policy.
 """
@@ -45,24 +48,28 @@ class CheckpointError(RuntimeError):
     """Raised for unreadable, mismatched, or corrupt checkpoint files."""
 
 
-@dataclass(frozen=True)
-class SupervisedSample:
-    scene: Scene
-    weights: np.ndarray
-    target_powers: np.ndarray | None
-    target_couplings: np.ndarray | None
-    seed_pair: tuple[int, int]
+class DegenerateBatchError(RuntimeError):
+    """Raised when the projection denominator is non-positive for a batch."""
 
 
 @dataclass
 class SupervisedDataset:
+    """Stacked supervised samples for one surrogate.
+
+    Sample i is ``scenes[i]`` with ``positions[i]`` (K, 3) and
+    ``weights[i]`` (K, K); ``targets[i]`` holds its K powers in ``proj``
+    mode and its (K, K) couplings in ``value`` mode.
+    """
+
     mode: str
-    samples: list[SupervisedSample]
-    num_nodes: int
+    scenes: list[Scene]
+    positions: np.ndarray
+    weights: np.ndarray
+    targets: np.ndarray
     root_seed: int
 
     def __len__(self):
-        return len(self.samples)
+        return len(self.scenes)
 
 
 @dataclass(frozen=True)
@@ -152,27 +159,25 @@ def gen_supervised_dataset(seed: int, count: int, num_users: int, num_nodes: int
     """
     if mode not in ("proj", "value"):
         raise ValueError(f"unknown dataset mode {mode!r}")
-    samples = []
-    for i, (rng, scene, coupling) in enumerate(_scenes_and_grams(
-            seed, count, num_users, num_nodes, zeta, aperture_area, power_budget)):
+    scenes, weights, targets = [], [], []
+    for rng, scene, coupling in _scenes_and_grams(
+            seed, count, num_users, num_nodes, zeta, aperture_area, power_budget):
         raw = (rng.standard_normal((num_users, num_users))
                + 1j * rng.standard_normal((num_users, num_users)))
         total = integral_power(raw, coupling).sum()
         target_total = power_budget * 10.0 ** rng.uniform(-1.0, 1.0)
-        weights = raw * np.sqrt(target_total / total)
-        powers = integral_power(weights, coupling)
-        if mode == "proj":
-            samples.append(SupervisedSample(
-                scene=scene, weights=weights, target_powers=powers,
-                target_couplings=None, seed_pair=(seed, i)))
-        else:
-            projected = project_weights(weights, powers, power_budget)
-            samples.append(SupervisedSample(
-                scene=scene, weights=projected, target_powers=None,
-                target_couplings=integral_couplings(projected, coupling),
-                seed_pair=(seed, i)))
-    return SupervisedDataset(mode=mode, samples=samples, num_nodes=num_nodes,
-                             root_seed=seed)
+        a = raw * np.sqrt(target_total / total)
+        powers = integral_power(a, coupling)
+        if mode == "value":
+            a = project_weights(a, powers, power_budget)
+        scenes.append(scene)
+        weights.append(a)
+        targets.append(powers if mode == "proj"
+                       else integral_couplings(a, coupling))
+    return SupervisedDataset(mode=mode, scenes=scenes,
+                             positions=np.stack([s.positions for s in scenes]),
+                             weights=np.stack(weights),
+                             targets=np.stack(targets), root_seed=seed)
 
 
 @dataclass
@@ -198,31 +203,60 @@ class ScenePool:
                    coupling_grams=np.stack(grams))
 
 
+# -- the epoch loop -----------------------------------------------------------
+
+def _train_epochs(model: GnnModel, hyper: TrainHyper, seed: int, tag: int,
+                  count: int, batch_loss, score, maximize: bool,
+                  report: TrainReport) -> float | None:
+    """The epoch loop of every trainer; returns the best held-out score.
+
+    Each epoch sets the scheduled learning rate, permutes the sample indices
+    0..count-1 with the stream ``SeedSequence([seed, tag + epoch])`` and takes
+    one Adam step per mini-batch on ``batch_loss(idx) -> (loss, grads)``.  A
+    batch that raises :class:`DegenerateBatchError` is counted and skipped; a
+    non-finite loss raises ``RuntimeError``.  After every epoch ``score()`` is
+    recorded, and the parameters with the best finite score (the lowest, or
+    the highest when ``maximize``) are restored on exit.  When no score is
+    finite the last parameters stay, and None is returned.
+    """
+    opt = Adam(model.params, lr=hyper.learning_rate, beta1=hyper.beta1,
+               beta2=hyper.beta2)
+    best = best_params = None
+    for epoch in range(hyper.epochs):
+        opt.lr = hyper.lr_at(epoch)
+        order = np.random.default_rng(
+            np.random.SeedSequence([seed, tag + epoch])).permutation(count)
+        epoch_loss, n_batches = 0.0, 0
+        for lo in range(0, count, hyper.batch_size):
+            try:
+                loss, grads = batch_loss(order[lo:lo + hyper.batch_size])
+            except DegenerateBatchError:
+                report.skipped_batches += 1
+                continue
+            if not np.isfinite(loss):
+                raise RuntimeError(
+                    f"training diverged at epoch {epoch} (loss={loss})")
+            opt.step(grads)
+            epoch_loss += loss
+            n_batches += 1
+        report.loss_curve.append(epoch_loss / max(n_batches, 1))
+        val = score()
+        report.eval_curve.append(val)
+        if np.isfinite(val) and (best is None
+                                 or (val > best if maximize else val < best)):
+            best, best_params = val, model.params.copy()
+            report.best_epoch = epoch
+    if best_params is not None:
+        model.params = best_params
+    return best
+
+
 # -- supervised training ------------------------------------------------------
 
-def _dataset_norms(dataset: SupervisedDataset) -> dict:
-    a_rms = np.sqrt(np.mean([np.mean(np.abs(s.weights) ** 2)
-                             for s in dataset.samples]))
-    norms = {"pos_scale": 30.0, "a_scale": float(a_rms)}
-    if dataset.mode == "proj":
-        p_rms = np.sqrt(np.mean([np.mean(s.target_powers ** 2)
-                                 for s in dataset.samples]))
-        norms["out_scale"] = float(p_rms)
-    else:
-        g_rms = np.sqrt(np.mean([np.mean(np.abs(s.target_couplings) ** 2)
-                                 for s in dataset.samples]))
-        norms["out_scale"] = float(g_rms)
-    return norms
-
-
-def _stack_dataset(dataset: SupervisedDataset):
-    pos = np.stack([s.scene.positions for s in dataset.samples])
-    weights = np.stack([s.weights for s in dataset.samples])
-    if dataset.mode == "proj":
-        targets = np.stack([s.target_powers for s in dataset.samples])
-    else:
-        targets = np.stack([s.target_couplings for s in dataset.samples])
-    return pos, weights, targets
+def _rms(x: np.ndarray) -> float:
+    """Root of the mean over samples of each sample's mean |x|^2."""
+    sq = np.abs(x) ** 2
+    return float(np.sqrt(np.mean(sq.reshape(len(sq), -1).mean(axis=1))))
 
 
 def normalized_mse(predictions: np.ndarray, targets: np.ndarray) -> float:
@@ -238,8 +272,9 @@ def train_supervised(spec: GnnSpec, dataset: SupervisedDataset,
                      ) -> tuple[GnnModel, TrainReport]:
     """Minimize the mean (over samples) summed squared output error.
 
-    Mini-batch order reshuffles deterministically per epoch; returns the
-    parameters with the best validation score seen.
+    The last ``validation_fraction`` of the samples is held out; returns the
+    parameters with the best validation NMSE seen (the last parameters, and
+    a ``validation_nmse`` of None, when nothing is held out).
     """
     if dataset.mode not in ("proj", "value"):
         raise ValueError("dataset mode must be proj or value")
@@ -247,77 +282,38 @@ def train_supervised(spec: GnnSpec, dataset: SupervisedDataset,
         raise ValueError("dataset mode does not match network kind")
 
     start = time.perf_counter()
-    norms = _dataset_norms(dataset)
+    norms = {"pos_scale": 30.0, "a_scale": _rms(dataset.weights),
+             "out_scale": _rms(dataset.targets)}
     model = GnnModel(spec=spec, params=init_params(spec, seed), norms=norms)
-    opt = Adam(model.params, lr=hyper.learning_rate, beta1=hyper.beta1,
-               beta2=hyper.beta2)
-
-    pos, weights, targets = _stack_dataset(dataset)
-    n_total = len(dataset)
-    n_val = int(round(validation_fraction * n_total))
-    train_idx = np.arange(n_total - n_val)
-    val_idx = np.arange(n_total - n_val, n_total)
-
     out_scale = model.norm("out_scale")
-    report = TrainReport(seeds={"init": seed, "dataset": dataset.root_seed})
+    forward = {"proj": proj_forward, "value": value_forward}[dataset.mode]
+    pos, weights, targets = dataset.positions, dataset.weights, dataset.targets
+    n_train = len(dataset) - int(round(validation_fraction * len(dataset)))
+    held_out = slice(n_train, None)
 
-    def batch_loss_and_grads(idx):
+    def batch_loss(idx):
+        pred, cache = forward(model, pos[idx], weights[idx])
+        err = (pred - targets[idx]) / out_scale
+        loss = float(np.sum(err.real ** 2 + err.imag ** 2) / len(idx))
+        denom = out_scale * len(idx)
         if dataset.mode == "proj":
-            pred, cache = proj_forward(model, pos[idx], weights[idx])
-            err = (pred - targets[idx]) / out_scale
-            loss = float(np.sum(err ** 2) / len(idx))
-            grad_out = 2.0 * err / (out_scale * len(idx))
-            grads, _, _ = proj_backward(model, cache, grad_out, wrt="params")
+            grads, _, _ = proj_backward(model, cache, 2.0 * err / denom,
+                                        wrt="params")
         else:
-            pred, cache = value_forward(model, pos[idx], weights[idx])
-            err = (pred - targets[idx]) / out_scale
-            loss = float(np.sum(err.real ** 2 + err.imag ** 2) / len(idx))
-            grads, _, _ = value_backward(
-                model, cache,
-                2.0 * err.real / (out_scale * len(idx)),
-                2.0 * err.imag / (out_scale * len(idx)), wrt="params")
+            grads, _, _ = value_backward(model, cache, 2.0 * err.real / denom,
+                                         2.0 * err.imag / denom, wrt="params")
         return loss, grads
 
     def validation_nmse():
-        if len(val_idx) == 0:
+        if n_train == len(dataset):
             return float("nan")
-        if dataset.mode == "proj":
-            pred, _ = proj_forward(model, pos[val_idx], weights[val_idx])
-        else:
-            pred, _ = value_forward(model, pos[val_idx], weights[val_idx])
-        return normalized_mse(pred, targets[val_idx])
+        pred, _ = forward(model, pos[held_out], weights[held_out])
+        return normalized_mse(pred, targets[held_out])
 
-    best_val = np.inf
-    best_epoch = -1
-    best_params = model.params.copy()
-    for epoch in range(hyper.epochs):
-        opt.lr = hyper.lr_at(epoch)
-        order = np.random.default_rng(
-            np.random.SeedSequence([seed, 7 + epoch])).permutation(train_idx)
-        epoch_loss = 0.0
-        n_batches = 0
-        for lo in range(0, len(order), hyper.batch_size):
-            idx = order[lo:lo + hyper.batch_size]
-            loss, grads = batch_loss_and_grads(idx)
-            if not np.isfinite(loss):
-                raise RuntimeError(
-                    f"training diverged at epoch {epoch} (loss={loss})")
-            opt.step(grads)
-            epoch_loss += loss
-            n_batches += 1
-        report.loss_curve.append(epoch_loss / max(n_batches, 1))
-        val = validation_nmse()
-        report.eval_curve.append(val)
-        if np.isfinite(val) and val < best_val:
-            best_val = val
-            best_epoch = epoch
-            best_params = model.params.copy()
-
-    if np.isfinite(best_val):
-        model.params = best_params
-        report.best_epoch = best_epoch
-    report.final_metrics["validation_nmse"] = (best_val if np.isfinite(best_val)
-                                               else None)
+    report = TrainReport(seeds={"init": seed, "dataset": dataset.root_seed})
+    report.final_metrics["validation_nmse"] = _train_epochs(
+        model, hyper, seed, 7, n_train, batch_loss, validation_nmse,
+        maximize=False, report=report)
     report.wall_clock_seconds = time.perf_counter() - start
     return model, report
 
@@ -454,10 +450,6 @@ def surrogate_chain_loss_and_grads(policy: GnnModel, proj: GnnModel,
     return loss, grads, {"scale": scale, "couplings": couplings}
 
 
-class DegenerateBatchError(RuntimeError):
-    """Raised when the projection denominator is non-positive for a batch."""
-
-
 def analytic_chain_loss_and_grads(policy: GnnModel, positions: np.ndarray,
                                   coupling_grams: np.ndarray,
                                   user_apertures: np.ndarray,
@@ -512,7 +504,9 @@ def train_policy(spec: GnnSpec, proj_model: GnnModel | None,
     ``surrogate`` mode chains through the frozen surrogates; ``analytic``
     mode substitutes the exact Gram forms.  Every epoch the exact evaluated
     SE on the held-out pool is recorded, and the best-evaluated parameters
-    are returned.  Surrogate parameters are bit-identical on exit.
+    are returned (the last parameters, and a ``held_out_exact_se`` of None,
+    when no epoch scores a finite SE).  Surrogate parameters are
+    bit-identical on exit.
     """
     if mode not in POLICY_MODES:
         raise ValueError(f"unknown policy training mode {mode!r}")
@@ -537,8 +531,6 @@ def train_policy(spec: GnnSpec, proj_model: GnnModel | None,
 
     policy = GnnModel(spec=spec, params=init_params(spec, seed),
                       norms=norms)
-    opt = Adam(policy.params, lr=hyper.learning_rate, beta1=hyper.beta1,
-               beta2=hyper.beta2)
     report = TrainReport(seeds={"init": seed})
 
     frozen_fingerprint = None
@@ -547,46 +539,24 @@ def train_policy(spec: GnnSpec, proj_model: GnnModel | None,
             [arr.copy() for _, arr in proj_model.params.iter_arrays()],
             [arr.copy() for _, arr in value_model.params.iter_arrays()]]
 
-    n = len(pool.scenes)
-    best_se = -np.inf
-    best_epoch = -1
-    best_params = policy.params.copy()
-    for epoch in range(hyper.epochs):
-        opt.lr = hyper.lr_at(epoch)
-        order = np.random.default_rng(
-            np.random.SeedSequence([seed, 13 + epoch])).permutation(n)
-        epoch_loss, n_batches = 0.0, 0
-        for lo in range(0, n, hyper.batch_size):
-            idx = order[lo:lo + hyper.batch_size]
-            try:
-                if mode == "surrogate":
-                    loss, grads, _ = surrogate_chain_loss_and_grads(
-                        policy, proj_model, value_model, pool.positions[idx],
-                        user_ap, noise, power_budget)
-                else:
-                    loss, grads, _ = analytic_chain_loss_and_grads(
-                        policy, pool.positions[idx], pool.coupling_grams[idx],
-                        user_ap, noise, power_budget)
-            except DegenerateBatchError:
-                report.skipped_batches += 1
-                continue
-            if not np.isfinite(loss):
-                raise RuntimeError(f"policy training diverged at epoch {epoch}")
-            opt.step(grads)
-            epoch_loss += loss
-            n_batches += 1
-        report.loss_curve.append(epoch_loss / max(n_batches, 1))
-        se = float(np.mean(exact_policy_se(policy, eval_pool, power_budget,
-                                           user_ap, noise)))
-        report.eval_curve.append(se)
-        if se > best_se:
-            best_se = se
-            best_epoch = epoch
-            best_params = policy.params.copy()
+    def batch_loss(idx):
+        if mode == "surrogate":
+            loss, grads, _ = surrogate_chain_loss_and_grads(
+                policy, proj_model, value_model, pool.positions[idx],
+                user_ap, noise, power_budget)
+        else:
+            loss, grads, _ = analytic_chain_loss_and_grads(
+                policy, pool.positions[idx], pool.coupling_grams[idx],
+                user_ap, noise, power_budget)
+        return loss, grads
 
-    policy.params = best_params
-    report.best_epoch = best_epoch
-    report.final_metrics["held_out_exact_se"] = best_se
+    def held_out_se():
+        return float(np.mean(exact_policy_se(policy, eval_pool, power_budget,
+                                             user_ap, noise)))
+
+    report.final_metrics["held_out_exact_se"] = _train_epochs(
+        policy, hyper, seed, 13, len(pool.scenes), batch_loss, held_out_se,
+        maximize=True, report=report)
 
     if frozen_fingerprint is not None:
         for snap, model in zip(frozen_fingerprint, (proj_model, value_model)):

@@ -21,7 +21,6 @@ import numpy as np
 
 from .objective import SeReport, project_weights, sinr_vector, sum_se
 from .quadrature import (
-    ApertureGrid,
     ChannelMatrix,
     build_grid,
     channel_matrix,
@@ -47,15 +46,12 @@ _NEWTON_STEPS = 100     # cap on Newton steps for the power multiplier
 class WmmseOptions:
     max_iterations: int = 200
     tolerance: float = 1e-6
-    init_rule: str = "matched"
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.tolerance <= 0.0:
             raise ValueError("tolerance must be positive")
-        if self.init_rule != "matched":
-            raise ValueError(f"unknown init rule {self.init_rule!r}")
 
 
 @dataclass(frozen=True)
@@ -96,18 +92,6 @@ class BaselineResult:
     lift: LiftResult
     num_nodes: int
     num_nodes_eval: int
-
-
-def discretize_channels(scene: Scene, grid: ApertureGrid) -> np.ndarray:
-    """Per-user effective channel samples h_k[m] = H_k(r_m)."""
-    return channel_matrix(scene, grid).h
-
-
-def discrete_sinr(values: np.ndarray, h: np.ndarray, cell_area: float,
-                  user_apertures: np.ndarray, noise_vars: np.ndarray) -> np.ndarray:
-    """SINR of a discrete precoder; identical sums to the quadrature path."""
-    couplings = cell_area * (np.conj(h) @ values)
-    return sinr_vector(couplings, user_apertures, noise_vars)
 
 
 def _shared_aperture(user_apertures: np.ndarray) -> float:

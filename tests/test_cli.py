@@ -57,3 +57,29 @@ def test_missing_checkpoint_is_a_runtime_failure(tmp_path, capsys):
                  "--num-test-scenes", "2"]) == 2
     err = capsys.readouterr().err
     assert "MissingCheckpointError" in err and "train-policy" in err
+
+
+def test_baseline_and_eval_score_the_same_scenes(tmp_path, capsys):
+    from lcapa.experiments import (ExperimentConfig, _fmt, build_test_pool,
+                                   read_result_file)
+    from lcapa.wmmse import baseline_se
+
+    settings = dict(num_users=3, num_nodes=16, num_nodes_eval=64,
+                    num_test_scenes=3, num_train=8, policy_epochs=1,
+                    batch_size=4, hidden=8, layers=2, policy_mode="analytic",
+                    train_inline=True, checkpoint_dir=str(tmp_path / "ck"),
+                    output_dir=str(tmp_path / "out"))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(settings))
+    assert main(["baseline", "--config", str(cfg)]) == 0
+    assert main(["eval", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    _, _, baseline = read_result_file(str(tmp_path / "out" / "baseline.csv"))
+    _, _, evaluated = read_result_file(str(tmp_path / "out" / "eval.csv"))
+    ids = [f"scene-9000-{i}" for i in range(3)]
+    assert [r[0] for r in baseline] == ids
+    assert [r[0] for r in evaluated if r[0] != "mean"] == ids
+    # the ids name the scenes scored: the test pool's, in order
+    config = ExperimentConfig(**settings)
+    scene = build_test_pool(config, config.zeta, config.aperture_area, 16).scenes[2]
+    assert baseline[2][5] == _fmt(baseline_se(scene, 16, 64).se_report.sum_se)

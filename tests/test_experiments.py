@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from lcapa.experiments import (
     bench_timing,
     policy_inference_seconds,
     read_result_file,
+    run_experiment,
     train_surrogate,
 )
 from lcapa.gnn import init_params, policy_spec, proj_spec
@@ -71,3 +74,25 @@ def test_inference_timing_rejects_a_dead_power_estimate():
     live = GnnModel(spec=dead.spec, params=dead.params,
                     norms={"pos_scale": 30.0, "out_scale": 1.0})
     assert policy_inference_seconds(policy, live, positions, 1.0) > 0.0
+
+
+@pytest.mark.parametrize("kind,swept", [("single", {}),
+                                        ("sweep-m", {"m_list": (4, 16)})])
+def test_embedded_config_reproduces_every_row(tmp_path, kind, swept):
+    config = ExperimentConfig(kind=kind, num_test_scenes=2,
+                              checkpoint_dir=str(tmp_path / "ck"),
+                              output_dir=str(tmp_path / "out"), **TINY, **swept)
+    paths = run_experiment(config)
+    first = {name: read_result_file(path) for name, path in paths.items()}
+    assert all(embedded == config for embedded, _, _ in first.values())
+    # re-run each file's embedded config from scratch: fresh directories, so
+    # every network is trained again
+    for name, (embedded, columns, rows) in first.items():
+        again = run_experiment(replace(embedded,
+                                       checkpoint_dir=str(tmp_path / name / "ck"),
+                                       output_dir=str(tmp_path / name / "out")))
+        _, again_columns, again_rows = read_result_file(again[name])
+        assert again_columns == columns
+        assert again_rows == rows
+    methods = {row[2] for row in first["per_scene"][2]}
+    assert methods == {"lcapa-gnn", "wmmse"}

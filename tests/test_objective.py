@@ -5,20 +5,19 @@ from conftest import all_permutations, random_weights
 from lcapa.objective import (
     DegenerateProjectionError,
     project_weights,
-    reconstruct_current,
     sinr_vector,
-    subspace_improvement_check,
     sum_se,
 )
 from lcapa.quadrature import (
     build_grid,
     channel_matrix,
-    direct_integral_check,
     gram_pair,
     integral_couplings,
     integral_power,
 )
 from lcapa.scene import sample_scene
+from oracles import (direct_integral_check, reconstruct_current,
+                     subspace_improvement_check)
 
 
 class TestSinrVector:

@@ -14,13 +14,13 @@ from conftest import (all_permutations, cpu_dispatch_targets, cpu_umath,
 from lcapa.quadrature import (
     build_grid,
     channel_matrix,
-    direct_integral_check,
     gram_pair,
     integral_couplings,
     integral_power,
     quadrature_convergence,
 )
 from lcapa.scene import DEFAULT_WAVELENGTH, Scene, sample_scene, square_aperture
+from oracles import direct_integral_check
 
 FIXTURES = Path(__file__).parent / "fixtures"
 EPS = np.finfo(float).eps

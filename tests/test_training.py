@@ -117,15 +117,18 @@ class TestScenesAndGrams:
         pool = ScenePool.generate(7, 3, 3, 16, 1e6)
         for mode in ("proj", "value"):
             ds = gen_supervised_dataset(7, 3, 3, 16, mode)
-            assert ([s.scene.to_json() for s in ds.samples]
+            assert ([s.to_json() for s in ds.scenes]
                     == [s.to_json() for s in pool.scenes])
-            positions = np.stack([s.scene.positions for s in ds.samples])
-            assert positions.tobytes() == pool.positions.tobytes()
-        # the proj targets are the powers under the pool's own Grams
+            assert ds.positions.tobytes() == pool.positions.tobytes()
+        # the targets are the powers or couplings under the pool's own Grams
         ds = gen_supervised_dataset(7, 3, 3, 16, "proj")
-        for sample, c in zip(ds.samples, pool.coupling_grams):
-            assert np.array_equal(sample.target_powers,
-                                  integral_power(sample.weights, c))
+        for w, p, c in zip(ds.weights, ds.targets, pool.coupling_grams):
+            assert np.array_equal(p, integral_power(w, c))
+        ds = gen_supervised_dataset(7, 3, 3, 16, "value")
+        assert ds.targets.shape == (3, 3, 3)
+        for w, g, c in zip(ds.weights, ds.targets, pool.coupling_grams):
+            assert np.array_equal(g, integral_couplings(w, c))
+            assert np.isclose(integral_power(w, c).sum(), 1.0, rtol=1e-12)
 
 
 class TestExactPolicySe:
@@ -236,14 +239,47 @@ class TestTrainSupervised:
         # this config peaks before its last epoch, so the final parameters
         # are not the ones to return
         assert report.best_epoch < len(report.eval_curve) - 1
-        held_out = dataset.samples[-self.VALIDATION:]
-        positions = np.stack([s.scene.positions for s in held_out])
-        weights = np.stack([s.weights for s in held_out])
-        targets = np.stack([s.target_powers if mode == "proj" else s.target_couplings
-                            for s in held_out])
-        pred, _ = self.HEADS[mode][1](model, positions, weights)
-        nmse = normalized_mse(pred, targets)
+        held_out = slice(-self.VALIDATION, None)
+        pred, _ = self.HEADS[mode][1](model, dataset.positions[held_out],
+                                      dataset.weights[held_out])
+        nmse = normalized_mse(pred, dataset.targets[held_out])
         assert nmse == report.final_metrics["validation_nmse"] == min(report.eval_curve)
+
+    @pytest.mark.parametrize("mode", ["proj", "value"])
+    def test_norms_are_per_sample_rms(self, mode):
+        # the mean over samples of each sample's mean square, bit for bit:
+        # the checkpointed norms of every trained surrogate depend on it
+        dataset, model, _ = self.train(mode)
+
+        def rms(arrays):
+            return float(np.sqrt(np.mean([np.mean(np.abs(a) ** 2)
+                                          for a in arrays])))
+
+        assert model.norms == {"pos_scale": 30.0,
+                               "a_scale": rms(dataset.weights),
+                               "out_scale": rms(dataset.targets)}
+
+    def test_no_held_out_samples_keeps_the_last_parameters(self, monkeypatch):
+        dataset = gen_supervised_dataset(5, self.SAMPLES, 3, 16, "proj")
+        hyper = TrainHyper(learning_rate=0.2, batch_size=4, epochs=3,
+                           num_nodes=16, num_train=self.SAMPLES)
+        steps = []
+        step = training.Adam.step
+
+        def spy(opt, grads):
+            step(opt, grads)
+            steps.append(opt.params.copy())
+
+        monkeypatch.setattr(training.Adam, "step", spy)
+        model, report = train_supervised(proj_spec(hidden=8, layers=2), dataset,
+                                         hyper, seed=3, validation_fraction=0.0)
+        assert len(steps) == 3 * self.SAMPLES // 4
+        assert report.final_metrics["validation_nmse"] is None
+        assert report.best_epoch == -1
+        assert all(np.isnan(v) for v in report.eval_curve)
+        for (name, a), (_, b) in zip(model.params.iter_arrays(),
+                                     steps[-1].iter_arrays(), strict=True):
+            assert a.tobytes() == b.tobytes(), name
 
 
 class TestTrainPolicy:
@@ -286,6 +322,25 @@ class TestTrainPolicy:
                                      best.iter_arrays(), strict=True):
             assert a.tobytes() == b.tobytes(), name
         assert report.final_metrics["held_out_exact_se"] == max(report.eval_curve)
+
+    def test_no_finite_score_keeps_the_last_parameters(self, pools, monkeypatch):
+        snapshots = []
+
+        def nan_se(policy, pool, *args):
+            snapshots.append(policy.params.copy())
+            return np.full(len(pool.scenes), np.nan)
+
+        monkeypatch.setattr(training, "exact_policy_se", nan_se)
+        policy, report = self.train(pools, "analytic")
+        assert len(snapshots) == self.EPOCHS
+        assert report.final_metrics["held_out_exact_se"] is None
+        assert report.best_epoch == -1
+        for (name, a), (_, b) in zip(policy.params.iter_arrays(),
+                                     snapshots[-1].iter_arrays(), strict=True):
+            assert a.tobytes() == b.tobytes(), name
+        # the last epoch moved the parameters, so these are not the initial ones
+        assert any(not np.array_equal(a, b) for (_, a), (_, b) in zip(
+            snapshots[0].iter_arrays(), snapshots[-1].iter_arrays()))
 
     def test_zero_policy_skips_every_batch(self, pools, monkeypatch):
         monkeypatch.setattr(

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import all_permutations, random_weights
-from lcapa.quadrature import build_grid, channel_matrix, gram_pair
+from lcapa.objective import sinr_vector, sum_se
+from lcapa.quadrature import (build_grid, channel_matrix, gram_pair,
+                              integral_couplings)
 from lcapa.scene import sample_scene
 from lcapa.wmmse import (
     BaselineResult,
@@ -14,8 +16,6 @@ from lcapa.wmmse import (
     _power_multiplier,
     _shared_aperture,
     baseline_se,
-    discrete_sinr,
-    discretize_channels,
     lift_precoder,
     wmmse_precoding,
 )
@@ -23,7 +23,7 @@ from lcapa.wmmse import (
 
 def run_wmmse(scene, num_nodes, options=None):
     grid = build_grid(scene.aperture, num_nodes)
-    h = discretize_channels(scene, grid)
+    h = channel_matrix(scene, grid).h
     precoder, info = wmmse_precoding(h, grid.cell_area, scene.user_apertures(),
                                      scene.noise_vars(), scene.power_budget,
                                      options or WmmseOptions())
@@ -36,6 +36,9 @@ class TestWmmseOptions:
             WmmseOptions(max_iterations=0)
         with pytest.raises(ValueError):
             WmmseOptions(tolerance=0.0)
+        # matched-filter start is the only initialization; there is no knob
+        with pytest.raises(TypeError):
+            WmmseOptions(init_rule="matched")
 
 
 class TestSingleUser:
@@ -50,8 +53,8 @@ class TestSingleUser:
     def test_matches_closed_form_se(self):
         scene = sample_scene(seed=2, num_users=1)
         grid, h, precoder, info = run_wmmse(scene, 64)
-        gamma = discrete_sinr(precoder.values, h, grid.cell_area,
-                              scene.user_apertures(), scene.noise_vars())
+        gamma = sinr_vector(grid.cell_area * (np.conj(h) @ precoder.values),
+                            scene.user_apertures(), scene.noise_vars())
         expected = (scene.user_aperture * grid.cell_area
                     * np.sum(np.abs(h[0]) ** 2) * scene.power_budget
                     / scene.noise_var)
@@ -65,8 +68,8 @@ class TestSingleUser:
         scene = sample_scene(seed=1, num_users=4)
         solo = scene.with_positions(scene.positions[:1])
         grid, h, precoder, info = run_wmmse(solo, 256)
-        gamma = discrete_sinr(precoder.values, h, grid.cell_area,
-                              solo.user_apertures(), solo.noise_vars())
+        gamma = sinr_vector(grid.cell_area * (np.conj(h) @ precoder.values),
+                            solo.user_apertures(), solo.noise_vars())
         expected = (solo.user_aperture * grid.cell_area * np.sum(np.abs(h[0]) ** 2)
                     / solo.noise_var)
         assert gamma[0] == pytest.approx(expected, rel=1e-8)
@@ -90,7 +93,7 @@ class TestIterationProperties:
     def test_shared_aperture_required(self):
         scene = sample_scene(seed=1, num_users=2)
         grid = build_grid(scene.aperture, 16)
-        h = discretize_channels(scene, grid)
+        h = channel_matrix(scene, grid).h
         with pytest.raises(ValueError):
             wmmse_precoding(h, grid.cell_area, np.array([1e-5, 2e-5]),
                             scene.noise_vars(), 1.0)
@@ -99,7 +102,7 @@ class TestIterationProperties:
     def test_power_budget_validated(self, budget):
         scene = sample_scene(seed=1, num_users=4)
         grid = build_grid(scene.aperture, 64)
-        h = discretize_channels(scene, grid)
+        h = channel_matrix(scene, grid).h
         with pytest.raises(ValueError, match="power_budget"):
             wmmse_precoding(h, grid.cell_area, scene.user_apertures(),
                             scene.noise_vars(), budget)
@@ -122,28 +125,29 @@ class TestDiscreteSinr:
     def test_m1_reduces_to_scalar_channel(self):
         scene = sample_scene(seed=3, num_users=2)
         grid = build_grid(scene.aperture, 1)
-        h = discretize_channels(scene, grid)
+        h = channel_matrix(scene, grid).h
         assert h.shape == (2, 1)
         v = np.array([[0.3 + 0.1j, 0.2 - 0.4j]])
-        gamma = discrete_sinr(v, h, grid.cell_area, scene.user_apertures(),
-                              scene.noise_vars())
+        gamma = sinr_vector(grid.cell_area * (np.conj(h) @ v),
+                            scene.user_apertures(), scene.noise_vars())
         g = grid.cell_area * np.conj(h) @ v
         expected0 = (scene.user_aperture * abs(g[0, 0]) ** 2
                      / (scene.user_aperture * abs(g[0, 1]) ** 2 + scene.noise_var))
         assert gamma[0] == pytest.approx(expected0, rel=1e-12)
 
     def test_matches_quadrature_couplings(self, seed1_scene, seed1_grid256,
-                                          seed1_channels):
+                                          seed1_channels, seed1_grams):
+        # an in-span precoder V = h^T A: its node-domain couplings
+        # delta conj(h) V are the Gram-route couplings C A
         rng = np.random.default_rng(0)
-        v = rng.standard_normal((256, 4)) + 1j * rng.standard_normal((256, 4))
-        gamma = discrete_sinr(v, seed1_channels.h, seed1_grid256.cell_area,
-                              seed1_scene.user_apertures(), seed1_scene.noise_vars())
-        from lcapa.objective import sinr_vector
-
-        g = seed1_grid256.cell_area * (np.conj(seed1_channels.h) @ v)
+        a = random_weights(rng, 4, scale=1e-4)
+        h = seed1_channels.h
+        ap, nv = seed1_scene.user_apertures(), seed1_scene.noise_vars()
+        gamma = sinr_vector(seed1_grid256.cell_area * (np.conj(h) @ (h.T @ a)),
+                            ap, nv)
         assert np.allclose(
-            gamma, sinr_vector(g, seed1_scene.user_apertures(),
-                               seed1_scene.noise_vars()), rtol=1e-14)
+            gamma, sinr_vector(integral_couplings(a, seed1_grams.coupling), ap, nv),
+            rtol=1e-12)
 
 
 class TestLift:
@@ -175,12 +179,9 @@ class TestLift:
         grid, h, precoder, _ = run_wmmse(seed1_scene, 256)
         chan = channel_matrix(seed1_scene, grid)
         lift = lift_precoder(precoder, chan, grid.cell_area)
-        from lcapa.objective import sinr_vector, sum_se
-        from lcapa.quadrature import integral_couplings
-
-        gamma_direct = discrete_sinr(precoder.values, h, grid.cell_area,
-                                     seed1_scene.user_apertures(),
-                                     seed1_scene.noise_vars())
+        gamma_direct = sinr_vector(grid.cell_area * (np.conj(h) @ precoder.values),
+                                   seed1_scene.user_apertures(),
+                                   seed1_scene.noise_vars())
         grams = gram_pair(h, grid.cell_area)
         gamma_lifted = sinr_vector(
             integral_couplings(lift.weights, grams.coupling),
@@ -324,7 +325,7 @@ class TestGramDomainAgreement:
     def test_matches_node_domain_reference(self, seed, num_users, num_nodes):
         scene = sample_scene(seed=seed, num_users=num_users)
         grid = build_grid(scene.aperture, num_nodes)
-        h = discretize_channels(scene, grid)
+        h = channel_matrix(scene, grid).h
         args = (h, grid.cell_area, scene.user_apertures(), scene.noise_vars(),
                 scene.power_budget)
         precoder, info = wmmse_precoding(*args)
