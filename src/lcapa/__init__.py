@@ -12,8 +12,8 @@ in layers:
   gives.
 * :mod:`lcapa.objective` -- SINR and spectral-efficiency evaluation, and
   power projection.
-* :mod:`lcapa.wmmse` -- the discretized WMMSE precoding baseline and the
-  least-squares lift back onto the channel subspace.
+* :mod:`lcapa.wmmse` -- the discretized WMMSE precoding baseline, run on the
+  coupling Gram, with current weights in closed form.
 * :mod:`lcapa.gnn` -- the permutation-equivariant vertex+edge graph network
   with exact reverse-mode gradients.
 * :mod:`lcapa.heads` -- its PolicyNet / ProjNet / ValueNet instantiations:

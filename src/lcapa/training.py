@@ -85,10 +85,17 @@ class TrainHyper:
     lr_decay_every: int = 50
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning rate must be positive")
-        if self.num_train < 1:
-            raise ValueError("need at least one training sample")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning rate must be positive and finite, "
+                             f"got {self.learning_rate!r}")
+        for name in ("batch_size", "epochs", "num_train", "lr_decay_every"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {value!r}")
         if not (0.0 < self.lr_decay <= 1.0):
             raise ValueError("lr_decay must lie in (0, 1]")
 

@@ -1,27 +1,28 @@
-"""Discretized WMMSE sum-rate baseline and the channel-subspace lift.
+"""Discretized WMMSE sum-rate baseline, run on the coupling Gram.
 
 The aperture is discretized to M patches, which reduces the functional
 problem to conventional multi-user MISO precoding.  The precoders are
 optimized with the classic three-block weighted-MMSE alternation (receive
 scalars, MSE weights, regularized least-squares precoders under a sum-power
 multiplier; Shi, Razaviyayn, Luo & He, IEEE TSP 2011).  Every iterate lies in
-the span of the K sampled channels, so the alternation runs in K x K Gram
-coordinates and its per-iteration cost does not grow with M; the multiplier
-solves the trust-region secular equation by Newton's method.  The optimized
-discrete precoder is then lifted back onto the span of the channel functions
-by least squares and evaluated with the exact quadrature path.
+the span of the K sampled channels, so the alternation sees the grid only
+through its K x K coupling Gram C: it runs in Gram coordinates B, its cost
+does not grow with M, and the multiplier solves the trust-region secular
+equation by Newton's method.  The current weights are then A = sqrt(|A_u|) B
+in closed form, and they are evaluated with the exact quadrature path.  Any
+Gram can be handed in, so a finer grid only changes C.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .objective import SeReport, project_weights, sinr_vector, sum_se
 from .quadrature import (
-    ChannelMatrix,
+    _require_hermitian,
     build_grid,
     channel_matrix,
     gram_pair,
@@ -32,7 +33,10 @@ from .scene import Scene
 
 
 class LiftConditionError(RuntimeError):
-    """Raised when the channel Gram is too ill-conditioned to lift against."""
+    """Not raised: the lift is the closed form :func:`lift_precoder`, no solve.
+
+    Kept only for callers that still catch it.
+    """
 
 
 class BisectionError(RuntimeError):
@@ -50,24 +54,9 @@ class WmmseOptions:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
-
-
-@dataclass(frozen=True)
-class DiscretePrecoder:
-    """Discrete precoder V with V[m, k] the current of user k at node m.
-
-    Discrete couplings carry a factor delta (midpoint rule), and the discrete
-    power is delta * ||V||_F^2.
-    """
-
-    values: np.ndarray
-    cell_area: float
-
-    @property
-    def total_power(self) -> float:
-        return float(self.cell_area * np.sum(np.abs(self.values) ** 2))
+        if not 0.0 < self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be positive and finite, "
+                             f"got {self.tolerance!r}")
 
 
 @dataclass(frozen=True)
@@ -79,9 +68,9 @@ class WmmseInfo:
 
 @dataclass(frozen=True)
 class LiftResult:
+    """The current weights A of a WMMSE solution (A[j, k] weights H_j for user k)."""
+
     weights: np.ndarray
-    residual_norm: float
-    gram_condition: float
 
 
 @dataclass(frozen=True)
@@ -131,42 +120,45 @@ def _power_multiplier(c: np.ndarray, lam: np.ndarray, power: float) -> float:
                          f"multiplier in {_NEWTON_STEPS} steps (mu={mu:g})")
 
 
-def wmmse_precoding(h: np.ndarray, cell_area: float, user_apertures: np.ndarray,
+def wmmse_precoding(coupling: np.ndarray, user_apertures: np.ndarray,
                     noise_vars: np.ndarray, power_budget: float,
                     options: WmmseOptions | None = None
-                    ) -> tuple[DiscretePrecoder, WmmseInfo]:
-    """Sum-rate WMMSE precoding for the discretized aperture.
+                    ) -> tuple[np.ndarray, WmmseInfo]:
+    """Sum-rate WMMSE precoding on the K x K coupling Gram C.
 
-    The user-aperture weight and the patch area are absorbed into effective
-    channels e_k = sqrt(|A_u|) * delta * h_k, so the algorithm maximizes the
-    discrete sum SE directly.  Deterministic matched-filter initialization;
-    stops when the sum-SE change falls below the relative tolerance.
+    Returns the Gram coordinates B, whose current weights are
+    A = sqrt(|A_u|) B (:func:`lift_precoder`), and the iteration record.  The
+    user-aperture weight is absorbed into E = |A_u| C, so the couplings are
+    T = E B = sqrt(|A_u|) C A, user j's power is b_j^H E b_j, and the
+    algorithm maximizes the sum SE directly.  Deterministic matched-filter
+    initialization; stops when the sum-SE change falls below the relative
+    tolerance.
 
-    Every iterate lies in the span of the channels, V = eff^T B, so the
-    iteration runs in K x K Gram coordinates on E = conj(eff) eff^T
-    (= |A_u| delta C): the couplings are E B, the regularized least-squares
-    step eigendecomposes D E D with D = diag(sqrt(alpha)), and the sum-power
-    multiplier comes from :func:`_power_multiplier` (Newton's method, stopped
-    once a step is at most 1e-13 mu).  Only forming E and the final
-    V = eff^T B with its rescale to the exact budget touch the M nodes.
-    Raises ``ValueError`` for a ``power_budget`` that is not positive and
-    finite.
+    The regularized least-squares step eigendecomposes D E D with
+    D = diag(sqrt(alpha)), and the sum-power multiplier comes from
+    :func:`_power_multiplier` (Newton's method, stopped once a step is at
+    most 1e-13 mu).  The final rescale to the exact budget uses
+    sum_j b_j^H E b_j = Re sum conj(B) * T.  Raises ``ValueError`` for a
+    ``power_budget`` that is not positive and finite or a ``coupling`` that is
+    not K x K, and ``AssertionError`` for one that is not Hermitian or not
+    finite (the rule of :func:`~lcapa.quadrature.integral_power`).
     """
     if not 0.0 < power_budget < np.inf:
         raise ValueError(f"power_budget must be positive and finite, "
                          f"got {power_budget!r}")
     options = options or WmmseOptions()
-    h = np.asarray(h, dtype=complex)
-    num_users = h.shape[0]
-    ap_u = _shared_aperture(user_apertures)
+    num_users = len(user_apertures)
+    c = np.asarray(coupling, dtype=complex)
+    if c.shape != (num_users, num_users):
+        raise ValueError(f"coupling must be {num_users} x {num_users} for "
+                         f"{num_users} users, got shape {c.shape}")
+    _require_hermitian(c)
+    e = _shared_aperture(user_apertures) * c  # E = |A_u| C
     noise = np.asarray(noise_vars, dtype=float)
-    power = power_budget / cell_area          # budget for sum_k ||v_k||^2
 
-    eff = np.sqrt(ap_u) * cell_area * h       # rows e_k^T
-    eff_norms = np.linalg.norm(eff, axis=1)
-    if np.any(eff_norms == 0.0):
+    e_norms = np.sqrt(e.diagonal().real)
+    if np.any(e_norms == 0.0):
         raise ValueError("a user has an identically zero channel")
-    e = np.conj(eff) @ eff.T                  # [k, j] = e_k^H e_j
 
     def row_power(t: np.ndarray) -> np.ndarray:
         return (np.abs(t) ** 2).sum(axis=1)   # sum_j |t_kj|^2
@@ -176,10 +168,10 @@ def wmmse_precoding(h: np.ndarray, cell_area: float, user_apertures: np.ndarray,
         interference = rows - sig
         return float(np.sum(np.log1p(sig / (interference + noise)) / np.log(2.0)))
 
-    # matched-filter start with equal power split; the coupling is e_k^H v_j,
-    # so the matched direction is v ~ e_k itself
-    b = np.diag(np.sqrt(power / num_users) / eff_norms)
-    t = e @ b                                 # couplings [k, j] = e_k^H v_j
+    # matched-filter start with equal power split: user k's current is its
+    # own channel (b_k on the k-th unit vector), with b_k^H E b_k = P / K
+    b = np.diag(np.sqrt(power_budget / num_users) / e_norms)
+    t = e @ b                                 # couplings [k, j]
     rows = row_power(t)                       # shared by sum_rate and totals
     trace = [sum_rate(t, rows)]
     converged = False
@@ -195,13 +187,13 @@ def wmmse_precoding(h: np.ndarray, cell_area: float, user_apertures: np.ndarray,
         lam, q = np.linalg.eigh(d[:, None] * e * d[None, :])
         keep = lam > max(1e-14 * lam.max(), 0.0)
         lam_kept = lam[keep]
-        # eff^T q_tilde is an orthonormal basis of the weighted channel span
+        # q_tilde holds an E-orthonormal basis of the weighted channel span
         q_tilde = d[:, None] * (q[:, keep] / np.sqrt(lam_kept)[None, :])
 
-        coeff = q_tilde.conj().T @ e                       # (r, K): basis^H e_j
+        coeff = q_tilde.conj().T @ e                       # (r, K): q_tilde^H E
         wu = w * u
         mu = _power_multiplier(np.abs(coeff) ** 2 @ np.abs(wu) ** 2,
-                               lam_kept, power)
+                               lam_kept, power_budget)
 
         b = q_tilde @ (coeff / (lam_kept[:, None] + mu)) * wu[None, :]
         t = e @ b
@@ -213,56 +205,45 @@ def wmmse_precoding(h: np.ndarray, cell_area: float, user_apertures: np.ndarray,
 
     # final scaling to the exact power budget (scaling every precoder up
     # raises every SINR, so this never decreases the objective)
-    v = eff.T @ b
-    current = float(np.sum(np.abs(v) ** 2))
+    current = float(np.sum(np.conj(b) * t).real)
     if current > 0.0:
-        scale = np.sqrt(power / current)
-        v = v * scale
+        scale = np.sqrt(power_budget / current)
+        b = b * scale
         t = t * scale
     trace.append(sum_rate(t, row_power(t)))
 
-    precoder = DiscretePrecoder(values=v, cell_area=cell_area)
     info = WmmseInfo(iterations=iterations, converged=converged,
                      objective_trace=np.asarray(trace))
-    return precoder, info
+    return b, info
 
 
-def lift_precoder(precoder: DiscretePrecoder, channels: ChannelMatrix,
-                  cell_area: float) -> LiftResult:
-    """Least-squares weights expressing the precoder in the channel span.
+def lift_precoder(coordinates: np.ndarray, user_apertures: np.ndarray) -> LiftResult:
+    """Current weights of WMMSE's Gram coordinates B: A = sqrt(|A_u|) B.
 
-    Solves min_A sum_m ||V[m, :] - sum_j a_j. H_j(r_m)||^2 through the normal
-    equations with the conjugated Gram; reports the residual norm and the
-    Gram condition number.
+    WMMSE's couplings are T = |A_u| C B, and the couplings of weights A are
+    G = C A, so A = sqrt(|A_u|) B carries T = sqrt(|A_u|) G exactly; no solve
+    and no channel samples are needed, whatever the Gram's condition.
     """
-    h = channels.h
-    grams = gram_pair(h, cell_area)
-    cond = float(np.linalg.cond(grams.coupling))
-    if cond > 1e12:
-        raise LiftConditionError(
-            f"channel Gram condition number {cond:.3g} exceeds 1e12")
-    rhs = cell_area * (np.conj(h) @ precoder.values)
-    weights = np.linalg.solve(grams.coupling, rhs)
-    residual = float(np.linalg.norm(h.T @ weights - precoder.values))
-    return LiftResult(weights=weights, residual_norm=residual,
-                      gram_condition=cond)
+    return LiftResult(weights=np.sqrt(_shared_aperture(user_apertures))
+                      * np.asarray(coordinates))
 
 
 def baseline_se(scene: Scene, num_nodes: int, num_nodes_eval: int,
                 options: WmmseOptions | None = None) -> BaselineResult:
     """Full baseline pipeline with end-to-end timing.
 
-    grid(M) -> WMMSE -> lift -> exact power projection on grid(M_eval) ->
-    SINR/sum-SE on grid(M_eval).  The wall clock includes the integral setup
-    (channel sampling and Gram construction) on both grids.
+    Gram C on grid(M) -> WMMSE on C -> weights A = sqrt(|A_u|) B -> exact
+    power projection on grid(M_eval) -> SINR/sum-SE on grid(M_eval).  The
+    wall clock includes the integral setup (channel sampling and Gram
+    construction) on both grids.
     """
     start = time.perf_counter()
     grid = build_grid(scene.aperture, num_nodes)
-    chan = channel_matrix(scene, grid)
-    precoder, info = wmmse_precoding(chan.h, grid.cell_area,
-                                     scene.user_apertures(), scene.noise_vars(),
-                                     scene.power_budget, options)
-    lift = lift_precoder(precoder, chan, grid.cell_area)
+    coupling = gram_pair(channel_matrix(scene, grid).h, grid.cell_area).coupling
+    coordinates, info = wmmse_precoding(coupling, scene.user_apertures(),
+                                        scene.noise_vars(), scene.power_budget,
+                                        options)
+    lift = lift_precoder(coordinates, scene.user_apertures())
 
     grid_eval = build_grid(scene.aperture, num_nodes_eval)
     grams_eval = gram_pair(channel_matrix(scene, grid_eval).h, grid_eval.cell_area)

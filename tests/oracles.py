@@ -6,6 +6,9 @@ Gram-domain code in ``lcapa``, so the tests can check that code against it:
   the grid, against the Gram route;
 * :func:`reconstruct_current` -- the continuous current distributions
   V_k(r) = sum_j a_jk H_j(r) of a weight matrix;
+* :func:`least_squares_lift` -- the weights of a grid-sampled precoder by
+  least squares against the sampled channels, the reference for the
+  closed-form WMMSE lift;
 * :func:`subspace_improvement_check` -- the SE of a solution with an
   out-of-subspace component against its rescaled in-subspace part, which
   must score higher.
@@ -32,6 +35,21 @@ def direct_integral_check(scene: Scene, grid: ApertureGrid,
     powers = np.sum(np.abs(v) ** 2, axis=0) * delta
     couplings = (np.conj(h) @ v) * delta
     return powers, couplings
+
+
+def least_squares_lift(values: np.ndarray, h: np.ndarray,
+                       cell_area: float) -> tuple[np.ndarray, float, float]:
+    """Least-squares weights expressing a node-domain precoder in the channel span.
+
+    Solves min_A sum_m ||V[m, :] - sum_j a_j. H_j(r_m)||^2 through the normal
+    equations with the coupling Gram, C A = delta conj(h) V.  Returns the
+    weights, the residual norm ||h^T A - V|| and the Gram condition number;
+    the weights are meaningful only where that condition number is moderate.
+    """
+    coupling = gram_pair(h, cell_area).coupling
+    weights = np.linalg.solve(coupling, cell_area * (np.conj(h) @ values))
+    residual = float(np.linalg.norm(h.T @ weights - values))
+    return weights, residual, float(np.linalg.cond(coupling))
 
 
 def reconstruct_current(weights: np.ndarray, scene: Scene):

@@ -52,11 +52,10 @@ class TestSinrVector:
                                                  seed1_grams):
         from lcapa.wmmse import WmmseOptions, lift_precoder, wmmse_precoding
 
-        chan = channel_matrix(seed1_scene, seed1_grid256)
-        precoder, _ = wmmse_precoding(
-            chan.h, seed1_grid256.cell_area, seed1_scene.user_apertures(),
+        coordinates, _ = wmmse_precoding(
+            seed1_grams.coupling, seed1_scene.user_apertures(),
             seed1_scene.noise_vars(), seed1_scene.power_budget, WmmseOptions())
-        lift = lift_precoder(precoder, chan, seed1_grid256.cell_area)
+        lift = lift_precoder(coordinates, seed1_scene.user_apertures())
         a_bar = project_weights(
             lift.weights, integral_power(lift.weights, seed1_grams.coupling),
             seed1_scene.power_budget)

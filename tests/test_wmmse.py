@@ -4,13 +4,11 @@ import pytest
 from conftest import all_permutations, random_weights
 from lcapa.objective import sinr_vector, sum_se
 from lcapa.quadrature import (build_grid, channel_matrix, gram_pair,
-                              integral_couplings)
+                              integral_couplings, integral_power)
 from lcapa.scene import sample_scene
 from lcapa.wmmse import (
     BaselineResult,
     BisectionError,
-    DiscretePrecoder,
-    LiftConditionError,
     WmmseInfo,
     WmmseOptions,
     _power_multiplier,
@@ -19,15 +17,19 @@ from lcapa.wmmse import (
     lift_precoder,
     wmmse_precoding,
 )
+from oracles import least_squares_lift
 
 
 def run_wmmse(scene, num_nodes, options=None):
+    """WMMSE on the scene's M-node Gram; returns (grid, h, C, weights A, info)."""
     grid = build_grid(scene.aperture, num_nodes)
     h = channel_matrix(scene, grid).h
-    precoder, info = wmmse_precoding(h, grid.cell_area, scene.user_apertures(),
-                                     scene.noise_vars(), scene.power_budget,
-                                     options or WmmseOptions())
-    return grid, h, precoder, info
+    coupling = gram_pair(h, grid.cell_area).coupling
+    coordinates, info = wmmse_precoding(coupling, scene.user_apertures(),
+                                        scene.noise_vars(), scene.power_budget,
+                                        options or WmmseOptions())
+    weights = lift_precoder(coordinates, scene.user_apertures()).weights
+    return grid, h, coupling, weights, info
 
 
 class TestWmmseOptions:
@@ -40,20 +42,26 @@ class TestWmmseOptions:
         with pytest.raises(TypeError):
             WmmseOptions(init_rule="matched")
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1e-6])
+    def test_tolerance_must_be_positive_and_finite(self, tolerance):
+        # a NaN tolerance would never compare as converged
+        with pytest.raises(ValueError, match="tolerance"):
+            WmmseOptions(tolerance=tolerance)
+
 
 class TestSingleUser:
     def test_converges_to_matched_filter(self):
         scene = sample_scene(seed=2, num_users=1)
-        grid, h, precoder, info = run_wmmse(scene, 64)
-        v = precoder.values[:, 0]
+        grid, h, _, a, info = run_wmmse(scene, 64)
+        v = (h.T @ a)[:, 0]
         # optimal single-user precoder is proportional to the channel samples
         alignment = abs(np.vdot(h[0], v)) / (np.linalg.norm(h[0]) * np.linalg.norm(v))
         assert alignment == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_closed_form_se(self):
         scene = sample_scene(seed=2, num_users=1)
-        grid, h, precoder, info = run_wmmse(scene, 64)
-        gamma = sinr_vector(grid.cell_area * (np.conj(h) @ precoder.values),
+        grid, h, coupling, a, info = run_wmmse(scene, 64)
+        gamma = sinr_vector(integral_couplings(a, coupling),
                             scene.user_apertures(), scene.noise_vars())
         expected = (scene.user_aperture * grid.cell_area
                     * np.sum(np.abs(h[0]) ** 2) * scene.power_budget
@@ -67,8 +75,8 @@ class TestSingleUser:
         # first user of the seed-1 scene alone
         scene = sample_scene(seed=1, num_users=4)
         solo = scene.with_positions(scene.positions[:1])
-        grid, h, precoder, info = run_wmmse(solo, 256)
-        gamma = sinr_vector(grid.cell_area * (np.conj(h) @ precoder.values),
+        grid, h, coupling, a, info = run_wmmse(solo, 256)
+        gamma = sinr_vector(integral_couplings(a, coupling),
                             solo.user_apertures(), solo.noise_vars())
         expected = (solo.user_aperture * grid.cell_area * np.sum(np.abs(h[0]) ** 2)
                     / solo.noise_var)
@@ -79,46 +87,56 @@ class TestIterationProperties:
     def test_trace_nondecreasing_on_random_scenes(self):
         for seed in range(40):
             scene = sample_scene(seed=2000 + seed, num_users=4)
-            _, _, _, info = run_wmmse(scene, 64)
+            *_, info = run_wmmse(scene, 64)
             diffs = np.diff(info.objective_trace)
             assert diffs.min() >= -1e-8
 
     def test_power_equality(self):
         for seed in (1, 5, 9):
             scene = sample_scene(seed=seed, num_users=4)
-            _, _, precoder, _ = run_wmmse(scene, 64)
-            assert abs(precoder.total_power - scene.power_budget) \
-                <= 1e-6 * scene.power_budget
+            _, _, coupling, a, _ = run_wmmse(scene, 64)
+            total = integral_power(a, coupling).sum()
+            assert abs(total - scene.power_budget) <= 1e-6 * scene.power_budget
 
-    def test_shared_aperture_required(self):
-        scene = sample_scene(seed=1, num_users=2)
-        grid = build_grid(scene.aperture, 16)
-        h = channel_matrix(scene, grid).h
+    def test_shared_aperture_required(self, seed1_scene, seed1_grams):
         with pytest.raises(ValueError):
-            wmmse_precoding(h, grid.cell_area, np.array([1e-5, 2e-5]),
-                            scene.noise_vars(), 1.0)
+            wmmse_precoding(seed1_grams.coupling, np.array([1e-5, 2e-5, 1e-5, 1e-5]),
+                            seed1_scene.noise_vars(), 1.0)
 
     @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan"), float("inf")])
-    def test_power_budget_validated(self, budget):
-        scene = sample_scene(seed=1, num_users=4)
-        grid = build_grid(scene.aperture, 64)
-        h = channel_matrix(scene, grid).h
+    def test_power_budget_validated(self, budget, seed1_scene, seed1_grams):
         with pytest.raises(ValueError, match="power_budget"):
-            wmmse_precoding(h, grid.cell_area, scene.user_apertures(),
-                            scene.noise_vars(), budget)
+            wmmse_precoding(seed1_grams.coupling, seed1_scene.user_apertures(),
+                            seed1_scene.noise_vars(), budget)
+
+    @pytest.mark.parametrize("cut", [lambda c: c[:3, :3], lambda c: c[:, :3],
+                                     np.diagonal], ids=["3x3", "4x3", "vector"])
+    def test_coupling_must_be_k_by_k(self, cut, seed1_scene, seed1_grams):
+        with pytest.raises(ValueError, match="coupling"):
+            wmmse_precoding(cut(seed1_grams.coupling), seed1_scene.user_apertures(),
+                            seed1_scene.noise_vars(), seed1_scene.power_budget)
+
+    @pytest.mark.parametrize("entry", ["off_hermitian", float("nan"), float("inf")])
+    def test_coupling_must_be_hermitian_and_finite(self, entry, seed1_scene,
+                                                   seed1_grams):
+        # eigh would silently read one triangle of a non-Hermitian Gram
+        bad = seed1_grams.coupling.copy()
+        if entry == "off_hermitian":
+            bad[0, 1] += 1e-6 * np.abs(bad).max()
+        else:
+            bad[2, 2] = entry
+        with pytest.raises(AssertionError, match="Hermitian"):
+            wmmse_precoding(bad, seed1_scene.user_apertures(),
+                            seed1_scene.noise_vars(), seed1_scene.power_budget)
 
     def test_permutation_covariance_with_fixed_init(self):
         scene = sample_scene(seed=4, num_users=4)
-        grid, chan_h, precoder, _ = run_wmmse(scene, 64)
-        chan = channel_matrix(scene, grid)
-        lift = lift_precoder(precoder, chan, grid.cell_area)
+        *_, a, _ = run_wmmse(scene, 64)
         for pi in all_permutations(4)[:6]:
             permuted = scene.with_positions(pi.T @ scene.positions)
-            _, _, precoder_p, _ = run_wmmse(permuted, 64)
-            chan_p = channel_matrix(permuted, grid)
-            lift_p = lift_precoder(precoder_p, chan_p, grid.cell_area)
-            assert np.allclose(lift_p.weights, pi.T @ lift.weights @ pi,
-                               rtol=1e-6, atol=1e-6 * np.abs(lift.weights).max())
+            *_, a_p, _ = run_wmmse(permuted, 64)
+            assert np.allclose(a_p, pi.T @ a @ pi,
+                               rtol=1e-6, atol=1e-6 * np.abs(a).max())
 
 
 class TestDiscreteSinr:
@@ -155,52 +173,48 @@ class TestLift:
                                            seed1_channels):
         rng = np.random.default_rng(1)
         a0 = random_weights(rng, 4, scale=1e-4)
-        v = DiscretePrecoder(values=seed1_channels.h.T @ a0,
-                             cell_area=seed1_grid256.cell_area)
-        lift = lift_precoder(v, seed1_channels, seed1_grid256.cell_area)
-        assert np.allclose(lift.weights, a0, atol=1e-8 * np.abs(a0).max())
-        assert lift.residual_norm <= 1e-8 * np.linalg.norm(v.values)
+        ap = seed1_scene.user_apertures()
+        lift = lift_precoder(a0 / np.sqrt(ap[0]), ap)
+        assert np.allclose(lift.weights, a0, rtol=1e-15, atol=0.0)
+        # the least-squares reference recovers the same weights from V = h^T A
+        v = seed1_channels.h.T @ a0
+        weights, residual, _ = least_squares_lift(v, seed1_channels.h,
+                                                  seed1_grid256.cell_area)
+        assert np.allclose(weights, a0, atol=1e-8 * np.abs(a0).max())
+        assert residual <= 1e-8 * np.linalg.norm(v)
 
-    def test_zero_precoder(self, seed1_channels, seed1_grid256):
-        v = DiscretePrecoder(values=np.zeros((256, 4), dtype=complex),
-                             cell_area=seed1_grid256.cell_area)
-        lift = lift_precoder(v, seed1_channels, seed1_grid256.cell_area)
+    def test_zero_precoder(self, seed1_scene, seed1_channels, seed1_grid256):
+        lift = lift_precoder(np.zeros((4, 4), dtype=complex),
+                             seed1_scene.user_apertures())
         assert np.array_equal(lift.weights, np.zeros((4, 4)))
-        assert lift.residual_norm == 0.0
+        weights, residual, _ = least_squares_lift(
+            np.zeros((256, 4), dtype=complex), seed1_channels.h,
+            seed1_grid256.cell_area)
+        assert np.array_equal(weights, np.zeros((4, 4)))
+        assert residual == 0.0
 
     def test_wmmse_solution_is_channel_shaped(self, seed1_scene):
-        grid, h, precoder, _ = run_wmmse(seed1_scene, 256)
-        chan = channel_matrix(seed1_scene, grid)
-        lift = lift_precoder(precoder, chan, grid.cell_area)
-        assert lift.residual_norm <= 1e-9 * np.linalg.norm(precoder.values)
+        # the node-domain iteration never leaves the channel span, which is
+        # why the weights have a closed form
+        grid = build_grid(seed1_scene.aperture, 256)
+        h = channel_matrix(seed1_scene, grid).h
+        v_ref, _ = _reference_wmmse(h, grid.cell_area, seed1_scene.user_apertures(),
+                                    seed1_scene.noise_vars(),
+                                    seed1_scene.power_budget)
+        _, residual, _ = least_squares_lift(v_ref, h, grid.cell_area)
+        assert residual <= 1e-9 * np.linalg.norm(v_ref)
 
     def test_lifted_se_matches_pointwise_se(self, seed1_scene):
-        # same-grid evaluation: lifting a channel-shaped precoder loses nothing
-        grid, h, precoder, _ = run_wmmse(seed1_scene, 256)
-        chan = channel_matrix(seed1_scene, grid)
-        lift = lift_precoder(precoder, chan, grid.cell_area)
-        gamma_direct = sinr_vector(grid.cell_area * (np.conj(h) @ precoder.values),
-                                   seed1_scene.user_apertures(),
-                                   seed1_scene.noise_vars())
-        grams = gram_pair(h, grid.cell_area)
-        gamma_lifted = sinr_vector(
-            integral_couplings(lift.weights, grams.coupling),
-            seed1_scene.user_apertures(), seed1_scene.noise_vars())
-        se_direct = sum_se(gamma_direct).sum_se
-        se_lifted = sum_se(gamma_lifted).sum_se
-        assert se_lifted >= se_direct - 1e-6
-
-    def test_ill_conditioned_gram_rejected(self):
-        scene = sample_scene(seed=1, num_users=2)
-        positions = scene.positions.copy()
-        positions[1] = positions[0] + 1e-10
-        near_dup = scene.with_positions(positions)
-        grid = build_grid(scene.aperture, 64)
-        chan = channel_matrix(near_dup, grid)
-        v = DiscretePrecoder(values=np.zeros((64, 2), dtype=complex),
-                             cell_area=grid.cell_area)
-        with pytest.raises(LiftConditionError):
-            lift_precoder(v, chan, grid.cell_area)
+        # the weights' pointwise couplings delta conj(h) (h^T A) give the SE
+        # of the Gram route and of WMMSE's own objective
+        grid, h, coupling, a, info = run_wmmse(seed1_scene, 256)
+        ap, nv = seed1_scene.user_apertures(), seed1_scene.noise_vars()
+        se_direct = sum_se(sinr_vector(grid.cell_area * (np.conj(h) @ (h.T @ a)),
+                                       ap, nv)).sum_se
+        se_lifted = sum_se(sinr_vector(integral_couplings(a, coupling),
+                                       ap, nv)).sum_se
+        assert se_lifted == pytest.approx(se_direct, abs=1e-9)
+        assert se_lifted == pytest.approx(info.objective_trace[-1], abs=1e-9)
 
 
 class TestBaseline:
@@ -222,6 +236,20 @@ class TestBaseline:
             gains.append(hi.se_report.sum_se - lo.se_report.sum_se)
         assert np.mean(gains) > 0.0
 
+    @pytest.mark.parametrize("num_users,offset", [(2, 1e-10), (2, 0.0), (4, 0.0)])
+    def test_co_located_users_give_finite_se(self, num_users, offset):
+        # user 1 sits on (or 1e-10 m from) user 0, so the Gram is singular to
+        # working precision (cond(C) > 1e15); the closed-form lift needs no
+        # solve against it
+        scene = sample_scene(seed=1, num_users=num_users)
+        positions = scene.positions.copy()
+        positions[1] = positions[0] + offset
+        res = baseline_se(scene.with_positions(positions), num_nodes=64,
+                          num_nodes_eval=256)
+        assert np.all(np.isfinite(res.lift.weights))
+        assert np.all(np.isfinite(res.se_report.rates))
+        assert res.se_report.sum_se > 0.0
+
 
 def _reference_wmmse(h, cell_area, user_apertures, noise_vars, power_budget,
                      options=None):
@@ -229,7 +257,9 @@ def _reference_wmmse(h, cell_area, user_apertures, noise_vars, power_budget,
 
     The node-domain form of :func:`wmmse_precoding`: every product runs over
     the M nodes and the sum-power multiplier is bisected to 1e-10 of its
-    bracket.  Kept as the oracle for the Gram-coordinate iteration.
+    bracket.  Returns the (M, K) precoder V, whose node-domain power is
+    delta ||V||_F^2, and the iteration record.  Kept as the oracle for the
+    Gram-coordinate iteration, which it meets through V = h^T A.
     """
     options = options or WmmseOptions()
     h = np.asarray(h, dtype=complex)
@@ -310,9 +340,8 @@ def _reference_wmmse(h, cell_area, user_apertures, noise_vars, power_budget,
     if current > 0.0:
         v = v * np.sqrt(power / current)
     trace.append(sum_rate(v))
-    return (DiscretePrecoder(values=v, cell_area=cell_area),
-            WmmseInfo(iterations=iterations, converged=converged,
-                      objective_trace=np.asarray(trace)))
+    return v, WmmseInfo(iterations=iterations, converged=converged,
+                        objective_trace=np.asarray(trace))
 
 
 AGREEMENT_CASES = ([(seed, k, m) for seed in range(9000, 9004)
@@ -321,22 +350,38 @@ AGREEMENT_CASES = ([(seed, k, m) for seed in range(9000, 9004)
 
 
 class TestGramDomainAgreement:
-    @pytest.mark.parametrize("seed,num_users,num_nodes", AGREEMENT_CASES)
-    def test_matches_node_domain_reference(self, seed, num_users, num_nodes):
+    @staticmethod
+    def _both(seed, num_users, num_nodes):
         scene = sample_scene(seed=seed, num_users=num_users)
         grid = build_grid(scene.aperture, num_nodes)
         h = channel_matrix(scene, grid).h
-        args = (h, grid.cell_area, scene.user_apertures(), scene.noise_vars(),
-                scene.power_budget)
-        precoder, info = wmmse_precoding(*args)
-        ref_precoder, ref_info = _reference_wmmse(*args)
+        coupling = gram_pair(h, grid.cell_area).coupling
+        budget = (scene.user_apertures(), scene.noise_vars(), scene.power_budget)
+        coordinates, info = wmmse_precoding(coupling, *budget)
+        weights = lift_precoder(coordinates, scene.user_apertures()).weights
+        ref_v, ref_info = _reference_wmmse(h, grid.cell_area, *budget)
+        return grid, h, weights, info, ref_v, ref_info
+
+    @pytest.mark.parametrize("seed,num_users,num_nodes", AGREEMENT_CASES)
+    def test_matches_node_domain_reference(self, seed, num_users, num_nodes):
+        _, h, weights, info, ref_v, ref_info = self._both(seed, num_users, num_nodes)
         assert (info.iterations, info.converged) \
             == (ref_info.iterations, ref_info.converged)
         assert np.allclose(info.objective_trace, ref_info.objective_trace,
                            rtol=1e-9, atol=0.0)
-        ref_v = ref_precoder.values
-        assert np.max(np.abs(precoder.values - ref_v)) \
-            <= 1e-8 * np.max(np.abs(ref_v))
+        assert np.max(np.abs(h.T @ weights - ref_v)) <= 1e-8 * np.max(np.abs(ref_v))
+
+    # the least-squares lift is defined only for a well-conditioned Gram,
+    # which rules out M < K
+    @pytest.mark.parametrize("seed,num_users,num_nodes",
+                             [c for c in AGREEMENT_CASES if c[2] >= c[1]])
+    def test_closed_form_matches_least_squares_lift(self, seed, num_users,
+                                                    num_nodes):
+        grid, h, weights, _, ref_v, _ = self._both(seed, num_users, num_nodes)
+        ls_weights, _, cond = least_squares_lift(ref_v, h, grid.cell_area)
+        assert cond < 1e12
+        assert np.max(np.abs(weights - ls_weights)) \
+            <= 1e-8 * np.max(np.abs(ls_weights))
 
 
 def _secular_power(c, lam, mu):
