@@ -79,6 +79,15 @@ class ExperimentConfig:
         if self.policy_mode not in POLICY_MODES:
             raise ValueError(f"unknown policy mode {self.policy_mode!r}; "
                              f"choose one of {', '.join(POLICY_MODES)}")
+        for name in ("batch_size", "surrogate_epochs", "policy_epochs"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
+        for name in ("policy_lr", "supervised_lr"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {value!r}")
         swept = {"sweep-ntr": self.ntr_list, "sweep-snr": self.zeta_list,
                  "sweep-aperture": self.aperture_list, "sweep-m": self.m_list}
         lst = swept.get(self.kind)

@@ -8,6 +8,17 @@ check this route against a pointwise oracle that rebuilds the current
 distribution sample by sample on the grid.)  All reductions use numpy's
 deterministic pairwise summation over fixed index order.
 
+Stacks: :func:`gram_pair`, :func:`integral_power` and
+:func:`integral_couplings` broadcast over leading axes, (..., K, M)
+channels to (..., K, K) Grams and (..., K, K) weights to (..., K) powers
+and (..., K, K) couplings, with the Hermitian check made Gram by Gram.
+They apply the same operations in the same order to every slice, so each
+result is bit-identical to the call on its own slice.
+:func:`coupling_grams` builds a pool's Grams from its stacked positions
+with the broadcast channel kernel :func:`~lcapa.scene.los_channels`, a
+bounded chunk of scenes at a time; :func:`channel_matrix` still samples
+one user at a time.
+
 Reproducibility promise:
 
 * On one numpy build and CPU, repeated runs are bit-reproducible: the same
@@ -29,7 +40,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .scene import ApertureSpec, Scene, channel_response
+from .scene import (
+    ApertureSpec,
+    PhysicalConstants,
+    Scene,
+    channel_response,
+    los_channels,
+)
+
+# Complex channel entries :func:`coupling_grams` samples at once (one scene
+# at least).  Larger chunks save little time and raise the peak heap: 2**15
+# added about 0.6 MiB to a K=4 training run's peak RSS, 2**13 nothing.
+GRAM_CHUNK_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -60,17 +82,34 @@ class ApertureGrid:
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """Channel responses sampled at the grid nodes: h[k, m] = H_k(r_m)."""
+    """Channel responses sampled at the grid nodes: h[k, m] = H_k(r_m).
+
+    The record holds a read-only complex array of its own.  It takes over
+    an array that is already read-only, C-contiguous and owns its data, as
+    :func:`channel_matrix` hands it one; it copies anything else, so an
+    array the caller may still write is never frozen.  Non-finite entries
+    raise ``ValueError``.
+    """
 
     h: np.ndarray
     grid: ApertureGrid
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.h)):
-            raise ValueError("channel matrix contains non-finite entries")
-        h = np.array(self.h)
-        h.setflags(write=False)
+        h = self.h
+        if not (isinstance(h, np.ndarray) and h.dtype == complex
+                and h.flags.owndata and h.flags.c_contiguous
+                and not h.flags.writeable):
+            h = np.array(h, dtype=complex)
+            h.setflags(write=False)
+        _require_finite(h)
         object.__setattr__(self, "h", h)
+
+
+def _require_finite(h: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every channel sample is finite."""
+    # on the float view, which is about twice as fast as on the complex array
+    if not np.isfinite(h.view(float)).all():
+        raise ValueError("channel matrix contains non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -146,6 +185,9 @@ def _midpoint_grid(center: tuple[float, float, float],
 def channel_matrix(scene: Scene, grid: ApertureGrid) -> ChannelMatrix:
     """Sample every user's channel response at the grid nodes.
 
+    One :func:`~lcapa.scene.channel_response` call per user, each row written
+    once into the array the returned record takes over.
+
     On one numpy build and CPU the result is bit-identical across repeated
     runs and processes.  Across builds or dispatch targets each entry agrees
     to within 8 eps |h|.  The real inputs (distances, the obliquity's
@@ -170,33 +212,69 @@ def channel_matrix(scene: Scene, grid: ApertureGrid) -> ChannelMatrix:
     up to the stated 8 eps.  ``tests/test_quadrature.py`` holds its golden
     fixture, and a run with every SIMD dispatch target disabled, to it.
     """
-    rows = []
+    h = np.empty((scene.num_users, grid.num_nodes), dtype=complex)
     for k in range(scene.num_users):
         try:
-            rows.append(channel_response(scene, k, grid.nodes))
+            h[k] = channel_response(scene, k, grid.nodes)
         except Exception as exc:
             raise type(exc)(f"channel sampling failed for user {k}: {exc}") from exc
-    return ChannelMatrix(h=np.stack(rows), grid=grid)
+    h.setflags(write=False)
+    return ChannelMatrix(h=h, grid=grid)
+
+
+def _gram(h: np.ndarray, cell_area: float) -> np.ndarray:
+    """delta * conj(h) @ h^T made exactly Hermitian, over leading axes."""
+    c = (np.conj(h) @ np.swapaxes(h, -1, -2)) * cell_area
+    return (c + np.swapaxes(c.conj(), -1, -2)) / 2
 
 
 def gram_pair(h: np.ndarray, cell_area: float) -> GramPair:
     """The coupling Gram of the sampled channels, as one matrix product.
 
-    C = delta * conj(h) @ h.T, then (C + C^H) / 2, which makes C exactly
+    C = delta * conj(h) @ h^T, then (C + C^H) / 2, which makes C exactly
     Hermitian with an exactly real diagonal.  Bit-identical across calls on
     one build; against a per-pair pairwise sum it differs only by the BLAS
-    summation order.
+    summation order.  A (..., K, M) stack of channels gives the (..., K, K)
+    stack of Grams, each bit-identical to the Gram of its own slice.
     """
-    h = np.asarray(h)
-    c = (np.conj(h) @ h.T) * cell_area
-    return GramPair(coupling=(c + c.conj().T) / 2, cell_area=cell_area)
+    return GramPair(coupling=_gram(np.asarray(h), cell_area),
+                    cell_area=cell_area)
+
+
+def coupling_grams(positions: np.ndarray, grid: ApertureGrid,
+                   constants: PhysicalConstants) -> np.ndarray:
+    """(N, K, K) coupling Grams of an (N, K, 3) stack of user positions.
+
+    The positions share ``grid``'s aperture and ``constants``.  Channels are
+    sampled with :func:`~lcapa.scene.los_channels` for as many scenes at a
+    time as fit in ``GRAM_CHUNK_ENTRIES`` complex entries (one scene at
+    least), so memory does not grow with N.  Each Gram is bit-identical to
+    ``gram_pair(channel_matrix(scene, grid).h, grid.cell_area).coupling`` of
+    its own scene, and non-finite channels raise ``ValueError`` as there.
+    """
+    pos = np.asarray(positions, dtype=float)
+    n, k, _ = pos.shape
+    step = max(1, GRAM_CHUNK_ENTRIES // (k * grid.num_nodes))
+    grams = np.empty((n, k, k), dtype=complex)
+    for lo in range(0, n, step):
+        h = los_channels(pos[lo:lo + step], grid.nodes, grid.aperture.normal,
+                         constants)
+        _require_finite(h)
+        grams[lo:lo + step] = _gram(h, grid.cell_area)
+    return grams
 
 
 def _require_hermitian(c: np.ndarray) -> None:
+    """Raise unless every K x K Gram of a (..., K, K) stack is Hermitian.
+
+    Each Gram gets its own tolerance, 1e-12 max(1, max |C|).
+    """
     # an inf entry makes atol inf and a NaN entry makes the maximum NaN;
     # either fails the check
-    atol = 1e-12 * max(1.0, float(np.abs(c).max()))
-    if not (np.isfinite(atol) and np.max(np.abs(c - c.conj().T)) <= atol):
+    c = np.asarray(c)
+    atol = 1e-12 * np.maximum(1.0, np.abs(c).max(axis=(-2, -1)))
+    if not (np.isfinite(atol).all() and np.all(
+            np.abs(c - np.swapaxes(c.conj(), -1, -2)).max(axis=(-2, -1)) <= atol)):
         raise AssertionError("coupling Gram is not Hermitian")
 
 
@@ -204,11 +282,13 @@ def integral_power(weights: np.ndarray, coupling: np.ndarray) -> np.ndarray:
     """Per-user powers p_k = a_k^H C a_k from the coupling Gram.
 
     The quadratic form is real up to rounding; the imaginary dust is checked
-    against 1e-9 of the real part and discarded.
+    against 1e-9 of the real part and discarded.  (..., K, K) stacks of
+    weights and Grams give (..., K) powers, each bit-identical to its own
+    slice's.
     """
     a = np.asarray(weights, dtype=complex)
     _require_hermitian(coupling)
-    quad = np.einsum("jk,ji,ik->k", np.conj(a), coupling, a)
+    quad = np.einsum("...jk,...ji,...ik->...k", np.conj(a), coupling, a)
     scale = np.maximum(np.abs(quad.real), 1e-30)
     if np.any(np.abs(quad.imag) > 1e-9 * scale):
         raise AssertionError("power quadratic form has non-negligible imaginary part")
@@ -216,7 +296,10 @@ def integral_power(weights: np.ndarray, coupling: np.ndarray) -> np.ndarray:
 
 
 def integral_couplings(weights: np.ndarray, coupling: np.ndarray) -> np.ndarray:
-    """Coupling matrix G = C A; G[k, j] pairs user k's channel with user j's current."""
+    """Coupling matrix G = C A; G[k, j] pairs user k's channel with user j's current.
+
+    Stacks of weights and Grams give the stack of couplings.
+    """
     return np.asarray(coupling) @ np.asarray(weights, dtype=complex)
 
 

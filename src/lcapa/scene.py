@@ -16,6 +16,13 @@ placing one user at a time.  A user that sees ``MAX_DRAWS_PER_USER`` (1000)
 consecutive rejected triples raises :class:`SceneGeometryError` naming that
 user.  Scene inputs that are not finite, or not positive where they must be,
 raise ``ValueError``.
+
+Channel contract: :func:`los_channels` holds the one body of the channel
+arithmetic and maps (..., 3) user positions to (..., P) channels at P
+points, broadcasting over any leading axes.  It applies the same operations
+in the same order whatever the leading axes are, so every user's channel is
+bit-identical to :func:`channel_response` for that user alone, which is a
+thin call into it.
 """
 
 from __future__ import annotations
@@ -367,6 +374,96 @@ def sample_scene(seed: int, num_users: int,
                  generator="sample_scene", seed=seed)
 
 
+def los_channels(positions: np.ndarray, points: np.ndarray,
+                 normal: tuple[float, float, float],
+                 constants: PhysicalConstants, *,
+                 user: int | None = None) -> np.ndarray:
+    """Line-of-sight channel responses of a stack of users at aperture points.
+
+    Parameters
+    ----------
+    positions : (..., 3) array
+        User positions; any leading axes, e.g. (K, 3) for one scene's users
+        or (N, K, 3) for a pool of scenes.
+    points : (P, 3) array
+        Evaluation points on (or near) the aperture plane.
+    normal : unit aperture normal
+    constants : PhysicalConstants
+        Supplies the wavenumber k0 and impedance eta.
+    user : int, optional
+        The index a single (3,) position goes by in error messages.
+
+    Returns
+    -------
+    (..., P) complex array: entry [..., p] is the channel of the user at
+    ``positions[...]`` sampled at ``points[p]``.
+
+    This is the one body of the channel arithmetic, which
+    :func:`channel_response` calls user by user.  Every operation is
+    element-wise and broadcast over the leading axes, with the same
+    operations in the same order whatever they are, so each user's row is
+    bit-identical to the row of that user alone.  See
+    :func:`channel_response` for the formula and its arithmetic contract.
+
+    A user that coincides with an evaluation point, or is not in front of
+    the aperture at one, raises :class:`SceneGeometryError` naming the first
+    such user in C order over the leading axes: ``user k`` for index k on
+    the last leading axis, followed by ``of scene (i, ...)`` for the axes
+    before it.  A user at fault both ways is named for coinciding, the check
+    that :func:`channel_response` makes first.
+    """
+    pos = np.asarray(positions, dtype=float)
+    pts = np.asarray(points, dtype=float)
+    dx = pos[..., 0, None] - pts[:, 0]
+    dy = pos[..., 1, None] - pts[:, 1]
+    dz = pos[..., 2, None] - pts[:, 2]
+    dist = np.sqrt((dx * dx + dy * dy) + dz * dz)
+    n0, n1, n2 = normal
+    near = dist <= 0.0
+    if near.any():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            behind = (dx * n0 + dy * n1 + dz * n2) / dist <= 0.0
+        raise _first_geometry_fault(near, behind, user)
+    cos_dep = (dx * n0 + dy * n1 + dz * n2) / dist
+    behind = cos_dep <= 0.0
+    if behind.any():
+        raise _first_geometry_fault(near, behind, user)
+    k0 = constants.wavenumber
+    eta = constants.impedance
+    kd = k0 * dist
+    correction = np.empty(kd.shape, dtype=complex)
+    np.subtract(1.0, 1.0 / (kd * kd), out=correction.real)
+    np.divide(1.0, kd, out=correction.imag)
+    h = 1j * k0 * eta * np.exp(-1j * kd)
+    re, im = h.real, h.imag     # views: scaling them scales h in place
+    scale = 1.0 / (4.0 * np.pi * dist)
+    re *= scale
+    im *= scale
+    scale = np.sqrt(cos_dep)
+    re *= scale
+    im *= scale
+    # out of place, as numpy's in-place complex product of a single element
+    # takes a loop that can round differently
+    return h * correction
+
+
+def _first_geometry_fault(near: np.ndarray, behind: np.ndarray,
+                          user: int | None) -> SceneGeometryError:
+    """The error naming the first user, in C order, with a geometry fault."""
+    fault = (near | behind).any(axis=-1)
+    index = np.unravel_index(int(np.argmax(fault)), fault.shape)
+    if not index:
+        name = f"user {user}"
+    else:
+        name = f"user {index[-1]}"
+        if len(index) > 1:
+            name += f" of scene {tuple(int(i) for i in index[:-1])}"
+    if near[index].any():
+        return SceneGeometryError(f"{name} coincides with an evaluation point")
+    return SceneGeometryError(
+        f"{name} is not in front of the aperture at some evaluation point")
+
+
 def channel_response(scene: Scene, k: int, points: np.ndarray) -> np.ndarray:
     """Line-of-sight channel response H_k at aperture points.
 
@@ -385,7 +482,11 @@ def channel_response(scene: Scene, k: int, points: np.ndarray) -> np.ndarray:
     The response combines the projected-aperture obliquity factor
     sqrt(e_r.(s_k - r)/||r - s_k||), the spherical-wave kernel
     j k0 eta exp(-j k0 d) / (4 pi d), and the near-field correction
-    (1 + j/(k0 d) - 1/(k0 d)^2).
+    (1 + j/(k0 d) - 1/(k0 d)^2).  It is computed by :func:`los_channels`
+    for the one position ``scene.positions[k]``; that kernel broadcasts the
+    same operations, in the same order, over any leading axes of positions,
+    so a stacked call gives every user bit-identically the row this
+    function gives it.
 
     Arithmetic contract: every real quantity stays real.  With
     (dx, dy, dz) = s_k - r, the distance is sqrt((dx dx + dy dy) + dz dz)
@@ -404,34 +505,6 @@ def channel_response(scene: Scene, k: int, points: np.ndarray) -> np.ndarray:
     """
     pts = np.asarray(points, dtype=float)
     squeeze = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    sx, sy, sz = scene.positions[k]
-    dx = sx - pts[:, 0]
-    dy = sy - pts[:, 1]
-    dz = sz - pts[:, 2]
-    dist = np.sqrt((dx * dx + dy * dy) + dz * dz)
-    if (dist <= 0.0).any():
-        raise SceneGeometryError(f"user {k} coincides with an evaluation point")
-    n0, n1, n2 = scene.aperture.normal
-    cos_dep = (dx * n0 + dy * n1 + dz * n2) / dist
-    if (cos_dep <= 0.0).any():
-        raise SceneGeometryError(
-            f"user {k} is not in front of the aperture at some evaluation point")
-    k0 = scene.constants.wavenumber
-    eta = scene.constants.impedance
-    kd = k0 * dist
-    correction = np.empty(kd.shape, dtype=complex)
-    np.subtract(1.0, 1.0 / (kd * kd), out=correction.real)
-    np.divide(1.0, kd, out=correction.imag)
-    h = 1j * k0 * eta * np.exp(-1j * kd)
-    re, im = h.real, h.imag     # views: scaling them scales h in place
-    scale = 1.0 / (4.0 * np.pi * dist)
-    re *= scale
-    im *= scale
-    scale = np.sqrt(cos_dep)
-    re *= scale
-    im *= scale
-    # out of place, as numpy's in-place complex product of a single element
-    # takes a loop that can round differently
-    h = h * correction
+    h = los_channels(scene.positions[k], np.atleast_2d(pts),
+                     scene.aperture.normal, scene.constants, user=k)
     return h[0] if squeeze else h

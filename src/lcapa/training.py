@@ -10,6 +10,12 @@ mini-batch Adam, a divergence check, the best held-out snapshot); the
 trainers differ only in the batch loss and the held-out score they hand it.
 Evaluation always goes through the exact quadrature path; the coupling
 surrogate is never used to score a policy.
+
+Scene pools and supervised datasets are stacked: only each sample's random
+draws run in a per-sample loop, and the channels, Grams, powers and targets
+of all samples come from stacked array calls (the channels and Grams a
+bounded chunk of scenes at a time), bit-identical to building each sample
+on its own.
 """
 
 from __future__ import annotations
@@ -30,11 +36,11 @@ from .heads import (
     value_backward,
     value_forward,
 )
-from .objective import project_weights
 from .optim import Adam
-from .quadrature import (
+# gram_pair is unused here but stays bound: profilers patch it by this name
+from .quadrature import (  # noqa: F401
     build_grid,
-    channel_matrix,
+    coupling_grams,
     gram_pair,
     integral_couplings,
     integral_power,
@@ -131,23 +137,27 @@ def _sample_rng(root_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([root_seed, index]))
 
 
-def _scenes_and_grams(seed: int, count: int, num_users: int, num_nodes: int,
-                      zeta: float, aperture_area: float, power_budget: float):
-    """Yield (rng, scene, C) for samples 0..count-1 of one seed.
+def _sampled_scenes(seed: int, count: int, num_users: int, aperture,
+                    zeta: float, power_budget: float):
+    """Yield (rng, scene) for samples 0..count-1 of one seed.
 
     Sample i draws its scene from the stream ``SeedSequence([seed, i])``; the
     stream is yielded past that draw so a caller may draw more per-sample data
-    from it.  C is the scene's coupling Gram on one shared M-node grid.
+    from it.
     """
-    aperture = square_aperture(aperture_area)
-    grid = build_grid(aperture, num_nodes)
     for i in range(count):
         rng = _sample_rng(seed, i)
-        scene = sample_scene(int(rng.integers(2 ** 31)), num_users,
-                             aperture=aperture, zeta=zeta,
-                             power_budget=power_budget)
-        yield rng, scene, gram_pair(channel_matrix(scene, grid).h,
-                                    grid.cell_area).coupling
+        yield rng, sample_scene(int(rng.integers(2 ** 31)), num_users,
+                                aperture=aperture, zeta=zeta,
+                                power_budget=power_budget)
+
+
+def _pool_grams(scenes: list[Scene], num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked (N, K, 3) positions and (N, K, K) coupling Grams of scenes that
+    share one aperture and one set of constants, on their M-node grid."""
+    positions = np.stack([s.positions for s in scenes])
+    grid = build_grid(scenes[0].aperture, num_nodes)
+    return positions, coupling_grams(positions, grid, scenes[0].constants)
 
 
 def gen_supervised_dataset(seed: int, count: int, num_users: int, num_nodes: int,
@@ -163,33 +173,45 @@ def gen_supervised_dataset(seed: int, count: int, num_users: int, num_nodes: int
     targets the coupling matrix; ``proj`` mode targets the per-user powers of
     the unprojected weights.  The scenes are those of
     ``ScenePool.generate`` with the same seed.
+
+    Sample i reads its stream in the order: scene seed, raw weights (real
+    parts, then imaginary parts), target total.  Grams, powers, the
+    projection and the targets are then stacked calls over all samples, each
+    bit-identical to the same steps taken sample by sample.
     """
     if mode not in ("proj", "value"):
         raise ValueError(f"unknown dataset mode {mode!r}")
-    scenes, weights, targets = [], [], []
-    for rng, scene, coupling in _scenes_and_grams(
-            seed, count, num_users, num_nodes, zeta, aperture_area, power_budget):
-        raw = (rng.standard_normal((num_users, num_users))
-               + 1j * rng.standard_normal((num_users, num_users)))
-        total = integral_power(raw, coupling).sum()
-        target_total = power_budget * 10.0 ** rng.uniform(-1.0, 1.0)
-        a = raw * np.sqrt(target_total / total)
-        powers = integral_power(a, coupling)
-        if mode == "value":
-            a = project_weights(a, powers, power_budget)
+    scenes, raws, target_totals = [], [], []
+    for rng, scene in _sampled_scenes(seed, count, num_users,
+                                      square_aperture(aperture_area), zeta,
+                                      power_budget):
         scenes.append(scene)
-        weights.append(a)
-        targets.append(powers if mode == "proj"
-                       else integral_couplings(a, coupling))
-    return SupervisedDataset(mode=mode, scenes=scenes,
-                             positions=np.stack([s.positions for s in scenes]),
-                             weights=np.stack(weights),
-                             targets=np.stack(targets), root_seed=seed)
+        raws.append(rng.standard_normal((num_users, num_users))
+                    + 1j * rng.standard_normal((num_users, num_users)))
+        target_totals.append(power_budget * 10.0 ** rng.uniform(-1.0, 1.0))
+    positions, coupling = _pool_grams(scenes, num_nodes)
+    raw = np.stack(raws)
+    total = integral_power(raw, coupling).sum(axis=-1)
+    a = raw * np.sqrt(np.array(target_totals) / total)[:, None, None]
+    powers = integral_power(a, coupling)
+    if mode == "proj":
+        targets = powers
+    else:
+        # project_weights, sample by sample
+        a = a * np.sqrt(power_budget / powers.sum(axis=-1))[:, None, None]
+        targets = integral_couplings(a, coupling)
+    return SupervisedDataset(mode=mode, scenes=scenes, positions=positions,
+                             weights=a, targets=targets, root_seed=seed)
 
 
 @dataclass
 class ScenePool:
-    """Precomputed scenes and their coupling Grams on the training grid."""
+    """Precomputed scenes and their coupling Grams on the training grid.
+
+    The Grams are built as one stack over the pool (see
+    :func:`~lcapa.quadrature.coupling_grams`), each bit-identical to the
+    scene's own ``gram_pair(channel_matrix(scene, grid).h, ...)``.
+    """
 
     scenes: list[Scene]
     positions: np.ndarray
@@ -199,15 +221,11 @@ class ScenePool:
     def generate(cls, seed: int, count: int, num_users: int, num_nodes: int,
                  zeta: float, aperture_area: float = 4.0,
                  power_budget: float = 1.0) -> "ScenePool":
-        scenes, grams = [], []
-        for _, scene, coupling in _scenes_and_grams(
-                seed, count, num_users, num_nodes, zeta, aperture_area,
-                power_budget):
-            scenes.append(scene)
-            grams.append(coupling)
-        return cls(scenes=scenes,
-                   positions=np.stack([s.positions for s in scenes]),
-                   coupling_grams=np.stack(grams))
+        scenes = [scene for _, scene in _sampled_scenes(
+            seed, count, num_users, square_aperture(aperture_area), zeta,
+            power_budget)]
+        positions, grams = _pool_grams(scenes, num_nodes)
+        return cls(scenes=scenes, positions=positions, coupling_grams=grams)
 
 
 # -- the epoch loop -----------------------------------------------------------
@@ -626,26 +644,35 @@ def finite_diff_check(loss_fn, params: GnnParams, grads: GnnParams,
 
 def save_checkpoint(model: GnnModel, path: str, report: TrainReport | None = None,
                     seed_lineage: dict | None = None) -> None:
-    layers = []
-    for lp in model.params.layers:
-        entry = {}
-        for name in PARAM_NAMES:
-            arr = getattr(lp, name)
-            entry[name] = None if arr is None else {
-                "shape": list(arr.shape), "data": arr.ravel().tolist()}
-        layers.append(entry)
-    rec = {
+    """Write the model as one JSON record.
+
+    The record is streamed: its head, then each parameter array of each
+    layer, then the report, each encoded by one ``json.dumps`` call (the C
+    encoder).  That encoder holds a string per number until it joins them,
+    so only one array's numbers are held as text at a time.  The bytes are
+    those ``json.dump`` writes for the whole record.
+    """
+    head = json.dumps({
         "record": "gnn_checkpoint",
         "format_version": CHECKPOINT_VERSION,
         "spec": model.spec.to_dict(),
         "norms": model.norms,
         "seed_lineage": seed_lineage or {},
-        "layers": layers,
-    }
-    if report is not None:
-        rec["report"] = json.loads(report.to_json())
+    })
+    tail = "}" if report is None else (
+        ', "report": ' + json.dumps(json.loads(report.to_json())) + "}")
     with open(path, "w") as fh:
-        json.dump(rec, fh)
+        fh.write(head[:-1] + ', "layers": [')
+        for t, lp in enumerate(model.params.layers):
+            fh.write(", {" if t else "{")
+            for i, name in enumerate(PARAM_NAMES):
+                arr = getattr(lp, name)
+                value = None if arr is None else {
+                    "shape": list(arr.shape), "data": arr.ravel().tolist()}
+                fh.write((", " if i else "") + json.dumps(name) + ": "
+                         + json.dumps(value))
+            fh.write("}")
+        fh.write("]" + tail)
 
 
 def load_checkpoint(path: str) -> GnnModel:

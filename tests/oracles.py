@@ -11,14 +11,18 @@ Gram-domain code in ``lcapa``, so the tests can check that code against it:
   closed-form WMMSE lift;
 * :func:`subspace_improvement_check` -- the SE of a solution with an
   out-of-subspace component against its rescaled in-subspace part, which
-  must score higher.
+  must score higher;
+* :func:`per_scene_pool_and_datasets` -- a scene pool and both supervised
+  datasets built one scene at a time, the reference for the stacked
+  ``ScenePool.generate`` and ``gen_supervised_dataset``.
 """
 
 import numpy as np
 
-from lcapa.objective import sinr_vector, sum_se
-from lcapa.quadrature import ApertureGrid, channel_matrix, gram_pair
-from lcapa.scene import Scene, channel_response
+from lcapa.objective import project_weights, sinr_vector, sum_se
+from lcapa.quadrature import (ApertureGrid, build_grid, channel_matrix,
+                              gram_pair, integral_couplings, integral_power)
+from lcapa.scene import Scene, channel_response, sample_scene, square_aperture
 
 
 def direct_integral_check(scene: Scene, grid: ApertureGrid,
@@ -157,3 +161,56 @@ def subspace_improvement_check(scene: Scene, grid: ApertureGrid,
     c_factor = np.sqrt(scene.power_budget / inspan_power)
     r1 = exact_se(c_factor * v_inspan)
     return r0, r1
+
+
+def _scenes_and_grams(seed: int, count: int, num_users: int, num_nodes: int,
+                      zeta: float, aperture_area: float, power_budget: float):
+    """Yield (rng, scene, C) for samples 0..count-1 of one seed.
+
+    Sample i draws its scene from the stream ``SeedSequence([seed, i])``; the
+    stream is yielded past that draw so a caller may draw more per-sample data
+    from it.  C is the scene's coupling Gram on one shared M-node grid, from
+    its own ``channel_matrix``.
+    """
+    aperture = square_aperture(aperture_area)
+    grid = build_grid(aperture, num_nodes)
+    for i in range(count):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        scene = sample_scene(int(rng.integers(2 ** 31)), num_users,
+                             aperture=aperture, zeta=zeta,
+                             power_budget=power_budget)
+        yield rng, scene, gram_pair(channel_matrix(scene, grid).h,
+                                    grid.cell_area).coupling
+
+
+def per_scene_pool_and_datasets(seed: int, count: int, num_users: int,
+                                num_nodes: int, zeta: float = 1e6,
+                                aperture_area: float = 4.0,
+                                power_budget: float = 1.0) -> dict:
+    """The pool and both supervised datasets of one seed, scene by scene.
+
+    Returns ``positions`` and ``grams`` (the pool's), and ``proj`` and
+    ``value``, each a (weights, targets) pair of stacked arrays.  Every
+    sample takes its draws, Gram, powers, projection and targets on its own.
+    """
+    positions, grams = [], []
+    data = {"proj": ([], []), "value": ([], [])}
+    for rng, scene, coupling in _scenes_and_grams(
+            seed, count, num_users, num_nodes, zeta, aperture_area, power_budget):
+        positions.append(scene.positions)
+        grams.append(coupling)
+        raw = (rng.standard_normal((num_users, num_users))
+               + 1j * rng.standard_normal((num_users, num_users)))
+        total = integral_power(raw, coupling).sum()
+        target_total = power_budget * 10.0 ** rng.uniform(-1.0, 1.0)
+        a = raw * np.sqrt(target_total / total)
+        powers = integral_power(a, coupling)
+        data["proj"][0].append(a)
+        data["proj"][1].append(powers)
+        a = project_weights(a, powers, power_budget)
+        data["value"][0].append(a)
+        data["value"][1].append(integral_couplings(a, coupling))
+    out = {"positions": np.stack(positions), "grams": np.stack(grams)}
+    for mode, (weights, targets) in data.items():
+        out[mode] = (np.stack(weights), np.stack(targets))
+    return out

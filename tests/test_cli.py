@@ -12,6 +12,17 @@ def test_unknown_policy_mode_is_a_usage_error(command, capsys):
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,field", [
+    (["--batch-size", "0"], "batch_size"),
+    (["--batch-size", "-1"], "batch_size"),
+    (["--epochs", "0"], "surrogate_epochs"),
+])
+def test_bad_training_flag_is_a_usage_error(flags, field, tmp_path, capsys):
+    assert main(["train-proj", "--checkpoint-dir", str(tmp_path), *flags]) == 1
+    assert f"{field} must be >= 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_experiment_policy_mode_flag_overrides_config(tmp_path, monkeypatch):
     seen = []
 

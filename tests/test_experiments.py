@@ -96,3 +96,13 @@ def test_embedded_config_reproduces_every_row(tmp_path, kind, swept):
         assert again_rows == rows
     methods = {row[2] for row in first["per_scene"][2]}
     assert methods == {"lcapa-gnn", "wmmse"}
+
+
+@pytest.mark.parametrize("field,value", [
+    ("batch_size", 0), ("batch_size", -1), ("surrogate_epochs", 0),
+    ("policy_epochs", 0), ("policy_lr", 0.0), ("policy_lr", float("nan")),
+    ("supervised_lr", -1e-3), ("supervised_lr", float("inf")),
+])
+def test_config_rejects_bad_training_settings(field, value):
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(**{field: value})

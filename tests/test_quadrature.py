@@ -12,8 +12,11 @@ import lcapa
 from conftest import (all_permutations, cpu_dispatch_targets, cpu_umath,
                       random_weights)
 from lcapa.quadrature import (
+    GRAM_CHUNK_ENTRIES,
+    ChannelMatrix,
     build_grid,
     channel_matrix,
+    coupling_grams,
     gram_pair,
     integral_couplings,
     integral_power,
@@ -158,6 +161,25 @@ class TestChannelMatrix:
         permuted = channel_matrix(seed1_scene.with_positions(
             seed1_scene.positions[perm]), seed1_grid256)
         assert np.array_equal(permuted.h, cm.h[perm])
+
+    def test_record_owns_a_read_only_array(self, seed1_scene, seed1_grid256):
+        cm = channel_matrix(seed1_scene, seed1_grid256)
+        assert not cm.h.flags.writeable and cm.h.flags.owndata
+        mine = np.array(cm.h)
+        copied = ChannelMatrix(h=mine, grid=seed1_grid256)
+        assert mine.flags.writeable, "the caller's array was frozen"
+        assert copied.h is not mine and not copied.h.flags.writeable
+        mine[0, 0] = 0.0
+        assert copied.h[0, 0] == cm.h[0, 0]
+        view = cm.h[:, ::2]
+        assert ChannelMatrix(h=view, grid=seed1_grid256).h.base is None
+
+    @pytest.mark.parametrize("bad", [complex(np.nan, 1.0), complex(1.0, np.inf)])
+    def test_non_finite_entry_rejected(self, seed1_channels, seed1_grid256, bad):
+        h = np.array(seed1_channels.h)
+        h[2, 7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ChannelMatrix(h=h, grid=seed1_grid256)
 
     def test_golden_bit_stable(self, seed1_scene, seed1_grid256, seed1_channels):
         """Bit-identical on one build; within GOLDEN_C eps |h_gold| across builds.
@@ -347,6 +369,66 @@ class TestIntegralOracles:
                     "inf": np.inf}[defect]
         with pytest.raises(AssertionError, match="not Hermitian"):
             integral_power(np.eye(4, dtype=complex), c)
+
+
+def _stacked_grams(num_users, num_nodes, count=3):
+    """(count, K, M) channels and their per-scene Grams on one grid."""
+    scenes = [sample_scene(seed=40 + i, num_users=num_users) for i in range(count)]
+    grid = build_grid(scenes[0].aperture, num_nodes)
+    h = np.stack([channel_matrix(s, grid).h for s in scenes])
+    return scenes, grid, h
+
+
+class TestStackedForms:
+    """Stacks over leading axes give each slice's own result, bit for bit."""
+
+    @pytest.mark.parametrize("num_users,num_nodes", [(1, 16), (4, 256), (16, 1024)])
+    def test_gram_powers_couplings_equal_their_slices(self, num_users, num_nodes):
+        scenes, grid, h = _stacked_grams(num_users, num_nodes)
+        grams = gram_pair(h, grid.cell_area).coupling
+        positions = np.stack([s.positions for s in scenes])
+        assert np.array_equal(coupling_grams(positions, grid, scenes[0].constants),
+                              grams)
+        a = random_weights(np.random.default_rng(num_users), num_users)
+        a = np.stack([a, 2.0 * a, a.conj()])
+        powers = integral_power(a, grams)
+        couplings = integral_couplings(a, grams)
+        assert powers.shape == (3, num_users)
+        assert couplings.shape == (3, num_users, num_users)
+        for i in range(3):
+            assert grams[i].tobytes() == gram_pair(h[i], grid.cell_area).coupling.tobytes()
+            assert powers[i].tobytes() == integral_power(a[i], grams[i]).tobytes()
+            assert (couplings[i].tobytes()
+                    == integral_couplings(a[i], grams[i]).tobytes())
+
+    @pytest.mark.parametrize("num_users", [4, 16])
+    def test_chunked_grams_equal_per_scene_grams(self, num_users):
+        # enough scenes for two full chunks and a part one
+        grid = build_grid(square_aperture(), 1024)
+        chunk = max(1, GRAM_CHUNK_ENTRIES // (num_users * grid.num_nodes))
+        scenes = [sample_scene(seed=60 + i, num_users=num_users)
+                  for i in range(2 * chunk + 1)]
+        grams = coupling_grams(np.stack([s.positions for s in scenes]), grid,
+                               scenes[0].constants)
+        for scene, c in zip(scenes, grams):
+            want = gram_pair(channel_matrix(scene, grid).h, grid.cell_area).coupling
+            assert c.tobytes() == want.tobytes()
+
+    def test_one_off_hermitian_gram_in_a_stack_raises(self):
+        _, grid, h = _stacked_grams(4, 256)
+        grams = gram_pair(h, grid.cell_area).coupling.copy()
+        # scene 0 is scaled up, so one tolerance for the whole stack would
+        # pass the defect in scene 1; each Gram has its own
+        grams[0] *= 1e6
+        eye = np.broadcast_to(np.eye(4, dtype=complex), grams.shape)
+        integral_power(eye, grams)
+        atol = 1e-12 * max(1.0, float(np.abs(grams[1]).max()))
+        grams[1, 0, 1] += 2.0 * atol
+        with pytest.raises(AssertionError, match="not Hermitian"):
+            integral_power(eye, grams)
+        with pytest.raises(AssertionError, match="not Hermitian"):
+            integral_power(eye[1], grams[1])
+        integral_power(eye[[0, 2]], grams[[0, 2]])
 
 
 class TestPermutationCovariance:

@@ -15,6 +15,7 @@ from lcapa.scene import (
     SceneGeometryError,
     channel_response,
     default_user_aperture,
+    los_channels,
     noise_variance,
     sample_scene,
     spherical_to_cartesian,
@@ -479,6 +480,95 @@ class TestChannelKernelMatchesReference:
     def test_all_dispatch_targets_disabled(self):
         assert_passes_without_dispatch(
             "test_scene", "_assert_every_tenth_kernel_case_matches()")
+
+
+def _assert_stacked_rows_match_per_user(cases):
+    """Every row of a (K, 3) and an (N, K, 3) kernel call is bit-identical to
+    channel_response for that user; grids include odd node counts."""
+    aperture = square_aperture()
+    grids = [build_grid(aperture, nx=nx, nz=nz).nodes
+             for nx, nz in ((4, 4), (3, 5), (16, 16), (7, 9))]
+    for seed, num_users in cases:
+        scenes = [sample_scene(seed + i, num_users) for i in range(3)]
+        stack = np.stack([s.positions for s in scenes])
+        for nodes in grids:
+            one = los_channels(scenes[0].positions, nodes, aperture.normal,
+                               scenes[0].constants)
+            many = los_channels(stack, nodes, aperture.normal, scenes[0].constants)
+            assert one.shape == (num_users, len(nodes))
+            assert many.shape == (3, num_users, len(nodes))
+            for i, scene in enumerate(scenes):
+                for k in range(num_users):
+                    want = channel_response(scene, k, nodes).tobytes()
+                    assert many[i, k].tobytes() == want, (seed, i, k)
+                    if i == 0:
+                        assert one[k].tobytes() == want, (seed, k)
+
+
+def _assert_every_tenth_stacked_case_matches():
+    _assert_stacked_rows_match_per_user(_KERNEL_CASES[::10])
+
+
+def _first_per_user_error(scene, points):
+    """The message channel_response raises first, user by user, or None."""
+    for k in range(scene.num_users):
+        try:
+            channel_response(scene, k, points)
+        except SceneGeometryError as exc:
+            return str(exc)
+    return None
+
+
+def _scene_at(positions):
+    return sample_scene(seed=3, num_users=len(positions)).with_positions(positions)
+
+
+class TestBroadcastKernel:
+    """los_channels over leading axes against channel_response user by user."""
+
+    def test_rows_bit_identical(self):
+        _assert_stacked_rows_match_per_user(_KERNEL_CASES[::25])
+
+    @pytest.mark.skipif(not cpu_dispatch_targets(),
+                        reason="numpy reports no CPU dispatch targets")
+    def test_rows_bit_identical_with_dispatch_disabled(self):
+        assert_passes_without_dispatch(
+            "test_scene", "_assert_every_tenth_stacked_case_matches()")
+
+    @pytest.mark.parametrize("offsets", [
+        [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]],    # user 1 at fault both ways
+        [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]],    # the same, in the other order
+        [[0.0, 1.0, 0.0]],                     # user 1 behind one point only
+        [[0.0, 0.0, 0.0]],                     # user 1 on one point only
+    ])
+    def test_geometry_error_names_the_same_user(self, offsets):
+        # users at heights 25, 20 and 22 m; only user 1 is at fault
+        scene = _scene_at([[1.0, 25.0, 2.0], [0.5, 20.0, 1.0], [-1.0, 22.0, 3.0]])
+        points = scene.positions[1] + np.array(offsets)
+        want = _first_per_user_error(scene, points)
+        assert want is not None and want.startswith("user 1 ")
+        if [0.0, 0.0, 0.0] in offsets:
+            assert "coincides" in want
+        normal, constants = scene.aperture.normal, scene.constants
+        with pytest.raises(SceneGeometryError) as got:
+            los_channels(scene.positions, points, normal, constants)
+        assert str(got.value) == want
+        fine = scene.positions + [0.0, 10.0, 0.0]
+        with pytest.raises(SceneGeometryError) as got:
+            los_channels(np.stack([fine, scene.positions]), points, normal,
+                         constants)
+        assert str(got.value) == want.replace("user 1", "user 1 of scene (1,)")
+
+    def test_first_faulty_user_is_named(self):
+        # users 0 and 2 are behind the point, user 1 coincides with it
+        scene = _scene_at([[0.0, 25.0, 0.0], [0.0, 30.0, 0.0], [0.0, 22.0, 0.0]])
+        points = scene.positions[[1]]
+        want = _first_per_user_error(scene, points)
+        assert want.startswith("user 0 is not in front")
+        with pytest.raises(SceneGeometryError) as got:
+            los_channels(scene.positions, points, scene.aperture.normal,
+                         scene.constants)
+        assert str(got.value) == want
 
 
 class TestSceneSerialization:

@@ -10,7 +10,8 @@ from lcapa.heads import (GnnModel, policy_backward, policy_forward,
                          proj_backward, proj_forward, value_backward,
                          value_forward)
 from lcapa.objective import project_weights, sinr_vector, sum_se
-from lcapa.quadrature import integral_couplings, integral_power
+from lcapa.quadrature import (GRAM_CHUNK_ENTRIES, integral_couplings,
+                              integral_power)
 from lcapa.training import (
     CheckpointError,
     ScenePool,
@@ -27,6 +28,7 @@ from lcapa.training import (
     train_policy,
     train_supervised,
 )
+from oracles import per_scene_pool_and_datasets
 
 # The array keys of one checkpoint layer, in the order they are written.
 CHECKPOINT_LAYER_KEYS = ["w_self", "w_other", "w_ein", "w_eout", "b_v",
@@ -54,6 +56,45 @@ class TestCheckpoint:
         assert any(name.endswith(".u_agg") for name, _ in restored)
         for (name, a), (_, b) in zip(saved, restored):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    def test_streamed_bytes_equal_one_json_dump(self, tmp_path):
+        model = tiny_aggregating_model()
+        model.norms["a_scale"] = np.float64(2e-4)      # a float subclass
+        report = training.TrainReport(loss_curve=[0.5, 0.25], eval_curve=[1.5],
+                                      best_epoch=0, final_metrics={"se": 3.25},
+                                      wall_clock_seconds=0.125,
+                                      seeds={"init": 3}, skipped_batches=1)
+        lineage = {"data": 100, "init": 3}
+        path = tmp_path / "value.json"
+        save_checkpoint(model, str(path), report=report, seed_lineage=lineage)
+        layers = []
+        for lp in model.params.layers:
+            entry = {}
+            for name in CHECKPOINT_LAYER_KEYS:
+                arr = getattr(lp, name)
+                entry[name] = None if arr is None else {
+                    "shape": list(arr.shape), "data": arr.ravel().tolist()}
+            layers.append(entry)
+        rec = {"record": "gnn_checkpoint",
+               "format_version": training.CHECKPOINT_VERSION,
+               "spec": model.spec.to_dict(), "norms": model.norms,
+               "seed_lineage": lineage, "layers": layers,
+               "report": json.loads(report.to_json())}
+        want = tmp_path / "want.json"
+        with open(want, "w") as fh:
+            json.dump(rec, fh)
+        assert path.read_bytes() == want.read_bytes()
+        save_checkpoint(model, str(path))
+        del rec["report"]
+        rec["seed_lineage"] = {}
+        assert path.read_bytes() == json.dumps(rec).encode()
+
+    def test_unencodable_report_writes_nothing(self, tmp_path):
+        report = training.TrainReport(final_metrics={"bad": object()})
+        path = tmp_path / "value.json"
+        with pytest.raises(TypeError):
+            save_checkpoint(tiny_aggregating_model(), str(path), report=report)
+        assert not path.exists()
 
     def test_layer_keys_keep_their_format(self, tmp_path):
         path = str(tmp_path / "value.json")
@@ -142,6 +183,31 @@ class TestScenesAndGrams:
         for w, g, c in zip(ds.weights, ds.targets, pool.coupling_grams):
             assert np.array_equal(g, integral_couplings(w, c))
             assert np.isclose(integral_power(w, c).sum(), 1.0, rtol=1e-12)
+
+
+class TestStackedPoolsMatchPerSceneOracle:
+    """Pools and datasets are built with stacked calls, a chunk of scenes at a
+    time; every array equals the scene-by-scene oracle bit for bit."""
+
+    @pytest.mark.parametrize("m", [16, 256, 1024])
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_pool_and_datasets_bit_identical(self, k, m):
+        # one scene, and one below and one above a chunk; sample i depends
+        # only on (seed, i), so each count's oracle is a prefix of the largest
+        chunk = max(1, GRAM_CHUNK_ENTRIES // (k * m))
+        seed = 1000 * k + m
+        ref = per_scene_pool_and_datasets(seed, chunk + 1, k, m)
+        for n in sorted({1, chunk - 1, chunk + 1} - {0}):
+            pool = ScenePool.generate(seed, n, k, m, 1e6)
+            assert np.array_equal(pool.positions, ref["positions"][:n])
+            assert np.array_equal(pool.coupling_grams, ref["grams"][:n])
+            for mode in ("proj", "value"):
+                ds = gen_supervised_dataset(seed, n, k, m, mode)
+                weights, targets = ref[mode]
+                assert np.array_equal(ds.positions, ref["positions"][:n])
+                assert np.array_equal(ds.weights, weights[:n])
+                assert np.array_equal(ds.targets, targets[:n])
+                assert ds.targets.dtype == targets.dtype
 
 
 class TestExactPolicySe:
