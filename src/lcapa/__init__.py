@@ -10,8 +10,8 @@ in layers:
 * :mod:`lcapa.quadrature` -- midpoint discretization of the aperture, sampled
   channel matrices, the coupling Gram, and the powers and couplings it
   gives.
-* :mod:`lcapa.objective` -- SINR and spectral-efficiency evaluation, and
-  power projection.
+* :mod:`lcapa.objective` -- SINR and spectral efficiency, for one scene or
+  a stack, the policy loss and its gradient, and power projection.
 * :mod:`lcapa.wmmse` -- the discretized WMMSE precoding baseline, run on the
   coupling Gram, with current weights in closed form.
 * :mod:`lcapa.gnn` -- the permutation-equivariant vertex+edge graph network

@@ -95,15 +95,10 @@ def _load_config(path: str | None) -> dict:
 def _experiment_config(args, cfg: dict, **overrides):
     from .experiments import ExperimentConfig
 
+    # config file < every given flag naming a config field < overrides
     merged = dict(cfg)
-    for key in ("num_users", "zeta", "aperture_area", "num_nodes",
-                "num_nodes_eval", "num_train", "num_test_scenes", "scene_seed",
-                "init_seed", "data_seed", "checkpoint_dir", "output_dir",
-                "hidden", "layers", "batch_size", "policy_mode"):
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    merged.update({k: v for k, v in overrides.items() if v is not None})
+    for given in (vars(args), overrides):
+        merged.update({k: v for k, v in given.items() if v is not None})
     known = set(ExperimentConfig.__dataclass_fields__)
     merged = {k: v for k, v in merged.items() if k in known}
     try:
@@ -266,22 +261,17 @@ def _cmd_grad_check(args) -> int:
                            norms={"pos_scale": 30.0, "a_scale": 2e-4,
                                   "out_scale": 100.0})
 
-    def chain_loss():
-        loss, _, _ = surrogate_chain_loss_and_grads(
-            policy, proj_model, value_model, pool.positions,
-            scene.user_apertures(), scene.noise_vars(), scene.power_budget)
-        return loss
-
-    _, grads, _ = surrogate_chain_loss_and_grads(
-        policy, proj_model, value_model, pool.positions,
-        scene.user_apertures(), scene.noise_vars(), scene.power_budget)
-    report("policy-chain", finite_diff_check(chain_loss, policy.params, grads,
-                                             probes=args.probes,
-                                             seed=args.seed + 6))
+    surrogate_args = (policy, proj_model, value_model, pool.positions,
+                      scene.user_apertures(), scene.noise_vars(),
+                      scene.power_budget)
+    _, grads = surrogate_chain_loss_and_grads(*surrogate_args)
+    report("policy-chain", finite_diff_check(
+        lambda: surrogate_chain_loss_and_grads(*surrogate_args)[0],
+        policy.params, grads, probes=args.probes, seed=args.seed + 6))
 
     chain_args = (pool.positions, pool.coupling_grams, scene.user_apertures(),
                   scene.noise_vars(), scene.power_budget)
-    _, grads, _ = analytic_chain_loss_and_grads(policy, *chain_args)
+    _, grads = analytic_chain_loss_and_grads(policy, *chain_args)
     report("analytic-chain", finite_diff_check(
         lambda: analytic_chain_loss_and_grads(policy, *chain_args)[0],
         policy.params, grads, probes=args.probes, seed=args.seed + 7))

@@ -19,6 +19,7 @@ from . import __version__
 from .gnn import policy_spec, proj_spec, value_spec
 from .heads import GnnModel, policy_forward, proj_forward
 from .objective import project_weights
+from .quadrature import build_grid
 from .scene import sample_scene, square_aperture
 from .training import (
     POLICY_MODES,
@@ -79,10 +80,13 @@ class ExperimentConfig:
         if self.policy_mode not in POLICY_MODES:
             raise ValueError(f"unknown policy mode {self.policy_mode!r}; "
                              f"choose one of {', '.join(POLICY_MODES)}")
-        for name in ("batch_size", "surrogate_epochs", "policy_epochs"):
+        for name in ("batch_size", "surrogate_epochs", "policy_epochs",
+                     "num_train", "num_users", "hidden", "num_test_scenes"):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value!r}")
+        for m in (self.num_nodes, self.num_nodes_eval, *(self.m_list or ())):
+            build_grid(square_aperture(), m)    # rejects an M it cannot split
         for name in ("policy_lr", "supervised_lr"):
             value = getattr(self, name)
             if not 0.0 < value < np.inf:

@@ -146,6 +146,8 @@ def build_grid(aperture: ApertureSpec, num_nodes: int | None = None,
     if nx is None or nz is None:
         if num_nodes is None:
             raise ValueError("pass either num_nodes or (nx, nz)")
+        if num_nodes < 1:
+            raise ValueError(f"num_nodes must be >= 1, got {num_nodes!r}")
         ratio = aperture.side_x / aperture.side_z
         nx_f = np.sqrt(num_nodes * ratio)
         nx, nz = int(round(nx_f)), int(round(np.sqrt(num_nodes / ratio)))

@@ -9,7 +9,8 @@ All three networks go through one epoch loop (per-epoch seeded shuffles,
 mini-batch Adam, a divergence check, the best held-out snapshot); the
 trainers differ only in the batch loss and the held-out score they hand it.
 Evaluation always goes through the exact quadrature path; the coupling
-surrogate is never used to score a policy.
+surrogate is never used to score a policy.  The loss, SINR and SE are
+:mod:`lcapa.objective`'s; the chains here carry the weights to couplings.
 
 Scene pools and supervised datasets are stacked: only each sample's random
 draws run in a per-sample loop, and the channels, Grams, powers and targets
@@ -36,6 +37,7 @@ from .heads import (
     value_backward,
     value_forward,
 )
+from .objective import policy_loss_grad, sinr_vector, sum_se
 from .optim import Adam
 # gram_pair is unused here but stays bound: profilers patch it by this name
 from .quadrature import (  # noqa: F401
@@ -50,7 +52,7 @@ from .scene import Scene, sample_scene, square_aperture
 CHECKPOINT_VERSION = 1
 
 
-class CheckpointError(RuntimeError):
+class CheckpointError(RuntimeError, ValueError):
     """Raised for unreadable, mismatched, or corrupt checkpoint files."""
 
 
@@ -343,29 +345,9 @@ def train_supervised(spec: GnnSpec, dataset: SupervisedDataset,
     return model, report
 
 
-# -- policy loss and chains ---------------------------------------------------
+# -- policy chains ------------------------------------------------------------
 
-LN2 = float(np.log(2.0))
 POLICY_MODES = ("surrogate", "analytic")
-
-
-def _batched_sinr(couplings: np.ndarray, user_apertures: np.ndarray,
-                  noise_vars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user SINR of (N, K, K) couplings and its denominators, both (N, K).
-
-    The batched form of :func:`~lcapa.objective.sinr_vector`, with the same
-    terms in the same order.
-    """
-    ap = np.asarray(user_apertures, dtype=float)
-    nv = np.asarray(noise_vars, dtype=float)
-    if np.any(nv <= 0.0):
-        raise ValueError("noise variances must be positive")
-    k = couplings.shape[1]
-    idx = np.arange(k)
-    weighted = ap[None, None, :] * np.abs(couplings) ** 2
-    signal = weighted[:, idx, idx]
-    denom = weighted.sum(axis=2) - signal + nv[None, :]
-    return signal / denom, denom
 
 
 @dataclass(frozen=True)
@@ -375,7 +357,8 @@ class GramForward:
     With C the coupling Grams and A the raw weights, all (N, K, K):
     ``ca`` = C A, ``powers`` p_k = a_k^H C a_k (N, K), ``total`` their sum,
     ``scale`` = sqrt(budget / total) (0 where total <= 0), ``a_bar`` = scale A
-    and ``couplings`` G = C A_bar.
+    and ``couplings`` G = C A_bar.  Weights carrying no power have scale 0,
+    hence zero couplings and SE 0.
     """
 
     ca: np.ndarray
@@ -397,36 +380,6 @@ class GramForward:
         return cls(ca=ca, powers=powers, total=total, scale=scale,
                    a_bar=a_raw * scale[:, None, None],
                    couplings=ca * scale[:, None, None])
-
-    def sum_se(self, user_apertures: np.ndarray,
-               noise_vars: np.ndarray) -> np.ndarray:
-        """Per-scene sum SE in bit/s/Hz.
-
-        Weights carrying no power have scale 0, hence zero couplings and
-        SE 0.
-        """
-        gamma, _ = _batched_sinr(self.couplings, user_apertures, noise_vars)
-        return np.sum(np.log1p(gamma) / LN2, axis=1)
-
-
-def policy_loss_grad(couplings: np.ndarray, user_apertures: np.ndarray,
-                     noise_vars: np.ndarray
-                     ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Negated batch-mean sum SE of (N, K, K) couplings and its gradients
-    w.r.t. (Re G, Im G)."""
-    g = np.asarray(couplings, dtype=complex)
-    n, k, _ = g.shape
-    ap = np.asarray(user_apertures, dtype=float)
-    gamma, denom = _batched_sinr(g, ap, noise_vars)
-    loss = -float(np.sum(np.log1p(gamma)) / (LN2 * n))
-
-    # d loss / d |g_kj|^2
-    idx = np.arange(k)
-    coef = np.zeros((n, k, k))
-    inv = 1.0 / ((1.0 + gamma) * denom)          # (n, k)
-    coef += (gamma * inv)[:, :, None] * ap[None, None, :] / (LN2 * n)
-    coef[:, idx, idx] = -inv * ap[None, :] / (LN2 * n)
-    return loss, 2.0 * coef * g.real, 2.0 * coef * g.imag
 
 
 def _projection_chain_backward(grad_re_bar, grad_im_bar, weights, scale,
@@ -452,7 +405,7 @@ def surrogate_chain_loss_and_grads(policy: GnnModel, proj: GnnModel,
     """Loss of the full policy -> projection -> coupling chain, with exact
     gradients for the policy parameters only (the surrogates stay frozen).
 
-    Returns (loss, policy parameter grads, diagnostics dict).
+    Returns (loss, policy parameter grads).
     """
     a_raw, cache_p = policy_forward(policy, positions)
     powers, cache_proj = proj_forward(proj, positions, a_raw)
@@ -472,7 +425,7 @@ def surrogate_chain_loss_and_grads(policy: GnnModel, proj: GnnModel,
     _, g_re_p, g_im_p = proj_backward(proj, cache_proj, grad_powers,
                                       wrt="inputs")
     grads = policy_backward(policy, cache_p, g_re + g_re_p, g_im + g_im_p)
-    return loss, grads, {"scale": scale, "couplings": couplings}
+    return loss, grads
 
 
 def analytic_chain_loss_and_grads(policy: GnnModel, positions: np.ndarray,
@@ -484,7 +437,8 @@ def analytic_chain_loss_and_grads(policy: GnnModel, positions: np.ndarray,
     Powers and couplings come from the per-scene coupling Gram directly
     (p = a^H C a, G = C A-bar), giving a differentiable exact chain that
     upper-references the surrogate path.  C must be Hermitian, as
-    :func:`~lcapa.quadrature.gram_pair` builds it.
+    :func:`~lcapa.quadrature.gram_pair` builds it.  Returns (loss, policy
+    parameter grads).
     """
     a_raw, cache_p = policy_forward(policy, positions)
     c = np.asarray(coupling_grams, dtype=complex)
@@ -501,7 +455,7 @@ def analytic_chain_loss_and_grads(policy: GnnModel, positions: np.ndarray,
     g_re += 2.0 * dl_dtotal[:, None, None] * fwd.ca.real
     g_im += 2.0 * dl_dtotal[:, None, None] * fwd.ca.imag
     grads = policy_backward(policy, cache_p, g_re, g_im)
-    return loss, grads, {"scale": fwd.scale, "couplings": fwd.couplings}
+    return loss, grads
 
 
 # -- policy training ----------------------------------------------------------
@@ -516,8 +470,8 @@ def exact_policy_se(policy: GnnModel, pool: ScenePool, power_budget: float,
     scores 0.
     """
     a_raw, _ = policy_forward(policy, pool.positions)
-    return GramForward.evaluate(a_raw, pool.coupling_grams, power_budget).sum_se(
-        user_apertures, noise_vars)
+    fwd = GramForward.evaluate(a_raw, pool.coupling_grams, power_budget)
+    return sum_se(sinr_vector(fwd.couplings, user_apertures, noise_vars)).sum_se
 
 
 def train_policy(spec: GnnSpec, proj_model: GnnModel | None,
@@ -566,14 +520,12 @@ def train_policy(spec: GnnSpec, proj_model: GnnModel | None,
 
     def batch_loss(idx):
         if mode == "surrogate":
-            loss, grads, _ = surrogate_chain_loss_and_grads(
+            return surrogate_chain_loss_and_grads(
                 policy, proj_model, value_model, pool.positions[idx],
                 user_ap, noise, power_budget)
-        else:
-            loss, grads, _ = analytic_chain_loss_and_grads(
-                policy, pool.positions[idx], pool.coupling_grams[idx],
-                user_ap, noise, power_budget)
-        return loss, grads
+        return analytic_chain_loss_and_grads(
+            policy, pool.positions[idx], pool.coupling_grams[idx],
+            user_ap, noise, power_budget)
 
     def held_out_se():
         return float(np.mean(exact_policy_se(policy, eval_pool, power_budget,
@@ -676,37 +628,44 @@ def save_checkpoint(model: GnnModel, path: str, report: TrainReport | None = Non
 
 
 def load_checkpoint(path: str) -> GnnModel:
+    """Read a model written by :func:`save_checkpoint`.  Any fault of the
+    file (unreadable, another format, a missing, mistyped or misshapen entry,
+    an invalid spec, a non-finite parameter) raises :class:`CheckpointError`,
+    which is a ``ValueError`` too, as an invalid spec used to raise."""
     try:
         with open(path) as fh:
             rec = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
-    if rec.get("record") != "gnn_checkpoint":
+    if not isinstance(rec, dict) or rec.get("record") != "gnn_checkpoint":
         raise CheckpointError("not a checkpoint file")
     if rec.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {rec.get('format_version')}")
-    spec = GnnSpec.from_dict(rec["spec"])
-    reference = init_params(spec, 0)
-    layers = []
-    for t, entry in enumerate(rec["layers"]):
-        kwargs = {}
-        for name in PARAM_NAMES:
-            stored = entry.get(name)
-            ref = getattr(reference.layers[t], name) if t < len(reference.layers) else None
-            if stored is None:
+    try:
+        spec = GnnSpec.from_dict(rec["spec"])
+        layers = [{name: None if entry.get(name) is None else
+                   np.asarray(entry[name]["data"], dtype=float).reshape(
+                       entry[name]["shape"])
+                   for name in PARAM_NAMES} for entry in rec["layers"]]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"corrupt checkpoint {path}: "
+                              f"{type(exc).__name__}: {exc}") from exc
+    if len(layers) != spec.transitions:
+        raise CheckpointError("layer count does not match spec")
+    references = init_params(spec, 0).layers
+    for t, (arrays, reference) in enumerate(zip(layers, references)):
+        for name, arr in arrays.items():
+            ref = getattr(reference, name)
+            if arr is None:
                 if ref is not None:
                     raise CheckpointError(f"missing array {name} in layer {t}")
-                kwargs[name] = None
-                continue
-            arr = np.asarray(stored["data"], dtype=float).reshape(stored["shape"])
-            if ref is None or arr.shape != ref.shape:
+            elif ref is None or arr.shape != ref.shape:
                 raise CheckpointError(
                     f"layer {t} array {name} has shape {arr.shape}, "
                     f"spec requires {None if ref is None else ref.shape}")
-            kwargs[name] = arr
-        layers.append(LayerParams(**kwargs))
-    if len(layers) != spec.transitions:
-        raise CheckpointError("layer count does not match spec")
-    return GnnModel(spec=spec, params=GnnParams(layers=layers),
+            elif not np.isfinite(arr).all():
+                raise CheckpointError(f"layer {t} array {name} is not finite")
+    return GnnModel(spec=spec,
+                    params=GnnParams(layers=[LayerParams(**a) for a in layers]),
                     norms=rec.get("norms", {}))

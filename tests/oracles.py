@@ -14,7 +14,11 @@ Gram-domain code in ``lcapa``, so the tests can check that code against it:
   must score higher;
 * :func:`per_scene_pool_and_datasets` -- a scene pool and both supervised
   datasets built one scene at a time, the reference for the stacked
-  ``ScenePool.generate`` and ``gen_supervised_dataset``.
+  ``ScenePool.generate`` and ``gen_supervised_dataset``;
+* :func:`gauss_legendre_gram` and :func:`reference_sum_se` -- a converged
+  tensor Gauss-Legendre coupling Gram and a sum SE scored on it (projection,
+  SINR and SE written out here, not taken from ``lcapa.objective``): the
+  judge of the paper's headline claim.
 """
 
 import numpy as np
@@ -22,7 +26,8 @@ import numpy as np
 from lcapa.objective import project_weights, sinr_vector, sum_se
 from lcapa.quadrature import (ApertureGrid, build_grid, channel_matrix,
                               gram_pair, integral_couplings, integral_power)
-from lcapa.scene import Scene, channel_response, sample_scene, square_aperture
+from lcapa.scene import (Scene, channel_response, los_channels, sample_scene,
+                         square_aperture)
 
 
 def direct_integral_check(scene: Scene, grid: ApertureGrid,
@@ -214,3 +219,50 @@ def per_scene_pool_and_datasets(seed: int, count: int, num_users: int,
     for mode, (weights, targets) in data.items():
         out[mode] = (np.stack(weights), np.stack(targets))
     return out
+
+
+def gauss_legendre_gram(scene: Scene, nodes_per_side: int = 192) -> np.ndarray:
+    """The coupling Gram C[i, j] = integral of H_i* H_j over the aperture, by
+    a tensor Gauss-Legendre rule.
+
+    With 192 nodes a side the rule resolves the oscillatory integrand, which
+    the midpoint grids of training do not: on the first four scenes of
+    ``ScenePool`` seed 13 (K=4) it agrees with 320 nodes a side to within
+    7e-12 of the largest off-diagonal entry.  Exactly Hermitian.
+    """
+    x, w = np.polynomial.legendre.leggauss(nodes_per_side)
+    aperture = scene.aperture
+    u, v = aperture.in_plane_axes()
+    half_x, half_z = aperture.side_x / 2.0, aperture.side_z / 2.0
+    xs, zs = np.meshgrid(half_x * x, half_z * x, indexing="ij")
+    nodes = (np.asarray(aperture.center, dtype=float)
+             + xs.reshape(-1, 1) * u + zs.reshape(-1, 1) * v)
+    node_weights = np.outer(half_x * w, half_z * w).reshape(-1)
+    h = los_channels(scene.positions, nodes, aperture.normal, scene.constants)
+    gram = (np.conj(h) * node_weights) @ h.T
+    return 0.5 * (gram + gram.conj().T)
+
+
+def reference_sum_se(gram: np.ndarray, weights: np.ndarray,
+                     user_apertures: np.ndarray, noise_vars: np.ndarray,
+                     power_budget: float) -> float:
+    """Sum SE (bit/s/Hz) of ``weights`` scaled to the power budget under ``gram``.
+
+    Written out user by user: the total power sum_k a_k^H C a_k, the
+    couplings G = C A of the scaled weights, and for user k the signal
+    |A_k| |g_kk|^2 against the interference sum over j != k of |A_j| |g_kj|^2
+    plus noise.
+    """
+    a = np.asarray(weights, dtype=complex)
+    total = sum(float(np.vdot(a[:, k], gram @ a[:, k]).real)
+                for k in range(a.shape[1]))
+    if not total > 0.0:
+        raise ValueError(f"weights carry no power ({total:g})")
+    g = gram @ (a * np.sqrt(power_budget / total))
+    se = 0.0
+    for k in range(g.shape[0]):
+        signal = user_apertures[k] * abs(g[k, k]) ** 2
+        interference = sum(user_apertures[j] * abs(g[k, j]) ** 2
+                           for j in range(g.shape[1]) if j != k)
+        se += np.log2(1.0 + signal / (interference + noise_vars[k]))
+    return float(se)

@@ -1,0 +1,60 @@
+"""The paper's headline claim at a tier-1 size: a GNN policy trained through
+the exact Gram chain comes close to the WMMSE precoding bound.
+
+Everything after training is judged here, not by ``lcapa``: the test pool's
+Grams come from an in-test 192 x 192 Gauss-Legendre rule (converged, unlike
+the M=256 midpoint Grams the policy trains on), and the projection, SINR and
+SE of both the policy and the bound are written out in ``oracles.py``.  So a
+change anywhere in the chain that costs the policy more than about 1.4
+points of the bound fails this test.  At K=4 the interference costs the
+trained policy only about 0.3 points, so a dropped interference term in the
+training SINR does not.
+
+Config: K=4; 256 training scenes on M=256 Grams (pool seed 0), a 32-scene
+held-out pool (seed 2) for the best-epoch choice; ``policy_spec(32, 4)``
+trained in ``analytic`` mode for 40 epochs at lr 1e-3, batch 64.  The test
+pool is 32 scenes (``ScenePool`` seed 13).  The bound is the mean SE of
+``wmmse_precoding`` run on each scene's Gauss-Legendre Gram: 23.611 bit/s/Hz.
+
+Threshold: init seeds 0-15 reached 98.38-98.68% of the bound (mean 98.49%,
+standard deviation 0.08 points; seed 0, the one run here, 98.675%), with
+about 0.8 s of set-up and 0.6 s of training a seed on one core.  The
+threshold 0.97 sits 1.4 points, about 17 standard deviations, below the
+lowest seed, so no init seed fails it by chance; a policy scored on its own
+M=256 Grams instead reaches only about 91%.
+"""
+
+import numpy as np
+
+from lcapa.gnn import policy_spec
+from lcapa.heads import policy_forward
+from lcapa.training import ScenePool, TrainHyper, train_policy
+from lcapa.wmmse import lift_precoder, wmmse_precoding
+from oracles import gauss_legendre_gram, reference_sum_se
+
+CLAIM_FRACTION = 0.97
+
+
+def test_analytic_policy_reaches_the_wmmse_bound():
+    pool = ScenePool.generate(0, 256, 4, 256, 1e6)
+    eval_pool = ScenePool.generate(2, 32, 4, 256, 1e6)
+    test_pool = ScenePool.generate(13, 32, 4, 256, 1e6)
+    scene = test_pool.scenes[0]
+    ap, nv, budget = scene.user_apertures(), scene.noise_vars(), scene.power_budget
+    grams = [gauss_legendre_gram(s) for s in test_pool.scenes]
+
+    bound = np.mean([
+        reference_sum_se(c, lift_precoder(wmmse_precoding(c, ap, nv, budget)[0],
+                                          ap).weights, ap, nv, budget)
+        for c in grams])
+    assert 23.5 < bound < 23.7
+
+    policy, _ = train_policy(policy_spec(32, 4), None, None, pool, eval_pool,
+                             TrainHyper(learning_rate=1e-3, batch_size=64,
+                                        epochs=40),
+                             seed=0, mode="analytic")
+    a_raw, _ = policy_forward(policy, test_pool.positions)
+    se = np.mean([reference_sum_se(c, a, ap, nv, budget)
+                  for c, a in zip(grams, a_raw)])
+    assert se >= CLAIM_FRACTION * bound, (
+        f"policy SE {se:.4f} is {se / bound:.2%} of the WMMSE bound {bound:.4f}")

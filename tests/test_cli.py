@@ -16,10 +16,25 @@ def test_unknown_policy_mode_is_a_usage_error(command, capsys):
     (["--batch-size", "0"], "batch_size"),
     (["--batch-size", "-1"], "batch_size"),
     (["--epochs", "0"], "surrogate_epochs"),
+    (["--num-train", "0"], "num_train"),
+    (["--num-users", "0"], "num_users"),
+    (["--hidden", "0"], "hidden"),
 ])
 def test_bad_training_flag_is_a_usage_error(flags, field, tmp_path, capsys):
     assert main(["train-proj", "--checkpoint-dir", str(tmp_path), *flags]) == 1
     assert f"{field} must be >= 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("train-proj", ["--num-nodes", "15"]),
+    ("eval", ["--num-nodes-eval", "1000"]),
+])
+def test_unsplittable_node_count_is_a_usage_error(command, flags, tmp_path,
+                                                  capsys):
+    # build_grid's own message names the count it cannot split
+    assert main([command, "--checkpoint-dir", str(tmp_path), *flags]) == 1
+    assert f"cannot split M={flags[1]}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

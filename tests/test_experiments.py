@@ -102,7 +102,20 @@ def test_embedded_config_reproduces_every_row(tmp_path, kind, swept):
     ("batch_size", 0), ("batch_size", -1), ("surrogate_epochs", 0),
     ("policy_epochs", 0), ("policy_lr", 0.0), ("policy_lr", float("nan")),
     ("supervised_lr", -1e-3), ("supervised_lr", float("inf")),
+    ("num_train", 0), ("num_users", 0), ("hidden", 0), ("num_test_scenes", 0),
 ])
 def test_config_rejects_bad_training_settings(field, value):
     with pytest.raises(ValueError, match=field):
         ExperimentConfig(**{field: value})
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"num_nodes": 15}, "cannot split M=15"),
+    ({"num_nodes_eval": 1000}, "cannot split M=1000"),
+    ({"kind": "sweep-m", "m_list": (16, 63)}, "cannot split M=63"),
+    ({"num_nodes": 0}, "num_nodes must be >= 1"),
+    ({"kind": "sweep-m", "m_list": (16, -4)}, "num_nodes must be >= 1"),
+])
+def test_config_rejects_node_counts_the_grid_cannot_split(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**overrides)

@@ -4,6 +4,7 @@ import pytest
 from conftest import all_permutations, random_weights
 from lcapa.objective import (
     DegenerateProjectionError,
+    policy_loss_grad,
     project_weights,
     sinr_vector,
     sum_se,
@@ -98,6 +99,46 @@ class TestSumSe:
         for pi in all_permutations(4):
             permuted = sum_se(sinr_vector(pi.T @ g @ pi, pi.T @ ap, pi.T @ nv)).sum_se
             assert np.isclose(permuted, base, rtol=1e-12)
+
+
+class TestStackedForms:
+    """sinr_vector and sum_se broadcast over leading axes; each slice is
+    bit-identical to the call on that slice alone."""
+
+    @pytest.mark.parametrize("k", [1, 4, 9, 16])
+    @pytest.mark.parametrize("lead", [(5,), (2, 3)])
+    def test_slices_equal_per_scene_calls(self, k, lead):
+        rng = np.random.default_rng(k)
+        g = 10.0 ** rng.uniform(-3, 1, lead + (k, k)) * (
+            rng.standard_normal(lead + (k, k))
+            + 1j * rng.standard_normal(lead + (k, k)))
+        g[(0,) * len(lead)] = 0.0        # a scene whose weights carry no power
+        ap = rng.uniform(0.5, 2.0, k)
+        nv = rng.uniform(0.5, 2.0, k)
+        gamma = sinr_vector(g, ap, nv)
+        report = sum_se(gamma)
+        assert gamma.shape == report.rates.shape == lead + (k,)
+        assert report.sum_se.shape == lead
+        for idx in np.ndindex(*lead):
+            one = sinr_vector(g[idx], ap, nv)
+            assert np.array_equal(gamma[idx], one)
+            single = sum_se(one)
+            assert np.array_equal(report.rates[idx], single.rates)
+            assert report.sum_se[idx] == single.sum_se
+        assert type(single.sum_se) is float
+        assert report.sum_se[(0,) * len(lead)] == 0.0
+
+    def test_policy_loss_is_the_negated_mean_sum_se(self):
+        rng = np.random.default_rng(0)
+        g = random_weights(rng, 4)[None] * rng.uniform(0.1, 3.0, (6, 1, 1))
+        ap, nv = np.full(4, 1.5), np.full(4, 0.25)
+        loss, _, _ = policy_loss_grad(g, ap, nv)
+        assert loss == pytest.approx(
+            -np.mean(sum_se(sinr_vector(g, ap, nv)).sum_se), rel=1e-14)
+
+    def test_stack_checks_every_slice(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sum_se(np.array([[1.0, 2.0], [0.5, -1e-300]]))
 
 
 class TestProjectWeights:

@@ -100,6 +100,12 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match=r"4.*9"):
             build_grid(square_aperture(4.0), 5)
 
+    # a negative count used to take sqrt of a negative number first
+    @pytest.mark.parametrize("m", [0, -4])
+    def test_empty_m_rejected(self, m):
+        with pytest.raises(ValueError, match="num_nodes must be >= 1"):
+            build_grid(square_aperture(4.0), m)
+
     def test_rectangular_ratio(self):
         from lcapa.scene import ApertureSpec
 

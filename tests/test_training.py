@@ -9,7 +9,8 @@ from lcapa.gnn import (init_params, policy_spec, proj_spec, value_spec,
 from lcapa.heads import (GnnModel, policy_backward, policy_forward,
                          proj_backward, proj_forward, value_backward,
                          value_forward)
-from lcapa.objective import project_weights, sinr_vector, sum_se
+from lcapa.objective import (policy_loss_grad, project_weights, sinr_vector,
+                             sum_se)
 from lcapa.quadrature import (GRAM_CHUNK_ENTRIES, integral_couplings,
                               integral_power)
 from lcapa.training import (
@@ -22,7 +23,6 @@ from lcapa.training import (
     gen_supervised_dataset,
     load_checkpoint,
     normalized_mse,
-    policy_loss_grad,
     save_checkpoint,
     surrogate_chain_loss_and_grads,
     train_policy,
@@ -114,6 +114,34 @@ class TestCheckpoint:
             json.dump(rec, fh)
         with pytest.raises(CheckpointError, match="missing array u_agg in layer 1"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda rec: rec.pop("layers"),
+        lambda rec: rec.pop("spec"),
+        lambda rec: rec["layers"][0]["w_self"].pop("shape"),
+        lambda rec: rec["layers"][0]["w_self"]["data"].pop(),
+        lambda rec: rec["layers"][0]["w_self"]["data"].__setitem__(0, "x"),
+        lambda rec: rec["spec"].__setitem__("kind", "bogus"),
+        lambda rec: rec["layers"][1]["b_v"]["data"].__setitem__(0, float("nan")),
+        lambda rec: rec["layers"][1]["b_v"]["data"].__setitem__(0, float("inf")),
+    ], ids=["no-layers", "no-spec", "no-shape", "short-data", "string-entry",
+            "unknown-kind", "nan-parameter", "inf-parameter"])
+    def test_corrupt_record_raises_checkpoint_error(self, corrupt, tmp_path):
+        path = str(tmp_path / "value.json")
+        save_checkpoint(tiny_aggregating_model(), path)
+        with open(path) as fh:
+            rec = json.load(fh)
+        corrupt(rec)
+        with open(path, "w") as fh:
+            json.dump(rec, fh)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_top_level_list_is_not_a_checkpoint(self, tmp_path):
+        path = tmp_path / "value.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(CheckpointError, match="not a checkpoint file"):
+            load_checkpoint(str(path))
 
     def test_out_of_range_slope_rejected(self, tmp_path):
         path = str(tmp_path / "value.json")
@@ -235,7 +263,7 @@ class TestAnalyticChain:
         scene = pool.scenes[0]
         args = (pool.positions, pool.coupling_grams, scene.user_apertures(),
                 scene.noise_vars(), scene.power_budget)
-        _, grads, _ = analytic_chain_loss_and_grads(policy, *args)
+        _, grads = analytic_chain_loss_and_grads(policy, *args)
         worst = finite_diff_check(
             lambda: analytic_chain_loss_and_grads(policy, *args)[0],
             policy.params, grads, probes=120, seed=6)
@@ -277,7 +305,7 @@ class TestSurrogateChain:
         scene = pool.scenes[0]
         args = (policy, proj, value, pool.positions, scene.user_apertures(),
                 scene.noise_vars(), scene.power_budget)
-        loss, grads, _ = surrogate_chain_loss_and_grads(*args)
+        loss, grads = surrogate_chain_loss_and_grads(*args)
         ref_loss, ref_grads = surrogate_chain_with_every_gradient(*args)
         assert loss == ref_loss
         assert any(np.any(a != 0.0) for _, a in grads.iter_arrays())
