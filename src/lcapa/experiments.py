@@ -87,8 +87,12 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 1, got {value!r}")
         for m in (self.num_nodes, self.num_nodes_eval, *(self.m_list or ())):
             build_grid(square_aperture(), m)    # rejects an M it cannot split
-        for name in ("policy_lr", "supervised_lr"):
-            value = getattr(self, name)
+        policy_spec(hidden=self.hidden, layers=self.layers)  # rejects layers < 2
+        positive = [(name, getattr(self, name)) for name in
+                    ("policy_lr", "supervised_lr", "zeta", "aperture_area")]
+        positive += [("zeta_list", v) for v in self.zeta_list or ()]
+        positive += [("aperture_list", v) for v in self.aperture_list or ()]
+        for name, value in positive:
             if not 0.0 < value < np.inf:
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {value!r}")

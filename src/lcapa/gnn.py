@@ -113,25 +113,33 @@ class GnnSpec:
                    edge_aggregation=data.get("edge_aggregation", False))
 
 
+def _hidden_widths(hidden: int, layers: int) -> tuple[int, ...]:
+    """The widths of the ``layers - 2`` hidden representations; ``layers``
+    counts the input and output representations, so it must be >= 2."""
+    if layers < 2:
+        raise ValueError(f"layers must be >= 2, got {layers!r}")
+    return (hidden,) * (layers - 2)
+
+
 def policy_spec(hidden: int = 64, layers: int = 4, **kw) -> GnnSpec:
     """Positions in, complex weight matrix out (edges start as a zero feature)."""
-    return GnnSpec(kind="policy",
-                   vertex_widths=(3,) + (hidden,) * (layers - 2) + (2,),
-                   edge_widths=(1,) + (hidden,) * (layers - 2) + (2,), **kw)
+    widths = _hidden_widths(hidden, layers)
+    return GnnSpec(kind="policy", vertex_widths=(3,) + widths + (2,),
+                   edge_widths=(1,) + widths + (2,), **kw)
 
 
 def proj_spec(hidden: int = 64, layers: int = 4, **kw) -> GnnSpec:
     """Positions + raw weights in, strictly positive per-user powers out."""
-    return GnnSpec(kind="proj",
-                   vertex_widths=(5,) + (hidden,) * (layers - 2) + (1,),
-                   edge_widths=(2,) + (hidden,) * (layers - 2) + (0,), **kw)
+    widths = _hidden_widths(hidden, layers)
+    return GnnSpec(kind="proj", vertex_widths=(5,) + widths + (1,),
+                   edge_widths=(2,) + widths + (0,), **kw)
 
 
 def value_spec(hidden: int = 64, layers: int = 4, **kw) -> GnnSpec:
     """Positions + projected weights in, complex coupling matrix out."""
-    return GnnSpec(kind="value",
-                   vertex_widths=(5,) + (hidden,) * (layers - 2) + (2,),
-                   edge_widths=(2,) + (hidden,) * (layers - 2) + (2,), **kw)
+    widths = _hidden_widths(hidden, layers)
+    return GnnSpec(kind="value", vertex_widths=(5,) + widths + (2,),
+                   edge_widths=(2,) + widths + (2,), **kw)
 
 
 @dataclass

@@ -23,6 +23,12 @@ import numpy as np
 from .gnn import POSITION_SCALE, GnnParams, GnnSpec, gnn_backward, gnn_forward
 
 
+# The normalization constants each head kind reads.
+HEAD_NORMS = {"policy": ("pos_scale", "out_scale"),
+              "proj": ("pos_scale", "a_scale", "out_scale"),
+              "value": ("pos_scale", "a_scale", "out_scale")}
+
+
 @dataclass
 class GnnModel:
     """A network instantiation: architecture, parameters, normalization."""

@@ -27,6 +27,7 @@ thin call into it.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -159,6 +160,15 @@ class Region:
             raise ValueError("phi bounds must satisfy 0 <= min < max < 2*pi")
 
 
+_DEFAULT_REGION = Region()
+
+
+@functools.lru_cache(maxsize=16)
+def _constants_for(wavelength: float) -> PhysicalConstants:
+    """One shared :class:`PhysicalConstants` per wavelength; it is immutable."""
+    return PhysicalConstants.from_wavelength(wavelength)
+
+
 @dataclass(frozen=True)
 class Scene:
     """One problem instance.
@@ -287,10 +297,14 @@ def spherical_to_cartesian(r: float, theta: float, phi: float) -> np.ndarray:
         raise ValueError("polar angle must lie in [0, pi]")
     if not ((phi >= 0.0) & (phi < 2.0 * np.pi)).all():
         raise ValueError("azimuth must lie in [0, 2*pi)")
+    return _to_cartesian(r, theta, phi)
+
+
+def _to_cartesian(r: np.ndarray, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The arithmetic of :func:`spherical_to_cartesian`, without its checks."""
     st = np.sin(theta)
-    out = np.stack([r * st * np.cos(phi), r * st * np.sin(phi), r * np.cos(theta)],
-                   axis=-1)
-    return out
+    return np.stack([r * st * np.cos(phi), r * st * np.sin(phi), r * np.cos(theta)],
+                    axis=-1)
 
 
 def noise_variance(zeta: float, constants: PhysicalConstants,
@@ -329,7 +343,10 @@ def sample_scene(seed: int, num_users: int,
     The stream is read as consecutive (r, theta, phi) triples and the
     accepted ones are kept in stream order.  Each round draws one triple for
     every user still missing, as one ``rng.uniform(low, high, size=(n, 3))``
-    call converted by one :func:`spherical_to_cartesian` call.  Placing one
+    call converted with the arithmetic of :func:`spherical_to_cartesian`
+    (its domain checks are skipped: a validated :class:`Region` contains
+    every draw).  A round that accepts every draw skips the bookkeeping of
+    rejections.  Placing one
     user at a time would read at least as many triples as users are missing,
     so the positions are bit-identical to that loop's.  The user that sees
     ``MAX_DRAWS_PER_USER`` consecutive rejected triples raises
@@ -337,9 +354,9 @@ def sample_scene(seed: int, num_users: int,
     """
     if num_users < 1:
         raise ValueError("num_users must be >= 1")
-    region = region or Region()
+    region = region or _DEFAULT_REGION
     aperture = aperture or square_aperture()
-    constants = PhysicalConstants.from_wavelength(wavelength)
+    constants = _constants_for(float(wavelength))
     rng = np.random.default_rng(seed)
     normal = np.asarray(aperture.normal, dtype=float)
     center = np.asarray(aperture.center, dtype=float)
@@ -351,8 +368,14 @@ def sample_scene(seed: int, num_users: int,
     misses = 0  # rejected draws since the last accepted one
     while placed < num_users:
         r, th, ph = rng.uniform(low, high, size=(num_users - placed, 3)).T
-        p = spherical_to_cartesian(r, th, ph)
-        hits = np.flatnonzero((p - center) @ normal > 0.0)
+        p = _to_cartesian(r, th, ph)
+        front = (p - center) @ normal > 0.0
+        if front.all():
+            # no rejection to count: the only non-empty run is the misses
+            # carried in, which the round before checked
+            positions[placed:] = p
+            break
+        hits = np.flatnonzero(front)
         # Rejected draws before each accepted one (the first run continues the
         # carried-over misses), then the rejected draws after the last.
         edges = np.concatenate(([-1 - misses], hits, [len(p)]))
@@ -417,29 +440,54 @@ def los_channels(positions: np.ndarray, points: np.ndarray,
     dx = pos[..., 0, None] - pts[:, 0]
     dy = pos[..., 1, None] - pts[:, 1]
     dz = pos[..., 2, None] - pts[:, 2]
-    dist = np.sqrt((dx * dx + dy * dy) + dz * dz)
+    # every real intermediate below reuses one of five (..., P) buffers; the
+    # operations on each value are those of the formula, in its order
+    dist = dx * dx
+    tmp = dy * dy
+    dist += tmp
+    np.multiply(dz, dz, out=tmp)
+    dist += tmp
+    np.sqrt(dist, out=dist)
     n0, n1, n2 = normal
-    near = dist <= 0.0
-    if near.any():
-        with np.errstate(divide="ignore", invalid="ignore"):
-            behind = (dx * n0 + dy * n1 + dz * n2) / dist <= 0.0
-        raise _first_geometry_fault(near, behind, user)
-    cos_dep = (dx * n0 + dy * n1 + dz * n2) / dist
-    behind = cos_dep <= 0.0
-    if behind.any():
-        raise _first_geometry_fault(near, behind, user)
+    # one reduction per check; a NaN fails the gate too, so the exact
+    # element-wise check decides, and a NaN is no fault
+    if not np.minimum.reduce(dist, axis=None, initial=math.inf) > 0.0:
+        near = dist <= 0.0
+        if near.any():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                behind = (dx * n0 + dy * n1 + dz * n2) / dist <= 0.0
+            raise _first_geometry_fault(near, behind, user)
+    cos_dep = np.multiply(dx, n0, out=dx)
+    np.multiply(dy, n1, out=tmp)
+    cos_dep += tmp
+    np.multiply(dz, n2, out=tmp)
+    cos_dep += tmp
+    cos_dep /= dist
+    if not np.minimum.reduce(cos_dep, axis=None, initial=math.inf) > 0.0:
+        behind = cos_dep <= 0.0
+        if behind.any():
+            raise _first_geometry_fault(dist <= 0.0, behind, user)
     k0 = constants.wavenumber
     eta = constants.impedance
-    kd = k0 * dist
+    kd = np.multiply(k0, dist, out=dy)
     correction = np.empty(kd.shape, dtype=complex)
-    np.subtract(1.0, 1.0 / (kd * kd), out=correction.real)
+    np.multiply(kd, kd, out=tmp)
+    np.divide(1.0, tmp, out=tmp)
+    np.subtract(1.0, tmp, out=correction.real)
     np.divide(1.0, kd, out=correction.imag)
-    h = 1j * k0 * eta * np.exp(-1j * kd)
+    # exp(-j k0 d) from the exponent (0 kd, -1 kd), which has the bits of
+    # -1j * kd also where kd is not finite
+    wave = np.empty(kd.shape, dtype=complex)
+    np.multiply(kd, 0.0, out=wave.real)
+    np.multiply(kd, -1.0, out=wave.imag)
+    np.exp(wave, out=wave)
+    h = 1j * k0 * eta * wave
     re, im = h.real, h.imag     # views: scaling them scales h in place
-    scale = 1.0 / (4.0 * np.pi * dist)
+    scale = np.multiply(4.0 * np.pi, dist, out=tmp)
+    np.divide(1.0, scale, out=scale)
     re *= scale
     im *= scale
-    scale = np.sqrt(cos_dep)
+    scale = np.sqrt(cos_dep, out=cos_dep)
     re *= scale
     im *= scale
     # out of place, as numpy's in-place complex product of a single element
@@ -505,6 +553,6 @@ def channel_response(scene: Scene, k: int, points: np.ndarray) -> np.ndarray:
     """
     pts = np.asarray(points, dtype=float)
     squeeze = pts.ndim == 1
-    h = los_channels(scene.positions[k], np.atleast_2d(pts),
+    h = los_channels(scene.positions[k], pts[None] if squeeze else pts,
                      scene.aperture.normal, scene.constants, user=k)
     return h[0] if squeeze else h

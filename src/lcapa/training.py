@@ -22,6 +22,7 @@ on its own.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -29,6 +30,7 @@ import numpy as np
 
 from .gnn import PARAM_NAMES, GnnParams, GnnSpec, LayerParams, init_params
 from .heads import (
+    HEAD_NORMS,
     GnnModel,
     policy_backward,
     policy_forward,
@@ -630,7 +632,8 @@ def save_checkpoint(model: GnnModel, path: str, report: TrainReport | None = Non
 def load_checkpoint(path: str) -> GnnModel:
     """Read a model written by :func:`save_checkpoint`.  Any fault of the
     file (unreadable, another format, a missing, mistyped or misshapen entry,
-    an invalid spec, a non-finite parameter) raises :class:`CheckpointError`,
+    an invalid spec, a non-finite parameter, a missing norm its head reads or
+    a norm that is not positive and finite) raises :class:`CheckpointError`,
     which is a ``ValueError`` too, as an invalid spec used to raise."""
     try:
         with open(path) as fh:
@@ -666,6 +669,17 @@ def load_checkpoint(path: str) -> GnnModel:
                     f"spec requires {None if ref is None else ref.shape}")
             elif not np.isfinite(arr).all():
                 raise CheckpointError(f"layer {t} array {name} is not finite")
+    norms = rec.get("norms")
+    if not isinstance(norms, dict):
+        raise CheckpointError("checkpoint norms are not a mapping")
+    for name in HEAD_NORMS[spec.kind]:
+        if name not in norms:
+            raise CheckpointError(f"missing norm {name}")
+    for name, value in norms.items():
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not 0.0 < value < math.inf):
+            raise CheckpointError(f"norm {name} must be positive and finite, "
+                                  f"got {value!r}")
     return GnnModel(spec=spec,
                     params=GnnParams(layers=[LayerParams(**a) for a in layers]),
-                    norms=rec.get("norms", {}))
+                    norms=norms)

@@ -15,6 +15,7 @@ Gram can be handed in, so a finer grid only changes C.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -44,6 +45,7 @@ class BisectionError(RuntimeError):
 
 
 _NEWTON_STEPS = 100     # cap on Newton steps for the power multiplier
+_LN2 = np.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -84,10 +86,16 @@ class BaselineResult:
 
 
 def _shared_aperture(user_apertures: np.ndarray) -> float:
+    """The users' one aperture size |A_u|; ``ValueError`` unless every size is
+    within 1e-12 of the first, relative, and that is positive and finite."""
     ap = np.asarray(user_apertures, dtype=float)
-    if not np.allclose(ap, ap[0], rtol=1e-12, atol=0.0):
+    first = float(ap[0])
+    if not 0.0 < first < math.inf:
+        raise ValueError(f"user aperture size must be positive and finite, "
+                         f"got {first!r}")
+    if not (np.abs(ap - first) <= 1e-12 * first).all():
         raise ValueError("the WMMSE baseline requires a shared user aperture size")
-    return float(ap[0])
+    return first
 
 
 def _power_multiplier(c: np.ndarray, lam: np.ndarray, power: float) -> float:
@@ -99,23 +107,40 @@ def _power_multiplier(c: np.ndarray, lam: np.ndarray, power: float) -> float:
     climbs monotonically to the root without overshooting (More & Sorensen,
     SIAM J. Sci. Stat. Comput. 1983).  It stops once a step is at most
     1e-13 mu, and raises :class:`BisectionError` when no root exists (a
-    non-positive budget) or the iteration does not converge.
+    non-positive budget), a step is undefined (P or P' underflows to 0) or
+    the iteration does not converge.
     """
-    if np.sum(c / lam ** 2) <= power:
+    buf = np.multiply(lam, lam)
+    np.divide(c, buf, out=buf)
+    if np.add.reduce(buf) <= power:
         return 0.0
     if not power > 0.0:
         raise BisectionError(f"no power multiplier reaches the budget {power:g}")
-    target = 1.0 / np.sqrt(power)
+    # the arithmetic of 1 / sqrt(P) Newton steps, on reused buffers and Python
+    # floats (math.sqrt and np.sqrt round alike); P and P' are the row sums of
+    # one (2, n) buffer, which numpy sums row by row exactly as it sums a row
+    target = 1.0 / math.sqrt(power)
+    r = np.empty_like(lam)
+    terms = np.empty((2,) + lam.shape)
+    cr2, cr3 = terms                  # c_i r_i^2 and c_i r_i^3, r = 1/(lam + mu)
     mu = 0.0
     for _ in range(_NEWTON_STEPS):
-        r = 1.0 / (lam + mu)
-        cr2 = c * r * r
-        p = cr2.sum()
+        np.add(lam, mu, out=r)
+        np.divide(1.0, r, out=r)
+        np.multiply(c, r, out=cr2)
+        np.multiply(cr2, r, out=cr2)
+        np.multiply(cr2, r, out=cr3)
+        p, slope = np.add.reduce(terms, axis=1).tolist()
         # d(1/sqrt(P))/dmu = P^(-3/2) sum_i c_i / (lam_i + mu)^3
-        step = (target - 1.0 / np.sqrt(p)) * p * np.sqrt(p) / (cr2 * r).sum()
+        try:
+            root = math.sqrt(p)
+            step = (target - 1.0 / root) * p * root / slope
+        except (ValueError, ZeroDivisionError) as exc:   # P <= 0 or P' = 0
+            raise BisectionError(f"Newton's method took an undefined step on "
+                                 f"the power multiplier (mu={mu:g})") from exc
         mu += step
         if abs(step) <= 1e-13 * mu:
-            return float(mu)
+            return mu
     raise BisectionError(f"Newton's method did not converge on the power "
                          f"multiplier in {_NEWTON_STEPS} steps (mu={mu:g})")
 
@@ -160,13 +185,14 @@ def wmmse_precoding(coupling: np.ndarray, user_apertures: np.ndarray,
     if np.any(e_norms == 0.0):
         raise ValueError("a user has an identically zero channel")
 
+    # np.add.reduce is what the .sum and np.sum wrappers call
     def row_power(t: np.ndarray) -> np.ndarray:
-        return (np.abs(t) ** 2).sum(axis=1)   # sum_j |t_kj|^2
+        return np.add.reduce(np.abs(t) ** 2, axis=1)   # sum_j |t_kj|^2
 
     def sum_rate(t: np.ndarray, rows: np.ndarray) -> float:
         sig = np.abs(t.diagonal()) ** 2
         interference = rows - sig
-        return float(np.sum(np.log1p(sig / (interference + noise)) / np.log(2.0)))
+        return float(np.add.reduce(np.log1p(sig / (interference + noise)) / _LN2))
 
     # matched-filter start with equal power split: user k's current is its
     # own channel (b_k on the k-th unit vector), with b_k^H E b_k = P / K
@@ -185,17 +211,19 @@ def wmmse_precoding(coupling: np.ndarray, user_apertures: np.ndarray,
 
         d = np.sqrt(w * np.abs(u) ** 2)                    # sqrt(alpha_k)
         lam, q = np.linalg.eigh(d[:, None] * e * d[None, :])
-        keep = lam > max(1e-14 * lam.max(), 0.0)
-        lam_kept = lam[keep]
+        floor = max(1e-14 * np.maximum.reduce(lam), 0.0)
+        if not lam[0] > floor:     # eigh ascends: else every eigenvalue is kept
+            keep = lam > floor
+            lam, q = lam[keep], q[:, keep]
         # q_tilde holds an E-orthonormal basis of the weighted channel span
-        q_tilde = d[:, None] * (q[:, keep] / np.sqrt(lam_kept)[None, :])
+        q_tilde = d[:, None] * (q / np.sqrt(lam)[None, :])
 
         coeff = q_tilde.conj().T @ e                       # (r, K): q_tilde^H E
         wu = w * u
         mu = _power_multiplier(np.abs(coeff) ** 2 @ np.abs(wu) ** 2,
-                               lam_kept, power_budget)
+                               lam, power_budget)
 
-        b = q_tilde @ (coeff / (lam_kept[:, None] + mu)) * wu[None, :]
+        b = q_tilde @ (coeff / (lam[:, None] + mu)) * wu[None, :]
         t = e @ b
         rows = row_power(t)
         trace.append(sum_rate(t, rows))

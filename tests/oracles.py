@@ -18,7 +18,12 @@ Gram-domain code in ``lcapa``, so the tests can check that code against it:
 * :func:`gauss_legendre_gram` and :func:`reference_sum_se` -- a converged
   tensor Gauss-Legendre coupling Gram and a sum SE scored on it (projection,
   SINR and SE written out here, not taken from ``lcapa.objective``): the
-  judge of the paper's headline claim.
+  judge of the paper's headline claim;
+* :func:`plain_wmmse_precoding`, :func:`plain_power_multiplier` and
+  :func:`plain_los_channels` -- the WMMSE iteration, its sum-power
+  multiplier and the channel kernel written plainly, with numpy's reduction
+  wrappers and a fresh array for every intermediate: the bit-identity
+  references for the tuned kernels in ``lcapa.wmmse`` and ``lcapa.scene``.
 """
 
 import numpy as np
@@ -26,8 +31,10 @@ import numpy as np
 from lcapa.objective import project_weights, sinr_vector, sum_se
 from lcapa.quadrature import (ApertureGrid, build_grid, channel_matrix,
                               gram_pair, integral_couplings, integral_power)
-from lcapa.scene import (Scene, channel_response, los_channels, sample_scene,
-                         square_aperture)
+from lcapa.quadrature import _require_hermitian
+from lcapa.scene import (Scene, SceneGeometryError, channel_response,
+                         los_channels, sample_scene, square_aperture)
+from lcapa.wmmse import BisectionError, WmmseInfo, WmmseOptions
 
 
 def direct_integral_check(scene: Scene, grid: ApertureGrid,
@@ -266,3 +273,153 @@ def reference_sum_se(gram: np.ndarray, weights: np.ndarray,
                            for j in range(g.shape[1]) if j != k)
         se += np.log2(1.0 + signal / (interference + noise_vars[k]))
     return float(se)
+
+
+def plain_power_multiplier(c: np.ndarray, lam: np.ndarray, power: float) -> float:
+    """The mu >= 0 with sum_i c_i / (lam_i + mu)^2 = power, by Newton's method
+    on 1/sqrt(P(mu)) from mu = 0; the reference for
+    ``lcapa.wmmse._power_multiplier``, which must return the same bits."""
+    if np.sum(c / lam ** 2) <= power:
+        return 0.0
+    if not power > 0.0:
+        raise BisectionError(f"no power multiplier reaches the budget {power:g}")
+    target = 1.0 / np.sqrt(power)
+    mu = 0.0
+    for _ in range(100):
+        r = 1.0 / (lam + mu)
+        cr2 = c * r * r
+        p = cr2.sum()
+        step = (target - 1.0 / np.sqrt(p)) * p * np.sqrt(p) / (cr2 * r).sum()
+        mu += step
+        if abs(step) <= 1e-13 * mu:
+            return float(mu)
+    raise BisectionError(f"Newton's method did not converge on the power "
+                         f"multiplier in 100 steps (mu={mu:g})")
+
+
+def plain_wmmse_precoding(coupling: np.ndarray, user_apertures: np.ndarray,
+                          noise_vars: np.ndarray, power_budget: float,
+                          options: WmmseOptions | None = None
+                          ) -> tuple[np.ndarray, WmmseInfo]:
+    """Sum-rate WMMSE on the coupling Gram, every step written plainly.
+
+    The reference for ``lcapa.wmmse.wmmse_precoding``: the same matched-filter
+    start, alternation, multiplier and final rescale, with the same
+    floating-point operations in the same order, so the Gram coordinates B,
+    the iteration count and the objective trace must agree bit for bit.
+    Assumes valid inputs (a shared, positive user aperture size).
+    """
+    options = options or WmmseOptions()
+    num_users = len(user_apertures)
+    c = np.asarray(coupling, dtype=complex)
+    _require_hermitian(c)
+    ap = np.asarray(user_apertures, dtype=float)
+    assert np.allclose(ap, ap[0], rtol=1e-12, atol=0.0)
+    e = float(ap[0]) * c
+    noise = np.asarray(noise_vars, dtype=float)
+    e_norms = np.sqrt(e.diagonal().real)
+
+    def row_power(t):
+        return (np.abs(t) ** 2).sum(axis=1)
+
+    def sum_rate(t, rows):
+        sig = np.abs(t.diagonal()) ** 2
+        interference = rows - sig
+        return float(np.sum(np.log1p(sig / (interference + noise)) / np.log(2.0)))
+
+    b = np.diag(np.sqrt(power_budget / num_users) / e_norms)
+    t = e @ b
+    rows = row_power(t)
+    trace = [sum_rate(t, rows)]
+    converged = False
+    iterations = 0
+    for iterations in range(1, options.max_iterations + 1):
+        t_diag = t.diagonal()
+        totals = rows + noise
+        u = t_diag / totals
+        mse = 1.0 - (np.conj(u) * t_diag).real
+        w = 1.0 / mse
+        d = np.sqrt(w * np.abs(u) ** 2)
+        lam, q = np.linalg.eigh(d[:, None] * e * d[None, :])
+        keep = lam > max(1e-14 * lam.max(), 0.0)
+        lam_kept = lam[keep]
+        q_tilde = d[:, None] * (q[:, keep] / np.sqrt(lam_kept)[None, :])
+        coeff = q_tilde.conj().T @ e
+        wu = w * u
+        mu = plain_power_multiplier(np.abs(coeff) ** 2 @ np.abs(wu) ** 2,
+                                    lam_kept, power_budget)
+        b = q_tilde @ (coeff / (lam_kept[:, None] + mu)) * wu[None, :]
+        t = e @ b
+        rows = row_power(t)
+        trace.append(sum_rate(t, rows))
+        if abs(trace[-1] - trace[-2]) <= options.tolerance * max(1.0, abs(trace[-1])):
+            converged = True
+            break
+
+    current = float(np.sum(np.conj(b) * t).real)
+    if current > 0.0:
+        scale = np.sqrt(power_budget / current)
+        b = b * scale
+        t = t * scale
+    trace.append(sum_rate(t, row_power(t)))
+    return b, WmmseInfo(iterations=iterations, converged=converged,
+                        objective_trace=np.asarray(trace))
+
+
+def plain_los_channels(positions: np.ndarray, points: np.ndarray,
+                       normal: tuple[float, float, float], constants, *,
+                       user: int | None = None) -> np.ndarray:
+    """Line-of-sight channels of (..., 3) positions at (P, 3) points, with a
+    fresh array for every intermediate and plain geometry checks.
+
+    The reference for ``lcapa.scene.los_channels``: the same real operations
+    in the same order, so the channels must agree bit for bit, and a user
+    that coincides with a point or is not in front of the aperture raises
+    the same :class:`~lcapa.scene.SceneGeometryError` message.
+    """
+    pos = np.asarray(positions, dtype=float)
+    pts = np.asarray(points, dtype=float)
+    dx = pos[..., 0, None] - pts[:, 0]
+    dy = pos[..., 1, None] - pts[:, 1]
+    dz = pos[..., 2, None] - pts[:, 2]
+    dist = np.sqrt((dx * dx + dy * dy) + dz * dz)
+    n0, n1, n2 = normal
+    near = dist <= 0.0
+    if near.any():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            behind = (dx * n0 + dy * n1 + dz * n2) / dist <= 0.0
+        raise _plain_geometry_fault(near, behind, user)
+    cos_dep = (dx * n0 + dy * n1 + dz * n2) / dist
+    behind = cos_dep <= 0.0
+    if behind.any():
+        raise _plain_geometry_fault(near, behind, user)
+    k0 = constants.wavenumber
+    eta = constants.impedance
+    kd = k0 * dist
+    correction = np.empty(kd.shape, dtype=complex)
+    np.subtract(1.0, 1.0 / (kd * kd), out=correction.real)
+    np.divide(1.0, kd, out=correction.imag)
+    h = 1j * k0 * eta * np.exp(-1j * kd)
+    re, im = h.real, h.imag
+    scale = 1.0 / (4.0 * np.pi * dist)
+    re *= scale
+    im *= scale
+    scale = np.sqrt(cos_dep)
+    re *= scale
+    im *= scale
+    return h * correction
+
+
+def _plain_geometry_fault(near, behind, user):
+    fault = (near | behind).any(axis=-1)
+    index = np.unravel_index(int(np.argmax(fault)), fault.shape)
+    if not index:
+        name = f"user {user}"
+    else:
+        name = f"user {index[-1]}"
+        if len(index) > 1:
+            name += f" of scene {tuple(int(i) for i in index[:-1])}"
+    if near[index].any():
+        return SceneGeometryError(f"{name} coincides with an evaluation point")
+    return SceneGeometryError(
+        f"{name} is not in front of the aperture at some evaluation point")

@@ -12,6 +12,11 @@ def test_unknown_policy_mode_is_a_usage_error(command, capsys):
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
+# what each checked field must be, where it is not ">= 1"
+_FIELD_RULES = {"zeta": "positive and finite",
+                "aperture_area": "positive and finite", "layers": ">= 2"}
+
+
 @pytest.mark.parametrize("flags,field", [
     (["--batch-size", "0"], "batch_size"),
     (["--batch-size", "-1"], "batch_size"),
@@ -19,10 +24,14 @@ def test_unknown_policy_mode_is_a_usage_error(command, capsys):
     (["--num-train", "0"], "num_train"),
     (["--num-users", "0"], "num_users"),
     (["--hidden", "0"], "hidden"),
+    (["--zeta", "0"], "zeta"),
+    (["--aperture-area", "-1"], "aperture_area"),
+    (["--layers", "1"], "layers"),
 ])
 def test_bad_training_flag_is_a_usage_error(flags, field, tmp_path, capsys):
     assert main(["train-proj", "--checkpoint-dir", str(tmp_path), *flags]) == 1
-    assert f"{field} must be >= 1" in capsys.readouterr().err
+    rule = _FIELD_RULES.get(field, ">= 1")
+    assert f"{field} must be {rule}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

@@ -103,6 +103,9 @@ def test_embedded_config_reproduces_every_row(tmp_path, kind, swept):
     ("policy_epochs", 0), ("policy_lr", 0.0), ("policy_lr", float("nan")),
     ("supervised_lr", -1e-3), ("supervised_lr", float("inf")),
     ("num_train", 0), ("num_users", 0), ("hidden", 0), ("num_test_scenes", 0),
+    ("zeta", 0.0), ("zeta", float("nan")), ("aperture_area", -1.0),
+    ("aperture_area", float("inf")), ("layers", 1), ("layers", 0),
+    ("zeta_list", (1e6, 0.0)), ("aperture_list", (4.0, float("nan"))),
 ])
 def test_config_rejects_bad_training_settings(field, value):
     with pytest.raises(ValueError, match=field):

@@ -72,6 +72,14 @@ class TestSpec:
         assert proj_spec().edge_widths == (2, 64, 64, 0)
         assert value_spec(hidden=32, layers=5).vertex_widths == (5, 32, 32, 32, 2)
 
+    @pytest.mark.parametrize("factory", [policy_spec, proj_spec, value_spec])
+    @pytest.mark.parametrize("layers", [1, 0, -3])
+    def test_fewer_than_two_layers_rejected(self, factory, layers):
+        # layers=1 used to build the layers=2 network and ignore `hidden`
+        with pytest.raises(ValueError, match="layers must be >= 2"):
+            factory(hidden=8, layers=layers)
+        assert len(factory(hidden=8, layers=2).vertex_widths) == 2
+
     def test_round_trip_dict(self):
         spec = value_spec(hidden=16, layers=4, edge_aggregation=True)
         assert GnnSpec.from_dict(spec.to_dict()) == spec

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_passes_without_dispatch, cpu_dispatch_targets
+from oracles import plain_los_channels
 from lcapa.quadrature import build_grid
 from lcapa.scene import (
     DEFAULT_WAVELENGTH,
@@ -632,3 +633,81 @@ class TestApertureSpec:
         assert np.isclose(u @ w, 0.0, atol=1e-15)
         assert np.isclose(u @ n, 0.0, atol=1e-15)
         assert np.allclose(np.cross(u, w), n, atol=1e-15)
+
+
+_TILTED = square_aperture(normal=tuple(np.array([1.0, 2.0, 2.0]) / 3.0))
+_PLAIN_APERTURES = dict(_AXIS_APERTURES, tilted=(_TILTED, None))
+
+
+def _assert_kernel_matches_plain(cases):
+    """los_channels and channel_response give plain_los_channels' bits, for
+    one scene, a stack of scenes and one point, at every normal."""
+    for name, (aperture, region) in _PLAIN_APERTURES.items():
+        nodes = build_grid(aperture, 256).nodes
+        normal = aperture.normal
+        for seed, num_users in cases:
+            scenes = [sample_scene(seed + i, num_users, region=region,
+                                   aperture=aperture) for i in range(2)]
+            constants = scenes[0].constants
+            stack = np.stack([s.positions for s in scenes])
+            for positions in (scenes[0].positions, stack):
+                got = los_channels(positions, nodes, normal, constants)
+                want = plain_los_channels(positions, nodes, normal, constants)
+                assert got.tobytes() == want.tobytes(), (name, seed, num_users)
+            for k in range(num_users):
+                point = nodes[(seed + 7 * k) % len(nodes)]
+                want = plain_los_channels(scenes[0].positions[k], point[None],
+                                          normal, constants)[0]
+                got = channel_response(scenes[0], k, point)
+                assert got.tobytes() == want.tobytes(), (name, seed, k)
+
+
+def _assert_every_fifth_plain_case_matches():
+    _assert_kernel_matches_plain(_KERNEL_CASES[::5])
+
+
+def _kernel_outcome(kernel, positions, points, user=None):
+    """Channel bytes, or the message of the SceneGeometryError raised instead."""
+    scene = sample_scene(seed=3, num_users=1)
+    try:
+        return kernel(positions, points, scene.aperture.normal, scene.constants,
+                      user=user).tobytes()
+    except SceneGeometryError as exc:
+        return str(exc)
+
+
+class TestKernelMatchesPlain:
+    """The tuned channel kernel against its plain form in ``tests/oracles.py``."""
+
+    def test_bit_identical(self):
+        _assert_kernel_matches_plain(_KERNEL_CASES[::20])
+
+    @pytest.mark.skipif(not cpu_dispatch_targets(),
+                        reason="numpy reports no CPU dispatch targets")
+    def test_bit_identical_with_dispatch_disabled(self):
+        assert_passes_without_dispatch(
+            "test_scene", "_assert_every_fifth_plain_case_matches()")
+
+    @pytest.mark.parametrize("positions,user", [
+        ([[0.5, 20.0, 1.0]], 2),                              # on a point
+        ([[0.5, 25.0, 1.0], [0.5, 19.0, 1.0]], None),         # user 1 behind
+        ([[np.nan, 20.0, 1.0], [0.5, 20.0, 1.0]], None),      # NaN, then on
+        ([[np.nan, 20.0, 1.0], [0.5, 19.0, 1.0]], None),      # NaN, then behind
+        ([[[0.5, 30.0, 1.0]], [[0.5, 19.5, 1.0]]], None),     # scene 1 behind
+    ], ids=["near", "behind", "nan-then-near", "nan-then-behind", "stacked"])
+    def test_same_geometry_error(self, positions, user):
+        points = np.array([[0.0, 0.0, 0.0], [0.5, 20.0, 1.0]])
+        pos = np.array(positions)
+        if user is not None:
+            pos = pos[0]
+        want = _kernel_outcome(plain_los_channels, pos, points, user)
+        assert isinstance(want, str)
+        assert _kernel_outcome(los_channels, pos, points, user) == want
+
+    def test_nan_position_gives_the_same_channels(self):
+        # a NaN is not a geometry fault: the channels come out NaN, as before
+        points = build_grid(square_aperture(), 16).nodes
+        pos = np.array([[np.nan, 20.0, 1.0], [0.5, 20.0, 1.0]])
+        want = _kernel_outcome(plain_los_channels, pos, points)
+        assert isinstance(want, bytes)
+        assert _kernel_outcome(los_channels, pos, points) == want

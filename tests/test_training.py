@@ -137,6 +137,41 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda norms: norms.pop("a_scale"), "missing norm a_scale"),
+        (lambda norms: norms.clear(), "missing norm pos_scale"),
+        (lambda norms: norms.__setitem__("out_scale", float("nan")), "out_scale"),
+        (lambda norms: norms.__setitem__("out_scale", float("inf")), "out_scale"),
+        (lambda norms: norms.__setitem__("a_scale", 0.0), "a_scale"),
+        (lambda norms: norms.__setitem__("pos_scale", -30.0), "pos_scale"),
+        (lambda norms: norms.__setitem__("pos_scale", "30"), "pos_scale"),
+        (lambda norms: norms.__setitem__("a_scale", True), "a_scale"),
+    ], ids=["missing", "empty", "nan", "inf", "zero", "negative", "string",
+            "bool"])
+    def test_bad_norm_raises_checkpoint_error(self, corrupt, message, tmp_path):
+        # a NaN out_scale used to load and make every output NaN
+        path = str(tmp_path / "value.json")
+        save_checkpoint(tiny_aggregating_model(), path)
+        with open(path) as fh:
+            rec = json.load(fh)
+        corrupt(rec["norms"])
+        with open(path, "w") as fh:
+            json.dump(rec, fh)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
+    def test_policy_needs_no_a_scale(self, tmp_path):
+        spec = policy_spec(hidden=4, layers=3)
+        model = GnnModel(spec=spec, params=init_params(spec, 0),
+                         norms={"pos_scale": 30.0, "out_scale": 1e-4})
+        path = str(tmp_path / "policy.json")
+        save_checkpoint(model, path)
+        assert load_checkpoint(path).norms == model.norms
+        del model.norms["out_scale"]
+        save_checkpoint(model, path)
+        with pytest.raises(CheckpointError, match="missing norm out_scale"):
+            load_checkpoint(path)
+
     def test_top_level_list_is_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "value.json"
         path.write_text("[1, 2]")

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import all_permutations, random_weights
+from conftest import (all_permutations, assert_passes_without_dispatch,
+                      cpu_dispatch_targets, random_weights)
 from lcapa.objective import sinr_vector, sum_se
 from lcapa.quadrature import (build_grid, channel_matrix, gram_pair,
                               integral_couplings, integral_power)
@@ -17,7 +18,8 @@ from lcapa.wmmse import (
     lift_precoder,
     wmmse_precoding,
 )
-from oracles import least_squares_lift
+from oracles import (least_squares_lift, plain_power_multiplier,
+                     plain_wmmse_precoding)
 
 
 def run_wmmse(scene, num_nodes, options=None):
@@ -102,6 +104,18 @@ class TestIterationProperties:
         with pytest.raises(ValueError):
             wmmse_precoding(seed1_grams.coupling, np.array([1e-5, 2e-5, 1e-5, 1e-5]),
                             seed1_scene.noise_vars(), 1.0)
+
+    @pytest.mark.parametrize("sizes", [[np.inf] * 4, [np.nan] * 4, [0.0] * 4,
+                                       [-1e-5] * 4, [1e-5, np.inf, 1e-5, 1e-5]],
+                             ids=["inf", "nan", "zero", "negative", "one-inf"])
+    def test_bad_aperture_size_rejected(self, sizes, seed1_scene, seed1_grams):
+        # all-inf sizes used to end in LinAlgError inside eigh, and
+        # lift_precoder returned non-finite weights
+        with pytest.raises(ValueError, match="aperture size"):
+            wmmse_precoding(seed1_grams.coupling, np.array(sizes),
+                            seed1_scene.noise_vars(), 1.0)
+        with pytest.raises(ValueError, match="aperture size"):
+            lift_precoder(np.eye(4, dtype=complex), np.array(sizes))
 
     @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan"), float("inf")])
     def test_power_budget_validated(self, budget, seed1_scene, seed1_grams):
@@ -448,3 +462,93 @@ class TestPowerMultiplier:
     def test_non_finite_input_raises(self):
         with pytest.raises(BisectionError):
             _power_multiplier(np.array([np.nan, 1.0]), np.ones(2), 0.5)
+
+    def test_underflowing_power_raises(self):
+        # P(mu) falls to 0 within a few subnormal steps, where a Newton step
+        # divides by zero; the plain form runs on NaN until its step cap
+        c, lam, power = np.array([3e-323]), np.array([1.2]), 5e-324
+        with pytest.raises(BisectionError, match="undefined step"):
+            _power_multiplier(c, lam, power)
+        with pytest.raises(BisectionError), np.errstate(all="ignore"):
+            plain_power_multiplier(c, lam, power)
+
+
+def _plain_pool():
+    """(label, Gram, apertures, noise, budget) at K = 1, 4 and 16, plus Grams
+    of rank below K: two users at one point, and M < K."""
+    cases = []
+    for num_users in (1, 4, 16):
+        for seed in range(5000, 5006):
+            scene = sample_scene(seed=seed, num_users=num_users)
+            cases.append((f"k{num_users}-{seed}", scene, 256))
+    scene = sample_scene(seed=5100, num_users=4)
+    positions = scene.positions.copy()
+    positions[1] = positions[0]
+    cases.append(("coincident", scene.with_positions(positions), 64))
+    cases.append(("m-below-k", sample_scene(seed=5101, num_users=16), 4))
+    pool = []
+    for label, scene, num_nodes in cases:
+        grid = build_grid(scene.aperture, num_nodes)
+        coupling = gram_pair(channel_matrix(scene, grid).h,
+                             grid.cell_area).coupling
+        pool.append((label, coupling, scene.user_apertures(), scene.noise_vars(),
+                     scene.power_budget))
+    return pool
+
+
+def _assert_wmmse_matches_plain():
+    rank_deficient = 0
+    for label, coupling, ap, nv, budget in _plain_pool():
+        b, info = wmmse_precoding(coupling, ap, nv, budget)
+        want_b, want = plain_wmmse_precoding(coupling, ap, nv, budget)
+        assert b.tobytes() == want_b.tobytes(), label
+        assert (info.iterations, info.converged) \
+            == (want.iterations, want.converged), label
+        assert info.objective_trace.tobytes() == want.objective_trace.tobytes(), label
+        rank_deficient += np.linalg.matrix_rank(coupling) < len(ap)
+    assert rank_deficient == 2
+
+
+def _multiplier_outcome(fn, c, lam, power):
+    try:
+        return fn(c, lam, power)
+    except BisectionError as exc:
+        return str(exc)
+
+
+def _assert_multiplier_matches_plain():
+    rng = np.random.default_rng(79)
+    outcomes = {"zero": 0, "binding": 0, "raised": 0}
+    cases = [_random_secular_case(rng) for _ in range(300)]
+    cases += [(c, lam, _secular_power(c, lam, 0.0)) for c, lam, _ in cases[:20]]
+    cases += [(np.array([1.0, 0.0]), np.array([0.5, 2.0]), power)
+              for power in (0.0, -1.0)]
+    cases += [(np.array([np.nan, 1.0]), np.ones(2), 0.5)]
+    for c, lam, power in cases:
+        got = _multiplier_outcome(_power_multiplier, c, lam, power)
+        want = _multiplier_outcome(plain_power_multiplier, c, lam, power)
+        assert type(got) is type(want) and got == want, (c, lam, power)
+        outcomes["raised" if isinstance(want, str) else
+                 "zero" if want == 0.0 else "binding"] += 1
+    assert min(outcomes.values()) >= 3, outcomes
+
+
+def _assert_matches_plain():
+    _assert_wmmse_matches_plain()
+    _assert_multiplier_matches_plain()
+
+
+class TestMatchesPlainIteration:
+    """The tuned iteration and multiplier against their plain forms in
+    ``tests/oracles.py``: the same bits, not merely close."""
+
+    def test_wmmse_bit_identical(self):
+        _assert_wmmse_matches_plain()
+
+    def test_multiplier_bit_identical(self):
+        _assert_multiplier_matches_plain()
+
+    @pytest.mark.skipif(not cpu_dispatch_targets(),
+                        reason="numpy reports no CPU dispatch targets")
+    def test_bit_identical_with_dispatch_disabled(self):
+        assert_passes_without_dispatch("test_wmmse", "_assert_matches_plain()")
