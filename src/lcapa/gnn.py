@@ -10,31 +10,39 @@ layer transforms all vertex representations and all edge representations:
 
 All weights are shared across vertices/edges, which is what makes every
 instantiation permutation equivariant.  The network is real-valued; complex
-quantities enter and leave as (real, imaginary) feature pairs.  Forward
-passes retain every pre-activation in a cache so the backward pass can
-accumulate exact reverse-mode gradients; no autodiff framework is involved.
+quantities enter and leave as (real, imaginary) feature pairs.  A forward
+pass keeps in its :class:`GnnCache` what the backward pass reads: each
+layer's inputs, the neighbour sums it formed from them, and the output
+layer's vertex pre-activation.  The backward pass accumulates exact
+reverse-mode gradients from it and reduces no layer input again; no
+autodiff framework is involved.
 
 Kernel contract.  The elementwise work runs no select kernel and makes few
-fresh full-size (N, K, K, width) arrays.  Per edge layer the forward pass
-allocates only what it keeps: the cached pre-activation and its activation.
-The backward pass scales the spent edge gradient in place; it allocates the
-activation derivative, one buffer that holds the ``gze @ U`` products, and
-the edge gradient it passes down.  Edge aggregation adds its aggregate
-and, in the forward pass, the products formed from it.  The backward pass
-computes only the outputs its ``wrt`` argument names and returns None for
-the rest: ``"inputs"`` (the frozen surrogates in the policy chain) runs no
-weight-gradient GEMM and builds no gradient tree, and ``"params"`` (every
-trained net) forms no layer-0 input gradient, so its layer 0 skips the
-``gze @ U`` buffer and the aggregation spread.  Each output computed
-equals (``np.array_equal``) that of ``"both"``.
+fresh full-size (N, K, K, width) arrays.  Per hidden edge layer the forward
+pass keeps one: the activation, which is the next layer's input; the
+pre-activation it came from is freed.  The backward pass scales the spent
+edge gradient in place; it allocates the activation derivative, one buffer
+that holds the ``gze @ U`` products, and the edge gradient it passes down.
+Edge aggregation adds its aggregate and, in the forward pass, the products
+formed from it.  The backward pass computes only the outputs its ``wrt``
+argument names and returns None for the rest: ``"inputs"`` (the frozen
+surrogates in the policy chain) runs no weight-gradient GEMM and builds no
+gradient tree, and ``"params"`` (every trained net) forms no layer-0 input
+gradient, so its layer 0 skips the ``gze @ U`` buffer and the aggregation
+spread.  Each output computed equals (``np.array_equal``) that of
+``"both"``.
 The leaky ReLU is ``max(z, slope z)`` and its derivative
 ``max(1{z > 0}, slope)``, exact for ``0 <= hidden_slope <= 1``, which
-:class:`GnnSpec` enforces; self-edges are zeroed by index.  Forward outputs,
-every cached pre-activation and every gradient equal (``np.array_equal``)
-those of the select-and-mask forms ``where(z > 0, z, slope z)`` and
-``x * offdiag_mask``, which the tests keep as oracles.  The one exception is
-``slope = 0`` with a ``+inf`` pre-activation: ``0 * inf`` makes it NaN where
-the select form gives ``inf``.
+:class:`GnnSpec` enforces; self-edges are zeroed by index.  In that range
+the activation is positive exactly when z is, for +-0, -inf, NaN and
+subnormal z too, and for +inf unless slope = 0; so the backward pass takes
+the derivative from the activation.  Forward outputs, every cached array
+and every gradient equal (``np.array_equal``) those of the select-and-mask
+forms ``where(z > 0, z, slope z)`` and ``x * offdiag_mask``, which the
+tests keep as oracles.  The one exception is ``slope = 0`` with a ``+inf``
+pre-activation: ``0 * inf`` makes the activation NaN where the select form
+gives ``inf``, and the derivative read off it is 0 where the select form's
+is 1.
 
 Three head configurations are provided: ``policy`` (positions -> weight
 matrix), ``proj`` (positions + raw weights -> per-user powers through a
@@ -44,6 +52,8 @@ coupling matrix).
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -159,12 +169,69 @@ class LayerParams:
 # Array names of one layer, in field order (also the checkpoint's key order).
 PARAM_NAMES = tuple(f.name for f in fields(LayerParams))
 
+# One shape tuple (or None for an absent array) per PARAM_NAMES entry, per layer.
+Layout = tuple[tuple[tuple[int, ...] | None, ...], ...]
 
-@dataclass
+
+def param_layout(spec: GnnSpec) -> Layout:
+    """The shape of every parameter array of ``spec``, layer by layer in
+    :data:`PARAM_NAMES` order, with None for an array the layer lacks."""
+    layout = []
+    for t in range(spec.transitions):
+        dv_in, dv_out = spec.vertex_widths[t], spec.vertex_widths[t + 1]
+        de_in, de_out = spec.edge_widths[t], spec.edge_widths[t + 1]
+        edge = de_out > 0
+        agg = edge and spec.edge_aggregation
+        layout.append(((dv_out, dv_in), (dv_out, dv_in), (dv_out, de_in),
+                       (dv_out, de_in), (dv_out,),
+                       (de_out, de_in) if edge else None,
+                       (de_out, dv_in) if edge else None,
+                       (de_out, dv_in) if edge else None,
+                       (de_out,) if edge else None,
+                       (de_out, de_in) if agg else None))
+    return tuple(layout)
+
+
 class GnnParams:
-    """Per-transition shared weight matrices."""
+    """Per-transition shared weight matrices in one flat float64 buffer.
 
-    layers: list[LayerParams]
+    Every array of ``layers`` is a view of ``flat``, laid out in
+    :meth:`iter_arrays` order with the shapes ``layout`` records, so
+    whole-tree work (a copy, zeroing, an optimizer step) is one operation on
+    ``flat``.  ``GnnParams(layers)`` packs copies of the given arrays into a
+    new buffer and new :class:`LayerParams`: it never keeps, rebinds or
+    aliases a caller's array.  Rebinding a field of ``layers`` afterwards
+    detaches it from ``flat``; :meth:`packed` tells.
+    """
+
+    def __init__(self, layers: list[LayerParams]):
+        arrays = [[getattr(lp, name) for name in PARAM_NAMES] for lp in layers]
+        layout = tuple(tuple(None if a is None else np.shape(a) for a in row)
+                       for row in arrays)
+        self._bind(np.empty(_layout_size(layout)), layout)
+        sources = (a for row in arrays for a in row if a is not None)
+        for (_, view), src in zip(self.iter_arrays(), sources):
+            view[...] = src
+
+    @classmethod
+    def _over(cls, flat: np.ndarray, layout: Layout) -> "GnnParams":
+        """The tree whose arrays are views of ``flat`` (which it takes over)."""
+        params = cls.__new__(cls)
+        params._bind(flat, layout)
+        return params
+
+    def _bind(self, flat: np.ndarray, layout: Layout) -> None:
+        self.flat, self.layout = flat, layout
+        self.layers, self._views, lo = [], [], 0
+        for shapes in layout:
+            arrays = dict.fromkeys(PARAM_NAMES)
+            for name, shape in zip(PARAM_NAMES, shapes):
+                if shape is not None:
+                    hi = lo + math.prod(shape)
+                    arrays[name] = flat[lo:hi].reshape(shape)
+                    self._views.append(arrays[name])
+                    lo = hi
+            self.layers.append(LayerParams(**arrays))
 
     def iter_arrays(self):
         for idx, layer in enumerate(self.layers):
@@ -173,48 +240,46 @@ class GnnParams:
                 if arr is not None:
                     yield f"layer{idx}.{name}", arr
 
+    def packed(self) -> bool:
+        """True while every array is still the view of ``flat`` it was built as."""
+        arrays = [arr for _, arr in self.iter_arrays()]
+        return len(arrays) == len(self._views) and all(
+            a is v for a, v in zip(arrays, self._views))
+
     def copy(self) -> "GnnParams":
-        return GnnParams(layers=[
-            LayerParams(**{name: (getattr(l, name).copy()
-                                  if getattr(l, name) is not None else None)
-                           for name in PARAM_NAMES})
-            for l in self.layers])
+        return GnnParams._over(self.flat.copy(), self.layout)
+
+
+def _layout_size(layout: Layout) -> int:
+    return sum(math.prod(shape) for shapes in layout for shape in shapes
+               if shape is not None)
 
 
 def init_params(spec: GnnSpec, seed: int) -> GnnParams:
-    """Uniform(-a, a) matrices with a = 1/sqrt(fan_in); zero biases."""
+    """Uniform(-a, a) matrices with a = 1/sqrt(fan_in); zero biases.
+
+    The draws are taken array by array in :meth:`GnnParams.iter_arrays`
+    order, straight into the preallocated buffer: ``low + (high - low) u``
+    on ``rng.random`` output is the arithmetic of
+    ``rng.uniform(low, high, size)``, so the values are its values bit for
+    bit, without a temporary array per matrix.
+    """
     rng = np.random.default_rng(seed)
-
-    def mat(out_dim, in_dim):
-        bound = 1.0 / np.sqrt(max(in_dim, 1))
-        return rng.uniform(-bound, bound, size=(out_dim, in_dim))
-
-    layers = []
-    for t in range(spec.transitions):
-        dv_in, dv_out = spec.vertex_widths[t], spec.vertex_widths[t + 1]
-        de_in, de_out = spec.edge_widths[t], spec.edge_widths[t + 1]
-        has_edge = de_out > 0
-        layers.append(LayerParams(
-            w_self=mat(dv_out, dv_in),
-            w_other=mat(dv_out, dv_in),
-            w_ein=mat(dv_out, de_in),
-            w_eout=mat(dv_out, de_in),
-            b_v=np.zeros(dv_out),
-            u_edge=mat(de_out, de_in) if has_edge else None,
-            u_src=mat(de_out, dv_in) if has_edge else None,
-            u_dst=mat(de_out, dv_in) if has_edge else None,
-            b_e=np.zeros(de_out) if has_edge else None,
-            u_agg=(mat(de_out, de_in) if has_edge and spec.edge_aggregation
-                   else None),
-        ))
-    return GnnParams(layers=layers)
+    layout = param_layout(spec)
+    params = GnnParams._over(np.empty(_layout_size(layout)), layout)
+    for _, arr in params.iter_arrays():
+        if arr.ndim == 1:              # b_v and b_e
+            arr[...] = 0.0
+        else:
+            bound = 1.0 / np.sqrt(max(arr.shape[1], 1))
+            rng.random(out=arr)
+            arr *= bound - -bound
+            arr += -bound
+    return params
 
 
 def zeros_like_params(params: GnnParams) -> GnnParams:
-    out = params.copy()
-    for _, arr in out.iter_arrays():
-        arr[...] = 0.0
-    return out
+    return GnnParams._over(np.zeros(params.flat.size), params.layout)
 
 
 # -- activations --------------------------------------------------------------
@@ -225,9 +290,12 @@ def _leaky(z, slope):
     return np.maximum(z, y, out=y)
 
 
-def _dleaky(z, slope):
-    # max(1{z > 0}, slope) is 1 or slope for 0 <= slope <= 1, with no select
-    d = (z > 0.0).astype(float)
+def _dleaky(x, slope):
+    """max(1{x > 0}, slope), the leaky-ReLU derivative, 1 or slope with no
+    select.  x may be the pre-activation z or the activation _leaky(z, slope):
+    for 0 <= slope <= 1 the two are positive together (see the module
+    docstring for the one exception)."""
+    d = (x > 0.0).astype(float)
     return np.maximum(d, slope, out=d)
 
 
@@ -244,37 +312,42 @@ def _dsoftplus(z):
     return out
 
 
-def _apply_act(z, name, slope):
-    if name == "leaky":
-        return _leaky(z, slope)
-    if name == "softplus":
-        return _softplus(z)
-    return z
-
-
-def _act_grad(z, name, slope):
-    if name == "leaky":
-        return _dleaky(z, slope)
-    if name == "softplus":
-        return _dsoftplus(z)
-    return np.ones_like(z)
-
-
 # -- forward / backward -------------------------------------------------------
 
 @dataclass
 class GnnCache:
+    """What :func:`gnn_backward` reads of one forward pass.
+
+    Per layer t: its inputs ``d_inputs[t]`` and ``e_inputs[t]`` (for t > 0
+    the activations of layer t - 1) and the neighbour sums the forward pass
+    formed from them, ``d_others[t]`` = sum_{i != k} d_i, ``e_col[t]`` =
+    sum_i e_ik and ``e_row[t]`` = sum_i e_ki.  No hidden pre-activation is
+    kept: the backward pass reads the leaky-ReLU derivative off the
+    activation, which is the next layer's input.  ``zv_out`` is the output
+    layer's vertex pre-activation, which is the vertex output itself unless
+    the head is softplus.
+    """
+
     spec: GnnSpec
     params: GnnParams
     d_inputs: list[np.ndarray]
     e_inputs: list[np.ndarray]
-    zv: list[np.ndarray]
-    ze: list[np.ndarray | None]
+    d_others: list[np.ndarray]
+    e_col: list[np.ndarray]
+    e_row: list[np.ndarray]
+    zv_out: np.ndarray | None = None
+
+
+@functools.lru_cache(maxsize=64)
+def _diagonal_index(k: int) -> np.ndarray:
+    idx = np.arange(k)
+    idx.flags.writeable = False
+    return idx
 
 
 def _zero_diagonal(x: np.ndarray) -> np.ndarray:
     """Zero the unused self-edges x[:, k, k] in place; returns x."""
-    idx = np.arange(x.shape[1])
+    idx = _diagonal_index(x.shape[1])
     x[:, idx, idx] = 0.0
     return x
 
@@ -286,7 +359,7 @@ def gnn_forward(spec: GnnSpec, params: GnnParams, d0: np.ndarray,
     ``d0`` is (N, K, Fv) and ``e0`` is (N, K, K, Fe) with the diagonal unused
     (forced to zero).  Returns vertex outputs (N, K, out), edge outputs
     (N, K, K, out) or None when the spec has no edge head, and the cache for
-    :func:`gnn_backward`.  An identity-activated output is the cached
+    :func:`gnn_backward`.  An identity-activated vertex output is the cached
     pre-activation itself, so callers must not write to the outputs.
     Neighbor sums run over numpy's fixed deterministic reduction order, so
     identical inputs give bit-identical outputs.
@@ -306,24 +379,23 @@ def gnn_forward(spec: GnnSpec, params: GnnParams, d0: np.ndarray,
 
     d, e = d0, _zero_diagonal(e0.copy())
     cache = GnnCache(spec=spec, params=params, d_inputs=[], e_inputs=[],
-                     zv=[], ze=[])
+                     d_others=[], e_col=[], e_row=[])
     for t, lp in enumerate(params.layers):
         last = t == spec.transitions - 1
-        v_act = spec.vertex_head_activation if last else "leaky"
-        e_act = "identity" if last else "leaky"
-
-        cache.d_inputs.append(d)
-        cache.e_inputs.append(e)
-
-        sum_d = d.sum(axis=1, keepdims=True)
+        others = d.sum(axis=1, keepdims=True) - d
         col = e.sum(axis=1)            # sum_i e[i, k]
         row = e.sum(axis=2)            # sum_i e[k, i]
+        cache.d_inputs.append(d)
+        cache.e_inputs.append(e)
+        cache.d_others.append(others)
+        cache.e_col.append(col)
+        cache.e_row.append(row)
+
         zv = d @ lp.w_self.T
-        zv += (sum_d - d) @ lp.w_other.T
+        zv += others @ lp.w_other.T
         zv += col @ lp.w_ein.T
         zv += row @ lp.w_eout.T
         zv += lp.b_v
-        cache.zv.append(zv)
 
         if lp.u_edge is not None:
             ze = e @ lp.u_edge.T
@@ -334,13 +406,18 @@ def gnn_forward(spec: GnnSpec, params: GnnParams, d0: np.ndarray,
                 agg = row[:, :, None, :] + col[:, None, :, :]
                 agg -= 2.0 * e
                 ze += agg @ lp.u_agg.T
-            cache.ze.append(_zero_diagonal(ze))
-            # both edge activations map 0 to 0, so e keeps a zero diagonal
-            e = _apply_act(ze, e_act, spec.hidden_slope)
+            _zero_diagonal(ze)
+            # the edge head is the identity and the leaky ReLU maps 0 to 0,
+            # so e keeps a zero diagonal
+            e = ze if last else _leaky(ze, spec.hidden_slope)
         else:
-            cache.ze.append(None)
             e = None
-        d = _apply_act(zv, v_act, spec.hidden_slope)
+        if not last:
+            d = _leaky(zv, spec.hidden_slope)
+        elif spec.vertex_head_activation == "softplus":
+            cache.zv_out, d = zv, _softplus(zv)
+        else:
+            cache.zv_out = d = zv
     return d, e, cache
 
 
@@ -372,11 +449,13 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
 
     Each weight gradient is one GEMM over the flattened batch, vertex and
     edge axes; the per-source and per-destination edge sums are reduced
-    before their GEMM.  Reproducibility: repeated calls on one cache give
-    bit-identical results on one numpy/BLAS build.  The summation order
-    differs from the direct contractions (``einsum("nijp,niq->pq", ...)``
-    and the like), so across the two forms every returned array, parameter
-    and input gradients alike, agrees to within 1e-12 of its largest entry.
+    before their GEMM.  The neighbour sums of the layer inputs come from the
+    cache, so no edge input is reduced again.  Reproducibility: repeated
+    calls on one cache give bit-identical results on one numpy/BLAS build.
+    The summation order differs from the direct contractions
+    (``einsum("nijp,niq->pq", ...)`` and the like), so across the two forms
+    every returned array, parameter and input gradients alike, agrees to
+    within 1e-12 of its largest entry.
     """
     if wrt not in _WRT:
         raise ValueError(f"wrt must be one of {_WRT}, got {wrt!r}")
@@ -384,9 +463,11 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
         raise ValueError("cache does not belong to these parameters (stale cache)")
     want_inputs = wrt != "params"
     grads = zeros_like_params(params) if wrt != "inputs" else None
+    slope = spec.hidden_slope
 
-    gd = np.asarray(d_out_grad, dtype=float)
-    if gd.shape != cache.zv[-1].shape:
+    # read only: the output layer takes it as its vertex gradient
+    gd = np.ascontiguousarray(d_out_grad, dtype=float)
+    if gd.shape != cache.zv_out.shape:
         raise ValueError("vertex output gradient has wrong shape")
     last_lp = params.layers[-1]
     if last_lp.u_edge is not None:
@@ -403,23 +484,24 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
         # this layer's input gradients feed the layer below or the caller
         pass_down = want_inputs or t > 0
         last = t == spec.transitions - 1
-        v_act = spec.vertex_head_activation if last else "leaky"
-        e_act = "identity" if last else "leaky"
 
         d_in = cache.d_inputs[t]
         e_in = cache.e_inputs[t]
 
-        gzv = _act_grad(cache.zv[t], v_act, spec.hidden_slope)
-        gzv *= gd
+        if not last:
+            gzv = _dleaky(cache.d_inputs[t + 1], slope)
+            gzv *= gd
+        elif spec.vertex_head_activation == "softplus":
+            gzv = _dsoftplus(cache.zv_out)
+            gzv *= gd
+        else:
+            gzv = gd                       # the identity's derivative is 1
 
         if gl is not None:
-            sum_d = d_in.sum(axis=1, keepdims=True)
-            col = e_in.sum(axis=1)
-            row = e_in.sum(axis=2)
             gl.w_self += _wgrad(gzv, d_in)
-            gl.w_other += _wgrad(gzv, sum_d - d_in)
-            gl.w_ein += _wgrad(gzv, col)
-            gl.w_eout += _wgrad(gzv, row)
+            gl.w_other += _wgrad(gzv, cache.d_others[t])
+            gl.w_ein += _wgrad(gzv, cache.e_col[t])
+            gl.w_eout += _wgrad(gzv, cache.e_row[t])
             gl.b_v += gzv.sum(axis=(0, 1))
 
         if pass_down:
@@ -432,7 +514,8 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
         if lp.u_edge is not None:
             # ge has a zero diagonal, so gze does too
             gze = ge
-            gze *= _act_grad(cache.ze[t], e_act, spec.hidden_slope)
+            if not last:
+                gze *= _dleaky(cache.e_inputs[t + 1], slope)
             gze_src = gze.sum(axis=2)      # sum_j gze[k, j]
             gze_dst = gze.sum(axis=1)      # sum_i gze[i, k]
             if gl is not None:
@@ -447,7 +530,8 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
                 ge_prev += buf
             if lp.u_agg is not None:
                 if gl is not None:
-                    agg = row[:, :, None, :] + col[:, None, :, :]
+                    agg = (cache.e_row[t][:, :, None, :]
+                           + cache.e_col[t][:, None, :, :])
                     agg -= np.multiply(e_in, 2.0, out=buf)
                     gl.u_agg += _wgrad(gze, agg)
                 if pass_down:

@@ -93,7 +93,7 @@ def _complex_head_backward(model: GnnModel, cache, grad_re: np.ndarray,
     g_im = _as_batched_matrix(grad_im).real.astype(float)
     scale = model.norm("out_scale")
     idx = np.arange(g_re.shape[1])
-    gd = np.zeros(cache.zv[-1].shape)
+    gd = np.zeros(cache.zv_out.shape)
     gd[:, :, 0] = g_re[:, idx, idx] * scale
     gd[:, :, 1] = g_im[:, idx, idx] * scale
     ge = np.stack([g_re, g_im], axis=3) * scale

@@ -14,31 +14,32 @@ class Adam:
     p <- p - lr * m_hat / (sqrt(v_hat) + eps)  with bias-corrected moments.
     Updates are applied in place.
 
-    Adam is elementwise, so the moments live in one flat array each, in the
-    tree's :meth:`~lcapa.gnn.GnnParams.iter_arrays` order.  Each step copies
-    the gradient tree into one flat array and evaluates the update in one
-    pass over every parameter; each parameter array then subtracts its
-    slice in place.  The arithmetic per element is that of a per-array
-    loop, so the results are bit-identical to one.  A gradient tree whose
-    array names or shapes differ from the parameters' raises
-    :class:`ValueError` before any state changes.
+    Adam is elementwise, and every tree keeps its arrays as views of one
+    flat buffer (:attr:`GnnParams.flat`), so each step is one pass over the
+    gradient buffer: the moments are flat arrays of the same layout, the
+    update is formed in two preallocated scratch arrays, and the parameter
+    buffer subtracts it in place.  The arithmetic per element is that of a
+    per-array loop, so the results are bit-identical to one.  A gradient
+    tree whose array names or shapes differ from the parameters', or one
+    with an array rebound off its flat buffer (:meth:`GnnParams.packed`),
+    raises :class:`ValueError` before any state changes.
     """
 
     def __init__(self, params: GnnParams, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
+        if not params.packed():
+            raise ValueError("parameter tree has an array outside its flat buffer")
         self.params = params
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        named = list(params.iter_arrays())
-        self._layout = [(name, arr.shape) for name, arr in named]
-        self._arrays = [arr for _, arr in named]
-        ends = np.cumsum([arr.size for arr in self._arrays]).tolist()
-        self._slices = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
-        self._m = np.zeros(ends[-1])
-        self._v = np.zeros(ends[-1])
+        self._layout = [(name, arr.shape) for name, arr in params.iter_arrays()]
+        size = params.flat.size
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
+        self._scratch = np.empty((2, size))
 
     def _check_layout(self, layout) -> None:
         if layout == self._layout:
@@ -54,17 +55,25 @@ class Adam:
             f"gradient tree has an extra array {layout[len(self._layout)][0]}")
 
     def step(self, grads: GnnParams) -> None:
-        named = list(grads.iter_arrays())
-        self._check_layout([(name, g.shape) for name, g in named])
-        g = np.concatenate([arr.ravel() for _, arr in named])
+        self._check_layout([(name, g.shape) for name, g in grads.iter_arrays()])
+        if not grads.packed():
+            raise ValueError("gradient tree has an array outside its flat buffer")
+        g = grads.flat
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
         m, v = self._m, self._v
+        s, r = self._scratch
         m *= self.beta1
-        m += (1.0 - self.beta1) * g
+        m += np.multiply(g, 1.0 - self.beta1, out=s)
         v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
-        update = self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-        for p, part in zip(self._arrays, self._slices):
-            p -= update[part].reshape(p.shape)
+        np.multiply(g, 1.0 - self.beta2, out=s)
+        v += np.multiply(s, g, out=s)
+        # lr * (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(m, c1, out=s)
+        s *= self.lr
+        np.divide(v, c2, out=r)
+        np.sqrt(r, out=r)
+        r += self.eps
+        s /= r
+        self.params.flat -= s

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gnn import PARAM_NAMES, GnnParams, GnnSpec, LayerParams, init_params
+from .gnn import (PARAM_NAMES, GnnParams, GnnSpec, LayerParams, init_params,
+                  param_layout)
 from .heads import (
     HEAD_NORMS,
     GnnModel,
@@ -656,17 +657,15 @@ def load_checkpoint(path: str) -> GnnModel:
                               f"{type(exc).__name__}: {exc}") from exc
     if len(layers) != spec.transitions:
         raise CheckpointError("layer count does not match spec")
-    references = init_params(spec, 0).layers
-    for t, (arrays, reference) in enumerate(zip(layers, references)):
-        for name, arr in arrays.items():
-            ref = getattr(reference, name)
+    for t, (arrays, shapes) in enumerate(zip(layers, param_layout(spec))):
+        for (name, arr), shape in zip(arrays.items(), shapes):
             if arr is None:
-                if ref is not None:
+                if shape is not None:
                     raise CheckpointError(f"missing array {name} in layer {t}")
-            elif ref is None or arr.shape != ref.shape:
+            elif arr.shape != shape:
                 raise CheckpointError(
                     f"layer {t} array {name} has shape {arr.shape}, "
-                    f"spec requires {None if ref is None else ref.shape}")
+                    f"spec requires {shape}")
             elif not np.isfinite(arr).all():
                 raise CheckpointError(f"layer {t} array {name} is not finite")
     norms = rec.get("norms")

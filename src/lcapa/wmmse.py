@@ -106,9 +106,11 @@ def _power_multiplier(c: np.ndarray, lam: np.ndarray, power: float) -> float:
     is concave and increasing in mu, so Newton's method on it from mu = 0
     climbs monotonically to the root without overshooting (More & Sorensen,
     SIAM J. Sci. Stat. Comput. 1983).  It stops once a step is at most
-    1e-13 mu, and raises :class:`BisectionError` when no root exists (a
-    non-positive budget), a step is undefined (P or P' underflows to 0) or
-    the iteration does not converge.
+    1e-13 mu, or at the first negative step, which only rounding can take
+    (at high SNR mu is small against lam, and the iterates can flip between
+    two adjacent floats).  It raises :class:`BisectionError` when no root
+    exists (a non-positive budget), a step is undefined (P or P' underflows
+    to 0) or the iteration does not converge.
     """
     buf = np.multiply(lam, lam)
     np.divide(c, buf, out=buf)
@@ -141,6 +143,10 @@ def _power_multiplier(c: np.ndarray, lam: np.ndarray, power: float) -> float:
         mu += step
         if abs(step) <= 1e-13 * mu:
             return mu
+        if step < 0.0:
+            # every exact step from mu = 0 is positive, so rounding has
+            # taken over: P(mu) moves by one ulp over more than 1e-13 mu
+            return mu
     raise BisectionError(f"Newton's method did not converge on the power "
                          f"multiplier in {_NEWTON_STEPS} steps (mu={mu:g})")
 
@@ -162,7 +168,7 @@ def wmmse_precoding(coupling: np.ndarray, user_apertures: np.ndarray,
     The regularized least-squares step eigendecomposes D E D with
     D = diag(sqrt(alpha)), and the sum-power multiplier comes from
     :func:`_power_multiplier` (Newton's method, stopped once a step is at
-    most 1e-13 mu).  The final rescale to the exact budget uses
+    most 1e-13 mu or negative).  The final rescale to the exact budget uses
     sum_j b_j^H E b_j = Re sum conj(B) * T.  Raises ``ValueError`` for a
     ``power_budget`` that is not positive and finite or a ``coupling`` that is
     not K x K, and ``AssertionError`` for one that is not Hermitian or not

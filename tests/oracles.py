@@ -291,7 +291,7 @@ def plain_power_multiplier(c: np.ndarray, lam: np.ndarray, power: float) -> floa
         p = cr2.sum()
         step = (target - 1.0 / np.sqrt(p)) * p * np.sqrt(p) / (cr2 * r).sum()
         mu += step
-        if abs(step) <= 1e-13 * mu:
+        if abs(step) <= 1e-13 * mu or step < 0.0:
             return float(mu)
     raise BisectionError(f"Newton's method did not converge on the power "
                          f"multiplier in 100 steps (mu={mu:g})")

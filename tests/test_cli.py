@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -92,6 +93,17 @@ def test_missing_checkpoint_is_a_runtime_failure(tmp_path, capsys):
                  "--num-test-scenes", "2"]) == 2
     err = capsys.readouterr().err
     assert "MissingCheckpointError" in err and "train-policy" in err
+
+
+def test_baseline_at_high_snr_exits_zero(tmp_path, capsys):
+    # WMMSE's power multiplier raised BisectionError on 7 of these 16
+    # scenes, and the command exited 2
+    assert main(["baseline", "--num-users", "4", "--zeta", "1e8",
+                 "--num-test-scenes", "16",
+                 "--output-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("baseline mean sum SE ")
+    assert math.isfinite(float(out.split()[4]))
 
 
 def test_baseline_and_eval_score_the_same_scenes(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import ctypes
 import os
 import resource
+from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,12 +12,14 @@ from conftest import (all_permutations, assert_passes_without_dispatch,
                       run_in_fresh_interpreter)
 from lcapa.gnn import (
     GnnCache,
+    GnnParams,
     GnnSpec,
     _dleaky,
     _leaky,
     gnn_backward,
     gnn_forward,
     init_params,
+    param_layout,
     policy_spec,
     proj_spec,
     value_spec,
@@ -100,6 +104,21 @@ class TestInit:
         assert any(not np.array_equal(pa, pb)
                    for (_, pa), (_, pb) in zip(a.iter_arrays(), b.iter_arrays()))
 
+    @pytest.mark.parametrize("agg", [False, True])
+    @pytest.mark.parametrize("factory", [policy_spec, proj_spec, value_spec])
+    def test_matches_per_array_uniform_draws(self, factory, agg):
+        # the draws go straight into the buffer; rng.uniform per matrix, in
+        # field order, is the reference
+        spec = factory(**SMALL, edge_aggregation=agg)
+        rng = np.random.default_rng(6)
+        for name, arr in init_params(spec, 6).iter_arrays():
+            if arr.ndim == 1:
+                want = np.zeros(arr.shape)
+            else:
+                bound = 1.0 / np.sqrt(arr.shape[1])
+                want = rng.uniform(-bound, bound, size=arr.shape)
+            assert arr.tobytes() == want.tobytes(), name
+
     def test_fan_in_variance(self):
         spec = GnnSpec(kind="value", vertex_widths=(64, 256, 2),
                        edge_widths=(64, 256, 2))
@@ -107,6 +126,48 @@ class TestInit:
         w = params.layers[0].w_self
         expected = 1.0 / (3.0 * w.shape[1])
         assert np.var(w) == pytest.approx(expected, rel=0.1)
+
+
+class TestParams:
+    """Every tree is views of one flat buffer, and no two trees share one."""
+
+    @staticmethod
+    def _spec(agg):
+        return value_spec(**SMALL, edge_aggregation=agg)
+
+    @pytest.mark.parametrize("agg", [False, True])
+    def test_arrays_are_views_of_the_flat_buffer(self, agg):
+        spec = self._spec(agg)
+        params = init_params(spec, 3)
+        assert params.layout == param_layout(spec) and params.packed()
+        assert params.flat.dtype == np.float64 and params.flat.flags.owndata
+        arrays = [a for _, a in params.iter_arrays()]
+        assert [a.shape for a in arrays] == [
+            s for layer in params.layout for s in layer if s is not None]
+        assert np.concatenate([a.ravel() for a in arrays]).tobytes() \
+            == params.flat.tobytes()
+        params.flat[...] = 7.0
+        assert all(np.all(a == 7.0) for a in arrays)
+
+    def test_copy_and_zeros_share_no_memory(self):
+        params = init_params(self._spec(True), 4)
+        for other in (params.copy(), zeros_like_params(params)):
+            assert other.layout == params.layout and other.packed()
+            assert not np.shares_memory(other.flat, params.flat)
+            for (name, a), (_, b) in zip(params.iter_arrays(),
+                                         other.iter_arrays(), strict=True):
+                assert not np.shares_memory(a, b), name
+        assert params.copy().flat.tobytes() == params.flat.tobytes()
+        assert not np.any(zeros_like_params(params).flat)
+
+    def test_constructor_packs_copies(self):
+        params = init_params(self._spec(True), 5)
+        saved = params.flat.copy()
+        packed = GnnParams(layers=params.layers)
+        assert packed.layout == params.layout and packed.packed()
+        assert packed.flat.tobytes() == saved.tobytes()
+        packed.flat[...] = 0.0
+        assert params.flat.tobytes() == saved.tobytes() and params.packed()
 
 
 class TestForward:
@@ -261,9 +322,9 @@ class TestBackward:
 
 
 # -- reference forms ------------------------------------------------------------
-# The select-and-mask forms the layer kernels replaced.  They import nothing
-# from lcapa.gnn but the cache record, so a fault in the kernels cannot hide
-# in the oracle.
+# The select-and-mask forms the layer kernels replaced.  They keep their own
+# cache, with every pre-activation, and import nothing from lcapa.gnn but
+# zeros_like_params, so a fault in the kernels cannot hide in the oracle.
 
 def _offdiag_mask(k):
     return (~np.eye(k, dtype=bool))[None, :, :, None]
@@ -300,8 +361,8 @@ def _reference_forward(spec, params, d0, e0):
     e0 = np.asarray(e0, dtype=float)
     mask = _offdiag_mask(d0.shape[1])
     d, e = d0, e0 * mask
-    cache = GnnCache(spec=spec, params=params, d_inputs=[], e_inputs=[],
-                     zv=[], ze=[])
+    cache = SimpleNamespace(d_inputs=[], e_inputs=[], others=[], col=[],
+                            row=[], zv=[], ze=[])
     for t, lp in enumerate(params.layers):
         last = t == spec.transitions - 1
         v_act = spec.vertex_head_activation if last else "leaky"
@@ -311,6 +372,9 @@ def _reference_forward(spec, params, d0, e0):
         sum_d = d.sum(axis=1, keepdims=True)
         col = e.sum(axis=1)
         row = e.sum(axis=2)
+        cache.others.append(sum_d - d)
+        cache.col.append(col)
+        cache.row.append(row)
         zv = (d @ lp.w_self.T + (sum_d - d) @ lp.w_other.T
               + col @ lp.w_ein.T + row @ lp.w_eout.T + lp.b_v)
         cache.zv.append(zv)
@@ -433,9 +497,10 @@ def _backward_case(kind, agg, n, k):
     rng = np.random.default_rng(32)
     d0, e0 = random_features(rng, spec, n, k)
     d_out, e_out, cache = gnn_forward(spec, params, d0, e0)
+    _, _, ref_cache = _reference_forward(spec, params, d0, e0)
     wd = rng.standard_normal(d_out.shape)
     we = rng.standard_normal(e_out.shape) if e_out is not None else None
-    return spec, params, cache, wd, we
+    return spec, params, cache, ref_cache, wd, we
 
 
 def _named_outputs(result):
@@ -450,9 +515,9 @@ class TestBackwardReference:
     @pytest.mark.parametrize("agg", [False, True])
     @pytest.mark.parametrize("kind", ["policy", "proj", "value"])
     def test_matches_einsum_reference(self, kind, agg, n, k):
-        spec, params, cache, wd, we = _backward_case(kind, agg, n, k)
+        spec, params, cache, ref_cache, wd, we = _backward_case(kind, agg, n, k)
         got = _named_outputs(gnn_backward(spec, params, cache, wd, we))
-        ref = _named_outputs(_einsum_backward(spec, params, cache, wd, we))
+        ref = _named_outputs(_einsum_backward(spec, params, ref_cache, wd, we))
         assert [name for name, _ in got] == [name for name, _ in ref]
         for (name, a), (_, b) in zip(got, ref):
             assert a.shape == b.shape, name
@@ -464,7 +529,7 @@ class TestBackwardReference:
     @pytest.mark.parametrize("agg", [False, True])
     @pytest.mark.parametrize("kind", ["policy", "proj", "value"])
     def test_repeated_calls_bit_identical(self, kind, agg):
-        spec, params, cache, wd, we = _backward_case(kind, agg, 64, 4)
+        spec, params, cache, _, wd, we = _backward_case(kind, agg, 64, 4)
         first = _named_outputs(gnn_backward(spec, params, cache, wd, we))
         second = _named_outputs(gnn_backward(spec, params, cache, wd, we))
         for (name, a), (_, b) in zip(first, second):
@@ -479,7 +544,7 @@ class TestBackwardWrt:
     @pytest.mark.parametrize("agg", [False, True])
     @pytest.mark.parametrize("kind", ["policy", "proj", "value"])
     def test_parts_equal_both(self, kind, agg, n, k):
-        spec, params, cache, wd, we = _backward_case(kind, agg, n, k)
+        spec, params, cache, _, wd, we = _backward_case(kind, agg, n, k)
         grads, gd0, ge0 = gnn_backward(spec, params, cache, wd, we)
         p_grads, p_gd0, p_ge0 = gnn_backward(spec, params, cache, wd, we,
                                              wrt="params")
@@ -492,7 +557,7 @@ class TestBackwardWrt:
         assert np.array_equal(gd0, i_gd0) and np.array_equal(ge0, i_ge0)
 
     def test_unknown_wrt_rejected(self):
-        spec, params, cache, wd, we = _backward_case("value", False, 1, 2)
+        spec, params, cache, _, wd, we = _backward_case("value", False, 1, 2)
         with pytest.raises(ValueError, match="wrt"):
             gnn_backward(spec, params, cache, wd, we, wrt="weights")
 
@@ -544,6 +609,12 @@ def _assert_activation_kernels_exact(slope):
     assert _same_values(got[~exception], ref[~exception]), slope
     assert np.all(np.isnan(got[exception])), slope
     assert _same_values(_dleaky(z, slope), _ref_act_grad(z, "leaky", slope)), slope
+    # the backward pass reads the derivative off the activation; that is the
+    # pre-activation's derivative but where the forward's exception made NaN
+    with np.errstate(invalid="ignore", over="ignore"):
+        from_act = _dleaky(_leaky(z, slope), slope)
+    assert np.array_equal(from_act[~exception], _dleaky(z, slope)[~exception]), slope
+    assert np.all(from_act[exception] == 0.0), slope
 
 
 def _snapshot(arrays):
@@ -556,8 +627,14 @@ def _assert_unchanged(before, arrays, what):
             f"{what}[{i}] was written to")
 
 
+# Each array the kernel's cache keeps, and the reference's array it equals.
+_CACHE_FIELDS = {"d_inputs": "d_inputs", "e_inputs": "e_inputs",
+                 "d_others": "others", "e_col": "col", "e_row": "row"}
+
+
 def _cache_arrays(cache):
-    return cache.d_inputs + cache.e_inputs + cache.zv + cache.ze
+    return ([a for name in _CACHE_FIELDS for a in getattr(cache, name)]
+            + [cache.zv_out])
 
 
 def _assert_matches_reference(kind, agg, n, k):
@@ -583,11 +660,14 @@ def _assert_matches_reference(kind, agg, n, k):
     d_ref, e_ref, ref_cache = _reference_forward(spec, params, d0, e0)
     assert np.array_equal(d_out, d_ref), case
     assert (e_out is None and e_ref is None) or np.array_equal(e_out, e_ref), case
-    for name in ("d_inputs", "e_inputs", "zv", "ze"):
+    assert {f.name for f in fields(GnnCache)} == {
+        "spec", "params", "zv_out", *_CACHE_FIELDS}
+    for name, ref_name in _CACHE_FIELDS.items():
         for t, (a, b) in enumerate(zip(getattr(cache, name),
-                                       getattr(ref_cache, name), strict=True)):
+                                       getattr(ref_cache, ref_name), strict=True)):
             assert (a is None and b is None) or np.array_equal(a, b), (
                 f"{case}: cache.{name}[{t}]")
+    assert np.array_equal(cache.zv_out, ref_cache.zv[-1]), f"{case}: cache.zv_out"
     _assert_unchanged(before, inputs, f"{case} forward input")
 
     cached = _snapshot(_cache_arrays(cache))

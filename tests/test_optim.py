@@ -3,8 +3,9 @@ import pytest
 
 from lcapa.gnn import (GnnParams, init_params, policy_spec, proj_spec,
                        zeros_like_params)
+from lcapa.heads import GnnModel
 from lcapa.optim import Adam
-from lcapa.training import TrainHyper
+from lcapa.training import TrainHyper, load_checkpoint, save_checkpoint
 
 
 class PerArrayAdam:
@@ -95,9 +96,29 @@ def _assert_step_rejected(params, grads, match):
 
 def test_truncated_gradient_tree_rejected():
     params = init_params(SPECS["policy"], 5)
-    grads = zeros_like_params(params)
+    grads = random_grads(params, np.random.default_rng(5))
+    layers = list(grads.layers)
+    arrays = [(arr, arr.copy()) for _, arr in grads.iter_arrays()]
     truncated = GnnParams(layers=grads.layers[:-1])
+    # the constructor packs copies: grads keeps its layers, arrays and values
+    assert all(a is b for a, b in zip(grads.layers, layers, strict=True))
+    for (arr, saved), (_, now) in zip(arrays, grads.iter_arrays(), strict=True):
+        assert now is arr and now.tobytes() == saved.tobytes()
+    assert grads.packed()
+    assert not any(np.shares_memory(a, grads.flat)
+                   for _, a in truncated.iter_arrays())
     _assert_step_rejected(params, truncated, r"no array layer1\.w_self")
+
+
+def test_rebound_gradient_array_rejected():
+    # a rebound array is no longer part of the buffer the step reads
+    params = init_params(SPECS["policy"], 6)
+    grads = zeros_like_params(params)
+    grads.layers[1].w_ein = np.ones(grads.layers[1].w_ein.shape)
+    _assert_step_rejected(params, grads, "outside its flat buffer")
+    params.layers[0].b_v = np.zeros(params.layers[0].b_v.shape)
+    with pytest.raises(ValueError, match="outside its flat buffer"):
+        Adam(params)
 
 
 def test_gradient_shape_mismatch_rejected():
@@ -105,3 +126,19 @@ def test_gradient_shape_mismatch_rejected():
     grads = zeros_like_params(params)
     grads.layers[1].w_ein = np.zeros(grads.layers[1].w_ein.shape[::-1])
     _assert_step_rejected(params, grads, r"layer1\.w_ein")
+
+
+def test_step_on_restored_checkpoint_equals_original(tmp_path):
+    spec = policy_spec(hidden=8, layers=3, edge_aggregation=True)
+    model = GnnModel(spec=spec, params=init_params(spec, 7),
+                     norms={"pos_scale": 30.0, "out_scale": 1.0})
+    path = str(tmp_path / "policy.json")
+    save_checkpoint(model, path)
+    restored = load_checkpoint(path).params
+    opts = [Adam(p, lr=1e-2) for p in (model.params, restored)]
+    rng = np.random.default_rng(8)
+    for step in range(5):
+        grads = random_grads(model.params, rng)
+        for opt in opts:
+            opt.step(grads)
+        assert model.params.flat.tobytes() == restored.flat.tobytes(), step

@@ -124,8 +124,12 @@ class TestCheckpoint:
         lambda rec: rec["spec"].__setitem__("kind", "bogus"),
         lambda rec: rec["layers"][1]["b_v"]["data"].__setitem__(0, float("nan")),
         lambda rec: rec["layers"][1]["b_v"]["data"].__setitem__(0, float("inf")),
+        lambda rec: rec["layers"][0]["w_self"].__setitem__(
+            "shape", rec["layers"][0]["w_self"]["shape"][::-1]),
+        lambda rec: rec["spec"].__setitem__("edge_aggregation", False),
     ], ids=["no-layers", "no-spec", "no-shape", "short-data", "string-entry",
-            "unknown-kind", "nan-parameter", "inf-parameter"])
+            "unknown-kind", "nan-parameter", "inf-parameter", "transposed-shape",
+            "unexpected-array"])
     def test_corrupt_record_raises_checkpoint_error(self, corrupt, tmp_path):
         path = str(tmp_path / "value.json")
         save_checkpoint(tiny_aggregating_model(), path)

@@ -463,6 +463,20 @@ class TestPowerMultiplier:
         with pytest.raises(BisectionError):
             _power_multiplier(np.array([np.nan, 1.0]), np.ones(2), 0.5)
 
+    def test_rounding_limited_multiplier_returns(self):
+        # scene seed 1001 at K = 4, zeta = 1e8, first WMMSE iteration: mu ~ 4
+        # is small against lam ~ 1e4, so P(mu) moves by one ulp per ~5e-12
+        # of mu and the iterates flip between two adjacent floats with steps
+        # above 1e-13 mu; the step test alone raised after 100 steps
+        c = np.array([37582585.56705535, 47609438.857982315,
+                      50555409.86415962, 260563358.79497725])
+        lam = np.array([12227.50854528892, 13797.516388875449,
+                        14230.950423076512, 32321.06551812619])
+        mu = _power_multiplier(c, lam, 1.0)
+        assert mu > 0.0 and mu == plain_power_multiplier(c, lam, 1.0)
+        assert abs(mu - _bisected_multiplier(c, lam, 1.0)) <= 1e-10 * lam.max()
+        assert abs(_secular_power(c, lam, mu) - 1.0) <= 1e-12
+
     def test_underflowing_power_raises(self):
         # P(mu) falls to 0 within a few subnormal steps, where a Newton step
         # divides by zero; the plain form runs on NaN until its step cap
