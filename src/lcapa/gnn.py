@@ -12,18 +12,32 @@ All weights are shared across vertices/edges, which is what makes every
 instantiation permutation equivariant.  The network is real-valued; complex
 quantities enter and leave as (real, imaginary) feature pairs.  A forward
 pass keeps in its :class:`GnnCache` what the backward pass reads: each
-layer's inputs, the neighbour sums it formed from them, and the output
-layer's vertex pre-activation.  The backward pass accumulates exact
-reverse-mode gradients from it and reduces no layer input again; no
-autodiff framework is involved.
+layer's message input X = [d, sum_{i != k} d_i, sum_i e_ik, sum_i e_ki],
+its vertex and edge inputs, and the output layer's vertex pre-activation.
+The backward pass accumulates exact reverse-mode gradients from it and
+reduces no layer input again; no autodiff framework is involved.
 
-Kernel contract.  The elementwise work runs no select kernel and makes few
-fresh full-size (N, K, K, width) arrays.  Per hidden edge layer the forward
-pass keeps one: the activation, which is the next layer's input; the
-pre-activation it came from is freed.  The backward pass scales the spent
-edge gradient in place; it allocates the activation derivative, one buffer
-that holds the ``gze @ U`` products, and the edge gradient it passes down.
-Edge aggregation adds its aggregate and, in the forward pass, the products
+Kernel contract.  Each layer multiplies by two fused blocks of the flat
+parameter buffer (:class:`GnnParams`): the vertex block W_v = [W_self,
+W_other, W_ein, W_eout], so the whole vertex message is the one GEMM
+``X @ W_v.T``, and the endpoint block [U_src; U_dst], one GEMM on d for
+both endpoint terms.  The backward pass gets all four vertex-message parts
+of the input gradient from one GEMM ``gzv @ W_v`` and all four vertex
+weight gradients from one ``gzv^T X``, and the endpoint pair the same way.
+At batch 1, where numpy's per-call cost dominates, that is what the fused
+blocks save.  One GEMM sums its products in another order than four GEMMs
+and three adds, so every forward output, cached array and gradient agrees
+with the one-GEMM-per-matrix form (``tests/oracles.py``) to within 1e-12 of
+the array's largest entry, not bit for bit; repeated calls on one build are
+bit-identical.
+
+The elementwise work runs no select kernel and makes few fresh full-size
+(N, K, K, width) arrays.  Per hidden edge layer the forward pass keeps one:
+the activation, which is the next layer's input; the pre-activation it came
+from is freed.  The backward pass scales the spent edge gradient in place;
+it allocates the activation derivative, one buffer that holds the
+``gze @ U`` products, and the edge gradient it passes down.  Edge
+aggregation adds its aggregate and, in the forward pass, the products
 formed from it.  The backward pass computes only the outputs its ``wrt``
 argument names and returns None for the rest: ``"inputs"`` (the frozen
 surrogates in the policy chain) runs no weight-gradient GEMM and builds no
@@ -33,12 +47,12 @@ spread.  Each output computed equals (``np.array_equal``) that of
 ``"both"``.
 The leaky ReLU is ``max(z, slope z)`` and its derivative
 ``max(1{z > 0}, slope)``, exact for ``0 <= hidden_slope <= 1``, which
-:class:`GnnSpec` enforces; self-edges are zeroed by index.  In that range
-the activation is positive exactly when z is, for +-0, -inf, NaN and
-subnormal z too, and for +inf unless slope = 0; so the backward pass takes
-the derivative from the activation.  Forward outputs, every cached array
-and every gradient equal (``np.array_equal``) those of the select-and-mask
-forms ``where(z > 0, z, slope z)`` and ``x * offdiag_mask``, which the
+:class:`GnnSpec` enforces; self-edges are zeroed through the strided view
+of the diagonal.  In that range the activation is positive exactly when z
+is, for +-0, -inf, NaN and subnormal z too, and for +inf unless slope = 0;
+so the backward pass takes the derivative from the activation.  The two
+activation kernels equal (``np.array_equal``) the select forms
+``where(z > 0, z, slope z)`` and ``where(z > 0, 1, slope)``, which the
 tests keep as oracles.  The one exception is ``slope = 0`` with a ``+inf``
 pre-activation: ``0 * inf`` makes the activation NaN where the select form
 gives ``inf``, and the derivative read off it is 0 where the select form's
@@ -54,6 +68,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -168,6 +183,7 @@ class LayerParams:
 
 # Array names of one layer, in field order (also the checkpoint's key order).
 PARAM_NAMES = tuple(f.name for f in fields(LayerParams))
+_layer_arrays = operator.attrgetter(*PARAM_NAMES)
 
 # One shape tuple (or None for an absent array) per PARAM_NAMES entry, per layer.
 Layout = tuple[tuple[tuple[int, ...] | None, ...], ...]
@@ -195,20 +211,30 @@ def param_layout(spec: GnnSpec) -> Layout:
 class GnnParams:
     """Per-transition shared weight matrices in one flat float64 buffer.
 
-    Every array of ``layers`` is a view of ``flat``, laid out in
-    :meth:`iter_arrays` order with the shapes ``layout`` records, so
-    whole-tree work (a copy, zeroing, an optimizer step) is one operation on
-    ``flat``.  ``GnnParams(layers)`` packs copies of the given arrays into a
-    new buffer and new :class:`LayerParams`: it never keeps, rebinds or
-    aliases a caller's array.  Rebinding a field of ``layers`` afterwards
-    detaches it from ``flat``; :meth:`packed` tells.
+    Every array of ``layers`` is a view of ``flat``, and the named arrays
+    tile it exactly once, so whole-tree work (a copy, zeroing, an optimizer
+    step) is one operation on ``flat``.  Layer by layer the buffer holds
+    the vertex block W_v, then ``b_v``, ``u_edge``, the endpoint block, then
+    ``b_e`` and ``u_agg``.  W_v is one row-major (out, 2 dv + 2 de) matrix
+    whose column blocks are ``w_self``, ``w_other``, ``w_ein`` and
+    ``w_eout``; the endpoint block is one (2 out_e, dv) matrix whose row
+    blocks are ``u_src`` and ``u_dst``.  :attr:`blocks` holds the two
+    fused matrices of each layer (None for an absent endpoint block): the
+    kernels multiply by them, one GEMM for each block.  The names, shapes and
+    :meth:`iter_arrays` order are those of :data:`PARAM_NAMES`.
+
+    ``GnnParams(layers)`` packs copies of the given arrays into a new buffer
+    and new :class:`LayerParams`: it never keeps, rebinds or aliases a
+    caller's array.  Rebinding a field of ``layers`` afterwards detaches it
+    from ``flat``; :meth:`packed` tells, and the kernels and the optimizer
+    reject such a tree.
     """
 
     def __init__(self, layers: list[LayerParams]):
         arrays = [[getattr(lp, name) for name in PARAM_NAMES] for lp in layers]
         layout = tuple(tuple(None if a is None else np.shape(a) for a in row)
                        for row in arrays)
-        self._bind(np.empty(_layout_size(layout)), layout)
+        self._bind(np.empty(_flat_plan(layout)[1]), layout)
         sources = (a for row in arrays for a in row if a is not None)
         for (_, view), src in zip(self.iter_arrays(), sources):
             view[...] = src
@@ -222,16 +248,20 @@ class GnnParams:
 
     def _bind(self, flat: np.ndarray, layout: Layout) -> None:
         self.flat, self.layout = flat, layout
-        self.layers, self._views, lo = [], [], 0
-        for shapes in layout:
+        self.layers, self.blocks, self._fields = [], [], []
+        for groups, fused_groups in _flat_plan(layout)[0]:
             arrays = dict.fromkeys(PARAM_NAMES)
-            for name, shape in zip(PARAM_NAMES, shapes):
-                if shape is not None:
-                    hi = lo + math.prod(shape)
-                    arrays[name] = flat[lo:hi].reshape(shape)
-                    self._views.append(arrays[name])
-                    lo = hi
-            self.layers.append(LayerParams(**arrays))
+            blocks = []
+            for lo, hi, shape, members in groups:
+                block = flat[lo:hi].reshape(shape)
+                blocks.append(block)
+                for name, cut in members:
+                    arrays[name] = block if cut is None else block[cut]
+            lp = LayerParams(**arrays)
+            self.layers.append(lp)
+            self.blocks.append(tuple(None if g is None else blocks[g]
+                                     for g in fused_groups))
+            self._fields.append((lp, tuple(arrays[name] for name in PARAM_NAMES)))
 
     def iter_arrays(self):
         for idx, layer in enumerate(self.layers):
@@ -242,39 +272,78 @@ class GnnParams:
 
     def packed(self) -> bool:
         """True while every array is still the view of ``flat`` it was built as."""
-        arrays = [arr for _, arr in self.iter_arrays()]
-        return len(arrays) == len(self._views) and all(
-            a is v for a, v in zip(arrays, self._views))
+        for lp, arrays in self._fields:
+            if not all(map(operator.is_, _layer_arrays(lp), arrays)):
+                return False
+        return True
 
     def copy(self) -> "GnnParams":
         return GnnParams._over(self.flat.copy(), self.layout)
 
 
-def _layout_size(layout: Layout) -> int:
-    return sum(math.prod(shape) for shapes in layout for shape in shapes
-               if shape is not None)
+# Runs of adjacent arrays of one layer that the kernels read as one matrix,
+# with the axis along which their blocks sit: the four vertex-message
+# matrices side by side, and the two endpoint matrices stacked.  Every other
+# array is a block of its own.
+_BLOCKS = ((("w_self", "w_other", "w_ein", "w_eout"), 1), (("b_v",), 0),
+           (("u_edge",), 0), (("u_src", "u_dst"), 0), (("b_e",), 0),
+           (("u_agg",), 0))
+
+
+@functools.lru_cache(maxsize=64)
+def _flat_plan(layout: Layout):
+    """Where each array of ``layout`` sits in the flat buffer, and its size.
+
+    Per layer, the blocks present, in buffer order, each as (lo, hi, block
+    shape, members): the block is ``flat[lo:hi]`` in that shape, and each
+    member (name, cut) is ``block[cut]``, or the block itself where cut is
+    None; then, for each fused group of :data:`_BLOCKS`, the index of its
+    block among them, or None where the layer lacks it.  A group whose
+    arrays cannot share one matrix raises ``ValueError``.
+    """
+    plan, lo = [], 0
+    for t, shapes in enumerate(layout):
+        arrays = dict(zip(PARAM_NAMES, shapes))
+        groups, fused = [], []
+        for names, axis in _BLOCKS:
+            parts = [arrays[name] for name in names]
+            present = any(p is not None for p in parts)
+            if len(names) > 1:
+                fused.append(len(groups) if present else None)
+            if not present:
+                continue
+            rest = {None if p is None else p[:axis] + p[axis + 1:] for p in parts}
+            if None in rest or len(rest) > 1:
+                raise ValueError(f"layer {t} arrays {', '.join(names)} cannot "
+                                 f"share one matrix: shapes {parts}")
+            shape = list(parts[0])
+            shape[axis] = sum(p[axis] for p in parts)
+            members, start = [], 0
+            for name, p in zip(names, parts):
+                cut = (slice(None),) * axis + (slice(start, start + p[axis]),)
+                members.append((name, cut if len(names) > 1 else None))
+                start += p[axis]
+            hi = lo + math.prod(shape)
+            groups.append((lo, hi, tuple(shape), tuple(members)))
+            lo = hi
+        plan.append((tuple(groups), tuple(fused)))
+    return tuple(plan), lo
 
 
 def init_params(spec: GnnSpec, seed: int) -> GnnParams:
     """Uniform(-a, a) matrices with a = 1/sqrt(fan_in); zero biases.
 
     The draws are taken array by array in :meth:`GnnParams.iter_arrays`
-    order, straight into the preallocated buffer: ``low + (high - low) u``
-    on ``rng.random`` output is the arithmetic of
-    ``rng.uniform(low, high, size)``, so the values are its values bit for
-    bit, without a temporary array per matrix.
+    order, each ``rng.uniform`` over the array's own shape, so the values
+    do not depend on where the array sits in the flat buffer.
     """
     rng = np.random.default_rng(seed)
     layout = param_layout(spec)
-    params = GnnParams._over(np.empty(_layout_size(layout)), layout)
+    params = GnnParams._over(np.zeros(_flat_plan(layout)[1]), layout)
     for _, arr in params.iter_arrays():
-        if arr.ndim == 1:              # b_v and b_e
-            arr[...] = 0.0
-        else:
+        if arr.ndim == 2:              # the biases b_v and b_e stay zero
             bound = 1.0 / np.sqrt(max(arr.shape[1], 1))
-            rng.random(out=arr)
-            arr *= bound - -bound
-            arr += -bound
+            arr[...] = rng.uniform(-bound, bound, arr.shape)
     return params
 
 
@@ -318,23 +387,22 @@ def _dsoftplus(z):
 class GnnCache:
     """What :func:`gnn_backward` reads of one forward pass.
 
-    Per layer t: its inputs ``d_inputs[t]`` and ``e_inputs[t]`` (for t > 0
-    the activations of layer t - 1) and the neighbour sums the forward pass
-    formed from them, ``d_others[t]`` = sum_{i != k} d_i, ``e_col[t]`` =
-    sum_i e_ik and ``e_row[t]`` = sum_i e_ki.  No hidden pre-activation is
-    kept: the backward pass reads the leaky-ReLU derivative off the
-    activation, which is the next layer's input.  ``zv_out`` is the output
-    layer's vertex pre-activation, which is the vertex output itself unless
-    the head is softplus.
+    Per layer t: the message input ``messages[t]``, the (N, K, 2 dv + 2 de)
+    matrix X = [d, sum_{i != k} d_i, sum_i e_ik, sum_i e_ki] that the vertex
+    block multiplies, the vertex input ``d_inputs[t]`` (a view of its first
+    column block; for t > 0 the activation of layer t - 1) and the edge
+    input ``e_inputs[t]``.  No hidden pre-activation is kept: the
+    backward pass reads the leaky-ReLU derivative off the activation, which
+    is the next layer's input.  ``zv_out`` is the output layer's vertex
+    pre-activation, which is the vertex output itself unless the head is
+    softplus.
     """
 
     spec: GnnSpec
     params: GnnParams
+    messages: list[np.ndarray]
     d_inputs: list[np.ndarray]
     e_inputs: list[np.ndarray]
-    d_others: list[np.ndarray]
-    e_col: list[np.ndarray]
-    e_row: list[np.ndarray]
     zv_out: np.ndarray | None = None
 
 
@@ -346,9 +414,12 @@ def _diagonal_index(k: int) -> np.ndarray:
 
 
 def _zero_diagonal(x: np.ndarray) -> np.ndarray:
-    """Zero the unused self-edges x[:, k, k] in place; returns x."""
-    idx = _diagonal_index(x.shape[1])
-    x[:, idx, idx] = 0.0
+    """Zero the unused self-edges x[:, k, k] of a C-contiguous (N, K, K, W)
+    array in place, through the strided view of its diagonal; returns x."""
+    if not x.flags.c_contiguous:
+        raise ValueError("edge array must be C-contiguous")
+    n, k = x.shape[:2]
+    x.reshape(n, k * k, x.shape[3])[:, ::k + 1] = 0.0
     return x
 
 
@@ -362,7 +433,8 @@ def gnn_forward(spec: GnnSpec, params: GnnParams, d0: np.ndarray,
     :func:`gnn_backward`.  An identity-activated vertex output is the cached
     pre-activation itself, so callers must not write to the outputs.
     Neighbor sums run over numpy's fixed deterministic reduction order, so
-    identical inputs give bit-identical outputs.
+    identical inputs give bit-identical outputs.  A tree with an array
+    rebound off its flat buffer raises ``ValueError``.
     """
     d0 = np.asarray(d0, dtype=float)
     e0 = np.asarray(e0, dtype=float)
@@ -376,31 +448,38 @@ def gnn_forward(spec: GnnSpec, params: GnnParams, d0: np.ndarray,
         raise ValueError(
             f"feature widths {(d0.shape[2], e0.shape[3])} do not match spec "
             f"{(spec.vertex_widths[0], spec.edge_widths[0])}")
+    if not params.packed():
+        raise ValueError("parameter tree has an array outside its flat buffer")
 
+    dvs, des, slope = spec.vertex_widths, spec.edge_widths, spec.hidden_slope
     d, e = d0, _zero_diagonal(e0.copy())
-    cache = GnnCache(spec=spec, params=params, d_inputs=[], e_inputs=[],
-                     d_others=[], e_col=[], e_row=[])
-    for t, lp in enumerate(params.layers):
+    cache = GnnCache(spec=spec, params=params, messages=[], d_inputs=[],
+                     e_inputs=[])
+    for t, (lp, (w_v, u_ends)) in enumerate(zip(params.layers, params.blocks)):
         last = t == spec.transitions - 1
-        others = d.sum(axis=1, keepdims=True) - d
-        col = e.sum(axis=1)            # sum_i e[i, k]
-        row = e.sum(axis=2)            # sum_i e[k, i]
-        cache.d_inputs.append(d)
+        dv, de = dvs[t], des[t]
+        # X = [d, sum_{i != k} d_i, sum_i e_ik, sum_i e_ki], each sum written
+        # straight into its block; np.add.reduce stands in for the sum
+        # wrappers, which cost as much as the sums at batch 1
+        x = np.empty((n, k, 2 * (dv + de)))
+        x[..., :dv] = d
+        np.subtract(np.add.reduce(d, 1, keepdims=True), d, out=x[..., dv:2 * dv])
+        col = np.add.reduce(e, 1, out=x[..., 2 * dv:2 * dv + de])   # sum_i e[i, k]
+        row = np.add.reduce(e, 2, out=x[..., 2 * dv + de:])         # sum_i e[k, i]
+        cache.messages.append(x)
+        cache.d_inputs.append(x[..., :dv])
         cache.e_inputs.append(e)
-        cache.d_others.append(others)
-        cache.e_col.append(col)
-        cache.e_row.append(row)
 
-        zv = d @ lp.w_self.T
-        zv += others @ lp.w_other.T
-        zv += col @ lp.w_ein.T
-        zv += row @ lp.w_eout.T
+        zv = x @ w_v.T
         zv += lp.b_v
 
-        if lp.u_edge is not None:
+        if u_ends is not None:
+            de_out = des[t + 1]
+            ends = d @ u_ends.T            # [d U_src^T, d U_dst^T]
             ze = e @ lp.u_edge.T
-            ze += (d @ lp.u_src.T)[:, :, None, :]
-            ze += (d @ lp.u_dst.T)[:, None, :, :]
+            ze += ends[:, :, None, :de_out]
+            ze += ends[:, None, :, de_out:]
+            del ends                       # before the edge-sized arrays
             ze += lp.b_e
             if lp.u_agg is not None:
                 agg = row[:, :, None, :] + col[:, None, :, :]
@@ -409,11 +488,11 @@ def gnn_forward(spec: GnnSpec, params: GnnParams, d0: np.ndarray,
             _zero_diagonal(ze)
             # the edge head is the identity and the leaky ReLU maps 0 to 0,
             # so e keeps a zero diagonal
-            e = ze if last else _leaky(ze, spec.hidden_slope)
+            e = ze if last else _leaky(ze, slope)
         else:
             e = None
         if not last:
-            d = _leaky(zv, spec.hidden_slope)
+            d = _leaky(zv, slope)
         elif spec.vertex_head_activation == "softplus":
             cache.zv_out, d = zv, _softplus(zv)
         else:
@@ -448,14 +527,16 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
     ``"both"``, because it comes from the same operations.
 
     Each weight gradient is one GEMM over the flattened batch, vertex and
-    edge axes; the per-source and per-destination edge sums are reduced
-    before their GEMM.  The neighbour sums of the layer inputs come from the
-    cache, so no edge input is reduced again.  Reproducibility: repeated
-    calls on one cache give bit-identical results on one numpy/BLAS build.
-    The summation order differs from the direct contractions
-    (``einsum("nijp,niq->pq", ...)`` and the like), so across the two forms
-    every returned array, parameter and input gradients alike, agrees to
-    within 1e-12 of its largest entry.
+    edge axes: one for the whole vertex block, ``_wgrad(gzv, X)``, and one
+    for the endpoint block on the per-source and per-destination edge sums,
+    which are reduced before it.  One GEMM ``gzv @ W_v`` gives all four
+    vertex-message parts of the input gradient, and one the endpoint pair.
+    The neighbour sums of the layer inputs are the cached X, so no edge
+    input is reduced again.  Reproducibility: repeated calls on one cache
+    give bit-identical results on one numpy/BLAS build.  The summation order
+    differs from the direct contractions (``einsum("nijp,niq->pq", ...)``
+    and the like), so across the two forms every returned array, parameter
+    and input gradients alike, agrees to within 1e-12 of its largest entry.
     """
     if wrt not in _WRT:
         raise ValueError(f"wrt must be one of {_WRT}, got {wrt!r}")
@@ -463,14 +544,13 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
         raise ValueError("cache does not belong to these parameters (stale cache)")
     want_inputs = wrt != "params"
     grads = zeros_like_params(params) if wrt != "inputs" else None
-    slope = spec.hidden_slope
+    dvs, des, slope = spec.vertex_widths, spec.edge_widths, spec.hidden_slope
 
     # read only: the output layer takes it as its vertex gradient
     gd = np.ascontiguousarray(d_out_grad, dtype=float)
     if gd.shape != cache.zv_out.shape:
         raise ValueError("vertex output gradient has wrong shape")
-    last_lp = params.layers[-1]
-    if last_lp.u_edge is not None:
+    if params.layers[-1].u_edge is not None:
         if e_out_grad is None:
             raise ValueError("edge output gradient required for this spec")
         # a private copy: every layer scales its ge in place
@@ -480,11 +560,15 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
 
     for t in range(spec.transitions - 1, -1, -1):
         lp = params.layers[t]
+        w_v, u_ends = params.blocks[t]
         gl = grads.layers[t] if grads is not None else None
+        gw_v, gu_ends = grads.blocks[t] if grads is not None else (None, None)
         # this layer's input gradients feed the layer below or the caller
         pass_down = want_inputs or t > 0
         last = t == spec.transitions - 1
+        dv, de = dvs[t], des[t]
 
+        x = cache.messages[t]
         d_in = cache.d_inputs[t]
         e_in = cache.e_inputs[t]
 
@@ -498,40 +582,41 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
             gzv = gd                       # the identity's derivative is 1
 
         if gl is not None:
-            gl.w_self += _wgrad(gzv, d_in)
-            gl.w_other += _wgrad(gzv, cache.d_others[t])
-            gl.w_ein += _wgrad(gzv, cache.e_col[t])
-            gl.w_eout += _wgrad(gzv, cache.e_row[t])
+            gw_v += _wgrad(gzv, x)
             gl.b_v += gzv.sum(axis=(0, 1))
 
         if pass_down:
-            sum_gzv = gzv.sum(axis=1, keepdims=True)
-            gd_prev = gzv @ lp.w_self
-            gd_prev += (sum_gzv - gzv) @ lp.w_other
-            ge_prev = ((gzv @ lp.w_ein)[:, None, :, :]
-                       + (gzv @ lp.w_eout)[:, :, None, :])
+            gx = gzv @ w_v                 # dLoss/dX, (N, K, 2 dv + 2 de)
+            g_other = gx[..., dv:2 * dv]
+            gd_prev = np.add.reduce(g_other, 1, keepdims=True) - g_other
+            gd_prev += gx[..., :dv]
+            ge_prev = (gx[:, None, :, 2 * dv:2 * dv + de]
+                       + gx[:, :, None, 2 * dv + de:])
+            del gx, g_other                # before the edge-sized arrays
 
-        if lp.u_edge is not None:
+        if u_ends is not None:
             # ge has a zero diagonal, so gze does too
             gze = ge
             if not last:
                 gze *= _dleaky(cache.e_inputs[t + 1], slope)
-            gze_src = gze.sum(axis=2)      # sum_j gze[k, j]
-            gze_dst = gze.sum(axis=1)      # sum_i gze[i, k]
+            de_out = des[t + 1]
+            gze_ends = np.empty(gze.shape[:2] + (2 * de_out,))
+            np.add.reduce(gze, 2, out=gze_ends[..., :de_out])   # sum_j gze[k, j]
+            np.add.reduce(gze, 1, out=gze_ends[..., de_out:])   # sum_i gze[i, k]
             if gl is not None:
                 gl.u_edge += _wgrad(gze, e_in)
-                gl.u_src += _wgrad(gze_src, d_in)
-                gl.u_dst += _wgrad(gze_dst, d_in)
+                gu_ends += _wgrad(gze_ends, d_in)
                 gl.b_e += gze.sum(axis=(0, 1, 2))
             buf = agg = None               # reused as scratch when both exist
             if pass_down:
-                gd_prev += gze_src @ lp.u_src + gze_dst @ lp.u_dst
+                gd_prev += gze_ends @ u_ends
                 buf = gze @ lp.u_edge      # (N, K, K, in width)
                 ge_prev += buf
             if lp.u_agg is not None:
                 if gl is not None:
-                    agg = (cache.e_row[t][:, :, None, :]
-                           + cache.e_col[t][:, None, :, :])
+                    col = x[..., 2 * dv:2 * dv + de]
+                    row = x[..., 2 * dv + de:]
+                    agg = row[:, :, None, :] + col[:, None, :, :]
                     agg -= np.multiply(e_in, 2.0, out=buf)
                     gl.u_agg += _wgrad(gze, agg)
                 if pass_down:

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gnn import POSITION_SCALE, GnnParams, GnnSpec, gnn_backward, gnn_forward
+from .gnn import (POSITION_SCALE, GnnParams, GnnSpec, _diagonal_index,
+                  gnn_backward, gnn_forward)
 
 
 # The normalization constants each head kind reads.
@@ -56,22 +57,21 @@ def _as_batched_matrix(mat: np.ndarray) -> np.ndarray:
 def _pack_weight_features(weights: np.ndarray, a_scale: float,
                           positions: np.ndarray, pos_scale: float
                           ) -> tuple[np.ndarray, np.ndarray]:
-    n, k = weights.shape[:2]
-    diag = weights[:, np.arange(k), np.arange(k)]
+    idx = _diagonal_index(weights.shape[1])
+    diag = weights[:, idx, idx]
     d0 = np.concatenate([positions / pos_scale,
                          diag.real[..., None] / a_scale,
                          diag.imag[..., None] / a_scale], axis=2)
     e0 = np.stack([weights.real, weights.imag], axis=3) / a_scale
-    e0[:, np.arange(k), np.arange(k), :] = 0.0
+    e0[:, idx, idx, :] = 0.0
     return d0, e0
 
 
 def _weight_grad_from_features(gd0: np.ndarray, ge0: np.ndarray, a_scale: float
                                ) -> tuple[np.ndarray, np.ndarray]:
-    n, k = gd0.shape[:2]
     g_re = ge0[..., 0] / a_scale
     g_im = ge0[..., 1] / a_scale
-    idx = np.arange(k)
+    idx = _diagonal_index(gd0.shape[1])
     g_re[:, idx, idx] = gd0[:, :, 3] / a_scale
     g_im[:, idx, idx] = gd0[:, :, 4] / a_scale
     return g_re, g_im
@@ -81,7 +81,7 @@ def _unpack_complex(d_out: np.ndarray, e_out: np.ndarray, scale: float
                     ) -> np.ndarray:
     """Complex K x K output: entry (k, j) from edge (k, j), a_kk from vertex k."""
     out = (e_out[..., 0] + 1j * e_out[..., 1]) * scale
-    idx = np.arange(out.shape[1])
+    idx = _diagonal_index(out.shape[1])
     out[:, idx, idx] = (d_out[:, :, 0] + 1j * d_out[:, :, 1]) * scale
     return out
 
@@ -92,7 +92,7 @@ def _complex_head_backward(model: GnnModel, cache, grad_re: np.ndarray,
     g_re = _as_batched_matrix(grad_re).real.astype(float)
     g_im = _as_batched_matrix(grad_im).real.astype(float)
     scale = model.norm("out_scale")
-    idx = np.arange(g_re.shape[1])
+    idx = _diagonal_index(g_re.shape[1])
     gd = np.zeros(cache.zv_out.shape)
     gd[:, :, 0] = g_re[:, idx, idx] * scale
     gd[:, :, 1] = g_im[:, idx, idx] * scale

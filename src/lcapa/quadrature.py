@@ -280,6 +280,13 @@ def _require_hermitian(c: np.ndarray) -> None:
         raise AssertionError("coupling Gram is not Hermitian")
 
 
+def _power_form(weights: np.ndarray, ca: np.ndarray) -> np.ndarray:
+    """sum_j conj(a_jk) (C A)_jk, the complex per-user quadratic forms
+    a_k^H C a_k, from weights A and their couplings C A; (..., K, K) stacks
+    give (..., K)."""
+    return np.add.reduce(np.conj(weights) * ca, axis=-2)
+
+
 def integral_power(weights: np.ndarray, coupling: np.ndarray) -> np.ndarray:
     """Per-user powers p_k = a_k^H C a_k from the coupling Gram.
 
@@ -290,7 +297,7 @@ def integral_power(weights: np.ndarray, coupling: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(weights, dtype=complex)
     _require_hermitian(coupling)
-    quad = np.einsum("...jk,...ji,...ik->...k", np.conj(a), coupling, a)
+    quad = _power_form(a, np.asarray(coupling) @ a)
     scale = np.maximum(np.abs(quad.real), 1e-30)
     if np.any(np.abs(quad.imag) > 1e-9 * scale):
         raise AssertionError("power quadratic form has non-negligible imaginary part")

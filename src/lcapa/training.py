@@ -44,6 +44,7 @@ from .objective import policy_loss_grad, sinr_vector, sum_se
 from .optim import Adam
 # gram_pair is unused here but stays bound: profilers patch it by this name
 from .quadrature import (  # noqa: F401
+    _power_form,
     build_grid,
     coupling_grams,
     gram_pair,
@@ -375,7 +376,7 @@ class GramForward:
     def evaluate(cls, a_raw: np.ndarray, coupling_grams: np.ndarray,
                  power_budget: float) -> "GramForward":
         ca = np.asarray(coupling_grams, dtype=complex) @ a_raw
-        powers = np.sum(np.conj(a_raw) * ca, axis=1).real
+        powers = _power_form(a_raw, ca).real
         total = powers.sum(axis=1)
         live = total > 0.0
         scale = np.where(live, np.sqrt(power_budget / np.where(live, total, 1.0)),

@@ -1,6 +1,8 @@
+import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -64,30 +66,92 @@ def cpu_dispatch_targets():
     return list(getattr(cpu_umath(), "__cpu_dispatch__", None) or [])
 
 
-def run_in_fresh_interpreter(module, call, **env_overrides):
+_TESTS_DIR = str(Path(__file__).resolve().parent)
+
+
+def _child_env(**overrides):
+    """The environment of a child interpreter that imports ``lcapa`` from the
+    same source tree as this one."""
+    src = str(Path(lcapa.__file__).resolve().parents[1])
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_in_fresh_interpreter(module, call):
     """Evaluate ``module.call`` in a fresh interpreter; return the finished run.
 
     ``module`` is a test module in this directory and ``call`` an expression
-    on it, such as ``"_check()"``.  The interpreter imports ``lcapa`` from the
-    same source tree as this one.
+    on it, such as ``"_check()"``.
     """
-    tests_dir = str(Path(__file__).resolve().parent)
-    src = str(Path(lcapa.__file__).resolve().parents[1])
-    env = dict(os.environ, **env_overrides)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    script = (f"import sys; sys.path.insert(0, {tests_dir!r}); "
+    script = (f"import sys; sys.path.insert(0, {_TESTS_DIR!r}); "
               f"import {module}; {module}.{call}")
-    return subprocess.run([sys.executable, "-c", script], env=env,
+    return subprocess.run([sys.executable, "-c", script], env=_child_env(),
                           capture_output=True, text=True)
 
 
-def assert_passes_without_dispatch(module, call):
-    """Run ``module.call`` in a fresh interpreter with every dispatch target off.
+# The worker of the ``no_dispatch`` fixture: it runs one check per request
+# line ({"module": ..., "call": ...}) and answers one JSON line per check.
+# Anything a check prints goes to stderr, so it cannot garble the replies.
+_NO_DISPATCH_WORKER = """
+import json, sys, traceback
+sys.path.insert(0, {tests_dir!r})
+replies, sys.stdout = sys.stdout, sys.stderr
+for line in sys.stdin:
+    request = json.loads(line)
+    try:
+        module = __import__(request["module"])
+        value = eval(request["module"] + "." + request["call"],
+                     {{request["module"]: module}})
+        reply = {{"ok": True, "value": None if value is None else str(value)}}
+    except Exception:
+        reply = {{"ok": False, "error": traceback.format_exc()}}
+    replies.write(json.dumps(reply) + "\\n")
+    replies.flush()
+"""
 
-    ``call`` must finish without raising.
-    """
-    disabled = " ".join(cpu_dispatch_targets())
-    run = run_in_fresh_interpreter(module, call, NPY_DISABLE_CPU_FEATURES=disabled)
-    assert run.returncode == 0, (
-        f"with NPY_DISABLE_CPU_FEATURES={disabled!r}:\n{run.stderr}")
+
+class NoDispatchWorker:
+    """One interpreter, with every numpy SIMD dispatch target disabled, that
+    runs test checks on request, so the interpreter start and the imports
+    are paid once for all of them."""
+
+    def __init__(self):
+        self.disabled = " ".join(cpu_dispatch_targets())
+        self._stderr = tempfile.TemporaryFile()
+        self._proc = subprocess.Popen(
+            [sys.executable, "-c", _NO_DISPATCH_WORKER.format(tests_dir=_TESTS_DIR)],
+            env=_child_env(NPY_DISABLE_CPU_FEATURES=self.disabled),
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=self._stderr,
+            text=True)
+
+    def __call__(self, module, call):
+        """Evaluate ``module.call`` there; return ``str`` of its value (None
+        for None), or fail with its traceback."""
+        self._proc.stdin.write(json.dumps({"module": module, "call": call}) + "\n")
+        self._proc.stdin.flush()
+        line = self._proc.stdout.readline()
+        if not line:
+            self._stderr.seek(0)
+            raise AssertionError(f"the no-dispatch worker died:\n"
+                                 f"{self._stderr.read().decode(errors='replace')}")
+        reply = json.loads(line)
+        assert reply["ok"], (f"with NPY_DISABLE_CPU_FEATURES={self.disabled!r}:\n"
+                             f"{reply['error']}")
+        return reply["value"]
+
+    def close(self):
+        self._proc.stdin.close()
+        self._proc.wait()
+        self._proc.stdout.close()
+        self._stderr.close()
+
+
+@pytest.fixture(scope="session")
+def no_dispatch():
+    """Runs ``no_dispatch(module, call)`` checks in one shared interpreter
+    with every SIMD dispatch target disabled (see :class:`NoDispatchWorker`)."""
+    worker = NoDispatchWorker()
+    yield worker
+    worker.close()

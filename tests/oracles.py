@@ -23,11 +23,21 @@ Gram-domain code in ``lcapa``, so the tests can check that code against it:
   :func:`plain_los_channels` -- the WMMSE iteration, its sum-power
   multiplier and the channel kernel written plainly, with numpy's reduction
   wrappers and a fresh array for every intermediate: the bit-identity
-  references for the tuned kernels in ``lcapa.wmmse`` and ``lcapa.scene``.
+  references for the tuned kernels in ``lcapa.wmmse`` and ``lcapa.scene``;
+* :func:`plain_gnn_forward` and :func:`plain_gnn_backward` -- the GNN layer
+  kernels with one GEMM per weight matrix, the reference within a stated
+  tolerance for the fused-block kernels of ``lcapa.gnn``;
+* :func:`plain_integral_power` -- the per-user powers as one three-operand
+  contraction, the reference within a stated tolerance for
+  ``lcapa.quadrature.integral_power``.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
+from lcapa.gnn import (_dleaky, _dsoftplus, _leaky, _softplus, _wgrad,
+                       zeros_like_params)
 from lcapa.objective import project_weights, sinr_vector, sum_se
 from lcapa.quadrature import (ApertureGrid, build_grid, channel_matrix,
                               gram_pair, integral_couplings, integral_power)
@@ -423,3 +433,121 @@ def _plain_geometry_fault(near, behind, user):
         return SceneGeometryError(f"{name} coincides with an evaluation point")
     return SceneGeometryError(
         f"{name} is not in front of the aperture at some evaluation point")
+
+
+def _plain_zero_diagonal(x):
+    idx = np.arange(x.shape[1])
+    x[:, idx, idx] = 0.0
+    return x
+
+
+def plain_gnn_forward(spec, params, d0, e0):
+    """The GNN forward pass with one GEMM per weight matrix: four vertex
+    GEMMs and two endpoint GEMMs per layer, read from the named arrays.
+
+    Returns (vertex output, edge output or None, cache); the cache is a
+    namespace of per-layer ``d_inputs``, ``e_inputs``, ``d_others``
+    (sum_{i != k} d_i), ``e_col``, ``e_row`` and the output layer's
+    ``zv_out``.
+    """
+    d, e = np.asarray(d0, dtype=float), _plain_zero_diagonal(
+        np.array(e0, dtype=float))
+    cache = SimpleNamespace(d_inputs=[], e_inputs=[], d_others=[], e_col=[],
+                            e_row=[], zv_out=None)
+    for t, lp in enumerate(params.layers):
+        last = t == spec.transitions - 1
+        others = d.sum(axis=1, keepdims=True) - d
+        col = e.sum(axis=1)
+        row = e.sum(axis=2)
+        cache.d_inputs.append(d)
+        cache.e_inputs.append(e)
+        cache.d_others.append(others)
+        cache.e_col.append(col)
+        cache.e_row.append(row)
+
+        zv = d @ lp.w_self.T
+        zv += others @ lp.w_other.T
+        zv += col @ lp.w_ein.T
+        zv += row @ lp.w_eout.T
+        zv += lp.b_v
+
+        if lp.u_edge is not None:
+            ze = e @ lp.u_edge.T
+            ze += (d @ lp.u_src.T)[:, :, None, :]
+            ze += (d @ lp.u_dst.T)[:, None, :, :]
+            ze += lp.b_e
+            if lp.u_agg is not None:
+                agg = row[:, :, None, :] + col[:, None, :, :]
+                agg -= 2.0 * e
+                ze += agg @ lp.u_agg.T
+            _plain_zero_diagonal(ze)
+            e = ze if last else _leaky(ze, spec.hidden_slope)
+        else:
+            e = None
+        if not last:
+            d = _leaky(zv, spec.hidden_slope)
+        elif spec.vertex_head_activation == "softplus":
+            cache.zv_out, d = zv, _softplus(zv)
+        else:
+            cache.zv_out = d = zv
+    return d, e, cache
+
+
+def plain_gnn_backward(spec, params, cache, d_out_grad, e_out_grad):
+    """Every gradient of a :func:`plain_gnn_forward` pass, one GEMM per
+    weight matrix: (parameter gradients, input vertex gradient, input edge
+    gradient)."""
+    grads = zeros_like_params(params)
+    slope = spec.hidden_slope
+    gd = np.asarray(d_out_grad, dtype=float)
+    ge = (_plain_zero_diagonal(np.array(e_out_grad, dtype=float))
+          if params.layers[-1].u_edge is not None else None)
+    for t in range(spec.transitions - 1, -1, -1):
+        lp, gl = params.layers[t], grads.layers[t]
+        last = t == spec.transitions - 1
+        d_in, e_in = cache.d_inputs[t], cache.e_inputs[t]
+
+        if not last:
+            gzv = _dleaky(cache.d_inputs[t + 1], slope) * gd
+        elif spec.vertex_head_activation == "softplus":
+            gzv = _dsoftplus(cache.zv_out) * gd
+        else:
+            gzv = gd
+
+        gl.w_self += _wgrad(gzv, d_in)
+        gl.w_other += _wgrad(gzv, cache.d_others[t])
+        gl.w_ein += _wgrad(gzv, cache.e_col[t])
+        gl.w_eout += _wgrad(gzv, cache.e_row[t])
+        gl.b_v += gzv.sum(axis=(0, 1))
+        sum_gzv = gzv.sum(axis=1, keepdims=True)
+        gd_prev = gzv @ lp.w_self
+        gd_prev += (sum_gzv - gzv) @ lp.w_other
+        ge_prev = ((gzv @ lp.w_ein)[:, None, :, :]
+                   + (gzv @ lp.w_eout)[:, :, None, :])
+
+        if lp.u_edge is not None:
+            gze = ge if last else ge * _dleaky(cache.e_inputs[t + 1], slope)
+            gze_src = gze.sum(axis=2)
+            gze_dst = gze.sum(axis=1)
+            gl.u_edge += _wgrad(gze, e_in)
+            gl.u_src += _wgrad(gze_src, d_in)
+            gl.u_dst += _wgrad(gze_dst, d_in)
+            gl.b_e += gze.sum(axis=(0, 1, 2))
+            gd_prev += gze_src @ lp.u_src + gze_dst @ lp.u_dst
+            ge_prev += gze @ lp.u_edge
+            if lp.u_agg is not None:
+                agg = (cache.e_row[t][:, :, None, :]
+                       + cache.e_col[t][:, None, :, :]) - 2.0 * e_in
+                gl.u_agg += _wgrad(gze, agg)
+                z = gze @ lp.u_agg
+                spread = z.sum(axis=2)[:, :, None, :] + z.sum(axis=1)[:, None, :, :]
+                spread -= 2.0 * z
+                ge_prev += spread
+        gd, ge = gd_prev, _plain_zero_diagonal(ge_prev)
+    return grads, gd, ge
+
+
+def plain_integral_power(weights, coupling):
+    """Per-user powers a_k^H C a_k as one three-operand contraction."""
+    a = np.asarray(weights, dtype=complex)
+    return np.einsum("...jk,...ji,...ik->...k", np.conj(a), coupling, a).real

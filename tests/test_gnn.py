@@ -7,15 +7,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import (all_permutations, assert_passes_without_dispatch,
-                      cpu_dispatch_targets, random_weights,
+from conftest import (all_permutations, cpu_dispatch_targets, random_weights,
                       run_in_fresh_interpreter)
+from oracles import plain_gnn_backward, plain_gnn_forward
 from lcapa.gnn import (
     GnnCache,
     GnnParams,
     GnnSpec,
     _dleaky,
     _leaky,
+    _zero_diagonal,
     gnn_backward,
     gnn_forward,
     init_params,
@@ -137,17 +138,30 @@ class TestParams:
 
     @pytest.mark.parametrize("agg", [False, True])
     def test_arrays_are_views_of_the_flat_buffer(self, agg):
-        spec = self._spec(agg)
-        params = init_params(spec, 3)
-        assert params.layout == param_layout(spec) and params.packed()
-        assert params.flat.dtype == np.float64 and params.flat.flags.owndata
-        arrays = [a for _, a in params.iter_arrays()]
-        assert [a.shape for a in arrays] == [
-            s for layer in params.layout for s in layer if s is not None]
-        assert np.concatenate([a.ravel() for a in arrays]).tobytes() \
-            == params.flat.tobytes()
-        params.flat[...] = 7.0
-        assert all(np.all(a == 7.0) for a in arrays)
+        for factory in (policy_spec, proj_spec, value_spec):
+            spec = factory(**SMALL, edge_aggregation=agg)
+            params = init_params(spec, 3)
+            assert params.layout == param_layout(spec) and params.packed()
+            assert params.flat.dtype == np.float64 and params.flat.flags.owndata
+            arrays = [a for _, a in params.iter_arrays()]
+            assert [a.shape for a in arrays] == [
+                s for layer in params.layout for s in layer if s is not None]
+            # the named arrays tile flat exactly once
+            params.flat[...] = np.arange(params.flat.size)
+            seen = np.sort(np.concatenate([a.ravel() for a in arrays]))
+            assert np.array_equal(seen, np.arange(params.flat.size)), spec.kind
+            # the kernels' fused blocks are the named arrays side by side
+            # (vertex) and stacked (endpoints), as C-contiguous views
+            for lp, (w_v, u_ends) in zip(params.layers, params.blocks, strict=True):
+                assert np.array_equal(w_v, np.concatenate(
+                    [lp.w_self, lp.w_other, lp.w_ein, lp.w_eout], axis=1))
+                assert w_v.flags.c_contiguous and np.shares_memory(w_v, params.flat)
+                if lp.u_src is None:
+                    assert u_ends is None
+                    continue
+                assert np.array_equal(u_ends, np.concatenate([lp.u_src, lp.u_dst]))
+                assert (u_ends.flags.c_contiguous
+                        and np.shares_memory(u_ends, params.flat))
 
     def test_copy_and_zeros_share_no_memory(self):
         params = init_params(self._spec(True), 4)
@@ -168,6 +182,23 @@ class TestParams:
         assert packed.flat.tobytes() == saved.tobytes()
         packed.flat[...] = 0.0
         assert params.flat.tobytes() == saved.tobytes() and params.packed()
+
+    def test_arrays_that_cannot_share_a_block_rejected(self):
+        layers = init_params(policy_spec(**SMALL), 1).layers
+        layers[0].w_other = np.zeros((5, 3))     # w_self is (8, 3)
+        with pytest.raises(ValueError, match="cannot share one matrix"):
+            GnnParams(layers=layers)
+
+    def test_kernels_reject_a_rebound_array(self):
+        # the kernels multiply by the blocks of flat, which a rebound array
+        # has left
+        spec = value_spec(**SMALL)
+        params = init_params(spec, 2)
+        d0, e0 = random_features(np.random.default_rng(3), spec, 1, 3)
+        gnn_forward(spec, params, d0, e0)
+        params.layers[1].w_ein = params.layers[1].w_ein.copy()
+        with pytest.raises(ValueError, match="outside its flat buffer"):
+            gnn_forward(spec, params, d0, e0)
 
 
 class TestForward:
@@ -627,18 +658,13 @@ def _assert_unchanged(before, arrays, what):
             f"{what}[{i}] was written to")
 
 
-# Each array the kernel's cache keeps, and the reference's array it equals.
+# Each array the plain oracle's cache keeps, and the reference's array it equals.
 _CACHE_FIELDS = {"d_inputs": "d_inputs", "e_inputs": "e_inputs",
                  "d_others": "others", "e_col": "col", "e_row": "row"}
 
 
-def _cache_arrays(cache):
-    return ([a for name in _CACHE_FIELDS for a in getattr(cache, name)]
-            + [cache.zv_out])
-
-
-def _assert_matches_reference(kind, agg, n, k):
-    """Kernels equal the reference forms and write to none of their inputs."""
+def _kernel_case(kind, agg, n, k):
+    """A spec, parameters with nonzero biases, features and upstream gradients."""
     spec = {"policy": policy_spec, "proj": proj_spec,
             "value": value_spec}[kind](hidden=64, layers=4,
                                        edge_aggregation=agg)
@@ -652,30 +678,79 @@ def _assert_matches_reference(kind, agg, n, k):
     wd = rng.standard_normal((n, k, spec.vertex_widths[-1]))
     we = (rng.standard_normal((n, k, k, spec.edge_widths[-1]))
           if spec.edge_widths[-1] else None)
-    inputs = [d0, e0, wd, we] + [a for _, a in params.iter_arrays()]
-    before = _snapshot(inputs)
-    case = f"{kind} agg={agg} n={n} k={k}"
+    return spec, params, d0, e0, wd, we
 
-    d_out, e_out, cache = gnn_forward(spec, params, d0, e0)
+
+def _assert_plain_matches_reference(kind, agg, n, k):
+    """The plain oracle equals the select-and-mask forms bit for bit."""
+    spec, params, d0, e0, wd, we = _kernel_case(kind, agg, n, k)
+    case = f"{kind} agg={agg} n={n} k={k}"
+    d_out, e_out, cache = plain_gnn_forward(spec, params, d0, e0)
     d_ref, e_ref, ref_cache = _reference_forward(spec, params, d0, e0)
     assert np.array_equal(d_out, d_ref), case
     assert (e_out is None and e_ref is None) or np.array_equal(e_out, e_ref), case
-    assert {f.name for f in fields(GnnCache)} == {
-        "spec", "params", "zv_out", *_CACHE_FIELDS}
     for name, ref_name in _CACHE_FIELDS.items():
         for t, (a, b) in enumerate(zip(getattr(cache, name),
                                        getattr(ref_cache, ref_name), strict=True)):
             assert (a is None and b is None) or np.array_equal(a, b), (
                 f"{case}: cache.{name}[{t}]")
     assert np.array_equal(cache.zv_out, ref_cache.zv[-1]), f"{case}: cache.zv_out"
-    _assert_unchanged(before, inputs, f"{case} forward input")
-
-    cached = _snapshot(_cache_arrays(cache))
-    got = _named_outputs(gnn_backward(spec, params, cache, wd, we))
+    got = _named_outputs(plain_gnn_backward(spec, params, cache, wd, we))
     ref = _named_outputs(_reference_backward(spec, params, ref_cache, wd, we))
     assert [name for name, _ in got] == [name for name, _ in ref]
     for (name, a), (_, b) in zip(got, ref):
         assert np.array_equal(a, b), f"{case}: {name}"
+
+
+# The stated tolerance of the fused kernels against the plain oracle, as a
+# multiple of each array's largest entry.
+_FUSED_TOLERANCE = 1e-12
+
+
+def _assert_close(got, want, what):
+    assert (got is None and want is None) or got.shape == want.shape, what
+    if got is not None:
+        err = np.max(np.abs(got - want), initial=0.0)
+        bound = _FUSED_TOLERANCE * np.max(np.abs(want), initial=0.0)
+        assert err <= bound, f"{what}: max abs difference {err:.3e} > {bound:.3e}"
+
+
+def _cache_arrays(cache):
+    return cache.messages + cache.d_inputs + cache.e_inputs + [cache.zv_out]
+
+
+def _assert_fused_matches_plain(kind, agg, n, k):
+    """The fused kernels agree with the plain oracle to within the stated
+    tolerance in every output, cached array and gradient, and write to none
+    of their inputs."""
+    spec, params, d0, e0, wd, we = _kernel_case(kind, agg, n, k)
+    inputs = [d0, e0, wd, we, params.flat]
+    before = _snapshot(inputs)
+    case = f"{kind} agg={agg} n={n} k={k}"
+
+    d_out, e_out, cache = gnn_forward(spec, params, d0, e0)
+    d_ref, e_ref, ref_cache = plain_gnn_forward(spec, params, d0, e0)
+    _assert_close(d_out, d_ref, f"{case}: vertex output")
+    _assert_close(e_out, e_ref, f"{case}: edge output")
+    assert {f.name for f in fields(GnnCache)} == {
+        "spec", "params", "messages", "d_inputs", "e_inputs", "zv_out"}
+    for t in range(spec.transitions):
+        want = np.concatenate([ref_cache.d_inputs[t], ref_cache.d_others[t],
+                               ref_cache.e_col[t], ref_cache.e_row[t]], axis=2)
+        _assert_close(cache.messages[t], want, f"{case}: cache.messages[{t}]")
+        _assert_close(cache.d_inputs[t], ref_cache.d_inputs[t],
+                      f"{case}: cache.d_inputs[{t}]")
+        _assert_close(cache.e_inputs[t], ref_cache.e_inputs[t],
+                      f"{case}: cache.e_inputs[{t}]")
+    _assert_close(cache.zv_out, ref_cache.zv_out, f"{case}: cache.zv_out")
+    _assert_unchanged(before, inputs, f"{case} forward input")
+
+    cached = _snapshot(_cache_arrays(cache))
+    got = _named_outputs(gnn_backward(spec, params, cache, wd, we))
+    ref = _named_outputs(plain_gnn_backward(spec, params, ref_cache, wd, we))
+    assert [name for name, _ in got] == [name for name, _ in ref]
+    for (name, a), (_, b) in zip(got, ref):
+        _assert_close(a, b, f"{case}: {name}")
     _assert_unchanged(before, inputs, f"{case} backward input")
     _assert_unchanged(cached, _cache_arrays(cache), f"{case} cache")
 
@@ -686,11 +761,14 @@ def _assert_all_kernels_match():
     for kind in ("policy", "proj", "value"):
         for agg in (False, True):
             for n, k in _KERNEL_SHAPES:
-                _assert_matches_reference(kind, agg, n, k)
+                _assert_plain_matches_reference(kind, agg, n, k)
+                _assert_fused_matches_plain(kind, agg, n, k)
 
 
 class TestLayerKernels:
-    """The allocation-lean kernels against the select-and-mask forms."""
+    """The plain oracle against the select-and-mask forms, bit for bit, and
+    the fused-block kernels against the plain oracle, within the stated
+    tolerance."""
 
     @pytest.mark.parametrize("slope", _KERNEL_SLOPES)
     def test_activation_kernels_exact(self, slope):
@@ -700,12 +778,36 @@ class TestLayerKernels:
     @pytest.mark.parametrize("agg", [False, True])
     @pytest.mark.parametrize("kind", ["policy", "proj", "value"])
     def test_bit_identical_to_reference(self, kind, agg, n, k):
-        _assert_matches_reference(kind, agg, n, k)
+        _assert_plain_matches_reference(kind, agg, n, k)
+
+    @pytest.mark.parametrize("n,k", _KERNEL_SHAPES)
+    @pytest.mark.parametrize("agg", [False, True])
+    @pytest.mark.parametrize("kind", ["policy", "proj", "value"])
+    def test_fused_kernels_match_plain_oracle(self, kind, agg, n, k):
+        _assert_fused_matches_plain(kind, agg, n, k)
 
     @pytest.mark.skipif(not cpu_dispatch_targets(),
                         reason="numpy reports no CPU dispatch targets")
-    def test_all_dispatch_targets_disabled(self):
-        assert_passes_without_dispatch("test_gnn", "_assert_all_kernels_match()")
+    def test_all_dispatch_targets_disabled(self, no_dispatch):
+        no_dispatch("test_gnn", "_assert_all_kernels_match()")
+
+    def test_zero_diagonal_matches_the_index_form(self):
+        rng = np.random.default_rng(41)
+        for n, k, w in ((1, 1, 1), (1, 4, 64), (3, 5, 2), (2, 16, 3)):
+            x = rng.standard_normal((n, k, k, w))
+            want = x.copy()
+            want[:, np.arange(k), np.arange(k)] = 0.0
+            assert _zero_diagonal(x) is x and x.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="contiguous"):
+            _zero_diagonal(np.zeros((1, 4, 4, 2))[..., ::2])
+
+    @pytest.mark.parametrize("kind", ["policy", "proj", "value"])
+    def test_cache_keeps_the_vertex_input_shape(self, kind):
+        # perfbench's flop model reads the batch and user counts off it
+        spec, params, d0, e0, _, _ = _kernel_case(kind, True, 3, 5)
+        _, _, cache = gnn_forward(spec, params, d0, e0)
+        assert cache.d_inputs[0].shape[:2] == (3, 5)
+        assert np.array_equal(cache.d_inputs[0], d0)
 
 
 def _print_minor_faults_per_call(calls=20):
@@ -779,6 +881,30 @@ class TestPolicyHead:
         a0, _ = policy_forward(base, pos)
         a1, _ = policy_forward(scaled, pos)
         assert np.allclose(a1, 2.5 * a0, rtol=1e-12)
+
+
+class TestInferenceChain:
+    def test_batch_of_one_matches_a_batch_of_64(self):
+        # the deployed chain at batch 1 against the same chain batched, to
+        # the tolerance perfbench's infer-k4 allows: a batched kernel may sum
+        # in another order than one scene alone
+        from lcapa.objective import project_weights
+        from lcapa.scene import sample_scene
+
+        pspec, jspec = policy_spec(), proj_spec()
+        policy = GnnModel(pspec, init_params(pspec, 2),
+                          {"pos_scale": 30.0, "out_scale": 1e-3})
+        proj = GnnModel(jspec, init_params(jspec, 0),
+                        {"pos_scale": 30.0, "a_scale": 1e-3, "out_scale": 0.25})
+        positions = np.stack([sample_scene(900 + i, 4).positions for i in range(64)])
+        raw, _ = policy_forward(policy, positions)
+        powers, _ = proj_forward(proj, positions, raw)
+        for i, pos in enumerate(positions):
+            want = project_weights(raw[i], powers[i], 1.0)
+            a, _ = policy_forward(policy, pos)
+            p, _ = proj_forward(proj, pos, a)
+            got = project_weights(a, p, 1.0)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), i
 
 
 class TestProjHead:

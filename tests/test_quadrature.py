@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import lcapa
-from conftest import (all_permutations, cpu_dispatch_targets, cpu_umath,
-                      random_weights)
+from conftest import (_child_env, all_permutations, cpu_dispatch_targets,
+                      cpu_umath, random_weights)
 from lcapa.quadrature import (
     GRAM_CHUNK_ENTRIES,
     ChannelMatrix,
@@ -23,7 +21,7 @@ from lcapa.quadrature import (
     quadrature_convergence,
 )
 from lcapa.scene import DEFAULT_WAVELENGTH, Scene, sample_scene, square_aperture
-from oracles import direct_integral_check
+from oracles import direct_integral_check, plain_integral_power
 
 FIXTURES = Path(__file__).parent / "fixtures"
 EPS = np.finfo(float).eps
@@ -36,6 +34,16 @@ _RHO = math.expm1(math.log1p(2 * _U) + 3 * math.log1p(_U)
                   + math.log1p(math.sqrt(5) * _U))
 # two builds may differ by the sum of both errors, measured against |h_gold|
 GOLDEN_C = math.ceil(2 * _RHO / (1 - _RHO) / EPS)
+
+def _seed1_channel_hex():
+    """The bytes of the seed-1 K=4, M=256 channel, in hex."""
+    scene = sample_scene(seed=1, num_users=4)
+    return channel_matrix(scene, build_grid(scene.aperture, 256)).h.tobytes().hex()
+
+
+def _channel_from_hex(text):
+    return np.frombuffer(bytes.fromhex(text), dtype=complex).reshape(4, 256)
+
 
 _SEED1_CHANNEL_SCRIPT = """
 import sys
@@ -67,15 +75,12 @@ def _golden_report(worst, k, m, reference="h_gold"):
             f"{GOLDEN_C}; numpy {np.__version__}, active dispatch targets {active}")
 
 
-def _seed1_channel_in_subprocess(env_overrides):
+def _seed1_channel_in_subprocess():
     """The seed-1 K=4, M=256 channel computed by a fresh interpreter."""
-    src = str(Path(lcapa.__file__).resolve().parents[1])
-    env = dict(os.environ, **env_overrides)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", _SEED1_CHANNEL_SCRIPT], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    return np.frombuffer(bytes.fromhex(out), dtype=complex).reshape(4, 256)
+    out = subprocess.run([sys.executable, "-c", _SEED1_CHANNEL_SCRIPT],
+                         env=_child_env(), capture_output=True, text=True,
+                         check=True).stdout
+    return _channel_from_hex(out)
 
 
 class TestBuildGrid:
@@ -223,7 +228,7 @@ class TestChannelMatrix:
         h = seed1_channels.h
         again = channel_matrix(seed1_scene, seed1_grid256).h
         assert again.tobytes() == h.tobytes(), "second call in one process differs"
-        fresh = _seed1_channel_in_subprocess({})
+        fresh = _seed1_channel_in_subprocess()
         assert fresh.tobytes() == h.tobytes(), "fresh interpreter differs"
         rebuilt = channel_matrix(Scene.from_json(seed1_scene.to_json()), seed1_grid256).h
         assert rebuilt.tobytes() == h.tobytes(), "scene rebuilt from JSON differs"
@@ -241,12 +246,12 @@ class TestChannelMatrix:
 
     @pytest.mark.skipif(not cpu_dispatch_targets(),
                         reason="numpy reports no CPU dispatch targets")
-    def test_all_dispatch_targets_disabled_within_bound(self, seed1_channels):
-        disabled = " ".join(cpu_dispatch_targets())
-        h = _seed1_channel_in_subprocess({"NPY_DISABLE_CPU_FEATURES": disabled})
+    def test_all_dispatch_targets_disabled_within_bound(self, seed1_channels,
+                                                        no_dispatch):
+        h = _channel_from_hex(no_dispatch("test_quadrature", "_seed1_channel_hex()"))
         worst, (k, m) = _worst_deviation(h, seed1_channels.h)
         assert worst <= GOLDEN_C, (
-            f"with NPY_DISABLE_CPU_FEATURES={disabled!r}: "
+            f"with NPY_DISABLE_CPU_FEATURES={no_dispatch.disabled!r}: "
             + _golden_report(worst, k, m, reference="h_in_process"))
 
 
@@ -435,6 +440,21 @@ class TestStackedForms:
         with pytest.raises(AssertionError, match="not Hermitian"):
             integral_power(eye[1], grams[1])
         integral_power(eye[[0, 2]], grams[[0, 2]])
+
+
+class TestPowerMatchesContraction:
+    @pytest.mark.parametrize("num_users,num_nodes", [(1, 16), (4, 256), (16, 256)])
+    def test_within_tolerance_of_the_three_operand_form(self, num_users, num_nodes):
+        # C A and a column sum in place of one K^3 contraction: another
+        # summation order, so agreement to 1e-12 of each scene's largest power
+        scenes, grid, h = _stacked_grams(num_users, num_nodes, count=8)
+        grams = gram_pair(h, grid.cell_area).coupling
+        rng = np.random.default_rng(num_users)
+        a = np.stack([random_weights(rng, num_users, scale=10.0 ** rng.uniform(-5, 0))
+                      for _ in scenes])
+        got, want = integral_power(a, grams), plain_integral_power(a, grams)
+        assert np.all(np.abs(got - want).max(axis=-1)
+                      <= 1e-12 * np.abs(want).max(axis=-1))
 
 
 class TestPermutationCovariance:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import assert_passes_without_dispatch, cpu_dispatch_targets
+from conftest import cpu_dispatch_targets
 from oracles import plain_los_channels
 from lcapa.quadrature import build_grid
 from lcapa.scene import (
@@ -360,9 +360,8 @@ class TestSamplerMatchesPerUserLoop:
 
     @pytest.mark.skipif(not cpu_dispatch_targets(),
                         reason="numpy reports no CPU dispatch targets")
-    def test_all_dispatch_targets_disabled(self):
-        assert_passes_without_dispatch("test_scene",
-                                       "_assert_every_tenth_case_matches()")
+    def test_all_dispatch_targets_disabled(self, no_dispatch):
+        no_dispatch("test_scene", "_assert_every_tenth_case_matches()")
 
 
 class TestChannelResponse:
@@ -478,9 +477,8 @@ class TestChannelKernelMatchesReference:
 
     @pytest.mark.skipif(not cpu_dispatch_targets(),
                         reason="numpy reports no CPU dispatch targets")
-    def test_all_dispatch_targets_disabled(self):
-        assert_passes_without_dispatch(
-            "test_scene", "_assert_every_tenth_kernel_case_matches()")
+    def test_all_dispatch_targets_disabled(self, no_dispatch):
+        no_dispatch("test_scene", "_assert_every_tenth_kernel_case_matches()")
 
 
 def _assert_stacked_rows_match_per_user(cases):
@@ -532,9 +530,8 @@ class TestBroadcastKernel:
 
     @pytest.mark.skipif(not cpu_dispatch_targets(),
                         reason="numpy reports no CPU dispatch targets")
-    def test_rows_bit_identical_with_dispatch_disabled(self):
-        assert_passes_without_dispatch(
-            "test_scene", "_assert_every_tenth_stacked_case_matches()")
+    def test_rows_bit_identical_with_dispatch_disabled(self, no_dispatch):
+        no_dispatch("test_scene", "_assert_every_tenth_stacked_case_matches()")
 
     @pytest.mark.parametrize("offsets", [
         [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]],    # user 1 at fault both ways
@@ -684,9 +681,8 @@ class TestKernelMatchesPlain:
 
     @pytest.mark.skipif(not cpu_dispatch_targets(),
                         reason="numpy reports no CPU dispatch targets")
-    def test_bit_identical_with_dispatch_disabled(self):
-        assert_passes_without_dispatch(
-            "test_scene", "_assert_every_fifth_plain_case_matches()")
+    def test_bit_identical_with_dispatch_disabled(self, no_dispatch):
+        no_dispatch("test_scene", "_assert_every_fifth_plain_case_matches()")
 
     @pytest.mark.parametrize("positions,user", [
         ([[0.5, 20.0, 1.0]], 2),                              # on a point

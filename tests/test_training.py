@@ -57,6 +57,20 @@ class TestCheckpoint:
         for (name, a), (_, b) in zip(saved, restored):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
+    def test_round_trip_is_byte_equal(self, tmp_path):
+        # the block layout of the flat buffer does not leak into the file:
+        # names, shapes and values round-trip, and the loaded tree has the
+        # same flat buffer and writes the same bytes
+        model = tiny_aggregating_model()
+        first, second = str(tmp_path / "first.json"), str(tmp_path / "second.json")
+        save_checkpoint(model, first)
+        loaded = load_checkpoint(first)
+        save_checkpoint(loaded, second)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
+        assert loaded.params.layout == model.params.layout
+        assert loaded.params.flat.tobytes() == model.params.flat.tobytes()
+
     def test_streamed_bytes_equal_one_json_dump(self, tmp_path):
         model = tiny_aggregating_model()
         model.norms["a_scale"] = np.float64(2e-4)      # a float subclass

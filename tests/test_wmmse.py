@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import (all_permutations, assert_passes_without_dispatch,
-                      cpu_dispatch_targets, random_weights)
+from conftest import all_permutations, cpu_dispatch_targets, random_weights
 from lcapa.objective import sinr_vector, sum_se
 from lcapa.quadrature import (build_grid, channel_matrix, gram_pair,
                               integral_couplings, integral_power)
@@ -564,5 +563,5 @@ class TestMatchesPlainIteration:
 
     @pytest.mark.skipif(not cpu_dispatch_targets(),
                         reason="numpy reports no CPU dispatch targets")
-    def test_bit_identical_with_dispatch_disabled(self):
-        assert_passes_without_dispatch("test_wmmse", "_assert_matches_plain()")
+    def test_bit_identical_with_dispatch_disabled(self, no_dispatch):
+        no_dispatch("test_wmmse", "_assert_matches_plain()")
