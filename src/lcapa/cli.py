@@ -14,9 +14,10 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, experiments
 from .scene import DEFAULT_WAVELENGTH, FREE_SPACE_IMPEDANCE
 from .training import POLICY_MODES
+from .wmmse import baseline_se
 
 
 class UsageError(Exception):
@@ -69,8 +70,7 @@ def _build_parser() -> _Parser:
         p.add_argument(flag, type=typ)
 
     p = add("experiment", "run a sweep or timing experiment")
-    p.add_argument("--kind", choices=("sweep-ntr", "sweep-snr", "sweep-aperture",
-                                      "sweep-m", "timing", "single"))
+    p.add_argument("--kind", choices=experiments.SWEEP_KINDS)
     p.add_argument("--policy-mode", choices=POLICY_MODES)
     p.add_argument("--train-inline", action="store_true", default=None)
     p.add_argument("--output-dir")
@@ -93,23 +93,19 @@ def _load_config(path: str | None) -> dict:
 
 
 def _experiment_config(args, cfg: dict, **overrides):
-    from .experiments import ExperimentConfig
-
     # config file < every given flag naming a config field < overrides
     merged = dict(cfg)
     for given in (vars(args), overrides):
         merged.update({k: v for k, v in given.items() if v is not None})
-    known = set(ExperimentConfig.__dataclass_fields__)
+    known = set(experiments.ExperimentConfig.__dataclass_fields__)
     merged = {k: v for k, v in merged.items() if k in known}
     try:
-        return ExperimentConfig.from_dict(merged)
+        return experiments.ExperimentConfig.from_dict(merged)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
 def _cmd_train(args, which: str) -> int:
-    from .experiments import train_policy_for, train_surrogate
-
     cfg = _load_config(args.config)
     epochs = getattr(args, "epochs", None)
     lr = getattr(args, "learning_rate", None)
@@ -120,15 +116,13 @@ def _cmd_train(args, which: str) -> int:
         overrides.update({"surrogate_epochs": epochs, "supervised_lr": lr})
     config = _experiment_config(args, cfg, **overrides)
     if which == "policy":
-        train_policy_for(config, config.zeta, config.aperture_area,
-                         config.num_train)
+        experiments.train_policy_for(config, config.zeta,
+                                     config.aperture_area, config.num_train)
     else:
-        train_surrogate(config, config.zeta, config.aperture_area,
-                        config.num_train, which)
-    from .experiments import checkpoint_paths
-
-    paths = checkpoint_paths(config, config.zeta, config.aperture_area,
-                             config.num_train)
+        experiments.train_surrogate(config, config.zeta, config.aperture_area,
+                                    config.num_train, which)
+    paths = experiments.checkpoint_paths(config, config.zeta,
+                                         config.aperture_area, config.num_train)
     print(f"checkpoints under {config.checkpoint_dir}: "
           + ", ".join(os.path.basename(p) for p in paths.values()
                       if os.path.exists(p)))
@@ -136,37 +130,27 @@ def _cmd_train(args, which: str) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .experiments import (build_test_pool, evaluate_policy_on_pool,
-                              train_policy_for)
-
     cfg = _load_config(args.config)
     config = _experiment_config(args, cfg)
-    policy = train_policy_for(config, config.zeta, config.aperture_area,
-                              config.num_train)
-    pool = build_test_pool(config, config.zeta, config.aperture_area,
-                           config.num_nodes_eval)
-    se = evaluate_policy_on_pool(policy, pool, config.power_budget)
+    _, se = experiments.policy_se(config, config.zeta, config.aperture_area,
+                                  config.num_train)
     os.makedirs(config.output_dir, exist_ok=True)
     path = os.path.join(config.output_dir, "eval.csv")
-    from .experiments import _write_csv
-
     rows = [[f"scene-{config.scene_seed}-{i}", "lcapa-gnn",
              config.num_nodes_eval, float(v)] for i, v in enumerate(se)]
     rows.append(["mean", "lcapa-gnn", config.num_nodes_eval, float(se.mean())])
-    _write_csv(path, config, ["scene_id", "method", "m_eval", "sum_se"], rows)
+    experiments._write_csv(path, config, ["scene_id", "method", "m_eval",
+                                          "sum_se"], rows)
     print(f"mean sum SE {se.mean():.4f} over {len(se)} scenes -> {path}")
     return 0
 
 
 def _cmd_baseline(args) -> int:
-    from .experiments import _write_csv, build_test_pool
-    from .wmmse import baseline_se
-
     cfg = _load_config(args.config)
     config = _experiment_config(args, cfg)
     # the scenes, and so the scene ids, of ``lcapa eval``
-    pool = build_test_pool(config, config.zeta, config.aperture_area,
-                           config.num_nodes)
+    pool = experiments.build_test_pool(config, config.zeta,
+                                       config.aperture_area, config.num_nodes)
     rows = []
     for i, scene in enumerate(pool.scenes):
         res = baseline_se(scene, config.num_nodes, config.num_nodes_eval)
@@ -176,20 +160,19 @@ def _cmd_baseline(args) -> int:
                      res.runtime_seconds])
     os.makedirs(config.output_dir, exist_ok=True)
     path = os.path.join(config.output_dir, "baseline.csv")
-    _write_csv(path, config, ["scene_id", "m", "m_eval", "iterations",
-                              "converged", "sum_se", "runtime_seconds"], rows)
+    experiments._write_csv(path, config, ["scene_id", "m", "m_eval",
+                                          "iterations", "converged", "sum_se",
+                                          "runtime_seconds"], rows)
     mean = np.mean([r[5] for r in rows])
     print(f"baseline mean sum SE {mean:.4f} over {len(rows)} scenes -> {path}")
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    from .experiments import run_experiment
-
     cfg = _load_config(args.config)
     config = _experiment_config(args, cfg, kind=args.kind,
                                 train_inline=args.train_inline)
-    paths = run_experiment(config)
+    paths = experiments.run_experiment(config)
     for name, path in paths.items():
         print(f"{name}: {path}")
     return 0

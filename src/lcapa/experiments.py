@@ -4,6 +4,20 @@ Every result file embeds its fully resolved configuration (and all seeds) as
 ``#``-prefixed header comments, so re-running the embedded config regenerates
 the file.  Learned and baseline methods are always evaluated on identical
 test scenes.
+
+Every kind but ``timing`` runs through one loop: it turns the config into a
+list of points ``(x, {method: per-scene sum SE})`` and writes
+``<kind>_scenes.csv`` (rows in the order point, scene, method) and
+``<kind>_summary.csv`` (point, method) from that list.  The points are
+
+* ``single``: one point, ``x`` empty, with ``lcapa-gnn`` then ``wmmse``;
+* ``sweep-snr``, ``sweep-aperture``, ``sweep-ntr``: one point per value of
+  ``zeta_list``, ``aperture_list`` or ``ntr_list``, each with its own policy
+  and test scenes, and ``lcapa-gnn`` then ``wmmse`` (WMMSE at ``num_nodes``);
+* ``sweep-m``: ``lcapa-gnn`` once at ``x = num_nodes``, then ``wmmse`` at each
+  ``m`` of ``m_list``, all on the same test scenes.
+
+Every SE is scored at ``num_nodes_eval``.
 """
 
 from __future__ import annotations
@@ -80,16 +94,20 @@ class ExperimentConfig:
         if self.policy_mode not in POLICY_MODES:
             raise ValueError(f"unknown policy mode {self.policy_mode!r}; "
                              f"choose one of {', '.join(POLICY_MODES)}")
-        for name in ("batch_size", "surrogate_epochs", "policy_epochs",
-                     "num_train", "num_users", "hidden", "num_test_scenes"):
-            value = getattr(self, name)
+        at_least_one = [(name, getattr(self, name)) for name in
+                        ("batch_size", "surrogate_epochs", "policy_epochs",
+                         "num_train", "num_users", "hidden", "num_test_scenes",
+                         "timing_scenes", "timing_repeats")]
+        at_least_one += [("ntr_list", v) for v in self.ntr_list or ()]
+        for name, value in at_least_one:
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value!r}")
         for m in (self.num_nodes, self.num_nodes_eval, *(self.m_list or ())):
             build_grid(square_aperture(), m)    # rejects an M it cannot split
         policy_spec(hidden=self.hidden, layers=self.layers)  # rejects layers < 2
         positive = [(name, getattr(self, name)) for name in
-                    ("policy_lr", "supervised_lr", "zeta", "aperture_area")]
+                    ("policy_lr", "supervised_lr", "zeta", "aperture_area",
+                     "power_budget")]
         positive += [("zeta_list", v) for v in self.zeta_list or ()]
         positive += [("aperture_list", v) for v in self.aperture_list or ()]
         for name, value in positive:
@@ -255,54 +273,59 @@ def evaluate_policy_on_pool(policy: GnnModel, pool: ScenePool,
                            scene0.noise_vars())
 
 
+def policy_se(config: ExperimentConfig, zeta: float, aperture_area: float,
+              num_train: int) -> tuple[ScenePool, np.ndarray]:
+    """Train (or load) the policy of one setting; return the setting's test
+    pool (at ``num_nodes_eval``) and the policy's exact sum SE per scene."""
+    policy = train_policy_for(config, zeta, aperture_area, num_train)
+    pool = build_test_pool(config, zeta, aperture_area, config.num_nodes_eval)
+    return pool, evaluate_policy_on_pool(policy, pool, config.power_budget)
+
+
+def _baseline_se(config: ExperimentConfig, pool: ScenePool,
+                 m: int) -> np.ndarray:
+    return np.array([baseline_se(s, m, config.num_nodes_eval).se_report.sum_se
+                     for s in pool.scenes])
+
+
+# Each sweep kind's x column, and the config list it sweeps (None: one point).
+_AXES = {"single": ("point", None), "sweep-snr": ("zeta", "zeta_list"),
+         "sweep-aperture": ("aperture_area", "aperture_list"),
+         "sweep-ntr": ("num_train", "ntr_list"), "sweep-m": ("m", "m_list")}
+
+
+def _sweep_points(config: ExperimentConfig) -> list[tuple[object, dict]]:
+    """Every ``(x, {method: per-scene sum SE})`` of a sweep kind, in row order."""
+    axis, swept = _AXES[config.kind]
+    setting = {"zeta": config.zeta, "aperture_area": config.aperture_area,
+               "num_train": config.num_train}
+    if config.kind == "sweep-m":
+        pool, se = policy_se(config, **setting)
+        return [(config.num_nodes, {"lcapa-gnn": se})] + [
+            (m, {"wmmse": _baseline_se(config, pool, m)}) for m in config.m_list]
+    points = []
+    for x in getattr(config, swept) if swept else ("",):
+        if swept:
+            setting[axis] = x
+        pool, se = policy_se(config, **setting)
+        points.append((x, {"lcapa-gnn": se,
+                           "wmmse": _baseline_se(config, pool, config.num_nodes)}))
+    return points
+
+
 def run_experiment(config: ExperimentConfig) -> dict:
     """Execute one experiment; returns {name: path} of written files."""
     os.makedirs(config.output_dir, exist_ok=True)
     if config.kind == "timing":
         return bench_timing(config)
-    if config.kind == "sweep-m":
-        return _run_sweep_m(config)
-    if config.kind == "sweep-snr":
-        return _run_model_sweep(config, "zeta", list(config.zeta_list))
-    if config.kind == "sweep-aperture":
-        return _run_model_sweep(config, "aperture_area", list(config.aperture_list))
-    if config.kind == "sweep-ntr":
-        return _run_model_sweep(config, "num_train", list(config.ntr_list))
-    return _run_model_sweep(config, "single", [None])
-
-
-def _setting(config: ExperimentConfig, axis: str, value) -> tuple[float, float, int]:
-    zeta, area, n_train = config.zeta, config.aperture_area, config.num_train
-    if axis == "zeta":
-        zeta = value
-    elif axis == "aperture_area":
-        area = value
-    elif axis == "num_train":
-        n_train = value
-    return zeta, area, n_train
-
-
-def _run_model_sweep(config: ExperimentConfig, axis: str, values: list) -> dict:
     per_scene, summary = [], []
-    for value in values:
-        zeta, area, n_train = _setting(config, axis, value)
-        policy = train_policy_for(config, zeta, area, n_train)
-        pool_eval = build_test_pool(config, zeta, area, config.num_nodes_eval)
-        se_policy = evaluate_policy_on_pool(policy, pool_eval, config.power_budget)
-        se_base = np.array([
-            baseline_se(s, config.num_nodes, config.num_nodes_eval).se_report.sum_se
-            for s in pool_eval.scenes])
-        x = "" if value is None else value
-        for i, scene in enumerate(pool_eval.scenes):
-            per_scene.append([x, f"scene-{config.scene_seed}-{i}", "lcapa-gnn",
-                              float(se_policy[i])])
-            per_scene.append([x, f"scene-{config.scene_seed}-{i}", "wmmse",
-                              float(se_base[i])])
-        for method, arr in (("lcapa-gnn", se_policy), ("wmmse", se_base)):
-            summary.append([x, method, float(arr.mean()),
-                            float(arr.std(ddof=0)), len(arr)])
-    label = {"zeta": "zeta", "aperture_area": "aperture_area",
-             "num_train": "num_train", "single": "point"}[axis]
+    for x, se_by_method in _sweep_points(config):
+        for i in range(config.num_test_scenes):
+            per_scene += [[x, f"scene-{config.scene_seed}-{i}", method,
+                           float(se[i])] for method, se in se_by_method.items()]
+        summary += [[x, method, float(se.mean()), float(se.std(ddof=0)), len(se)]
+                    for method, se in se_by_method.items()]
+    label = _AXES[config.kind][0]
     paths = {
         "summary": os.path.join(config.output_dir, f"{config.kind}_summary.csv"),
         "per_scene": os.path.join(config.output_dir, f"{config.kind}_scenes.csv"),
@@ -311,38 +334,6 @@ def _run_model_sweep(config: ExperimentConfig, axis: str, values: list) -> dict:
                [label, "method", "mean_sum_se", "std_sum_se", "n_scenes"], summary)
     _write_csv(paths["per_scene"], config,
                [label, "scene_id", "method", "sum_se"], per_scene)
-    return paths
-
-
-def _run_sweep_m(config: ExperimentConfig) -> dict:
-    policy = train_policy_for(config, config.zeta, config.aperture_area,
-                              config.num_train)
-    pool_eval = build_test_pool(config, config.zeta, config.aperture_area,
-                                config.num_nodes_eval)
-    se_policy = evaluate_policy_on_pool(policy, pool_eval, config.power_budget)
-    per_scene, summary = [], []
-    for i in range(len(pool_eval.scenes)):
-        per_scene.append([config.num_nodes, f"scene-{config.scene_seed}-{i}",
-                          "lcapa-gnn", float(se_policy[i])])
-    summary.append([config.num_nodes, "lcapa-gnn", float(se_policy.mean()),
-                    float(se_policy.std(ddof=0)), len(se_policy)])
-    for m in config.m_list:
-        se = np.array([
-            baseline_se(s, m, config.num_nodes_eval).se_report.sum_se
-            for s in pool_eval.scenes])
-        for i in range(len(pool_eval.scenes)):
-            per_scene.append([m, f"scene-{config.scene_seed}-{i}", "wmmse",
-                              float(se[i])])
-        summary.append([m, "wmmse", float(se.mean()), float(se.std(ddof=0)),
-                        len(se)])
-    paths = {
-        "summary": os.path.join(config.output_dir, "sweep-m_summary.csv"),
-        "per_scene": os.path.join(config.output_dir, "sweep-m_scenes.csv"),
-    }
-    _write_csv(paths["summary"], config,
-               ["m", "method", "mean_sum_se", "std_sum_se", "n_scenes"], summary)
-    _write_csv(paths["per_scene"], config, ["m", "scene_id", "method", "sum_se"],
-               per_scene)
     return paths
 
 

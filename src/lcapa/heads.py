@@ -63,7 +63,6 @@ def _pack_weight_features(weights: np.ndarray, a_scale: float,
                          diag.real[..., None] / a_scale,
                          diag.imag[..., None] / a_scale], axis=2)
     e0 = np.stack([weights.real, weights.imag], axis=3) / a_scale
-    e0[:, idx, idx, :] = 0.0
     return d0, e0
 
 
@@ -97,7 +96,6 @@ def _complex_head_backward(model: GnnModel, cache, grad_re: np.ndarray,
     gd[:, :, 0] = g_re[:, idx, idx] * scale
     gd[:, :, 1] = g_im[:, idx, idx] * scale
     ge = np.stack([g_re, g_im], axis=3) * scale
-    ge[:, idx, idx, :] = 0.0
     return gnn_backward(model.spec, model.params, cache, gd, ge, wrt=wrt)
 
 

@@ -89,8 +89,6 @@ class TrainHyper:
     learning_rate: float = 1e-3
     batch_size: int = 64
     epochs: int = 200
-    beta1: float = 0.9
-    beta2: float = 0.999
     num_nodes: int = 256
     num_train: int = 2000
     lr_decay: float = 1.0       # multiplicative, applied every lr_decay_every epochs
@@ -104,10 +102,6 @@ class TrainHyper:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value!r}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {value!r}")
         if not (0.0 < self.lr_decay <= 1.0):
             raise ValueError("lr_decay must lie in (0, 1]")
 
@@ -250,8 +244,7 @@ def _train_epochs(model: GnnModel, hyper: TrainHyper, seed: int, tag: int,
     the highest when ``maximize``) are restored on exit.  When no score is
     finite the last parameters stay, and None is returned.
     """
-    opt = Adam(model.params, lr=hyper.learning_rate, beta1=hyper.beta1,
-               beta2=hyper.beta2)
+    opt = Adam(model.params, lr=hyper.learning_rate)
     best = best_params = None
     for epoch in range(hyper.epochs):
         opt.lr = hyper.lr_at(epoch)

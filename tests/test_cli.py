@@ -76,6 +76,26 @@ def test_unknown_policy_mode_in_config_is_a_usage_error(tmp_path, capsys):
     assert "unknown policy mode 'bogus'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("settings,message", [
+    ({"kind": "sweep-ntr", "ntr_list": [0]}, "ntr_list must be >= 1"),
+    ({"power_budget": 0.0}, "power_budget must be positive and finite"),
+    ({"kind": "timing", "timing_scenes": 0}, "timing_scenes must be >= 1"),
+])
+def test_bad_experiment_config_file_is_a_usage_error(settings, message,
+                                                     tmp_path, capsys):
+    # each used to fail only after the run had started, or not at all
+    tiny = dict(num_users=3, num_nodes=16, num_nodes_eval=64, num_train=8,
+                surrogate_epochs=1, policy_epochs=1, batch_size=4, hidden=8,
+                layers=2, num_test_scenes=2, policy_mode="analytic",
+                checkpoint_dir=str(tmp_path / "ck"),
+                output_dir=str(tmp_path / "out"))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(tiny, **settings)))
+    assert main(["experiment", "--config", str(cfg), "--train-inline"]) == 1
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_grad_check_covers_the_analytic_chain(capsys):
     assert main(["grad-check", "--probes", "40"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -76,8 +76,49 @@ def test_inference_timing_rejects_a_dead_power_estimate():
     assert policy_inference_seconds(policy, live, positions, 1.0) > 0.0
 
 
-@pytest.mark.parametrize("kind,swept", [("single", {}),
-                                        ("sweep-m", {"m_list": (4, 16)})])
+# Each sweep kind's swept list, and the layout its files must have: the x
+# column's name, then every point's x (as written) and its methods in order.
+SWEEPS = {
+    "single": ({}, "point", [("", ("lcapa-gnn", "wmmse"))]),
+    "sweep-m": ({"m_list": (4, 16)}, "m",
+                [("16", ("lcapa-gnn",)), ("4", ("wmmse",)), ("16", ("wmmse",))]),
+    "sweep-snr": ({"zeta_list": (1e5, 1e7, 1e9)}, "zeta",
+                  [(x, ("lcapa-gnn", "wmmse"))
+                   for x in ("100000", "10000000", "1000000000")]),
+    "sweep-aperture": ({"aperture_list": (0.04, 4.0)}, "aperture_area",
+                       [(x, ("lcapa-gnn", "wmmse")) for x in ("0.04", "4")]),
+    "sweep-ntr": ({"ntr_list": (4, 8)}, "num_train",
+                  [(x, ("lcapa-gnn", "wmmse")) for x in ("4", "8")]),
+}
+
+
+@pytest.mark.parametrize("kind", list(SWEEPS))
+@pytest.mark.parametrize("num_users", [3, 16])
+def test_every_sweep_kind_writes_finite_rows_in_its_layout(tmp_path, kind,
+                                                           num_users):
+    swept, label, points = SWEEPS[kind]
+    config = ExperimentConfig(kind=kind, num_test_scenes=2,
+                              checkpoint_dir=str(tmp_path / "ck"),
+                              output_dir=str(tmp_path / "out"),
+                              **dict(TINY, num_users=num_users), **swept)
+    paths = run_experiment(config)
+    _, columns, rows = read_result_file(paths["per_scene"])
+    assert columns == [label, "scene_id", "method", "sum_se"]
+    assert [r[:3] for r in rows] == [[x, f"scene-9000-{i}", method]
+                                     for x, methods in points for i in range(2)
+                                     for method in methods]
+    se = [float(r[3]) for r in rows]
+    _, columns, rows = read_result_file(paths["summary"])
+    assert columns == [label, "method", "mean_sum_se", "std_sum_se", "n_scenes"]
+    assert [r[:2] for r in rows] == [[x, method] for x, methods in points
+                                     for method in methods]
+    assert all(r[4] == "2" for r in rows)
+    se += [float(v) for r in rows for v in r[2:4]]
+    assert np.all(np.isfinite(se))
+
+
+@pytest.mark.parametrize("kind,swept", [(kind, SWEEPS[kind][0])
+                                        for kind in SWEEPS])
 def test_embedded_config_reproduces_every_row(tmp_path, kind, swept):
     config = ExperimentConfig(kind=kind, num_test_scenes=2,
                               checkpoint_dir=str(tmp_path / "ck"),
@@ -106,6 +147,8 @@ def test_embedded_config_reproduces_every_row(tmp_path, kind, swept):
     ("zeta", 0.0), ("zeta", float("nan")), ("aperture_area", -1.0),
     ("aperture_area", float("inf")), ("layers", 1), ("layers", 0),
     ("zeta_list", (1e6, 0.0)), ("aperture_list", (4.0, float("nan"))),
+    ("ntr_list", (4, 0)), ("timing_scenes", 0), ("timing_repeats", 0),
+    ("power_budget", 0.0), ("power_budget", float("nan")),
 ])
 def test_config_rejects_bad_training_settings(field, value):
     with pytest.raises(ValueError, match=field):

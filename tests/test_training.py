@@ -211,8 +211,7 @@ class TestCheckpoint:
 @pytest.mark.parametrize("field,value", [
     ("learning_rate", float("nan")), ("learning_rate", float("inf")),
     ("learning_rate", 0.0), ("batch_size", 0), ("epochs", -1), ("epochs", 0),
-    ("lr_decay_every", 0), ("num_train", 0), ("beta1", 1.5), ("beta1", 1.0),
-    ("beta2", -0.1), ("beta2", float("nan")), ("lr_decay", float("nan")),
+    ("lr_decay_every", 0), ("num_train", 0), ("lr_decay", float("nan")),
 ])
 def test_train_hyper_rejects_bad_values(field, value):
     # each would otherwise fail late: lr_decay_every=0 divides by zero in
