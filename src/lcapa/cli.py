@@ -88,17 +88,24 @@ def _build_parser() -> _Parser:
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError(f"it holds a {type(cfg).__name__}, not an object")
+    except (OSError, ValueError) as exc:      # JSONDecodeError is a ValueError
+        raise UsageError(f"bad config file {path}: {exc}") from exc
+    return cfg
 
 
 def _experiment_config(args, cfg: dict, **overrides):
-    # config file < every given flag naming a config field < overrides
+    # config file < every given flag naming a config field < overrides; the
+    # parser's own attributes (command, config, epochs, ...) name no field
+    known = experiments.ExperimentConfig.__dataclass_fields__
     merged = dict(cfg)
     for given in (vars(args), overrides):
-        merged.update({k: v for k, v in given.items() if v is not None})
-    known = set(experiments.ExperimentConfig.__dataclass_fields__)
-    merged = {k: v for k, v in merged.items() if k in known}
+        merged.update({k: v for k, v in given.items()
+                       if v is not None and k in known})
     try:
         return experiments.ExperimentConfig.from_dict(merged)
     except ValueError as exc:

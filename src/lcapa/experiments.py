@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -54,6 +54,21 @@ SWEEP_KINDS = ("sweep-ntr", "sweep-snr", "sweep-aperture", "sweep-m",
 
 class MissingCheckpointError(RuntimeError):
     pass
+
+
+# The Python types each field annotation takes: a float field takes an int
+# too, only a bool field takes a bool, and a tuple field takes a list too.
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
+
+
+def _wrong_type(annotation: str, value) -> bool:
+    """Whether ``value`` does not suit a field annotated ``annotation``."""
+    if annotation.startswith("tuple["):
+        element = annotation[len("tuple["):annotation.index(",")]
+        return value is not None and (not isinstance(value, (list, tuple)) or any(
+            _wrong_type(element, v) for v in value))
+    return (isinstance(value, bool) != (annotation == "bool")
+            or not isinstance(value, _FIELD_TYPES[annotation]))
 
 
 @dataclass(frozen=True)
@@ -89,6 +104,11 @@ class ExperimentConfig:
     timing_repeats: int = 3
 
     def __post_init__(self):
+        # the types first: the range checks below compare numbers
+        for f in fields(self):
+            if _wrong_type(f.type, getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be of type {f.type}, "
+                                 f"got {getattr(self, f.name)!r}")
         if self.kind not in SWEEP_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.policy_mode not in POLICY_MODES:
@@ -125,11 +145,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        clean = dict(data)
-        for key in ("zeta_list", "aperture_list", "m_list", "ntr_list"):
-            if clean.get(key) is not None:
-                clean[key] = tuple(clean[key])
-        return cls(**clean)
+        unknown = sorted(set(data) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+        # a JSON list is one of the tuple fields
+        return cls(**{k: tuple(v) if isinstance(v, list) else v
+                      for k, v in data.items()})
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":

@@ -5,8 +5,7 @@ layer transforms all vertex representations and all edge representations:
 
     d_k  <-  act( W_self d_k + sum_{i != k} (W_other d_i + W_ein e_ik
                                              + W_eout e_ki) + b_v )
-    e_kj <-  act( U_edge e_kj + U_src d_k + U_dst d_j + b_e
-                  [+ U_agg sum_{i != k,j} (e_ki + e_ij)] )
+    e_kj <-  act( U_edge e_kj + U_src d_k + U_dst d_j + b_e )
 
 All weights are shared across vertices/edges, which is what makes every
 instantiation permutation equivariant.  The network is real-valued; complex
@@ -36,27 +35,20 @@ The elementwise work runs no select kernel and makes few fresh full-size
 the activation, which is the next layer's input; the pre-activation it came
 from is freed.  The backward pass scales the spent edge gradient in place;
 it allocates the activation derivative, one buffer that holds the
-``gze @ U`` products, and the edge gradient it passes down.  Edge
-aggregation adds its aggregate and, in the forward pass, the products
-formed from it.  The backward pass computes only the outputs its ``wrt``
-argument names and returns None for the rest: ``"inputs"`` (the frozen
-surrogates in the policy chain) runs no weight-gradient GEMM and builds no
-gradient tree, and ``"params"`` (every trained net) forms no layer-0 input
-gradient, so its layer 0 skips the ``gze @ U`` buffer and the aggregation
-spread.  Each output computed equals (``np.array_equal``) that of
-``"both"``.
-The leaky ReLU is ``max(z, slope z)`` and its derivative
-``max(1{z > 0}, slope)``, exact for ``0 <= hidden_slope <= 1``, which
-:class:`GnnSpec` enforces; self-edges are zeroed through the strided view
-of the diagonal.  In that range the activation is positive exactly when z
-is, for +-0, -inf, NaN and subnormal z too, and for +inf unless slope = 0;
-so the backward pass takes the derivative from the activation.  The two
-activation kernels equal (``np.array_equal``) the select forms
-``where(z > 0, z, slope z)`` and ``where(z > 0, 1, slope)``, which the
-tests keep as oracles.  The one exception is ``slope = 0`` with a ``+inf``
-pre-activation: ``0 * inf`` makes the activation NaN where the select form
-gives ``inf``, and the derivative read off it is 0 where the select form's
-is 1.
+``gze @ U`` products, and the edge gradient it passes down.  The backward
+pass computes only the outputs its ``wrt`` argument names and returns None
+for the rest: ``"inputs"`` (the frozen surrogates in the policy chain) runs
+no weight-gradient GEMM and builds no gradient tree, and ``"params"`` (every
+trained net) forms no layer-0 input gradient, so its layer 0 skips the
+``gze @ U`` buffer.  Each output computed equals (``np.array_equal``) that
+of ``"both"``.
+Every hidden layer applies one activation, the leaky ReLU ``max(z, 0.2 z)``
+(slope :data:`LEAKY_SLOPE`).  It is positive exactly when z is, for +-0,
++-inf, NaN and subnormal z too, so the backward pass reads the derivative
+``max(1{z > 0}, 0.2)`` off the activation.  Both kernels equal
+(``np.array_equal``) the select forms ``where(z > 0, z, 0.2 z)`` and
+``where(z > 0, 1, 0.2)``, which the tests keep as oracles.  Self-edges are
+zeroed through the strided view of the diagonal.
 
 Three head configurations are provided: ``policy`` (positions -> weight
 matrix), ``proj`` (positions + raw weights -> per-user powers through a
@@ -70,12 +62,18 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
 POSITION_SCALE = 30.0     # outer radius of the default user region
 
+LEAKY_SLOPE = 0.2         # the negative-side slope of every hidden activation
+
 _HEAD_KINDS = ("policy", "proj", "value")
+
+# Spec keys an earlier checkpoint format wrote for settings now fixed.
+_FIXED_SETTINGS = {"edge_aggregation": False, "hidden_slope": LEAKY_SLOPE}
 
 
 @dataclass(frozen=True)
@@ -85,14 +83,16 @@ class GnnSpec:
     ``vertex_widths`` / ``edge_widths`` list the representation widths per
     layer (length L >= 2; entry 0 is the feature width, entry L-1 the action
     width).  An edge action width of 0 means the final layer has no edge
-    head, which only the ``proj`` kind uses.
+    head, which only the ``proj`` kind uses.  Every hidden layer applies the
+    leaky ReLU with slope :data:`LEAKY_SLOPE` = 0.2, and the edge update
+    reads only its own edge and its two endpoints.
     """
 
     kind: str
     vertex_widths: tuple[int, ...]
     edge_widths: tuple[int, ...]
-    hidden_slope: float = 0.2
-    edge_aggregation: bool = False
+    # no edge update aggregates other edges; perfbench's flop model reads it
+    edge_aggregation: ClassVar[bool] = False
 
     def __post_init__(self):
         if self.kind not in _HEAD_KINDS:
@@ -105,18 +105,10 @@ class GnnSpec:
             raise ValueError("vertex widths must be >= 1")
         if any(w < 1 for w in self.edge_widths[:-1]) or self.edge_widths[-1] < 0:
             raise ValueError("edge widths must be >= 1 (final may be 0)")
-        if not 0.0 <= self.hidden_slope <= 1.0:
-            # the max-form leaky ReLU and its derivative are exact only here
-            raise ValueError(f"hidden_slope must be a finite number in [0, 1], "
-                             f"got {self.hidden_slope!r}")
-
-    @property
-    def layers(self) -> int:
-        return len(self.vertex_widths)
 
     @property
     def transitions(self) -> int:
-        return self.layers - 1
+        return len(self.vertex_widths) - 1
 
     @property
     def vertex_head_activation(self) -> str:
@@ -125,17 +117,18 @@ class GnnSpec:
     def to_dict(self) -> dict:
         return {"kind": self.kind,
                 "vertex_widths": list(self.vertex_widths),
-                "edge_widths": list(self.edge_widths),
-                "hidden_slope": self.hidden_slope,
-                "edge_aggregation": self.edge_aggregation}
+                "edge_widths": list(self.edge_widths)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "GnnSpec":
+        for key, fixed in _FIXED_SETTINGS.items():
+            value = data.get(key, fixed)
+            if type(value) is not type(fixed) or value != fixed:
+                raise ValueError(f"spec {key} must be {fixed!r} (the one "
+                                 f"architecture), got {value!r}")
         return cls(kind=data["kind"],
                    vertex_widths=tuple(data["vertex_widths"]),
-                   edge_widths=tuple(data["edge_widths"]),
-                   hidden_slope=data.get("hidden_slope", 0.2),
-                   edge_aggregation=data.get("edge_aggregation", False))
+                   edge_widths=tuple(data["edge_widths"]))
 
 
 def _hidden_widths(hidden: int, layers: int) -> tuple[int, ...]:
@@ -146,25 +139,25 @@ def _hidden_widths(hidden: int, layers: int) -> tuple[int, ...]:
     return (hidden,) * (layers - 2)
 
 
-def policy_spec(hidden: int = 64, layers: int = 4, **kw) -> GnnSpec:
+def policy_spec(hidden: int = 64, layers: int = 4) -> GnnSpec:
     """Positions in, complex weight matrix out (edges start as a zero feature)."""
     widths = _hidden_widths(hidden, layers)
     return GnnSpec(kind="policy", vertex_widths=(3,) + widths + (2,),
-                   edge_widths=(1,) + widths + (2,), **kw)
+                   edge_widths=(1,) + widths + (2,))
 
 
-def proj_spec(hidden: int = 64, layers: int = 4, **kw) -> GnnSpec:
+def proj_spec(hidden: int = 64, layers: int = 4) -> GnnSpec:
     """Positions + raw weights in, strictly positive per-user powers out."""
     widths = _hidden_widths(hidden, layers)
     return GnnSpec(kind="proj", vertex_widths=(5,) + widths + (1,),
-                   edge_widths=(2,) + widths + (0,), **kw)
+                   edge_widths=(2,) + widths + (0,))
 
 
-def value_spec(hidden: int = 64, layers: int = 4, **kw) -> GnnSpec:
+def value_spec(hidden: int = 64, layers: int = 4) -> GnnSpec:
     """Positions + projected weights in, complex coupling matrix out."""
     widths = _hidden_widths(hidden, layers)
     return GnnSpec(kind="value", vertex_widths=(5,) + widths + (2,),
-                   edge_widths=(2,) + widths + (2,), **kw)
+                   edge_widths=(2,) + widths + (2,))
 
 
 @dataclass
@@ -178,7 +171,6 @@ class LayerParams:
     u_src: np.ndarray | None
     u_dst: np.ndarray | None
     b_e: np.ndarray | None
-    u_agg: np.ndarray | None = None
 
 
 # Array names of one layer, in field order (also the checkpoint's key order).
@@ -196,15 +188,10 @@ def param_layout(spec: GnnSpec) -> Layout:
     for t in range(spec.transitions):
         dv_in, dv_out = spec.vertex_widths[t], spec.vertex_widths[t + 1]
         de_in, de_out = spec.edge_widths[t], spec.edge_widths[t + 1]
-        edge = de_out > 0
-        agg = edge and spec.edge_aggregation
+        edge = (((de_out, de_in), (de_out, dv_in), (de_out, dv_in), (de_out,))
+                if de_out > 0 else (None,) * 4)
         layout.append(((dv_out, dv_in), (dv_out, dv_in), (dv_out, de_in),
-                       (dv_out, de_in), (dv_out,),
-                       (de_out, de_in) if edge else None,
-                       (de_out, dv_in) if edge else None,
-                       (de_out, dv_in) if edge else None,
-                       (de_out,) if edge else None,
-                       (de_out, de_in) if agg else None))
+                       (dv_out, de_in), (dv_out,)) + edge)
     return tuple(layout)
 
 
@@ -215,13 +202,13 @@ class GnnParams:
     tile it exactly once, so whole-tree work (a copy, zeroing, an optimizer
     step) is one operation on ``flat``.  Layer by layer the buffer holds
     the vertex block W_v, then ``b_v``, ``u_edge``, the endpoint block, then
-    ``b_e`` and ``u_agg``.  W_v is one row-major (out, 2 dv + 2 de) matrix
-    whose column blocks are ``w_self``, ``w_other``, ``w_ein`` and
-    ``w_eout``; the endpoint block is one (2 out_e, dv) matrix whose row
-    blocks are ``u_src`` and ``u_dst``.  :attr:`blocks` holds the two
-    fused matrices of each layer (None for an absent endpoint block): the
-    kernels multiply by them, one GEMM for each block.  The names, shapes and
-    :meth:`iter_arrays` order are those of :data:`PARAM_NAMES`.
+    ``b_e``.  W_v is one row-major (out, 2 dv + 2 de) matrix whose column
+    blocks are ``w_self``, ``w_other``, ``w_ein`` and ``w_eout``; the endpoint
+    block is one (2 out_e, dv) matrix whose row blocks are ``u_src`` and
+    ``u_dst``.  :attr:`blocks` holds the two fused matrices of each layer
+    (None for an absent endpoint block): the kernels multiply by them, one
+    GEMM for each block.  The names, shapes and :meth:`iter_arrays` order are
+    those of :data:`PARAM_NAMES`.
 
     ``GnnParams(layers)`` packs copies of the given arrays into a new buffer
     and new :class:`LayerParams`: it never keeps, rebinds or aliases a
@@ -286,8 +273,7 @@ class GnnParams:
 # matrices side by side, and the two endpoint matrices stacked.  Every other
 # array is a block of its own.
 _BLOCKS = ((("w_self", "w_other", "w_ein", "w_eout"), 1), (("b_v",), 0),
-           (("u_edge",), 0), (("u_src", "u_dst"), 0), (("b_e",), 0),
-           (("u_agg",), 0))
+           (("u_edge",), 0), (("u_src", "u_dst"), 0), (("b_e",), 0))
 
 
 @functools.lru_cache(maxsize=64)
@@ -353,19 +339,18 @@ def zeros_like_params(params: GnnParams) -> GnnParams:
 
 # -- activations --------------------------------------------------------------
 
-def _leaky(z, slope):
-    # max(z, slope z) is the leaky ReLU for 0 <= slope <= 1, with no select
-    y = z * slope
+def _leaky(z):
+    # max(z, 0.2 z) is the leaky ReLU, with no select
+    y = z * LEAKY_SLOPE
     return np.maximum(z, y, out=y)
 
 
-def _dleaky(x, slope):
-    """max(1{x > 0}, slope), the leaky-ReLU derivative, 1 or slope with no
-    select.  x may be the pre-activation z or the activation _leaky(z, slope):
-    for 0 <= slope <= 1 the two are positive together (see the module
-    docstring for the one exception)."""
+def _dleaky(x):
+    """max(1{x > 0}, 0.2), the leaky-ReLU derivative, 1 or 0.2 with no
+    select.  x may be the pre-activation z or the activation _leaky(z): the
+    two are positive together."""
     d = (x > 0.0).astype(float)
-    return np.maximum(d, slope, out=d)
+    return np.maximum(d, LEAKY_SLOPE, out=d)
 
 
 def _softplus(z):
@@ -451,7 +436,7 @@ def gnn_forward(spec: GnnSpec, params: GnnParams, d0: np.ndarray,
     if not params.packed():
         raise ValueError("parameter tree has an array outside its flat buffer")
 
-    dvs, des, slope = spec.vertex_widths, spec.edge_widths, spec.hidden_slope
+    dvs, des = spec.vertex_widths, spec.edge_widths
     d, e = d0, _zero_diagonal(e0.copy())
     cache = GnnCache(spec=spec, params=params, messages=[], d_inputs=[],
                      e_inputs=[])
@@ -464,8 +449,8 @@ def gnn_forward(spec: GnnSpec, params: GnnParams, d0: np.ndarray,
         x = np.empty((n, k, 2 * (dv + de)))
         x[..., :dv] = d
         np.subtract(np.add.reduce(d, 1, keepdims=True), d, out=x[..., dv:2 * dv])
-        col = np.add.reduce(e, 1, out=x[..., 2 * dv:2 * dv + de])   # sum_i e[i, k]
-        row = np.add.reduce(e, 2, out=x[..., 2 * dv + de:])         # sum_i e[k, i]
+        np.add.reduce(e, 1, out=x[..., 2 * dv:2 * dv + de])   # sum_i e[i, k]
+        np.add.reduce(e, 2, out=x[..., 2 * dv + de:])         # sum_i e[k, i]
         cache.messages.append(x)
         cache.d_inputs.append(x[..., :dv])
         cache.e_inputs.append(e)
@@ -481,18 +466,14 @@ def gnn_forward(spec: GnnSpec, params: GnnParams, d0: np.ndarray,
             ze += ends[:, None, :, de_out:]
             del ends                       # before the edge-sized arrays
             ze += lp.b_e
-            if lp.u_agg is not None:
-                agg = row[:, :, None, :] + col[:, None, :, :]
-                agg -= 2.0 * e
-                ze += agg @ lp.u_agg.T
             _zero_diagonal(ze)
             # the edge head is the identity and the leaky ReLU maps 0 to 0,
             # so e keeps a zero diagonal
-            e = ze if last else _leaky(ze, slope)
+            e = ze if last else _leaky(ze)
         else:
             e = None
         if not last:
-            d = _leaky(zv, slope)
+            d = _leaky(zv)
         elif spec.vertex_head_activation == "softplus":
             cache.zv_out, d = zv, _softplus(zv)
         else:
@@ -544,7 +525,7 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
         raise ValueError("cache does not belong to these parameters (stale cache)")
     want_inputs = wrt != "params"
     grads = zeros_like_params(params) if wrt != "inputs" else None
-    dvs, des, slope = spec.vertex_widths, spec.edge_widths, spec.hidden_slope
+    dvs, des = spec.vertex_widths, spec.edge_widths
 
     # read only: the output layer takes it as its vertex gradient
     gd = np.ascontiguousarray(d_out_grad, dtype=float)
@@ -568,12 +549,11 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
         last = t == spec.transitions - 1
         dv, de = dvs[t], des[t]
 
-        x = cache.messages[t]
         d_in = cache.d_inputs[t]
         e_in = cache.e_inputs[t]
 
         if not last:
-            gzv = _dleaky(cache.d_inputs[t + 1], slope)
+            gzv = _dleaky(cache.d_inputs[t + 1])
             gzv *= gd
         elif spec.vertex_head_activation == "softplus":
             gzv = _dsoftplus(cache.zv_out)
@@ -582,7 +562,7 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
             gzv = gd                       # the identity's derivative is 1
 
         if gl is not None:
-            gw_v += _wgrad(gzv, x)
+            gw_v += _wgrad(gzv, cache.messages[t])
             gl.b_v += gzv.sum(axis=(0, 1))
 
         if pass_down:
@@ -598,7 +578,7 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
             # ge has a zero diagonal, so gze does too
             gze = ge
             if not last:
-                gze *= _dleaky(cache.e_inputs[t + 1], slope)
+                gze *= _dleaky(cache.e_inputs[t + 1])
             de_out = des[t + 1]
             gze_ends = np.empty(gze.shape[:2] + (2 * de_out,))
             np.add.reduce(gze, 2, out=gze_ends[..., :de_out])   # sum_j gze[k, j]
@@ -607,25 +587,9 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
                 gl.u_edge += _wgrad(gze, e_in)
                 gu_ends += _wgrad(gze_ends, d_in)
                 gl.b_e += gze.sum(axis=(0, 1, 2))
-            buf = agg = None               # reused as scratch when both exist
             if pass_down:
                 gd_prev += gze_ends @ u_ends
-                buf = gze @ lp.u_edge      # (N, K, K, in width)
-                ge_prev += buf
-            if lp.u_agg is not None:
-                if gl is not None:
-                    col = x[..., 2 * dv:2 * dv + de]
-                    row = x[..., 2 * dv + de:]
-                    agg = row[:, :, None, :] + col[:, None, :, :]
-                    agg -= np.multiply(e_in, 2.0, out=buf)
-                    gl.u_agg += _wgrad(gze, agg)
-                if pass_down:
-                    z = np.matmul(gze, lp.u_agg, out=buf)
-                    spread = np.add(z.sum(axis=2)[:, :, None, :],
-                                    z.sum(axis=1)[:, None, :, :], out=agg)
-                    z *= 2.0
-                    spread -= z
-                    ge_prev += spread
+                ge_prev += gze @ lp.u_edge
 
         if pass_down:
             gd, ge = gd_prev, _zero_diagonal(ge_prev)

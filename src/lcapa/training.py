@@ -626,10 +626,11 @@ def save_checkpoint(model: GnnModel, path: str, report: TrainReport | None = Non
 
 def load_checkpoint(path: str) -> GnnModel:
     """Read a model written by :func:`save_checkpoint`.  Any fault of the
-    file (unreadable, another format, a missing, mistyped or misshapen entry,
-    an invalid spec, a non-finite parameter, a missing norm its head reads or
-    a norm that is not positive and finite) raises :class:`CheckpointError`,
-    which is a ``ValueError`` too, as an invalid spec used to raise."""
+    file (unreadable, another format, a missing, mistyped, misshapen or
+    unknown array, an invalid spec, a non-finite parameter, a missing norm
+    its head reads or a norm that is not positive and finite) raises
+    :class:`CheckpointError`, which is a ``ValueError`` too, as an invalid
+    spec used to raise."""
     try:
         with open(path) as fh:
             rec = json.load(fh)
@@ -651,7 +652,13 @@ def load_checkpoint(path: str) -> GnnModel:
                               f"{type(exc).__name__}: {exc}") from exc
     if len(layers) != spec.transitions:
         raise CheckpointError("layer count does not match spec")
-    for t, (arrays, shapes) in enumerate(zip(layers, param_layout(spec))):
+    for t, (entry, arrays, shapes) in enumerate(
+            zip(rec["layers"], layers, param_layout(spec))):
+        # an earlier format wrote null for an array no spec has now
+        unknown = [name for name, value in entry.items()
+                   if name not in arrays and value is not None]
+        if unknown:
+            raise CheckpointError(f"layer {t} has unknown array {unknown[0]}")
         for (name, arr), shape in zip(arrays.items(), shapes):
             if arr is None:
                 if shape is not None:

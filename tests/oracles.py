@@ -29,21 +29,30 @@ Gram-domain code in ``lcapa``, so the tests can check that code against it:
   tolerance for the fused-block kernels of ``lcapa.gnn``;
 * :func:`plain_integral_power` -- the per-user powers as one three-operand
   contraction, the reference within a stated tolerance for
-  ``lcapa.quadrature.integral_power``.
+  ``lcapa.quadrature.integral_power``;
+* :func:`earlier_format_record` and :func:`reload_from_earlier_format` -- a
+  checkpoint record in the format written before the GNN architecture was
+  fixed, built field by field here rather than by ``save_checkpoint``, and
+  the parameter tree ``load_checkpoint`` reads back from it.
 """
 
+import json
+import os
+import tempfile
 from types import SimpleNamespace
 
 import numpy as np
 
-from lcapa.gnn import (_dleaky, _dsoftplus, _leaky, _softplus, _wgrad,
-                       zeros_like_params)
+from lcapa.gnn import (PARAM_NAMES, _dleaky, _dsoftplus, _leaky, _softplus,
+                       _wgrad, zeros_like_params)
+from lcapa.heads import HEAD_NORMS, GnnModel
 from lcapa.objective import project_weights, sinr_vector, sum_se
 from lcapa.quadrature import (ApertureGrid, build_grid, channel_matrix,
                               gram_pair, integral_couplings, integral_power)
 from lcapa.quadrature import _require_hermitian
 from lcapa.scene import (Scene, SceneGeometryError, channel_response,
                          los_channels, sample_scene, square_aperture)
+from lcapa.training import load_checkpoint
 from lcapa.wmmse import BisectionError, WmmseInfo, WmmseOptions
 
 
@@ -476,16 +485,12 @@ def plain_gnn_forward(spec, params, d0, e0):
             ze += (d @ lp.u_src.T)[:, :, None, :]
             ze += (d @ lp.u_dst.T)[:, None, :, :]
             ze += lp.b_e
-            if lp.u_agg is not None:
-                agg = row[:, :, None, :] + col[:, None, :, :]
-                agg -= 2.0 * e
-                ze += agg @ lp.u_agg.T
             _plain_zero_diagonal(ze)
-            e = ze if last else _leaky(ze, spec.hidden_slope)
+            e = ze if last else _leaky(ze)
         else:
             e = None
         if not last:
-            d = _leaky(zv, spec.hidden_slope)
+            d = _leaky(zv)
         elif spec.vertex_head_activation == "softplus":
             cache.zv_out, d = zv, _softplus(zv)
         else:
@@ -498,7 +503,6 @@ def plain_gnn_backward(spec, params, cache, d_out_grad, e_out_grad):
     weight matrix: (parameter gradients, input vertex gradient, input edge
     gradient)."""
     grads = zeros_like_params(params)
-    slope = spec.hidden_slope
     gd = np.asarray(d_out_grad, dtype=float)
     ge = (_plain_zero_diagonal(np.array(e_out_grad, dtype=float))
           if params.layers[-1].u_edge is not None else None)
@@ -508,7 +512,7 @@ def plain_gnn_backward(spec, params, cache, d_out_grad, e_out_grad):
         d_in, e_in = cache.d_inputs[t], cache.e_inputs[t]
 
         if not last:
-            gzv = _dleaky(cache.d_inputs[t + 1], slope) * gd
+            gzv = _dleaky(cache.d_inputs[t + 1]) * gd
         elif spec.vertex_head_activation == "softplus":
             gzv = _dsoftplus(cache.zv_out) * gd
         else:
@@ -526,7 +530,7 @@ def plain_gnn_backward(spec, params, cache, d_out_grad, e_out_grad):
                    + (gzv @ lp.w_eout)[:, :, None, :])
 
         if lp.u_edge is not None:
-            gze = ge if last else ge * _dleaky(cache.e_inputs[t + 1], slope)
+            gze = ge if last else ge * _dleaky(cache.e_inputs[t + 1])
             gze_src = gze.sum(axis=2)
             gze_dst = gze.sum(axis=1)
             gl.u_edge += _wgrad(gze, e_in)
@@ -535,14 +539,6 @@ def plain_gnn_backward(spec, params, cache, d_out_grad, e_out_grad):
             gl.b_e += gze.sum(axis=(0, 1, 2))
             gd_prev += gze_src @ lp.u_src + gze_dst @ lp.u_dst
             ge_prev += gze @ lp.u_edge
-            if lp.u_agg is not None:
-                agg = (cache.e_row[t][:, :, None, :]
-                       + cache.e_col[t][:, None, :, :]) - 2.0 * e_in
-                gl.u_agg += _wgrad(gze, agg)
-                z = gze @ lp.u_agg
-                spread = z.sum(axis=2)[:, :, None, :] + z.sum(axis=1)[:, None, :, :]
-                spread -= 2.0 * z
-                ge_prev += spread
         gd, ge = gd_prev, _plain_zero_diagonal(ge_prev)
     return grads, gd, ge
 
@@ -551,3 +547,40 @@ def plain_integral_power(weights, coupling):
     """Per-user powers a_k^H C a_k as one three-operand contraction."""
     a = np.asarray(weights, dtype=complex)
     return np.einsum("...jk,...ji,...ik->...k", np.conj(a), coupling, a).real
+
+
+def earlier_format_record(model):
+    """The record the format before the fixed architecture wrote: its spec
+    also names the two settings, and each layer ends in a null aggregation
+    array."""
+    layers = []
+    for lp in model.params.layers:
+        entry = {}
+        for name in PARAM_NAMES:
+            arr = getattr(lp, name)
+            entry[name] = None if arr is None else {
+                "shape": list(arr.shape), "data": arr.ravel().tolist()}
+        entry["u_agg"] = None
+        layers.append(entry)
+    spec = model.spec
+    return {"record": "gnn_checkpoint", "format_version": 1,
+            "spec": {"kind": spec.kind,
+                     "vertex_widths": list(spec.vertex_widths),
+                     "edge_widths": list(spec.edge_widths),
+                     "hidden_slope": 0.2, "edge_aggregation": False},
+            "norms": model.norms, "seed_lineage": {}, "layers": layers}
+
+
+def reload_from_earlier_format(spec, params):
+    """The parameter tree ``load_checkpoint`` reads from the earlier-format
+    record of ``params`` (with unit norms), checked to hold the same bytes."""
+    model = GnnModel(spec=spec, params=params,
+                     norms=dict.fromkeys(HEAD_NORMS[spec.kind], 1.0))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w") as fh:
+            json.dump(earlier_format_record(model), fh)
+        loaded = load_checkpoint(path)
+    assert loaded.spec == spec
+    assert loaded.params.flat.tobytes() == params.flat.tobytes()
+    return loaded.params

@@ -96,6 +96,29 @@ def test_bad_experiment_config_file_is_a_usage_error(settings, message,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+@pytest.mark.parametrize("content,message", [
+    ('{"num_userz": 3}', "unknown config key(s): num_userz"),
+    ('{"num_users": "3"}', "num_users must be of type int, got '3'"),
+    (None, "bad config file {path}: [Errno 2]"),
+    ('{"num_users": 3', "bad config file {path}: Expecting"),
+    ("[3]", "bad config file {path}: it holds a list, not an object"),
+], ids=["misspelt-key", "wrong-type", "missing-file", "invalid-json",
+        "top-level-list"])
+def test_bad_config_file_is_a_usage_error(content, message, tmp_path,
+                                          monkeypatch, capsys):
+    # each used to run with the defaults (exit 0) or end in a traceback's
+    # message (exit 2)
+    def must_not_run(config):
+        raise AssertionError("ran with a bad config file")
+
+    monkeypatch.setattr(lcapa.experiments, "run_experiment", must_not_run)
+    cfg = tmp_path / "config.json"
+    if content is not None:
+        cfg.write_text(content)
+    assert main(["experiment", "--config", str(cfg)]) == 1
+    assert message.format(path=cfg) in capsys.readouterr().err
+
+
 def test_grad_check_covers_the_analytic_chain(capsys):
     assert main(["grad-check", "--probes", "40"]) == 0
     lines = capsys.readouterr().out.splitlines()

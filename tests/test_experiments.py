@@ -149,10 +149,21 @@ def test_embedded_config_reproduces_every_row(tmp_path, kind, swept):
     ("zeta_list", (1e6, 0.0)), ("aperture_list", (4.0, float("nan"))),
     ("ntr_list", (4, 0)), ("timing_scenes", 0), ("timing_repeats", 0),
     ("power_budget", 0.0), ("power_budget", float("nan")),
+    # a value of the wrong type; a string num_users used to fail in the range
+    # check's `<` with TypeError
+    ("num_users", "3"), ("num_users", True), ("num_users", 3.0), ("zeta", True),
+    ("zeta", "1e6"), ("m_list", (16, 64.0)), ("zeta_list", [1e6, "1e7"]),
+    ("aperture_list", 4.0), ("train_inline", 1), ("output_dir", 3),
 ])
 def test_config_rejects_bad_training_settings(field, value):
     with pytest.raises(ValueError, match=field):
         ExperimentConfig(**{field: value})
+
+
+def test_config_takes_an_int_for_a_float_and_a_list_for_a_tuple():
+    config = ExperimentConfig.from_dict({"kind": "sweep-snr", "zeta": 1000000,
+                                         "zeta_list": [1000000, 1e7]})
+    assert config.zeta == 1e6 and config.zeta_list == (1000000, 1e7)
 
 
 @pytest.mark.parametrize("overrides,message", [

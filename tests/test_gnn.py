@@ -9,7 +9,8 @@ import pytest
 
 from conftest import (all_permutations, cpu_dispatch_targets, random_weights,
                       run_in_fresh_interpreter)
-from oracles import plain_gnn_backward, plain_gnn_forward
+from oracles import (plain_gnn_backward, plain_gnn_forward,
+                     reload_from_earlier_format)
 from lcapa.gnn import (
     GnnCache,
     GnnParams,
@@ -39,6 +40,14 @@ from lcapa.heads import (
 SMALL = dict(hidden=8, layers=3)
 
 
+def _tree(spec, params, reloaded):
+    """``params``, or, where ``reloaded``, the same tree as ``load_checkpoint``
+    reads it back from the checkpoint format written before the architecture
+    was fixed (``edge_aggregation: false``, ``hidden_slope: 0.2`` and a null
+    ``u_agg`` per layer): the tests parametrized on it hold on both."""
+    return reload_from_earlier_format(spec, params) if reloaded else params
+
+
 def small_model(kind, seed=0, **norms):
     spec = {"policy": policy_spec, "proj": proj_spec, "value": value_spec}[kind](**SMALL)
     defaults = {"pos_scale": 30.0, "a_scale": 1.0, "out_scale": 1.0}
@@ -60,17 +69,9 @@ class TestSpec:
             GnnSpec(kind="policy", vertex_widths=(3,), edge_widths=(1,))
         with pytest.raises(ValueError):
             GnnSpec(kind="policy", vertex_widths=(3, 2), edge_widths=(1, 2, 2))
-        for slope in (-0.1, 1.5, float("nan"), float("inf"), -float("inf")):
-            with pytest.raises(ValueError, match="hidden_slope"):
-                GnnSpec(kind="policy", vertex_widths=(3, 2), edge_widths=(1, 2),
-                        hidden_slope=slope)
-            # a checkpoint records the spec as this dict
-            data = policy_spec(**SMALL).to_dict()
-            data["hidden_slope"] = slope
-            with pytest.raises(ValueError, match="hidden_slope"):
-                GnnSpec.from_dict(data)
-        for slope in (0.0, 0.37, 1.0):
-            assert policy_spec(**SMALL, hidden_slope=slope).hidden_slope == slope
+        # the widths are the whole architecture
+        assert [f.name for f in fields(GnnSpec)] == [
+            "kind", "vertex_widths", "edge_widths"]
 
     def test_factories(self):
         assert policy_spec().vertex_widths == (3, 64, 64, 2)
@@ -86,8 +87,15 @@ class TestSpec:
         assert len(factory(hidden=8, layers=2).vertex_widths) == 2
 
     def test_round_trip_dict(self):
-        spec = value_spec(hidden=16, layers=4, edge_aggregation=True)
+        spec = value_spec(hidden=16, layers=4)
         assert GnnSpec.from_dict(spec.to_dict()) == spec
+        # the earlier format also wrote the two settings the architecture fixes
+        earlier = dict(spec.to_dict(), edge_aggregation=False, hidden_slope=0.2)
+        assert GnnSpec.from_dict(earlier) == spec
+        for key, value in (("edge_aggregation", True), ("hidden_slope", 0.5),
+                           ("edge_aggregation", 0), ("hidden_slope", "0.2")):
+            with pytest.raises(ValueError, match=key):
+                GnnSpec.from_dict(dict(earlier, **{key: value}))
 
 
 class TestInit:
@@ -105,14 +113,15 @@ class TestInit:
         assert any(not np.array_equal(pa, pb)
                    for (_, pa), (_, pb) in zip(a.iter_arrays(), b.iter_arrays()))
 
-    @pytest.mark.parametrize("agg", [False, True])
+    @pytest.mark.parametrize("reloaded", [False, True])
     @pytest.mark.parametrize("factory", [policy_spec, proj_spec, value_spec])
-    def test_matches_per_array_uniform_draws(self, factory, agg):
+    def test_matches_per_array_uniform_draws(self, factory, reloaded):
         # the draws go straight into the buffer; rng.uniform per matrix, in
         # field order, is the reference
-        spec = factory(**SMALL, edge_aggregation=agg)
+        spec = factory(**SMALL)
         rng = np.random.default_rng(6)
-        for name, arr in init_params(spec, 6).iter_arrays():
+        params = _tree(spec, init_params(spec, 6), reloaded)
+        for name, arr in params.iter_arrays():
             if arr.ndim == 1:
                 want = np.zeros(arr.shape)
             else:
@@ -132,15 +141,11 @@ class TestInit:
 class TestParams:
     """Every tree is views of one flat buffer, and no two trees share one."""
 
-    @staticmethod
-    def _spec(agg):
-        return value_spec(**SMALL, edge_aggregation=agg)
-
-    @pytest.mark.parametrize("agg", [False, True])
-    def test_arrays_are_views_of_the_flat_buffer(self, agg):
+    @pytest.mark.parametrize("reloaded", [False, True])
+    def test_arrays_are_views_of_the_flat_buffer(self, reloaded):
         for factory in (policy_spec, proj_spec, value_spec):
-            spec = factory(**SMALL, edge_aggregation=agg)
-            params = init_params(spec, 3)
+            spec = factory(**SMALL)
+            params = _tree(spec, init_params(spec, 3), reloaded)
             assert params.layout == param_layout(spec) and params.packed()
             assert params.flat.dtype == np.float64 and params.flat.flags.owndata
             arrays = [a for _, a in params.iter_arrays()]
@@ -164,7 +169,7 @@ class TestParams:
                         and np.shares_memory(u_ends, params.flat))
 
     def test_copy_and_zeros_share_no_memory(self):
-        params = init_params(self._spec(True), 4)
+        params = init_params(value_spec(**SMALL), 4)
         for other in (params.copy(), zeros_like_params(params)):
             assert other.layout == params.layout and other.packed()
             assert not np.shares_memory(other.flat, params.flat)
@@ -175,7 +180,7 @@ class TestParams:
         assert not np.any(zeros_like_params(params).flat)
 
     def test_constructor_packs_copies(self):
-        params = init_params(self._spec(True), 5)
+        params = init_params(value_spec(**SMALL), 5)
         saved = params.flat.copy()
         packed = GnnParams(layers=params.layers)
         assert packed.layout == params.layout and packed.packed()
@@ -253,10 +258,10 @@ class TestForward:
         d_out, _, _ = gnn_forward(spec, params, d0, e0)
         assert np.allclose(d_out[0, 0], d_out[0, 1], rtol=1e-12)
 
-    @pytest.mark.parametrize("agg", [False, True])
-    def test_raw_equivariance_all_permutations(self, agg):
-        spec = value_spec(**SMALL, edge_aggregation=agg)
-        params = init_params(spec, 4)
+    @pytest.mark.parametrize("reloaded", [False, True])
+    def test_raw_equivariance_all_permutations(self, reloaded):
+        spec = value_spec(**SMALL)
+        params = _tree(spec, init_params(spec, 4), reloaded)
         rng = np.random.default_rng(3)
         d0, e0 = random_features(rng, spec, 1, 4)
         e0[0, np.arange(4), np.arange(4)] = 0.0
@@ -301,13 +306,12 @@ def _fd_check_raw(spec, params, d0, e0, probes, seed, tol=1e-5):
 
 
 class TestBackward:
-    @pytest.mark.parametrize("kind,agg", [("policy", False), ("proj", False),
-                                          ("value", False), ("value", True)])
-    def test_finite_difference(self, kind, agg):
+    @pytest.mark.parametrize("kind,reloaded", [("policy", False), ("proj", False),
+                                               ("value", False), ("value", True)])
+    def test_finite_difference(self, kind, reloaded):
         spec = {"policy": policy_spec, "proj": proj_spec,
-                "value": value_spec}[kind](hidden=6, layers=3,
-                                           edge_aggregation=agg)
-        params = init_params(spec, 5)
+                "value": value_spec}[kind](hidden=6, layers=3)
+        params = _tree(spec, init_params(spec, 5), reloaded)
         rng = np.random.default_rng(6)
         d0, e0 = random_features(rng, spec, 2, 3)
         _fd_check_raw(spec, params, d0, e0, probes=120, seed=7)
@@ -361,17 +365,17 @@ def _offdiag_mask(k):
     return (~np.eye(k, dtype=bool))[None, :, :, None]
 
 
-def _ref_act(z, name, slope):
+def _ref_act(z, name):
     if name == "leaky":
-        return np.where(z > 0.0, z, slope * z)
+        return np.where(z > 0.0, z, 0.2 * z)
     if name == "softplus":
         return np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
     return z
 
 
-def _ref_act_grad(z, name, slope):
+def _ref_act_grad(z, name):
     if name == "leaky":
-        return np.where(z > 0.0, 1.0, slope)
+        return np.where(z > 0.0, 1.0, 0.2)
     if name == "softplus":
         out = np.empty_like(z)
         pos = z >= 0.0
@@ -409,18 +413,15 @@ def _reference_forward(spec, params, d0, e0):
         zv = (d @ lp.w_self.T + (sum_d - d) @ lp.w_other.T
               + col @ lp.w_ein.T + row @ lp.w_eout.T + lp.b_v)
         cache.zv.append(zv)
-        d = _ref_act(zv, v_act, spec.hidden_slope)
+        d = _ref_act(zv, v_act)
         if lp.u_edge is not None:
             ze = (e @ lp.u_edge.T
                   + (cache.d_inputs[-1] @ lp.u_src.T)[:, :, None, :]
                   + (cache.d_inputs[-1] @ lp.u_dst.T)[:, None, :, :]
                   + lp.b_e)
-            if lp.u_agg is not None:
-                agg = row[:, :, None, :] + col[:, None, :, :] - 2.0 * e
-                ze = ze + agg @ lp.u_agg.T
             ze = ze * mask
             cache.ze.append(ze)
-            e = _ref_act(ze, e_act, spec.hidden_slope) * mask
+            e = _ref_act(ze, e_act) * mask
         else:
             cache.ze.append(None)
             e = None
@@ -443,7 +444,7 @@ def _reference_backward(spec, params, cache, d_out_grad, e_out_grad):
         sum_d = d_in.sum(axis=1, keepdims=True)
         col, row = e_in.sum(axis=1), e_in.sum(axis=2)
 
-        gzv = gd * _ref_act_grad(cache.zv[t], v_act, spec.hidden_slope)
+        gzv = gd * _ref_act_grad(cache.zv[t], v_act)
         gl.w_self += _ref_wgrad(gzv, d_in)
         gl.w_other += _ref_wgrad(gzv, sum_d - d_in)
         gl.w_ein += _ref_wgrad(gzv, col)
@@ -455,7 +456,7 @@ def _reference_backward(spec, params, cache, d_out_grad, e_out_grad):
                    + (gzv @ lp.w_eout)[:, :, None, :])
 
         if lp.u_edge is not None:
-            gze = ge * _ref_act_grad(cache.ze[t], e_act, spec.hidden_slope)
+            gze = ge * _ref_act_grad(cache.ze[t], e_act)
             gze_src = gze.sum(axis=2)
             gze_dst = gze.sum(axis=1)
             gl.u_edge += _ref_wgrad(gze, e_in)
@@ -464,12 +465,6 @@ def _reference_backward(spec, params, cache, d_out_grad, e_out_grad):
             gl.b_e += gze.sum(axis=(0, 1, 2))
             gd_prev += gze_src @ lp.u_src + gze_dst @ lp.u_dst
             ge_prev += gze @ lp.u_edge
-            if lp.u_agg is not None:
-                agg = row[:, :, None, :] + col[:, None, :, :] - 2.0 * e_in
-                gl.u_agg += _ref_wgrad(gze, agg)
-                z = gze @ lp.u_agg
-                ge_prev += (z.sum(axis=2)[:, :, None, :]
-                            + z.sum(axis=1)[:, None, :, :] - 2.0 * z)
         gd, ge = gd_prev, ge_prev * mask
     return grads, gd, ge
 
@@ -491,7 +486,7 @@ def _einsum_backward(spec, params, cache, d_out_grad, e_out_grad):
         sum_d = d_in.sum(axis=1, keepdims=True)
         col, row = e_in.sum(axis=1), e_in.sum(axis=2)
 
-        gzv = gd * _ref_act_grad(cache.zv[t], v_act, spec.hidden_slope)
+        gzv = gd * _ref_act_grad(cache.zv[t], v_act)
         gl.w_self += np.einsum("nkp,nkq->pq", gzv, d_in)
         gl.w_other += np.einsum("nkp,nkq->pq", gzv, sum_d - d_in)
         gl.w_ein += np.einsum("nkp,nkq->pq", gzv, col)
@@ -503,28 +498,21 @@ def _einsum_backward(spec, params, cache, d_out_grad, e_out_grad):
                    + (gzv @ lp.w_eout)[:, :, None, :])
 
         if lp.u_edge is not None:
-            gze = ge * _ref_act_grad(cache.ze[t], e_act, spec.hidden_slope) * mask
+            gze = ge * _ref_act_grad(cache.ze[t], e_act) * mask
             gl.u_edge += np.einsum("nijp,nijq->pq", gze, e_in)
             gl.u_src += np.einsum("nijp,niq->pq", gze, d_in)
             gl.u_dst += np.einsum("nijp,njq->pq", gze, d_in)
             gl.b_e += gze.sum(axis=(0, 1, 2))
             gd_prev += gze.sum(axis=2) @ lp.u_src + gze.sum(axis=1) @ lp.u_dst
             ge_prev += gze @ lp.u_edge
-            if lp.u_agg is not None:
-                agg = row[:, :, None, :] + col[:, None, :, :] - 2.0 * e_in
-                gl.u_agg += np.einsum("nijp,nijq->pq", gze, agg)
-                z = gze @ lp.u_agg
-                ge_prev += (z.sum(axis=2)[:, :, None, :]
-                            + z.sum(axis=1)[:, None, :, :] - 2.0 * z)
         gd, ge = gd_prev, ge_prev * mask
     return grads, gd, ge
 
 
-def _backward_case(kind, agg, n, k):
+def _backward_case(kind, reloaded, n, k):
     spec = {"policy": policy_spec, "proj": proj_spec,
-            "value": value_spec}[kind](hidden=64, layers=4,
-                                       edge_aggregation=agg)
-    params = init_params(spec, 31)
+            "value": value_spec}[kind](hidden=64, layers=4)
+    params = _tree(spec, init_params(spec, 31), reloaded)
     rng = np.random.default_rng(32)
     d0, e0 = random_features(rng, spec, n, k)
     d_out, e_out, cache = gnn_forward(spec, params, d0, e0)
@@ -543,10 +531,11 @@ class TestBackwardReference:
     """The GEMM-form backward against the direct einsum contractions."""
 
     @pytest.mark.parametrize("n,k", [(1, 1), (1, 4), (3, 5), (64, 4)])
-    @pytest.mark.parametrize("agg", [False, True])
+    @pytest.mark.parametrize("reloaded", [False, True])
     @pytest.mark.parametrize("kind", ["policy", "proj", "value"])
-    def test_matches_einsum_reference(self, kind, agg, n, k):
-        spec, params, cache, ref_cache, wd, we = _backward_case(kind, agg, n, k)
+    def test_matches_einsum_reference(self, kind, reloaded, n, k):
+        spec, params, cache, ref_cache, wd, we = _backward_case(kind, reloaded,
+                                                                n, k)
         got = _named_outputs(gnn_backward(spec, params, cache, wd, we))
         ref = _named_outputs(_einsum_backward(spec, params, ref_cache, wd, we))
         assert [name for name, _ in got] == [name for name, _ in ref]
@@ -557,10 +546,10 @@ class TestBackwardReference:
             assert err <= 1e-12 * scale, (
                 f"{name}: max abs difference {err:.3e} against max abs {scale:.3e}")
 
-    @pytest.mark.parametrize("agg", [False, True])
+    @pytest.mark.parametrize("reloaded", [False, True])
     @pytest.mark.parametrize("kind", ["policy", "proj", "value"])
-    def test_repeated_calls_bit_identical(self, kind, agg):
-        spec, params, cache, _, wd, we = _backward_case(kind, agg, 64, 4)
+    def test_repeated_calls_bit_identical(self, kind, reloaded):
+        spec, params, cache, _, wd, we = _backward_case(kind, reloaded, 64, 4)
         first = _named_outputs(gnn_backward(spec, params, cache, wd, we))
         second = _named_outputs(gnn_backward(spec, params, cache, wd, we))
         for (name, a), (_, b) in zip(first, second):
@@ -572,10 +561,10 @@ class TestBackwardWrt:
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     @pytest.mark.parametrize("n", [1, 3])
-    @pytest.mark.parametrize("agg", [False, True])
+    @pytest.mark.parametrize("reloaded", [False, True])
     @pytest.mark.parametrize("kind", ["policy", "proj", "value"])
-    def test_parts_equal_both(self, kind, agg, n, k):
-        spec, params, cache, _, wd, we = _backward_case(kind, agg, n, k)
+    def test_parts_equal_both(self, kind, reloaded, n, k):
+        spec, params, cache, _, wd, we = _backward_case(kind, reloaded, n, k)
         grads, gd0, ge0 = gnn_backward(spec, params, cache, wd, we)
         p_grads, p_gd0, p_ge0 = gnn_backward(spec, params, cache, wd, we,
                                              wrt="params")
@@ -618,7 +607,6 @@ class TestBackwardWrt:
 # Special values the activation kernels must map like the select forms.
 _SPECIAL = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0,
                      5e-324, -5e-324, 1e-310, -1e-310, 1e308, -1e308])
-_KERNEL_SLOPES = (0.0, 0.2, 0.37, 1.0)
 _KERNEL_SHAPES = ((1, 1), (1, 4), (3, 5), (64, 4), (8, 16))
 
 
@@ -630,22 +618,13 @@ def _same_values(a, b):
             and np.array_equal(np.signbit(a[~nan]), np.signbit(b[~nan])))
 
 
-def _assert_activation_kernels_exact(slope):
+def _assert_activation_kernels_exact():
     z = np.concatenate([_SPECIAL,
                         np.random.default_rng(40).standard_normal(1000)])
-    with np.errstate(invalid="ignore", over="ignore"):
-        got, ref = _leaky(z, slope), _ref_act(z, "leaky", slope)
-    # the documented exception: 0 * inf is NaN where the select form keeps inf
-    exception = (slope == 0.0) & (z == np.inf)
-    assert _same_values(got[~exception], ref[~exception]), slope
-    assert np.all(np.isnan(got[exception])), slope
-    assert _same_values(_dleaky(z, slope), _ref_act_grad(z, "leaky", slope)), slope
-    # the backward pass reads the derivative off the activation; that is the
-    # pre-activation's derivative but where the forward's exception made NaN
-    with np.errstate(invalid="ignore", over="ignore"):
-        from_act = _dleaky(_leaky(z, slope), slope)
-    assert np.array_equal(from_act[~exception], _dleaky(z, slope)[~exception]), slope
-    assert np.all(from_act[exception] == 0.0), slope
+    assert _same_values(_leaky(z), _ref_act(z, "leaky"))
+    assert _same_values(_dleaky(z), _ref_act_grad(z, "leaky"))
+    # the backward pass reads the derivative off the activation
+    assert np.array_equal(_dleaky(_leaky(z)), _dleaky(z))
 
 
 def _snapshot(arrays):
@@ -663,17 +642,17 @@ _CACHE_FIELDS = {"d_inputs": "d_inputs", "e_inputs": "e_inputs",
                  "d_others": "others", "e_col": "col", "e_row": "row"}
 
 
-def _kernel_case(kind, agg, n, k):
+def _kernel_case(kind, reloaded, n, k):
     """A spec, parameters with nonzero biases, features and upstream gradients."""
     spec = {"policy": policy_spec, "proj": proj_spec,
-            "value": value_spec}[kind](hidden=64, layers=4,
-                                       edge_aggregation=agg)
+            "value": value_spec}[kind](hidden=64, layers=4)
     params = init_params(spec, 31)
     rng = np.random.default_rng(32)
     for name, arr in params.iter_arrays():
         if name.endswith((".b_v", ".b_e")):
             # zero biases would hide the order in which the sums take them
             arr[...] = rng.uniform(-1.0, 1.0, arr.shape)
+    params = _tree(spec, params, reloaded)
     d0, e0 = random_features(rng, spec, n, k)
     wd = rng.standard_normal((n, k, spec.vertex_widths[-1]))
     we = (rng.standard_normal((n, k, k, spec.edge_widths[-1]))
@@ -681,10 +660,10 @@ def _kernel_case(kind, agg, n, k):
     return spec, params, d0, e0, wd, we
 
 
-def _assert_plain_matches_reference(kind, agg, n, k):
+def _assert_plain_matches_reference(kind, reloaded, n, k):
     """The plain oracle equals the select-and-mask forms bit for bit."""
-    spec, params, d0, e0, wd, we = _kernel_case(kind, agg, n, k)
-    case = f"{kind} agg={agg} n={n} k={k}"
+    spec, params, d0, e0, wd, we = _kernel_case(kind, reloaded, n, k)
+    case = f"{kind} reloaded={reloaded} n={n} k={k}"
     d_out, e_out, cache = plain_gnn_forward(spec, params, d0, e0)
     d_ref, e_ref, ref_cache = _reference_forward(spec, params, d0, e0)
     assert np.array_equal(d_out, d_ref), case
@@ -719,14 +698,14 @@ def _cache_arrays(cache):
     return cache.messages + cache.d_inputs + cache.e_inputs + [cache.zv_out]
 
 
-def _assert_fused_matches_plain(kind, agg, n, k):
+def _assert_fused_matches_plain(kind, reloaded, n, k):
     """The fused kernels agree with the plain oracle to within the stated
     tolerance in every output, cached array and gradient, and write to none
     of their inputs."""
-    spec, params, d0, e0, wd, we = _kernel_case(kind, agg, n, k)
+    spec, params, d0, e0, wd, we = _kernel_case(kind, reloaded, n, k)
     inputs = [d0, e0, wd, we, params.flat]
     before = _snapshot(inputs)
-    case = f"{kind} agg={agg} n={n} k={k}"
+    case = f"{kind} reloaded={reloaded} n={n} k={k}"
 
     d_out, e_out, cache = gnn_forward(spec, params, d0, e0)
     d_ref, e_ref, ref_cache = plain_gnn_forward(spec, params, d0, e0)
@@ -756,13 +735,11 @@ def _assert_fused_matches_plain(kind, agg, n, k):
 
 
 def _assert_all_kernels_match():
-    for slope in _KERNEL_SLOPES:
-        _assert_activation_kernels_exact(slope)
+    _assert_activation_kernels_exact()
     for kind in ("policy", "proj", "value"):
-        for agg in (False, True):
-            for n, k in _KERNEL_SHAPES:
-                _assert_plain_matches_reference(kind, agg, n, k)
-                _assert_fused_matches_plain(kind, agg, n, k)
+        for n, k in _KERNEL_SHAPES:
+            _assert_plain_matches_reference(kind, False, n, k)
+            _assert_fused_matches_plain(kind, False, n, k)
 
 
 class TestLayerKernels:
@@ -770,21 +747,20 @@ class TestLayerKernels:
     the fused-block kernels against the plain oracle, within the stated
     tolerance."""
 
-    @pytest.mark.parametrize("slope", _KERNEL_SLOPES)
-    def test_activation_kernels_exact(self, slope):
-        _assert_activation_kernels_exact(slope)
+    def test_activation_kernels_exact(self):
+        _assert_activation_kernels_exact()
 
     @pytest.mark.parametrize("n,k", _KERNEL_SHAPES)
-    @pytest.mark.parametrize("agg", [False, True])
+    @pytest.mark.parametrize("reloaded", [False, True])
     @pytest.mark.parametrize("kind", ["policy", "proj", "value"])
-    def test_bit_identical_to_reference(self, kind, agg, n, k):
-        _assert_plain_matches_reference(kind, agg, n, k)
+    def test_bit_identical_to_reference(self, kind, reloaded, n, k):
+        _assert_plain_matches_reference(kind, reloaded, n, k)
 
     @pytest.mark.parametrize("n,k", _KERNEL_SHAPES)
-    @pytest.mark.parametrize("agg", [False, True])
+    @pytest.mark.parametrize("reloaded", [False, True])
     @pytest.mark.parametrize("kind", ["policy", "proj", "value"])
-    def test_fused_kernels_match_plain_oracle(self, kind, agg, n, k):
-        _assert_fused_matches_plain(kind, agg, n, k)
+    def test_fused_kernels_match_plain_oracle(self, kind, reloaded, n, k):
+        _assert_fused_matches_plain(kind, reloaded, n, k)
 
     @pytest.mark.skipif(not cpu_dispatch_targets(),
                         reason="numpy reports no CPU dispatch targets")
@@ -804,7 +780,7 @@ class TestLayerKernels:
     @pytest.mark.parametrize("kind", ["policy", "proj", "value"])
     def test_cache_keeps_the_vertex_input_shape(self, kind):
         # perfbench's flop model reads the batch and user counts off it
-        spec, params, d0, e0, _, _ = _kernel_case(kind, True, 3, 5)
+        spec, params, d0, e0, _, _ = _kernel_case(kind, False, 3, 5)
         _, _, cache = gnn_forward(spec, params, d0, e0)
         assert cache.d_inputs[0].shape[:2] == (3, 5)
         assert np.array_equal(cache.d_inputs[0], d0)

@@ -129,7 +129,7 @@ def test_gradient_shape_mismatch_rejected():
 
 
 def test_step_on_restored_checkpoint_equals_original(tmp_path):
-    spec = policy_spec(hidden=8, layers=3, edge_aggregation=True)
+    spec = policy_spec(hidden=8, layers=3)
     model = GnnModel(spec=spec, params=init_params(spec, 7),
                      norms={"pos_scale": 30.0, "out_scale": 1.0})
     path = str(tmp_path / "policy.json")

@@ -28,15 +28,16 @@ from lcapa.training import (
     train_policy,
     train_supervised,
 )
-from oracles import per_scene_pool_and_datasets
+from oracles import (earlier_format_record, per_scene_pool_and_datasets,
+                     reload_from_earlier_format)
 
 # The array keys of one checkpoint layer, in the order they are written.
 CHECKPOINT_LAYER_KEYS = ["w_self", "w_other", "w_ein", "w_eout", "b_v",
-                         "u_edge", "u_src", "u_dst", "b_e", "u_agg"]
+                         "u_edge", "u_src", "u_dst", "b_e"]
 
 
-def tiny_aggregating_model():
-    spec = value_spec(hidden=4, layers=3, edge_aggregation=True)
+def tiny_value_model():
+    spec = value_spec(hidden=4, layers=3)
     return GnnModel(spec=spec, params=init_params(spec, 3),
                     norms={"pos_scale": 30.0, "a_scale": 2e-4,
                            "out_scale": 100.0})
@@ -44,7 +45,7 @@ def tiny_aggregating_model():
 
 class TestCheckpoint:
     def test_round_trip_keeps_every_array(self, tmp_path):
-        model = tiny_aggregating_model()
+        model = tiny_value_model()
         path = str(tmp_path / "value.json")
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
@@ -53,7 +54,6 @@ class TestCheckpoint:
         saved = list(model.params.iter_arrays())
         restored = list(loaded.params.iter_arrays())
         assert [name for name, _ in restored] == [name for name, _ in saved]
-        assert any(name.endswith(".u_agg") for name, _ in restored)
         for (name, a), (_, b) in zip(saved, restored):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
@@ -61,7 +61,7 @@ class TestCheckpoint:
         # the block layout of the flat buffer does not leak into the file:
         # names, shapes and values round-trip, and the loaded tree has the
         # same flat buffer and writes the same bytes
-        model = tiny_aggregating_model()
+        model = tiny_value_model()
         first, second = str(tmp_path / "first.json"), str(tmp_path / "second.json")
         save_checkpoint(model, first)
         loaded = load_checkpoint(first)
@@ -72,7 +72,7 @@ class TestCheckpoint:
         assert loaded.params.flat.tobytes() == model.params.flat.tobytes()
 
     def test_streamed_bytes_equal_one_json_dump(self, tmp_path):
-        model = tiny_aggregating_model()
+        model = tiny_value_model()
         model.norms["a_scale"] = np.float64(2e-4)      # a float subclass
         report = training.TrainReport(loss_curve=[0.5, 0.25], eval_curve=[1.5],
                                       best_epoch=0, final_metrics={"se": 3.25},
@@ -107,12 +107,12 @@ class TestCheckpoint:
         report = training.TrainReport(final_metrics={"bad": object()})
         path = tmp_path / "value.json"
         with pytest.raises(TypeError):
-            save_checkpoint(tiny_aggregating_model(), str(path), report=report)
+            save_checkpoint(tiny_value_model(), str(path), report=report)
         assert not path.exists()
 
     def test_layer_keys_keep_their_format(self, tmp_path):
         path = str(tmp_path / "value.json")
-        save_checkpoint(tiny_aggregating_model(), path)
+        save_checkpoint(tiny_value_model(), path)
         with open(path) as fh:
             rec = json.load(fh)
         for entry in rec["layers"]:
@@ -120,13 +120,13 @@ class TestCheckpoint:
 
     def test_missing_array_rejected(self, tmp_path):
         path = str(tmp_path / "value.json")
-        save_checkpoint(tiny_aggregating_model(), path)
+        save_checkpoint(tiny_value_model(), path)
         with open(path) as fh:
             rec = json.load(fh)
-        del rec["layers"][1]["u_agg"]
+        del rec["layers"][1]["u_dst"]
         with open(path, "w") as fh:
             json.dump(rec, fh)
-        with pytest.raises(CheckpointError, match="missing array u_agg in layer 1"):
+        with pytest.raises(CheckpointError, match="missing array u_dst in layer 1"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("corrupt", [
@@ -140,13 +140,14 @@ class TestCheckpoint:
         lambda rec: rec["layers"][1]["b_v"]["data"].__setitem__(0, float("inf")),
         lambda rec: rec["layers"][0]["w_self"].__setitem__(
             "shape", rec["layers"][0]["w_self"]["shape"][::-1]),
-        lambda rec: rec["spec"].__setitem__("edge_aggregation", False),
+        lambda rec: rec["layers"][0].__setitem__("w_extra",
+                                                 rec["layers"][0]["b_v"]),
     ], ids=["no-layers", "no-spec", "no-shape", "short-data", "string-entry",
             "unknown-kind", "nan-parameter", "inf-parameter", "transposed-shape",
             "unexpected-array"])
     def test_corrupt_record_raises_checkpoint_error(self, corrupt, tmp_path):
         path = str(tmp_path / "value.json")
-        save_checkpoint(tiny_aggregating_model(), path)
+        save_checkpoint(tiny_value_model(), path)
         with open(path) as fh:
             rec = json.load(fh)
         corrupt(rec)
@@ -169,7 +170,7 @@ class TestCheckpoint:
     def test_bad_norm_raises_checkpoint_error(self, corrupt, message, tmp_path):
         # a NaN out_scale used to load and make every output NaN
         path = str(tmp_path / "value.json")
-        save_checkpoint(tiny_aggregating_model(), path)
+        save_checkpoint(tiny_value_model(), path)
         with open(path) as fh:
             rec = json.load(fh)
         corrupt(rec["norms"])
@@ -196,16 +197,27 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="not a checkpoint file"):
             load_checkpoint(str(path))
 
-    def test_out_of_range_slope_rejected(self, tmp_path):
-        path = str(tmp_path / "value.json")
-        save_checkpoint(tiny_aggregating_model(), path)
-        with open(path) as fh:
-            rec = json.load(fh)
-        rec["spec"]["hidden_slope"] = 1.5
-        with open(path, "w") as fh:
-            json.dump(rec, fh)
-        with pytest.raises(ValueError, match="hidden_slope"):
-            load_checkpoint(path)
+    def test_earlier_format_loads_every_array_byte_identically(self, tmp_path):
+        model = tiny_value_model()
+        path = tmp_path / "value.json"
+        path.write_text(json.dumps(earlier_format_record(model)))
+        loaded = load_checkpoint(str(path))
+        assert loaded.spec == model.spec and loaded.norms == model.norms
+        assert loaded.params.layout == model.params.layout
+        for (name, a), (_, b) in zip(model.params.iter_arrays(),
+                                     loaded.params.iter_arrays(), strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("key,value", [("edge_aggregation", True),
+                                           ("hidden_slope", 0.5)])
+    def test_earlier_format_with_another_setting_rejected(self, key, value,
+                                                          tmp_path):
+        rec = earlier_format_record(tiny_value_model())
+        rec["spec"][key] = value
+        path = tmp_path / "value.json"
+        path.write_text(json.dumps(rec))
+        with pytest.raises(CheckpointError, match=key):
+            load_checkpoint(str(path))
 
 
 @pytest.mark.parametrize("field,value", [
@@ -343,17 +355,21 @@ def surrogate_chain_with_every_gradient(policy, proj, value, positions,
 
 
 class TestSurrogateChain:
-    @pytest.mark.parametrize("agg", [False, True])
-    def test_gradients_equal_the_full_backward_oracle(self, agg):
+    # reloaded: the two DNNs as read back from the earlier checkpoint format
+    @pytest.mark.parametrize("reloaded", [False, True])
+    def test_gradients_equal_the_full_backward_oracle(self, reloaded):
         pool = ScenePool.generate(3, 4, 3, 64, 1e6)
         policy = tiny_policy(pool, 5)
         norms = {"pos_scale": 30.0, "a_scale": policy.norm("a_scale"),
                  "out_scale": 1.0}
-        proj, value = (GnnModel(spec=spec, params=init_params(spec, seed),
-                                norms=norms)
-                       for spec, seed in (
-                           (proj_spec(hidden=8, layers=3, edge_aggregation=agg), 1),
-                           (value_spec(hidden=8, layers=3, edge_aggregation=agg), 2)))
+        models = []
+        for spec, seed in ((proj_spec(hidden=8, layers=3), 1),
+                           (value_spec(hidden=8, layers=3), 2)):
+            params = init_params(spec, seed)
+            if reloaded:
+                params = reload_from_earlier_format(spec, params)
+            models.append(GnnModel(spec=spec, params=params, norms=norms))
+        proj, value = models
         scene = pool.scenes[0]
         args = (policy, proj, value, pool.positions, scene.user_apertures(),
                 scene.noise_vars(), scene.power_budget)
