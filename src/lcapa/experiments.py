@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import __version__
-from .gnn import policy_spec, proj_spec, value_spec
+from .gnn import GnnSpec, policy_spec, proj_spec, value_spec
 from .heads import GnnModel, policy_forward, proj_forward
 from .objective import project_weights
 from .quadrature import build_grid
@@ -54,6 +54,10 @@ SWEEP_KINDS = ("sweep-ntr", "sweep-snr", "sweep-aperture", "sweep-m",
 
 class MissingCheckpointError(RuntimeError):
     pass
+
+
+class CheckpointMismatchError(RuntimeError):
+    """A found checkpoint holds another network than the config asks for."""
 
 
 # The Python types each field annotation takes: a float field takes an int
@@ -114,14 +118,16 @@ class ExperimentConfig:
         if self.policy_mode not in POLICY_MODES:
             raise ValueError(f"unknown policy mode {self.policy_mode!r}; "
                              f"choose one of {', '.join(POLICY_MODES)}")
-        at_least_one = [(name, getattr(self, name)) for name in
-                        ("batch_size", "surrogate_epochs", "policy_epochs",
-                         "num_train", "num_users", "hidden", "num_test_scenes",
-                         "timing_scenes", "timing_repeats")]
-        at_least_one += [("ntr_list", v) for v in self.ntr_list or ()]
-        for name, value in at_least_one:
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value!r}")
+        at_least = [(name, getattr(self, name), 1) for name in
+                    ("batch_size", "surrogate_epochs", "policy_epochs",
+                     "num_train", "num_users", "hidden", "num_test_scenes",
+                     "timing_scenes", "timing_repeats")]
+        at_least += [("ntr_list", v, 1) for v in self.ntr_list or ()]
+        at_least += [(name, getattr(self, name), 0) for name in
+                     ("scene_seed", "init_seed", "data_seed")]
+        for name, value, low in at_least:
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value!r}")
         for m in (self.num_nodes, self.num_nodes_eval, *(self.m_list or ())):
             build_grid(square_aperture(), m)    # rejects an M it cannot split
         policy_spec(hidden=self.hidden, layers=self.layers)  # rejects layers < 2
@@ -179,6 +185,16 @@ def _hyper(config: ExperimentConfig, lr: float, epochs: int,
 _SURROGATES = {"proj": (proj_spec, 0), "value": (value_spec, 1)}
 
 
+def _load_matching(path: str, spec: GnnSpec) -> GnnModel:
+    """The checkpoint at ``path``, which must hold a network of ``spec``."""
+    model = load_checkpoint(path)
+    if model.spec != spec:
+        raise CheckpointMismatchError(
+            f"checkpoint {path!r} holds {model.spec.to_dict()}, but the config "
+            f"asks for {spec.to_dict()}")
+    return model
+
+
 def train_surrogate(config: ExperimentConfig, zeta: float, area: float,
                     n_train: int, head: str) -> GnnModel:
     """Train (or load) one surrogate for one setting.
@@ -187,10 +203,11 @@ def train_surrogate(config: ExperimentConfig, zeta: float, area: float,
     surrogate); each has its own checkpoint, and only the one asked for is
     trained or loaded.
     """
-    spec, offset = _SURROGATES[head]
+    factory, offset = _SURROGATES[head]
+    spec = factory(hidden=config.hidden, layers=config.layers)
     path = checkpoint_paths(config, zeta, area, n_train)[head]
     if os.path.exists(path):
-        return load_checkpoint(path)
+        return _load_matching(path, spec)
     if not config.train_inline:
         raise MissingCheckpointError(
             f"missing surrogate checkpoint {path!r}; run the train-{head} "
@@ -201,9 +218,8 @@ def train_surrogate(config: ExperimentConfig, zeta: float, area: float,
                                   config.num_users, config.num_nodes, head,
                                   zeta=zeta, aperture_area=area,
                                   power_budget=config.power_budget)
-    model, report = train_supervised(
-        spec(hidden=config.hidden, layers=config.layers), data, hyper,
-        seed=config.init_seed + offset)
+    model, report = train_supervised(spec, data, hyper,
+                                     seed=config.init_seed + offset)
     save_checkpoint(model, path, report=report,
                     seed_lineage={"data": config.data_seed + offset,
                                   "init": config.init_seed + offset})
@@ -213,9 +229,10 @@ def train_surrogate(config: ExperimentConfig, zeta: float, area: float,
 def train_policy_for(config: ExperimentConfig, zeta: float, area: float,
                      n_train: int) -> GnnModel:
     """Train (or load) the policy for one (K, zeta, area, N_tr) setting."""
+    spec = policy_spec(hidden=config.hidden, layers=config.layers)
     paths = checkpoint_paths(config, zeta, area, n_train)
     if os.path.exists(paths["policy"]):
-        return load_checkpoint(paths["policy"])
+        return _load_matching(paths["policy"], spec)
     if not config.train_inline:
         raise MissingCheckpointError(
             f"missing policy checkpoint {paths['policy']!r}; run the "
@@ -232,9 +249,9 @@ def train_policy_for(config: ExperimentConfig, zeta: float, area: float,
                                    power_budget=config.power_budget)
     hyper = _hyper(config, config.policy_lr, config.policy_epochs, n_train)
     policy, report = train_policy(
-        policy_spec(hidden=config.hidden, layers=config.layers), proj_model,
-        value_model, pool, eval_pool, hyper, seed=config.init_seed + 2,
-        mode=config.policy_mode, power_budget=config.power_budget)
+        spec, proj_model, value_model, pool, eval_pool, hyper,
+        seed=config.init_seed + 2, mode=config.policy_mode,
+        power_budget=config.power_budget)
     os.makedirs(config.checkpoint_dir, exist_ok=True)
     save_checkpoint(policy, paths["policy"], report=report,
                     seed_lineage={"data": config.data_seed + 2,

@@ -16,19 +16,21 @@ its vertex and edge inputs, and the output layer's vertex pre-activation.
 The backward pass accumulates exact reverse-mode gradients from it and
 reduces no layer input again; no autodiff framework is involved.
 
-Kernel contract.  Each layer multiplies by two fused blocks of the flat
-parameter buffer (:class:`GnnParams`): the vertex block W_v = [W_self,
-W_other, W_ein, W_eout], so the whole vertex message is the one GEMM
-``X @ W_v.T``, and the endpoint block [U_src; U_dst], one GEMM on d for
-both endpoint terms.  The backward pass gets all four vertex-message parts
-of the input gradient from one GEMM ``gzv @ W_v`` and all four vertex
-weight gradients from one ``gzv^T X``, and the endpoint pair the same way.
-At batch 1, where numpy's per-call cost dominates, that is what the fused
-blocks save.  One GEMM sums its products in another order than four GEMMs
-and three adds, so every forward output, cached array and gradient agrees
-with the one-GEMM-per-matrix form (``tests/oracles.py``) to within 1e-12 of
-the array's largest entry, not bit for bit; repeated calls on one build are
-bit-identical.
+Kernel contract.  Every parameter tree (:class:`GnnParams`, made by
+:func:`init_params`, :func:`zeros_like_params` and the like) is one flat
+buffer laid out from its spec's :func:`param_layout`.  Each layer
+multiplies by two fused blocks of that buffer: the vertex block W_v =
+[W_self, W_other, W_ein, W_eout], so the whole vertex message is the one
+GEMM ``X @ W_v.T``, and the endpoint block [U_src; U_dst], one GEMM on d
+for both endpoint terms.  The backward pass gets all four vertex-message
+parts of the input gradient from one GEMM ``gzv @ W_v`` and all four
+vertex weight gradients from one ``gzv^T X``, and the endpoint pair the
+same way.  At batch 1, where numpy's per-call cost dominates, that is what
+the fused blocks save.  One GEMM sums its products in another order than
+four GEMMs and three adds, so every forward output, cached array and
+gradient agrees with the one-GEMM-per-matrix form (``tests/oracles.py``)
+to within 1e-12 of the array's largest entry, not bit for bit; repeated
+calls on one build are bit-identical.
 
 The elementwise work runs no select kernel and makes few fresh full-size
 (N, K, K, width) arrays.  Per hidden edge layer the forward pass keeps one:
@@ -101,6 +103,9 @@ class GnnSpec:
             raise ValueError("need at least input and output layers")
         if len(self.edge_widths) != len(self.vertex_widths):
             raise ValueError("vertex and edge width lists must align")
+        for w in (*self.vertex_widths, *self.edge_widths):
+            if type(w) is not int:
+                raise ValueError(f"widths must be integers, got {w!r}")
         if any(w < 1 for w in self.vertex_widths):
             raise ValueError("vertex widths must be >= 1")
         if any(w < 1 for w in self.edge_widths[:-1]) or self.edge_widths[-1] < 0:
@@ -198,57 +203,48 @@ def param_layout(spec: GnnSpec) -> Layout:
 class GnnParams:
     """Per-transition shared weight matrices in one flat float64 buffer.
 
-    Every array of ``layers`` is a view of ``flat``, and the named arrays
-    tile it exactly once, so whole-tree work (a copy, zeroing, an optimizer
-    step) is one operation on ``flat``.  Layer by layer the buffer holds
-    the vertex block W_v, then ``b_v``, ``u_edge``, the endpoint block, then
-    ``b_e``.  W_v is one row-major (out, 2 dv + 2 de) matrix whose column
-    blocks are ``w_self``, ``w_other``, ``w_ein`` and ``w_eout``; the endpoint
-    block is one (2 out_e, dv) matrix whose row blocks are ``u_src`` and
-    ``u_dst``.  :attr:`blocks` holds the two fused matrices of each layer
-    (None for an absent endpoint block): the kernels multiply by them, one
-    GEMM for each block.  The names, shapes and :meth:`iter_arrays` order are
-    those of :data:`PARAM_NAMES`.
-
-    ``GnnParams(layers)`` packs copies of the given arrays into a new buffer
-    and new :class:`LayerParams`: it never keeps, rebinds or aliases a
-    caller's array.  Rebinding a field of ``layers`` afterwards detaches it
-    from ``flat``; :meth:`packed` tells, and the kernels and the optimizer
-    reject such a tree.
+    Trees come from :func:`init_params`, :func:`zero_params`,
+    :func:`zeros_like_params` and :meth:`copy`.  ``GnnParams(flat, layout)``
+    takes ``flat`` over and binds every array of ``layout`` as a view of it;
+    the arrays tile it exactly once, so whole-tree work (a copy, zeroing, an
+    optimizer step) is one operation on ``flat``.  Layer by layer the buffer
+    holds the vertex block W_v, a row-major (out, 2 dv + 2 de) matrix whose
+    column blocks are ``w_self``, ``w_other``, ``w_ein`` and ``w_eout``;
+    then ``b_v``, ``u_edge``, the endpoint block, a (2 out_e, dv) matrix
+    whose row blocks are ``u_src`` and ``u_dst``; then ``b_e``.
+    :attr:`blocks` holds the two fused matrices of each layer (None for an
+    absent endpoint block), which the kernels multiply by.  Rebinding a
+    field of ``layers`` detaches it from ``flat``; :meth:`packed` tells, and
+    the kernels and the optimizer reject such a tree.
     """
 
-    def __init__(self, layers: list[LayerParams]):
-        arrays = [[getattr(lp, name) for name in PARAM_NAMES] for lp in layers]
-        layout = tuple(tuple(None if a is None else np.shape(a) for a in row)
-                       for row in arrays)
-        self._bind(np.empty(_flat_plan(layout)[1]), layout)
-        sources = (a for row in arrays for a in row if a is not None)
-        for (_, view), src in zip(self.iter_arrays(), sources):
-            view[...] = src
-
-    @classmethod
-    def _over(cls, flat: np.ndarray, layout: Layout) -> "GnnParams":
-        """The tree whose arrays are views of ``flat`` (which it takes over)."""
-        params = cls.__new__(cls)
-        params._bind(flat, layout)
-        return params
-
-    def _bind(self, flat: np.ndarray, layout: Layout) -> None:
+    def __init__(self, flat: np.ndarray, layout: Layout):
         self.flat, self.layout = flat, layout
         self.layers, self.blocks, self._fields = [], [], []
-        for groups, fused_groups in _flat_plan(layout)[0]:
-            arrays = dict.fromkeys(PARAM_NAMES)
-            blocks = []
-            for lo, hi, shape, members in groups:
-                block = flat[lo:hi].reshape(shape)
-                blocks.append(block)
-                for name, cut in members:
-                    arrays[name] = block if cut is None else block[cut]
-            lp = LayerParams(**arrays)
+        lo = 0
+
+        def take(*shape):
+            nonlocal lo
+            lo, start = lo + math.prod(shape), lo
+            return flat[start:lo].reshape(shape)
+
+        for shapes in layout:
+            (out, dv), (_, de), edge = shapes[0], shapes[2], shapes[5]
+            w_v = take(out, 2 * (dv + de))
+            arrays = [w_v[:, :dv], w_v[:, dv:2 * dv], w_v[:, 2 * dv:2 * dv + de],
+                      w_v[:, 2 * dv + de:], take(out)]
+            u_ends = None
+            if edge is None:
+                arrays += [None] * 4
+            else:
+                out_e = edge[0]
+                arrays.append(take(out_e, de))
+                u_ends = take(2 * out_e, dv)
+                arrays += [u_ends[:out_e], u_ends[out_e:], take(out_e)]
+            lp = LayerParams(*arrays)
             self.layers.append(lp)
-            self.blocks.append(tuple(None if g is None else blocks[g]
-                                     for g in fused_groups))
-            self._fields.append((lp, tuple(arrays[name] for name in PARAM_NAMES)))
+            self.blocks.append((w_v, u_ends))
+            self._fields.append((lp, tuple(arrays)))
 
     def iter_arrays(self):
         for idx, layer in enumerate(self.layers):
@@ -265,55 +261,14 @@ class GnnParams:
         return True
 
     def copy(self) -> "GnnParams":
-        return GnnParams._over(self.flat.copy(), self.layout)
+        return GnnParams(self.flat.copy(), self.layout)
 
 
-# Runs of adjacent arrays of one layer that the kernels read as one matrix,
-# with the axis along which their blocks sit: the four vertex-message
-# matrices side by side, and the two endpoint matrices stacked.  Every other
-# array is a block of its own.
-_BLOCKS = ((("w_self", "w_other", "w_ein", "w_eout"), 1), (("b_v",), 0),
-           (("u_edge",), 0), (("u_src", "u_dst"), 0), (("b_e",), 0))
-
-
-@functools.lru_cache(maxsize=64)
-def _flat_plan(layout: Layout):
-    """Where each array of ``layout`` sits in the flat buffer, and its size.
-
-    Per layer, the blocks present, in buffer order, each as (lo, hi, block
-    shape, members): the block is ``flat[lo:hi]`` in that shape, and each
-    member (name, cut) is ``block[cut]``, or the block itself where cut is
-    None; then, for each fused group of :data:`_BLOCKS`, the index of its
-    block among them, or None where the layer lacks it.  A group whose
-    arrays cannot share one matrix raises ``ValueError``.
-    """
-    plan, lo = [], 0
-    for t, shapes in enumerate(layout):
-        arrays = dict(zip(PARAM_NAMES, shapes))
-        groups, fused = [], []
-        for names, axis in _BLOCKS:
-            parts = [arrays[name] for name in names]
-            present = any(p is not None for p in parts)
-            if len(names) > 1:
-                fused.append(len(groups) if present else None)
-            if not present:
-                continue
-            rest = {None if p is None else p[:axis] + p[axis + 1:] for p in parts}
-            if None in rest or len(rest) > 1:
-                raise ValueError(f"layer {t} arrays {', '.join(names)} cannot "
-                                 f"share one matrix: shapes {parts}")
-            shape = list(parts[0])
-            shape[axis] = sum(p[axis] for p in parts)
-            members, start = [], 0
-            for name, p in zip(names, parts):
-                cut = (slice(None),) * axis + (slice(start, start + p[axis]),)
-                members.append((name, cut if len(names) > 1 else None))
-                start += p[axis]
-            hi = lo + math.prod(shape)
-            groups.append((lo, hi, tuple(shape), tuple(members)))
-            lo = hi
-        plan.append((tuple(groups), tuple(fused)))
-    return tuple(plan), lo
+def zero_params(spec: GnnSpec) -> GnnParams:
+    """The tree of ``spec`` with every parameter zero."""
+    layout = param_layout(spec)
+    return GnnParams(np.zeros(sum(math.prod(shape) for row in layout
+                                  for shape in row if shape is not None)), layout)
 
 
 def init_params(spec: GnnSpec, seed: int) -> GnnParams:
@@ -324,8 +279,7 @@ def init_params(spec: GnnSpec, seed: int) -> GnnParams:
     do not depend on where the array sits in the flat buffer.
     """
     rng = np.random.default_rng(seed)
-    layout = param_layout(spec)
-    params = GnnParams._over(np.zeros(_flat_plan(layout)[1]), layout)
+    params = zero_params(spec)
     for _, arr in params.iter_arrays():
         if arr.ndim == 2:              # the biases b_v and b_e stay zero
             bound = 1.0 / np.sqrt(max(arr.shape[1], 1))
@@ -334,7 +288,7 @@ def init_params(spec: GnnSpec, seed: int) -> GnnParams:
 
 
 def zeros_like_params(params: GnnParams) -> GnnParams:
-    return GnnParams._over(np.zeros(params.flat.size), params.layout)
+    return GnnParams(np.zeros(params.flat.size), params.layout)
 
 
 # -- activations --------------------------------------------------------------

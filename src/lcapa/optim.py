@@ -19,10 +19,11 @@ class Adam:
     gradient buffer: the moments are flat arrays of the same layout, the
     update is formed in two preallocated scratch arrays, and the parameter
     buffer subtracts it in place.  The arithmetic per element is that of a
-    per-array loop, so the results are bit-identical to one.  A gradient
-    tree whose array names or shapes differ from the parameters', or one
-    with an array rebound off its flat buffer (:meth:`GnnParams.packed`),
-    raises :class:`ValueError` before any state changes.
+    per-array loop, so the results are bit-identical to one.  The gradient
+    tree must be laid out as the parameters are (:attr:`GnnParams.layout`,
+    as :func:`~lcapa.gnn.zeros_like_params` and the backward passes make
+    it) and keep every array in its flat buffer (:meth:`GnnParams.packed`);
+    any other raises :class:`ValueError` before any state changes.
     """
 
     def __init__(self, params: GnnParams, lr: float = 1e-3, beta1: float = 0.9,
@@ -35,27 +36,14 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._layout = [(name, arr.shape) for name, arr in params.iter_arrays()]
         size = params.flat.size
         self._m = np.zeros(size)
         self._v = np.zeros(size)
         self._scratch = np.empty((2, size))
 
-    def _check_layout(self, layout) -> None:
-        if layout == self._layout:
-            return
-        for i, want in enumerate(self._layout):
-            if i >= len(layout):
-                raise ValueError(f"gradient tree has no array {want[0]}")
-            if layout[i] != want:
-                raise ValueError(
-                    f"gradient array {layout[i][0]} {layout[i][1]} does not "
-                    f"match parameter {want[0]} {want[1]}")
-        raise ValueError(
-            f"gradient tree has an extra array {layout[len(self._layout)][0]}")
-
     def step(self, grads: GnnParams) -> None:
-        self._check_layout([(name, g.shape) for name, g in grads.iter_arrays()])
+        if grads.layout != self.params.layout:
+            raise ValueError("gradient tree is laid out for another network")
         if not grads.packed():
             raise ValueError("gradient tree has an array outside its flat buffer")
         g = grads.flat

@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gnn import (PARAM_NAMES, GnnParams, GnnSpec, LayerParams, init_params,
-                  param_layout)
+from .gnn import PARAM_NAMES, GnnParams, GnnSpec, init_params, zero_params
 from .heads import (
     HEAD_NORMS,
     GnnModel,
@@ -509,11 +508,10 @@ def train_policy(spec: GnnSpec, proj_model: GnnModel | None,
                       norms=norms)
     report = TrainReport(seeds={"init": seed})
 
-    frozen_fingerprint = None
+    # the kernels reject a tree off its buffer: flat is all a surrogate reads
+    frozen = None
     if mode == "surrogate":
-        frozen_fingerprint = [
-            [arr.copy() for _, arr in proj_model.params.iter_arrays()],
-            [arr.copy() for _, arr in value_model.params.iter_arrays()]]
+        frozen = [m.params.flat.copy() for m in (proj_model, value_model)]
 
     def batch_loss(idx):
         if mode == "surrogate":
@@ -532,11 +530,10 @@ def train_policy(spec: GnnSpec, proj_model: GnnModel | None,
         policy, hyper, seed, 13, len(pool.scenes), batch_loss, held_out_se,
         maximize=True, report=report)
 
-    if frozen_fingerprint is not None:
-        for snap, model in zip(frozen_fingerprint, (proj_model, value_model)):
-            for saved, (_, arr) in zip(snap, model.params.iter_arrays()):
-                if not np.array_equal(saved, arr):
-                    raise AssertionError("frozen surrogate parameters changed")
+    if frozen is not None:
+        for saved, model in zip(frozen, (proj_model, value_model)):
+            if not np.array_equal(saved, model.params.flat):
+                raise AssertionError("frozen surrogate parameters changed")
         # surrogate fidelity on the policy's own outputs (diagnostic)
         a_raw, _ = policy_forward(policy, eval_pool.positions)
         fwd = GramForward.evaluate(a_raw, eval_pool.coupling_grams, power_budget)
@@ -652,8 +649,9 @@ def load_checkpoint(path: str) -> GnnModel:
                               f"{type(exc).__name__}: {exc}") from exc
     if len(layers) != spec.transitions:
         raise CheckpointError("layer count does not match spec")
-    for t, (entry, arrays, shapes) in enumerate(
-            zip(rec["layers"], layers, param_layout(spec))):
+    params = zero_params(spec)
+    for t, (entry, arrays, shapes, lp) in enumerate(
+            zip(rec["layers"], layers, params.layout, params.layers)):
         # an earlier format wrote null for an array no spec has now
         unknown = [name for name, value in entry.items()
                    if name not in arrays and value is not None]
@@ -669,6 +667,8 @@ def load_checkpoint(path: str) -> GnnModel:
                     f"spec requires {shape}")
             elif not np.isfinite(arr).all():
                 raise CheckpointError(f"layer {t} array {name} is not finite")
+            else:
+                getattr(lp, name)[...] = arr
     norms = rec.get("norms")
     if not isinstance(norms, dict):
         raise CheckpointError("checkpoint norms are not a mapping")
@@ -680,6 +680,4 @@ def load_checkpoint(path: str) -> GnnModel:
                 or not 0.0 < value < math.inf):
             raise CheckpointError(f"norm {name} must be positive and finite, "
                                   f"got {value!r}")
-    return GnnModel(spec=spec,
-                    params=GnnParams(layers=[LayerParams(**a) for a in layers]),
-                    norms=norms)
+    return GnnModel(spec=spec, params=params, norms=norms)

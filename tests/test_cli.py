@@ -15,7 +15,8 @@ def test_unknown_policy_mode_is_a_usage_error(command, capsys):
 
 # what each checked field must be, where it is not ">= 1"
 _FIELD_RULES = {"zeta": "positive and finite",
-                "aperture_area": "positive and finite", "layers": ">= 2"}
+                "aperture_area": "positive and finite", "layers": ">= 2",
+                "data_seed": ">= 0", "init_seed": ">= 0"}
 
 
 @pytest.mark.parametrize("flags,field", [
@@ -28,6 +29,8 @@ _FIELD_RULES = {"zeta": "positive and finite",
     (["--zeta", "0"], "zeta"),
     (["--aperture-area", "-1"], "aperture_area"),
     (["--layers", "1"], "layers"),
+    (["--data-seed", "-5"], "data_seed"),
+    (["--init-seed", "-1"], "init_seed"),
 ])
 def test_bad_training_flag_is_a_usage_error(flags, field, tmp_path, capsys):
     assert main(["train-proj", "--checkpoint-dir", str(tmp_path), *flags]) == 1
@@ -136,6 +139,32 @@ def test_missing_checkpoint_is_a_runtime_failure(tmp_path, capsys):
                  "--num-test-scenes", "2"]) == 2
     err = capsys.readouterr().err
     assert "MissingCheckpointError" in err and "train-policy" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "baseline"])
+def test_negative_scene_seed_is_a_usage_error(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([command, "--scene-seed", "-1", "--output-dir", str(out)]) == 1
+    assert "scene_seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_checkpoint_of_another_hidden_is_a_runtime_failure(tmp_path, capsys):
+    settings = dict(num_users=3, num_nodes=16, num_nodes_eval=64,
+                    num_test_scenes=2, num_train=8, policy_epochs=1,
+                    batch_size=4, hidden=8, layers=3, policy_mode="analytic",
+                    checkpoint_dir=str(tmp_path / "ck"),
+                    output_dir=str(tmp_path / "out"))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(settings))
+    assert main(["train-policy", "--config", str(cfg)]) == 0
+    cfg.write_text(json.dumps(dict(settings, hidden=64)))
+    capsys.readouterr()
+    # the eval.csv would embed hidden 64 but hold the SE of the hidden-8 net
+    assert main(["eval", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "CheckpointMismatchError" in err and "'vertex_widths': [3, 8, 2]" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_baseline_at_high_snr_exits_zero(tmp_path, capsys):

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from lcapa.experiments import (
+    CheckpointMismatchError,
     ExperimentConfig,
     MissingCheckpointError,
     bench_timing,
+    checkpoint_paths,
     policy_inference_seconds,
     read_result_file,
     run_experiment,
+    train_policy_for,
     train_surrogate,
 )
-from lcapa.gnn import init_params, policy_spec, proj_spec
+from lcapa.gnn import init_params, policy_spec, proj_spec, value_spec
 from lcapa.heads import GnnModel
 from lcapa.objective import DegenerateProjectionError
 from lcapa.scene import sample_scene
@@ -59,6 +62,32 @@ def test_train_surrogate_trains_or_loads_only_the_head_asked_for(tmp_path):
     with pytest.raises(MissingCheckpointError, match="train-proj"):
         train_surrogate(offline, config.zeta, config.aperture_area,
                         config.num_train, "proj")
+
+
+def test_checkpoint_of_another_architecture_refused(tmp_path):
+    # the checkpoint tag does not name hidden or layers, so a config of
+    # another size finds this setting's checkpoints
+    config = ExperimentConfig(checkpoint_dir=str(tmp_path),
+                              **dict(TINY, layers=3, policy_mode="surrogate"))
+    setting = (config.zeta, config.aperture_area, config.num_train)
+    train_policy_for(config, *setting)
+    written = sorted(tmp_path.iterdir())
+    paths = checkpoint_paths(config, *setting)
+    for other in (replace(config, hidden=9), replace(config, layers=4)):
+        cases = [(lambda: train_policy_for(other, *setting), "policy", policy_spec)]
+        cases += [(lambda head=head: train_surrogate(other, *setting, head), head,
+                   factory) for head, factory in (("proj", proj_spec),
+                                                  ("value", value_spec))]
+        for load, head, factory in cases:
+            with pytest.raises(CheckpointMismatchError) as info:
+                load()
+            message = str(info.value)
+            assert paths[head] in message
+            assert str(factory(hidden=8, layers=3).to_dict()) in message
+            assert str(factory(hidden=other.hidden,
+                               layers=other.layers).to_dict()) in message
+    assert sorted(tmp_path.iterdir()) == written
+    assert train_policy_for(config, *setting).spec == policy_spec(hidden=8, layers=3)
 
 
 def test_inference_timing_rejects_a_dead_power_estimate():
@@ -154,6 +183,7 @@ def test_embedded_config_reproduces_every_row(tmp_path, kind, swept):
     ("num_users", "3"), ("num_users", True), ("num_users", 3.0), ("zeta", True),
     ("zeta", "1e6"), ("m_list", (16, 64.0)), ("zeta_list", [1e6, "1e7"]),
     ("aperture_list", 4.0), ("train_inline", 1), ("output_dir", 3),
+    ("scene_seed", -1), ("init_seed", -1), ("data_seed", -5),
 ])
 def test_config_rejects_bad_training_settings(field, value):
     with pytest.raises(ValueError, match=field):

@@ -1,4 +1,5 @@
 import ctypes
+import hashlib
 import os
 import resource
 from dataclasses import fields
@@ -13,7 +14,6 @@ from oracles import (plain_gnn_backward, plain_gnn_forward,
                      reload_from_earlier_format)
 from lcapa.gnn import (
     GnnCache,
-    GnnParams,
     GnnSpec,
     _dleaky,
     _leaky,
@@ -72,6 +72,16 @@ class TestSpec:
         # the widths are the whole architecture
         assert [f.name for f in fields(GnnSpec)] == [
             "kind", "vertex_widths", "edge_widths"]
+
+    @pytest.mark.parametrize("width", [8.0, 8.5, True, "8"],
+                             ids=["integral-float", "float", "bool", "string"])
+    def test_non_integer_width_rejected(self, width):
+        # 8.0 and True used to build a spec that init_params or the first
+        # forward pass failed on with TypeError
+        with pytest.raises(ValueError, match="widths must be integers"):
+            GnnSpec("policy", (3, width, 2), (1, 8, 2))
+        with pytest.raises(ValueError, match="widths must be integers"):
+            GnnSpec("policy", (3, 8, 2), (1, width, 2))
 
     def test_factories(self):
         assert policy_spec().vertex_widths == (3, 64, 64, 2)
@@ -138,6 +148,40 @@ class TestInit:
         assert np.var(w) == pytest.approx(expected, rel=0.1)
 
 
+# SHA-256 prefixes, per (kind, hidden, layers), of init_params(spec, 0): of
+# its flat bytes, and of its layout, each named array's (name, offset into
+# flat, shape, strides) followed by each fused block's.
+PINNED_TREES = {
+    ("policy", 8, 2): ("aabfb41433ea220f", "84fefff016e63234"),
+    ("policy", 8, 3): ("454d145da9aefc0d", "c25e7b21381cf9fd"),
+    ("policy", 64, 4): ("1387186ce80df08b", "2a017f4408a64517"),
+    ("policy", 5, 5): ("80c6444ef4c86a5f", "8b2525c2e1187f6b"),
+    ("proj", 8, 2): ("3157cabc27b1f285", "bcdfbd3d95531c22"),
+    ("proj", 8, 3): ("ee0b0b85d1620458", "a1ec7428171e3280"),
+    ("proj", 64, 4): ("81a13786b5168e5a", "5b57e8da552140f1"),
+    ("proj", 5, 5): ("560acc252d8ea3da", "047587554a7d307b"),
+    ("value", 8, 2): ("9edbcc9734527be5", "03796450881e727a"),
+    ("value", 8, 3): ("f3c206f6600669a3", "12bfb3d7c0e1cf8a"),
+    ("value", 64, 4): ("fc90669cc55ba2de", "5c43cbb86d017a82"),
+    ("value", 5, 5): ("39fdefe3e036badd", "1172da501f2748f0"),
+}
+
+
+def _tree_digests(params):
+    def offset(arr):
+        start = params.flat.__array_interface__["data"][0]
+        return (arr.__array_interface__["data"][0] - start) // params.flat.itemsize
+
+    rows = [(name, offset(a), a.shape, a.strides)
+            for name, a in params.iter_arrays()]
+    for t, blocks in enumerate(params.blocks):
+        for i, b in enumerate(blocks):
+            rows.append((t, i, None if b is None else
+                         (offset(b), b.shape, b.strides)))
+    return (hashlib.sha256(params.flat.tobytes()).hexdigest()[:16],
+            hashlib.sha256(repr(rows).encode()).hexdigest()[:16])
+
+
 class TestParams:
     """Every tree is views of one flat buffer, and no two trees share one."""
 
@@ -179,20 +223,15 @@ class TestParams:
         assert params.copy().flat.tobytes() == params.flat.tobytes()
         assert not np.any(zeros_like_params(params).flat)
 
-    def test_constructor_packs_copies(self):
-        params = init_params(value_spec(**SMALL), 5)
-        saved = params.flat.copy()
-        packed = GnnParams(layers=params.layers)
-        assert packed.layout == params.layout and packed.packed()
-        assert packed.flat.tobytes() == saved.tobytes()
-        packed.flat[...] = 0.0
-        assert params.flat.tobytes() == saved.tobytes() and params.packed()
-
-    def test_arrays_that_cannot_share_a_block_rejected(self):
-        layers = init_params(policy_spec(**SMALL), 1).layers
-        layers[0].w_other = np.zeros((5, 3))     # w_self is (8, 3)
-        with pytest.raises(ValueError, match="cannot share one matrix"):
-            GnnParams(layers=layers)
+    @pytest.mark.parametrize("kind", ["policy", "proj", "value"])
+    @pytest.mark.parametrize("hidden,layers", [(8, 2), (8, 3), (64, 4), (5, 5)])
+    def test_layout_is_pinned(self, kind, hidden, layers):
+        # the bytes init_params writes, and where every named array and fused
+        # block sits in them, are those the buffer has always had
+        spec = {"policy": policy_spec, "proj": proj_spec,
+                "value": value_spec}[kind](hidden=hidden, layers=layers)
+        params = init_params(spec, 0)
+        assert _tree_digests(params) == PINNED_TREES[kind, hidden, layers]
 
     def test_kernels_reject_a_rebound_array(self):
         # the kernels multiply by the blocks of flat, which a rebound array

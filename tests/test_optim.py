@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from lcapa.gnn import (GnnParams, init_params, policy_spec, proj_spec,
-                       zeros_like_params)
+from lcapa.gnn import init_params, policy_spec, proj_spec, zeros_like_params
 from lcapa.heads import GnnModel
 from lcapa.optim import Adam
 from lcapa.training import TrainHyper, load_checkpoint, save_checkpoint
@@ -94,22 +93,6 @@ def _assert_step_rejected(params, grads, match):
         assert np.array_equal(a, b), name
 
 
-def test_truncated_gradient_tree_rejected():
-    params = init_params(SPECS["policy"], 5)
-    grads = random_grads(params, np.random.default_rng(5))
-    layers = list(grads.layers)
-    arrays = [(arr, arr.copy()) for _, arr in grads.iter_arrays()]
-    truncated = GnnParams(layers=grads.layers[:-1])
-    # the constructor packs copies: grads keeps its layers, arrays and values
-    assert all(a is b for a, b in zip(grads.layers, layers, strict=True))
-    for (arr, saved), (_, now) in zip(arrays, grads.iter_arrays(), strict=True):
-        assert now is arr and now.tobytes() == saved.tobytes()
-    assert grads.packed()
-    assert not any(np.shares_memory(a, grads.flat)
-                   for _, a in truncated.iter_arrays())
-    _assert_step_rejected(params, truncated, r"no array layer1\.w_self")
-
-
 def test_rebound_gradient_array_rejected():
     # a rebound array is no longer part of the buffer the step reads
     params = init_params(SPECS["policy"], 6)
@@ -121,11 +104,27 @@ def test_rebound_gradient_array_rejected():
         Adam(params)
 
 
+def _assert_tree_of_spec_rejected(spec):
+    params = init_params(SPECS["policy"], 5)
+    opt = Adam(params)
+    opt.step(random_grads(params, np.random.default_rng(5)))
+    before, m, v = params.flat.copy(), opt._m.copy(), opt._v.copy()
+    grads = random_grads(init_params(spec, 0), np.random.default_rng(6))
+    with pytest.raises(ValueError, match="laid out for another network"):
+        opt.step(grads)
+    assert opt.t == 1
+    for now, saved in ((params.flat, before), (opt._m, m), (opt._v, v)):
+        assert now.tobytes() == saved.tobytes()
+
+
+def test_truncated_gradient_tree_rejected():
+    # one layer fewer than the parameters
+    _assert_tree_of_spec_rejected(policy_spec(hidden=8, layers=2))
+
+
 def test_gradient_shape_mismatch_rejected():
-    params = init_params(SPECS["policy"], 6)
-    grads = zeros_like_params(params)
-    grads.layers[1].w_ein = np.zeros(grads.layers[1].w_ein.shape[::-1])
-    _assert_step_rejected(params, grads, r"layer1\.w_ein")
+    # the same depth, with other shapes
+    _assert_tree_of_spec_rejected(SPECS["proj"])
 
 
 def test_step_on_restored_checkpoint_equals_original(tmp_path):

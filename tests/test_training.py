@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from lcapa.training import (
 )
 from oracles import (earlier_format_record, per_scene_pool_and_datasets,
                      reload_from_earlier_format)
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 # The array keys of one checkpoint layer, in the order they are written.
 CHECKPOINT_LAYER_KEYS = ["w_self", "w_other", "w_ein", "w_eout", "b_v",
@@ -207,6 +210,24 @@ class TestCheckpoint:
         for (name, a), (_, b) in zip(model.params.iter_arrays(),
                                      loaded.params.iter_arrays(), strict=True):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    def test_written_checkpoint_loads_byte_identically(self):
+        # a checkpoint save_checkpoint wrote of init_params(spec, 11), checked in
+        loaded = load_checkpoint(str(FIXTURES / "proj_checkpoint_h3_l3_seed11.json"))
+        spec = proj_spec(hidden=3, layers=3)
+        assert loaded.spec == spec
+        assert loaded.params.flat.tobytes() == init_params(spec, 11).flat.tobytes()
+
+    def test_non_integer_width_rejected(self, tmp_path):
+        # a width of 4.0 used to load, and the first forward pass raised
+        # TypeError
+        path = tmp_path / "value.json"
+        save_checkpoint(tiny_value_model(), str(path))
+        rec = json.loads(path.read_text())
+        rec["spec"]["vertex_widths"][1] = 4.0
+        path.write_text(json.dumps(rec))
+        with pytest.raises(CheckpointError, match="widths must be integers"):
+            load_checkpoint(str(path))
 
     @pytest.mark.parametrize("key,value", [("edge_aggregation", True),
                                            ("hidden_slope", 0.5)])
