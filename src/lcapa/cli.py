@@ -207,13 +207,12 @@ def _cmd_grad_check(args) -> int:
 
     spec = policy_spec(hidden=args.hidden, layers=3)
     model = GnnModel(spec=spec, params=init_params(spec, args.seed), norms=norms)
-    wr = rng.standard_normal((2, 3, 3))
-    wi = rng.standard_normal((2, 3, 3))
+    w = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
     a, cache = policy_forward(model, pos)
-    grads = policy_backward(model, cache, wr, wi)
+    grads = policy_backward(model, cache, w)
     report("policy", finite_diff_check(
-        lambda: float(np.sum(policy_forward(model, pos)[0].real * wr)
-                      + np.sum(policy_forward(model, pos)[0].imag * wi)),
+        lambda: float(np.sum(policy_forward(model, pos)[0].real * w.real)
+                      + np.sum(policy_forward(model, pos)[0].imag * w.imag)),
         model.params, grads, probes=args.probes, seed=args.seed))
 
     spec = proj_spec(hidden=args.hidden, layers=3)
@@ -221,7 +220,7 @@ def _cmd_grad_check(args) -> int:
                      norms=norms)
     wp = rng.standard_normal((2, 3))
     _, cache = proj_forward(model, pos, weights)
-    grads, _, _ = proj_backward(model, cache, wp, wrt="params")
+    grads, _ = proj_backward(model, cache, wp, wrt="params")
     report("proj", finite_diff_check(
         lambda: float(np.sum(proj_forward(model, pos, weights)[0] * wp)),
         model.params, grads, probes=args.probes, seed=args.seed + 1))
@@ -230,10 +229,10 @@ def _cmd_grad_check(args) -> int:
     model = GnnModel(spec=spec, params=init_params(spec, args.seed + 2),
                      norms=norms)
     _, cache = value_forward(model, pos, weights)
-    grads, _, _ = value_backward(model, cache, wr, wi, wrt="params")
+    grads, _ = value_backward(model, cache, w, wrt="params")
     report("value", finite_diff_check(
-        lambda: float(np.sum(value_forward(model, pos, weights)[0].real * wr)
-                      + np.sum(value_forward(model, pos, weights)[0].imag * wi)),
+        lambda: float(np.sum(value_forward(model, pos, weights)[0].real * w.real)
+                      + np.sum(value_forward(model, pos, weights)[0].imag * w.imag)),
         model.params, grads, probes=args.probes, seed=args.seed + 2))
 
     pool = ScenePool.generate(args.seed, 2, 3, 64, 1e6)

@@ -18,7 +18,8 @@ reduces no layer input again; no autodiff framework is involved.
 
 Kernel contract.  Every parameter tree (:class:`GnnParams`, made by
 :func:`init_params`, :func:`zeros_like_params` and the like) is one flat
-buffer laid out from its spec's :func:`param_layout`.  Each layer
+buffer laid out from its spec's :func:`param_layout`, and its structure is
+fixed by type, so its arrays stay views of that buffer.  Each layer
 multiplies by two fused blocks of that buffer: the vertex block W_v =
 [W_self, W_other, W_ein, W_eout], so the whole vertex message is the one
 GEMM ``X @ W_v.T``, and the endpoint block [U_src; U_dst], one GEMM on d
@@ -60,10 +61,8 @@ coupling matrix).
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
@@ -72,7 +71,9 @@ POSITION_SCALE = 30.0     # outer radius of the default user region
 
 LEAKY_SLOPE = 0.2         # the negative-side slope of every hidden activation
 
-_HEAD_KINDS = ("policy", "proj", "value")
+# The (vertex, edge) action widths of each kind: a complex entry as an
+# (Re, Im) pair on every vertex and edge, or one power per vertex.
+_ACTION_WIDTHS = {"policy": (2, 2), "proj": (1, 0), "value": (2, 2)}
 
 # Spec keys an earlier checkpoint format wrote for settings now fixed.
 _FIXED_SETTINGS = {"edge_aggregation": False, "hidden_slope": LEAKY_SLOPE}
@@ -84,10 +85,10 @@ class GnnSpec:
 
     ``vertex_widths`` / ``edge_widths`` list the representation widths per
     layer (length L >= 2; entry 0 is the feature width, entry L-1 the action
-    width).  An edge action width of 0 means the final layer has no edge
-    head, which only the ``proj`` kind uses.  Every hidden layer applies the
-    leaky ReLU with slope :data:`LEAKY_SLOPE` = 0.2, and the edge update
-    reads only its own edge and its two endpoints.
+    width).  The action widths are fixed by kind: 2 and 2 for ``policy``
+    and ``value``, and 1 and 0 (no edge head) for ``proj``.  Every hidden
+    layer applies the leaky ReLU with slope :data:`LEAKY_SLOPE` = 0.2, and
+    the edge update reads only its own edge and its two endpoints.
     """
 
     kind: str
@@ -97,7 +98,7 @@ class GnnSpec:
     edge_aggregation: ClassVar[bool] = False
 
     def __post_init__(self):
-        if self.kind not in _HEAD_KINDS:
+        if self.kind not in _ACTION_WIDTHS:
             raise ValueError(f"unknown network kind {self.kind!r}")
         if len(self.vertex_widths) < 2:
             raise ValueError("need at least input and output layers")
@@ -108,8 +109,12 @@ class GnnSpec:
                 raise ValueError(f"widths must be integers, got {w!r}")
         if any(w < 1 for w in self.vertex_widths):
             raise ValueError("vertex widths must be >= 1")
-        if any(w < 1 for w in self.edge_widths[:-1]) or self.edge_widths[-1] < 0:
-            raise ValueError("edge widths must be >= 1 (final may be 0)")
+        if any(w < 1 for w in self.edge_widths[:-1]):
+            raise ValueError("edge widths must be >= 1")
+        actions = (self.vertex_widths[-1], self.edge_widths[-1])
+        if actions != _ACTION_WIDTHS[self.kind]:
+            raise ValueError(f"a {self.kind} network has action widths "
+                             f"{_ACTION_WIDTHS[self.kind]}, got {actions}")
 
     @property
     def transitions(self) -> int:
@@ -165,7 +170,7 @@ def value_spec(hidden: int = 64, layers: int = 4) -> GnnSpec:
                    edge_widths=(2,) + widths + (2,))
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerParams:
     w_self: np.ndarray
     w_other: np.ndarray
@@ -180,7 +185,6 @@ class LayerParams:
 
 # Array names of one layer, in field order (also the checkpoint's key order).
 PARAM_NAMES = tuple(f.name for f in fields(LayerParams))
-_layer_arrays = operator.attrgetter(*PARAM_NAMES)
 
 # One shape tuple (or None for an absent array) per PARAM_NAMES entry, per layer.
 Layout = tuple[tuple[tuple[int, ...] | None, ...], ...]
@@ -200,6 +204,7 @@ def param_layout(spec: GnnSpec) -> Layout:
     return tuple(layout)
 
 
+@dataclass(frozen=True, eq=False)
 class GnnParams:
     """Per-transition shared weight matrices in one flat float64 buffer.
 
@@ -213,14 +218,23 @@ class GnnParams:
     then ``b_v``, ``u_edge``, the endpoint block, a (2 out_e, dv) matrix
     whose row blocks are ``u_src`` and ``u_dst``; then ``b_e``.
     :attr:`blocks` holds the two fused matrices of each layer (None for an
-    absent endpoint block), which the kernels multiply by.  Rebinding a
-    field of ``layers`` detaches it from ``flat``; :meth:`packed` tells, and
-    the kernels and the optimizer reject such a tree.
+    absent endpoint block), which the kernels multiply by.
+
+    The structure is fixed by type: ``flat``, ``layout``, ``layers`` and
+    ``blocks`` cannot be rebound, ``layers`` and ``blocks`` are tuples, and
+    :class:`LayerParams` is frozen, so every array stays the view of
+    ``flat`` it was built as.  Values change in place (``flat[...] = ...``,
+    ``lp.b_v[...] += ...``).
     """
 
-    def __init__(self, flat: np.ndarray, layout: Layout):
-        self.flat, self.layout = flat, layout
-        self.layers, self.blocks, self._fields = [], [], []
+    flat: np.ndarray
+    layout: Layout
+    layers: tuple[LayerParams, ...] = field(init=False, repr=False)
+    blocks: tuple[tuple[np.ndarray, np.ndarray | None], ...] = field(
+        init=False, repr=False)
+
+    def __post_init__(self):
+        flat, layers, blocks = self.flat, [], []
         lo = 0
 
         def take(*shape):
@@ -228,7 +242,7 @@ class GnnParams:
             lo, start = lo + math.prod(shape), lo
             return flat[start:lo].reshape(shape)
 
-        for shapes in layout:
+        for shapes in self.layout:
             (out, dv), (_, de), edge = shapes[0], shapes[2], shapes[5]
             w_v = take(out, 2 * (dv + de))
             arrays = [w_v[:, :dv], w_v[:, dv:2 * dv], w_v[:, 2 * dv:2 * dv + de],
@@ -241,10 +255,10 @@ class GnnParams:
                 arrays.append(take(out_e, de))
                 u_ends = take(2 * out_e, dv)
                 arrays += [u_ends[:out_e], u_ends[out_e:], take(out_e)]
-            lp = LayerParams(*arrays)
-            self.layers.append(lp)
-            self.blocks.append((w_v, u_ends))
-            self._fields.append((lp, tuple(arrays)))
+            layers.append(LayerParams(*arrays))
+            blocks.append((w_v, u_ends))
+        object.__setattr__(self, "layers", tuple(layers))
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     def iter_arrays(self):
         for idx, layer in enumerate(self.layers):
@@ -252,13 +266,6 @@ class GnnParams:
                 arr = getattr(layer, name)
                 if arr is not None:
                     yield f"layer{idx}.{name}", arr
-
-    def packed(self) -> bool:
-        """True while every array is still the view of ``flat`` it was built as."""
-        for lp, arrays in self._fields:
-            if not all(map(operator.is_, _layer_arrays(lp), arrays)):
-                return False
-        return True
 
     def copy(self) -> "GnnParams":
         return GnnParams(self.flat.copy(), self.layout)
@@ -345,20 +352,19 @@ class GnnCache:
     zv_out: np.ndarray | None = None
 
 
-@functools.lru_cache(maxsize=64)
-def _diagonal_index(k: int) -> np.ndarray:
-    idx = np.arange(k)
-    idx.flags.writeable = False
-    return idx
+def _diagonal(x: np.ndarray) -> np.ndarray:
+    """The self-edges x[:, k, k] of a C-contiguous (N, K, K, W) array, as
+    the strided (N, K, W) view of its diagonal."""
+    if not x.flags.c_contiguous:
+        raise ValueError("edge array must be C-contiguous")
+    n, k = x.shape[:2]
+    return x.reshape(n, k * k, x.shape[3])[:, ::k + 1]
 
 
 def _zero_diagonal(x: np.ndarray) -> np.ndarray:
     """Zero the unused self-edges x[:, k, k] of a C-contiguous (N, K, K, W)
     array in place, through the strided view of its diagonal; returns x."""
-    if not x.flags.c_contiguous:
-        raise ValueError("edge array must be C-contiguous")
-    n, k = x.shape[:2]
-    x.reshape(n, k * k, x.shape[3])[:, ::k + 1] = 0.0
+    _diagonal(x)[...] = 0.0
     return x
 
 
@@ -372,8 +378,7 @@ def gnn_forward(spec: GnnSpec, params: GnnParams, d0: np.ndarray,
     :func:`gnn_backward`.  An identity-activated vertex output is the cached
     pre-activation itself, so callers must not write to the outputs.
     Neighbor sums run over numpy's fixed deterministic reduction order, so
-    identical inputs give bit-identical outputs.  A tree with an array
-    rebound off its flat buffer raises ``ValueError``.
+    identical inputs give bit-identical outputs.
     """
     d0 = np.asarray(d0, dtype=float)
     e0 = np.asarray(e0, dtype=float)
@@ -387,8 +392,6 @@ def gnn_forward(spec: GnnSpec, params: GnnParams, d0: np.ndarray,
         raise ValueError(
             f"feature widths {(d0.shape[2], e0.shape[3])} do not match spec "
             f"{(spec.vertex_widths[0], spec.edge_widths[0])}")
-    if not params.packed():
-        raise ValueError("parameter tree has an array outside its flat buffer")
 
     dvs, des = spec.vertex_widths, spec.edge_widths
     d, e = d0, _zero_diagonal(e0.copy())
@@ -517,7 +520,7 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
 
         if gl is not None:
             gw_v += _wgrad(gzv, cache.messages[t])
-            gl.b_v += gzv.sum(axis=(0, 1))
+            gl.b_v[...] += gzv.sum(axis=(0, 1))
 
         if pass_down:
             gx = gzv @ w_v                 # dLoss/dX, (N, K, 2 dv + 2 de)
@@ -538,9 +541,9 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
             np.add.reduce(gze, 2, out=gze_ends[..., :de_out])   # sum_j gze[k, j]
             np.add.reduce(gze, 1, out=gze_ends[..., de_out:])   # sum_i gze[i, k]
             if gl is not None:
-                gl.u_edge += _wgrad(gze, e_in)
+                gl.u_edge[...] += _wgrad(gze, e_in)
                 gu_ends += _wgrad(gze_ends, d_in)
-                gl.b_e += gze.sum(axis=(0, 1, 2))
+                gl.b_e[...] += gze.sum(axis=(0, 1, 2))
             if pass_down:
                 gd_prev += gze_ends @ u_ends
                 ge_prev += gze @ lp.u_edge

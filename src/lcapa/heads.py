@@ -10,6 +10,13 @@ applying the normalization constants recorded alongside each network:
   (for the policy head this doubles as the emitted-weight scale, keeping the
   frozen surrogates in-distribution during policy training).
 
+Complex quantities cross this module as complex arrays, and so do their
+gradients: the gradient of the real loss L with respect to a complex array Z
+is the one complex array dL/dRe Z + i dL/dIm Z.  The network reads and
+writes (Re, Im) pairs as the last feature axis, so packing is a reshape of a
+C-contiguous array's float view (``.view(float)``, ``.view(complex)``); only
+an input that is not C-contiguous is copied.
+
 Every forward returns a cache, and every backward consumes one, so gradients
 chain exactly through feature packing and scaling.
 """
@@ -20,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gnn import (POSITION_SCALE, GnnParams, GnnSpec, _diagonal_index,
-                  gnn_backward, gnn_forward)
+from .gnn import (POSITION_SCALE, GnnParams, GnnSpec, _diagonal, gnn_backward,
+                  gnn_forward)
 
 
 # The normalization constants each head kind reads.
@@ -54,49 +61,45 @@ def _as_batched_matrix(mat: np.ndarray) -> np.ndarray:
     return m[None, ...] if m.ndim == 2 else m
 
 
+def _as_pairs(z: np.ndarray) -> np.ndarray:
+    """The (..., 2) float view of a complex array's (Re, Im) pairs."""
+    z = np.ascontiguousarray(z)
+    return z.view(float).reshape(z.shape + (2,))
+
+
+def _as_complex(pairs: np.ndarray) -> np.ndarray:
+    """The complex view of a C-contiguous (..., 2) float array of pairs."""
+    return pairs.view(complex)[..., 0]
+
+
 def _pack_weight_features(weights: np.ndarray, a_scale: float,
                           positions: np.ndarray, pos_scale: float
                           ) -> tuple[np.ndarray, np.ndarray]:
-    idx = _diagonal_index(weights.shape[1])
-    diag = weights[:, idx, idx]
-    d0 = np.concatenate([positions / pos_scale,
-                         diag.real[..., None] / a_scale,
-                         diag.imag[..., None] / a_scale], axis=2)
-    e0 = np.stack([weights.real, weights.imag], axis=3) / a_scale
+    e0 = _as_pairs(weights) / a_scale
+    d0 = np.concatenate([positions / pos_scale, _diagonal(e0)], axis=2)
     return d0, e0
 
 
 def _weight_grad_from_features(gd0: np.ndarray, ge0: np.ndarray, a_scale: float
-                               ) -> tuple[np.ndarray, np.ndarray]:
-    g_re = ge0[..., 0] / a_scale
-    g_im = ge0[..., 1] / a_scale
-    idx = _diagonal_index(gd0.shape[1])
-    g_re[:, idx, idx] = gd0[:, :, 3] / a_scale
-    g_im[:, idx, idx] = gd0[:, :, 4] / a_scale
-    return g_re, g_im
+                               ) -> np.ndarray:
+    g = np.ascontiguousarray(ge0) / a_scale
+    _diagonal(g)[...] = gd0[:, :, 3:5] / a_scale
+    return _as_complex(g)
 
 
 def _unpack_complex(d_out: np.ndarray, e_out: np.ndarray, scale: float
                     ) -> np.ndarray:
     """Complex K x K output: entry (k, j) from edge (k, j), a_kk from vertex k."""
-    out = (e_out[..., 0] + 1j * e_out[..., 1]) * scale
-    idx = _diagonal_index(out.shape[1])
-    out[:, idx, idx] = (d_out[:, :, 0] + 1j * d_out[:, :, 1]) * scale
-    return out
+    out = np.ascontiguousarray(e_out) * scale
+    _diagonal(out)[...] = d_out * scale
+    return _as_complex(out)
 
 
-def _complex_head_backward(model: GnnModel, cache, grad_re: np.ndarray,
-                           grad_im: np.ndarray, wrt: str):
-    """gnn_backward from dLoss/d(Re, Im) of a :func:`_unpack_complex` output."""
-    g_re = _as_batched_matrix(grad_re).real.astype(float)
-    g_im = _as_batched_matrix(grad_im).real.astype(float)
-    scale = model.norm("out_scale")
-    idx = _diagonal_index(g_re.shape[1])
-    gd = np.zeros(cache.zv_out.shape)
-    gd[:, :, 0] = g_re[:, idx, idx] * scale
-    gd[:, :, 1] = g_im[:, idx, idx] * scale
-    ge = np.stack([g_re, g_im], axis=3) * scale
-    return gnn_backward(model.spec, model.params, cache, gd, ge, wrt=wrt)
+def _complex_head_backward(model: GnnModel, cache, grad: np.ndarray, wrt: str):
+    """gnn_backward from dLoss/dZ of a :func:`_unpack_complex` output Z."""
+    ge = _as_pairs(_as_batched_matrix(grad)) * model.norm("out_scale")
+    return gnn_backward(model.spec, model.params, cache, _diagonal(ge), ge,
+                        wrt=wrt)
 
 
 # -- PolicyNet ----------------------------------------------------------------
@@ -116,11 +119,9 @@ def policy_forward(model: GnnModel, positions: np.ndarray):
     return (weights[0] if squeeze else weights), cache
 
 
-def policy_backward(model: GnnModel, cache, grad_re: np.ndarray,
-                    grad_im: np.ndarray) -> GnnParams:
-    """Parameter gradients of the policy from dLoss/d(Re A, Im A)."""
-    grads, _, _ = _complex_head_backward(model, cache, grad_re, grad_im,
-                                         wrt="params")
+def policy_backward(model: GnnModel, cache, grad: np.ndarray) -> GnnParams:
+    """Parameter gradients of the policy from dLoss/dA."""
+    grads, _, _ = _complex_head_backward(model, cache, grad, wrt="params")
     return grads
 
 
@@ -139,12 +140,12 @@ def proj_forward(model: GnnModel, positions: np.ndarray, weights: np.ndarray):
 
 def proj_backward(model: GnnModel, cache, grad_powers: np.ndarray,
                   wrt: str = "both"
-                  ) -> tuple[GnnParams | None, np.ndarray | None, np.ndarray | None]:
-    """Gradients of the power head: (params, dLoss/dRe A, dLoss/dIm A).
+                  ) -> tuple[GnnParams | None, np.ndarray | None]:
+    """Gradients of the power head: (params, dLoss/dA).
 
     ``wrt`` is passed to :func:`~lcapa.gnn.gnn_backward`: ``"params"``
-    computes the parameter gradients only and returns None for both weight
-    gradients; ``"inputs"`` computes the weight gradients only and returns
+    computes the parameter gradients only and returns None for the weight
+    gradient; ``"inputs"`` computes the weight gradient only and returns
     None for the parameters, so the first return value may be None.  Every
     array returned equals (``np.array_equal``) the same one under
     ``"both"``.
@@ -156,9 +157,8 @@ def proj_backward(model: GnnModel, cache, grad_powers: np.ndarray,
     grads, gd0, ge0 = gnn_backward(model.spec, model.params, cache, gd, None,
                                    wrt=wrt)
     if gd0 is None:
-        return grads, None, None
-    g_re, g_im = _weight_grad_from_features(gd0, ge0, model.norm("a_scale"))
-    return grads, g_re, g_im
+        return grads, None
+    return grads, _weight_grad_from_features(gd0, ge0, model.norm("a_scale"))
 
 
 # -- ValueNet -----------------------------------------------------------------
@@ -174,19 +174,15 @@ def value_forward(model: GnnModel, positions: np.ndarray, weights: np.ndarray):
     return (couplings[0] if squeeze else couplings), cache
 
 
-def value_backward(model: GnnModel, cache, grad_re: np.ndarray,
-                   grad_im: np.ndarray, wrt: str = "both"
-                   ) -> tuple[GnnParams | None, np.ndarray | None, np.ndarray | None]:
-    """Gradients of the coupling head: (params, dLoss/dRe A, dLoss/dIm A).
+def value_backward(model: GnnModel, cache, grad: np.ndarray, wrt: str = "both"
+                   ) -> tuple[GnnParams | None, np.ndarray | None]:
+    """Gradients of the coupling head from dLoss/dG: (params, dLoss/dA).
 
     ``wrt`` selects the outputs as in :func:`proj_backward`; the first
-    return value is None under ``"inputs"``, the other two under
-    ``"params"``, and every array returned equals the same one under
-    ``"both"``.
+    return value is None under ``"inputs"``, the second under ``"params"``,
+    and every array returned equals the same one under ``"both"``.
     """
-    grads, gd0, ge0 = _complex_head_backward(model, cache, grad_re, grad_im,
-                                             wrt=wrt)
+    grads, gd0, ge0 = _complex_head_backward(model, cache, grad, wrt=wrt)
     if gd0 is None:
-        return grads, None, None
-    g_re_in, g_im_in = _weight_grad_from_features(gd0, ge0, model.norm("a_scale"))
-    return grads, g_re_in, g_im_in
+        return grads, None
+    return grads, _weight_grad_from_features(gd0, ge0, model.norm("a_scale"))

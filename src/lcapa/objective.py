@@ -10,8 +10,10 @@ that slice alone, the rule of :func:`~lcapa.quadrature.gram_pair`.
 S_k = |A_k| |g_kk|^2 and D_k = sum_{j != k} |A_j| |g_kj|^2 + sigma_k^2.  The
 loss of N scenes, L = -sum ln(1 + gamma_k) / (N ln 2), has the gradient
 dL/d|g_kk|^2 = -|A_k| / ((1 + gamma_k) D_k N ln 2) and, for j != k,
-dL/d|g_kj|^2 = gamma_k |A_j| / ((1 + gamma_k) D_k N ln 2), times
-d|g|^2 = 2 (Re g dRe g + Im g dIm g).
+dL/d|g_kj|^2 = gamma_k |A_j| / ((1 + gamma_k) D_k N ln 2).  A gradient of
+the real loss with respect to a complex array Z is, throughout ``lcapa``, the
+one complex array dL/dRe Z + i dL/dIm Z; since d|g|^2 = 2 (Re g dRe g +
+Im g dIm g), the gradient with respect to G is 2 (dL/d|g_kj|^2) g_kj.
 """
 
 from __future__ import annotations
@@ -72,10 +74,9 @@ def sum_se(sinr: np.ndarray) -> SeReport:
 
 
 def policy_loss_grad(couplings: np.ndarray, user_apertures: np.ndarray,
-                     noise_vars: np.ndarray
-                     ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Negated batch-mean sum SE of (N, K, K) couplings and its gradients
-    w.r.t. (Re G, Im G)."""
+                     noise_vars: np.ndarray) -> tuple[float, np.ndarray]:
+    """Negated batch-mean sum SE of (N, K, K) couplings and its gradient
+    dL/dG = dL/dRe G + i dL/dIm G."""
     g = np.asarray(couplings, dtype=complex)
     n, k, _ = g.shape
     ap = np.asarray(user_apertures, dtype=float)
@@ -88,7 +89,7 @@ def policy_loss_grad(couplings: np.ndarray, user_apertures: np.ndarray,
     inv = 1.0 / ((1.0 + gamma) * denom)          # (n, k)
     coef += (gamma * inv)[:, :, None] * ap[None, None, :] / (_LN2 * n)
     coef[:, idx, idx] = -inv * ap[None, :] / (_LN2 * n)
-    return loss, 2.0 * coef * g.real, 2.0 * coef * g.imag
+    return loss, 2.0 * coef * g
 
 
 def project_weights(weights: np.ndarray, powers: np.ndarray,

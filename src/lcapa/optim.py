@@ -19,17 +19,16 @@ class Adam:
     gradient buffer: the moments are flat arrays of the same layout, the
     update is formed in two preallocated scratch arrays, and the parameter
     buffer subtracts it in place.  The arithmetic per element is that of a
-    per-array loop, so the results are bit-identical to one.  The gradient
-    tree must be laid out as the parameters are (:attr:`GnnParams.layout`,
-    as :func:`~lcapa.gnn.zeros_like_params` and the backward passes make
-    it) and keep every array in its flat buffer (:meth:`GnnParams.packed`);
-    any other raises :class:`ValueError` before any state changes.
+    per-array loop, so the results are bit-identical to one.  A tree's
+    structure is fixed by type, so its arrays are always views of its flat
+    buffer.  The gradient tree must be laid out as the parameters are
+    (:attr:`GnnParams.layout`, as :func:`~lcapa.gnn.zeros_like_params` and
+    the backward passes make it); any other raises :class:`ValueError`
+    before any state changes.
     """
 
     def __init__(self, params: GnnParams, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
-        if not params.packed():
-            raise ValueError("parameter tree has an array outside its flat buffer")
         self.params = params
         self.lr = lr
         self.beta1 = beta1
@@ -44,8 +43,6 @@ class Adam:
     def step(self, grads: GnnParams) -> None:
         if grads.layout != self.params.layout:
             raise ValueError("gradient tree is laid out for another network")
-        if not grads.packed():
-            raise ValueError("gradient tree has an array outside its flat buffer")
         g = grads.flat
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
@@ -64,4 +61,5 @@ class Adam:
         np.sqrt(r, out=r)
         r += self.eps
         s /= r
-        self.params.flat -= s
+        flat = self.params.flat
+        flat -= s

@@ -320,11 +320,15 @@ def train_supervised(spec: GnnSpec, dataset: SupervisedDataset,
         loss = float(np.sum(err.real ** 2 + err.imag ** 2) / len(idx))
         denom = out_scale * len(idx)
         if dataset.mode == "proj":
-            grads, _, _ = proj_backward(model, cache, 2.0 * err / denom,
-                                        wrt="params")
+            grads, _ = proj_backward(model, cache, 2.0 * err / denom,
+                                     wrt="params")
         else:
-            grads, _, _ = value_backward(model, cache, 2.0 * err.real / denom,
-                                         2.0 * err.imag / denom, wrt="params")
+            # numpy's complex / real multiplies by a reciprocal, which
+            # rounds differently: divide each part through the float view
+            grad = 2.0 * err
+            pairs = grad.view(float)
+            pairs /= denom
+            grads, _ = value_backward(model, cache, grad, wrt="params")
         return loss, grads
 
     def validation_nmse():
@@ -378,19 +382,17 @@ class GramForward:
                    couplings=ca * scale[:, None, None])
 
 
-def _projection_chain_backward(grad_re_bar, grad_im_bar, weights, scale,
-                               total_power):
+def _projection_chain_backward(grad_bar, weights, scale, total_power):
     """Back-prop through A_bar = s(A) * A given d loss / d A_bar.
 
-    Returns the direct part (s * upstream) plus d loss/d s and d s/d total,
-    so callers can add the power path.
+    Returns the direct part (s * upstream) plus d loss/d s times d s/d
+    total, so callers can add the power path.
     """
-    g_re = scale[:, None, None] * grad_re_bar
-    g_im = scale[:, None, None] * grad_im_bar
-    dl_ds = (np.sum(grad_re_bar * weights.real, axis=(1, 2))
-             + np.sum(grad_im_bar * weights.imag, axis=(1, 2)))
+    grad = scale[:, None, None] * grad_bar
+    dl_ds = (np.sum(grad_bar.real * weights.real, axis=(1, 2))
+             + np.sum(grad_bar.imag * weights.imag, axis=(1, 2)))
     ds_dtotal = -scale / (2.0 * total_power)
-    return g_re, g_im, dl_ds * ds_dtotal
+    return grad, dl_ds * ds_dtotal
 
 
 def surrogate_chain_loss_and_grads(policy: GnnModel, proj: GnnModel,
@@ -411,16 +413,13 @@ def surrogate_chain_loss_and_grads(policy: GnnModel, proj: GnnModel,
     scale = np.sqrt(power_budget / total)
     a_bar = a_raw * scale[:, None, None]
     couplings, cache_v = value_forward(value, positions, a_bar)
-    loss, g_re_c, g_im_c = policy_loss_grad(couplings, user_apertures, noise_vars)
+    loss, grad_c = policy_loss_grad(couplings, user_apertures, noise_vars)
 
-    _, g_re_bar, g_im_bar = value_backward(value, cache_v, g_re_c, g_im_c,
-                                           wrt="inputs")
-    g_re, g_im, dl_dtotal = _projection_chain_backward(
-        g_re_bar, g_im_bar, a_raw, scale, total)
+    _, grad_bar = value_backward(value, cache_v, grad_c, wrt="inputs")
+    grad, dl_dtotal = _projection_chain_backward(grad_bar, a_raw, scale, total)
     grad_powers = np.repeat(dl_dtotal[:, None], powers.shape[1], axis=1)
-    _, g_re_p, g_im_p = proj_backward(proj, cache_proj, grad_powers,
-                                      wrt="inputs")
-    grads = policy_backward(policy, cache_p, g_re + g_re_p, g_im + g_im_p)
+    _, grad_p = proj_backward(proj, cache_proj, grad_powers, wrt="inputs")
+    grads = policy_backward(policy, cache_p, grad + grad_p)
     return loss, grads
 
 
@@ -441,16 +440,13 @@ def analytic_chain_loss_and_grads(policy: GnnModel, positions: np.ndarray,
     fwd = GramForward.evaluate(a_raw, c, power_budget)
     if np.any(fwd.total <= 0.0):
         raise DegenerateBatchError("zero-power policy output")
-    loss, g_re_c, g_im_c = policy_loss_grad(fwd.couplings, user_apertures,
-                                            noise_vars)
+    loss, grad_c = policy_loss_grad(fwd.couplings, user_apertures, noise_vars)
     # back through G = C A_bar: d loss / d A_bar = C^H (d loss / d G) = C (...)
-    g_bar = c @ (g_re_c + 1j * g_im_c)
-    g_re, g_im, dl_dtotal = _projection_chain_backward(
-        g_bar.real, g_bar.imag, a_raw, fwd.scale, fwd.total)
+    grad, dl_dtotal = _projection_chain_backward(c @ grad_c, a_raw, fwd.scale,
+                                                 fwd.total)
     # power path: d total / d A = 2 C A
-    g_re += 2.0 * dl_dtotal[:, None, None] * fwd.ca.real
-    g_im += 2.0 * dl_dtotal[:, None, None] * fwd.ca.imag
-    grads = policy_backward(policy, cache_p, g_re, g_im)
+    grad += 2.0 * dl_dtotal[:, None, None] * fwd.ca
+    grads = policy_backward(policy, cache_p, grad)
     return loss, grads
 
 

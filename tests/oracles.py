@@ -33,7 +33,18 @@ Gram-domain code in ``lcapa``, so the tests can check that code against it:
 * :func:`earlier_format_record` and :func:`reload_from_earlier_format` -- a
   checkpoint record in the format written before the GNN architecture was
   fixed, built field by field here rather than by ``save_checkpoint``, and
-  the parameter tree ``load_checkpoint`` reads back from it.
+  the parameter tree ``load_checkpoint`` reads back from it;
+* :func:`pair_weight_features`, :func:`pair_weight_grad`,
+  :func:`pair_unpack_complex` and :func:`pair_output_grads` -- the head
+  packing with complex arrays split into (re, im) pairs by ``np.stack``,
+  ``re + 1j * im`` and ``.real.astype``: the bit-identity references for the
+  view-based packing of ``lcapa.heads``;
+* :func:`pair_forward`, :func:`pair_backward`, :func:`pair_policy_loss_grad`,
+  :func:`pair_surrogate_chain`, :func:`pair_analytic_chain` and
+  :func:`pair_supervised_grad` -- the heads, the policy loss, both policy
+  chains and the supervised batch gradient composed from those pairs, every
+  gradient of a complex array carried as two real arrays: the bit-identity
+  references for the complex-gradient code of ``lcapa``.
 """
 
 import json
@@ -43,16 +54,17 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from lcapa.gnn import (PARAM_NAMES, _dleaky, _dsoftplus, _leaky, _softplus,
-                       _wgrad, zeros_like_params)
+from lcapa.gnn import (PARAM_NAMES, POSITION_SCALE, _dleaky, _dsoftplus,
+                       _leaky, _softplus, _wgrad, gnn_backward, gnn_forward,
+                       zeros_like_params)
 from lcapa.heads import HEAD_NORMS, GnnModel
-from lcapa.objective import project_weights, sinr_vector, sum_se
+from lcapa.objective import _LN2, _sinr_terms, project_weights, sinr_vector, sum_se
 from lcapa.quadrature import (ApertureGrid, build_grid, channel_matrix,
                               gram_pair, integral_couplings, integral_power)
 from lcapa.quadrature import _require_hermitian
 from lcapa.scene import (Scene, SceneGeometryError, channel_response,
                          los_channels, sample_scene, square_aperture)
-from lcapa.training import load_checkpoint
+from lcapa.training import GramForward, load_checkpoint
 from lcapa.wmmse import BisectionError, WmmseInfo, WmmseOptions
 
 
@@ -518,11 +530,11 @@ def plain_gnn_backward(spec, params, cache, d_out_grad, e_out_grad):
         else:
             gzv = gd
 
-        gl.w_self += _wgrad(gzv, d_in)
-        gl.w_other += _wgrad(gzv, cache.d_others[t])
-        gl.w_ein += _wgrad(gzv, cache.e_col[t])
-        gl.w_eout += _wgrad(gzv, cache.e_row[t])
-        gl.b_v += gzv.sum(axis=(0, 1))
+        gl.w_self[...] += _wgrad(gzv, d_in)
+        gl.w_other[...] += _wgrad(gzv, cache.d_others[t])
+        gl.w_ein[...] += _wgrad(gzv, cache.e_col[t])
+        gl.w_eout[...] += _wgrad(gzv, cache.e_row[t])
+        gl.b_v[...] += gzv.sum(axis=(0, 1))
         sum_gzv = gzv.sum(axis=1, keepdims=True)
         gd_prev = gzv @ lp.w_self
         gd_prev += (sum_gzv - gzv) @ lp.w_other
@@ -533,10 +545,10 @@ def plain_gnn_backward(spec, params, cache, d_out_grad, e_out_grad):
             gze = ge if last else ge * _dleaky(cache.e_inputs[t + 1])
             gze_src = gze.sum(axis=2)
             gze_dst = gze.sum(axis=1)
-            gl.u_edge += _wgrad(gze, e_in)
-            gl.u_src += _wgrad(gze_src, d_in)
-            gl.u_dst += _wgrad(gze_dst, d_in)
-            gl.b_e += gze.sum(axis=(0, 1, 2))
+            gl.u_edge[...] += _wgrad(gze, e_in)
+            gl.u_src[...] += _wgrad(gze_src, d_in)
+            gl.u_dst[...] += _wgrad(gze_dst, d_in)
+            gl.b_e[...] += gze.sum(axis=(0, 1, 2))
             gd_prev += gze_src @ lp.u_src + gze_dst @ lp.u_dst
             ge_prev += gze @ lp.u_edge
         gd, ge = gd_prev, _plain_zero_diagonal(ge_prev)
@@ -584,3 +596,166 @@ def reload_from_earlier_format(spec, params):
     assert loaded.spec == spec
     assert loaded.params.flat.tobytes() == params.flat.tobytes()
     return loaded.params
+
+
+# -- the (re, im) pair form of the head boundary and the policy chains ---------
+
+def _batched(x, dtype):
+    x = np.asarray(x, dtype=dtype)
+    return x[None, ...] if x.ndim == 2 else x
+
+
+def pair_weight_features(weights, a_scale, positions, pos_scale):
+    """Vertex features [positions, Re a_kk, Im a_kk] and edge features
+    [Re a_kj, Im a_kj] of a batched weight stack, both scaled."""
+    idx = np.arange(weights.shape[1])
+    diag = weights[:, idx, idx]
+    d0 = np.concatenate([positions / pos_scale,
+                         diag.real[..., None] / a_scale,
+                         diag.imag[..., None] / a_scale], axis=2)
+    e0 = np.stack([weights.real, weights.imag], axis=3) / a_scale
+    return d0, e0
+
+
+def pair_weight_grad(gd0, ge0, a_scale):
+    """(dL/dRe A, dL/dIm A) from the gradients of those features."""
+    g_re = ge0[..., 0] / a_scale
+    g_im = ge0[..., 1] / a_scale
+    idx = np.arange(gd0.shape[1])
+    g_re[:, idx, idx] = gd0[:, :, 3] / a_scale
+    g_im[:, idx, idx] = gd0[:, :, 4] / a_scale
+    return g_re, g_im
+
+
+def pair_unpack_complex(d_out, e_out, scale):
+    """Complex K x K output: entry (k, j) from edge (k, j), a_kk from vertex k."""
+    out = (e_out[..., 0] + 1j * e_out[..., 1]) * scale
+    idx = np.arange(out.shape[1])
+    out[:, idx, idx] = (d_out[:, :, 0] + 1j * d_out[:, :, 1]) * scale
+    return out
+
+
+def pair_output_grads(grad_re, grad_im, scale, zv_shape):
+    """The vertex and edge output gradients of a :func:`pair_unpack_complex`
+    output, from dL/d(Re, Im) of it."""
+    g_re = _batched(grad_re, complex).real.astype(float)
+    g_im = _batched(grad_im, complex).real.astype(float)
+    idx = np.arange(g_re.shape[1])
+    gd = np.zeros(zv_shape)
+    gd[:, :, 0] = g_re[:, idx, idx] * scale
+    gd[:, :, 1] = g_im[:, idx, idx] * scale
+    ge = np.stack([g_re, g_im], axis=3) * scale
+    return gd, ge
+
+
+def pair_forward(model, positions, weights=None):
+    """A head's forward pass, (output, cache); ``weights`` for proj and value."""
+    spec = model.spec
+    pos = np.asarray(positions, dtype=float)
+    pos = pos[None, ...] if pos.ndim == 2 else pos
+    pos_scale = model.norm("pos_scale", POSITION_SCALE)
+    if spec.kind == "policy":
+        n, k = pos.shape[:2]
+        d0, e0 = pos / pos_scale, np.zeros((n, k, k, spec.edge_widths[0]))
+    else:
+        d0, e0 = pair_weight_features(_batched(weights, complex),
+                                      model.norm("a_scale"), pos, pos_scale)
+    d_out, e_out, cache = gnn_forward(spec, model.params, d0, e0)
+    if spec.kind == "proj":
+        return d_out[:, :, 0] * model.norm("out_scale"), cache
+    return pair_unpack_complex(d_out, e_out, model.norm("out_scale")), cache
+
+
+def pair_backward(model, cache, grad_re, grad_im=None, wrt="both"):
+    """A head's backward pass, (params, dL/dRe A, dL/dIm A), from dL/dpowers
+    (proj, ``grad_im`` None) or dL/d(Re, Im) of the output; the policy's
+    weight gradients are None."""
+    spec, out_scale = model.spec, model.norm("out_scale")
+    if spec.kind == "proj":
+        gp = np.asarray(grad_re, dtype=float)
+        gd, ge = (gp[None, ...] if gp.ndim == 1 else gp)[..., None] * out_scale, None
+    else:
+        gd, ge = pair_output_grads(grad_re, grad_im, out_scale,
+                                   cache.zv_out.shape)
+    grads, gd0, ge0 = gnn_backward(spec, model.params, cache, gd, ge, wrt=wrt)
+    if gd0 is None or spec.kind == "policy":
+        return grads, None, None
+    return (grads, *pair_weight_grad(gd0, ge0, model.norm("a_scale")))
+
+
+def pair_policy_loss_grad(couplings, user_apertures, noise_vars):
+    """The negated batch-mean sum SE and its gradients w.r.t. (Re G, Im G)."""
+    g = np.asarray(couplings, dtype=complex)
+    n, k, _ = g.shape
+    ap = np.asarray(user_apertures, dtype=float)
+    gamma, denom = _sinr_terms(g, ap, noise_vars)
+    loss = -float(np.sum(np.log1p(gamma)) / (_LN2 * n))
+    idx = np.arange(k)
+    coef = np.zeros((n, k, k))
+    inv = 1.0 / ((1.0 + gamma) * denom)
+    coef += (gamma * inv)[:, :, None] * ap[None, None, :] / (_LN2 * n)
+    coef[:, idx, idx] = -inv * ap[None, :] / (_LN2 * n)
+    return loss, 2.0 * coef * g.real, 2.0 * coef * g.imag
+
+
+def _pair_projection_backward(g_re_bar, g_im_bar, weights, scale, total):
+    g_re = scale[:, None, None] * g_re_bar
+    g_im = scale[:, None, None] * g_im_bar
+    dl_ds = (np.sum(g_re_bar * weights.real, axis=(1, 2))
+             + np.sum(g_im_bar * weights.imag, axis=(1, 2)))
+    return g_re, g_im, dl_ds * (-scale / (2.0 * total))
+
+
+def pair_surrogate_chain(policy, proj, value, positions, user_apertures,
+                         noise_vars, power_budget):
+    """(loss, policy gradients) of the policy -> ProjNet -> ValueNet chain,
+    with full (``wrt="both"``) backward passes through the frozen surrogates."""
+    a_raw, cache_p = pair_forward(policy, positions)
+    powers, cache_proj = pair_forward(proj, positions, a_raw)
+    total = powers.sum(axis=1)
+    scale = np.sqrt(power_budget / total)
+    couplings, cache_v = pair_forward(value, positions,
+                                      a_raw * scale[:, None, None])
+    loss, g_re_c, g_im_c = pair_policy_loss_grad(couplings, user_apertures,
+                                                 noise_vars)
+    _, g_re_bar, g_im_bar = pair_backward(value, cache_v, g_re_c, g_im_c)
+    g_re, g_im, dl_dtotal = _pair_projection_backward(g_re_bar, g_im_bar,
+                                                      a_raw, scale, total)
+    grad_powers = np.repeat(dl_dtotal[:, None], powers.shape[1], axis=1)
+    _, g_re_p, g_im_p = pair_backward(proj, cache_proj, grad_powers)
+    grads, _, _ = pair_backward(policy, cache_p, g_re + g_re_p, g_im + g_im_p,
+                                wrt="params")
+    return loss, grads
+
+
+def pair_analytic_chain(policy, positions, coupling_grams, user_apertures,
+                        noise_vars, power_budget):
+    """(loss, policy gradients) of the policy through the exact Gram forms."""
+    a_raw, cache_p = pair_forward(policy, positions)
+    c = np.asarray(coupling_grams, dtype=complex)
+    fwd = GramForward.evaluate(a_raw, c, power_budget)
+    loss, g_re_c, g_im_c = pair_policy_loss_grad(fwd.couplings, user_apertures,
+                                                 noise_vars)
+    g_bar = c @ (g_re_c + 1j * g_im_c)
+    g_re, g_im, dl_dtotal = _pair_projection_backward(
+        g_bar.real, g_bar.imag, a_raw, fwd.scale, fwd.total)
+    g_re += 2.0 * dl_dtotal[:, None, None] * fwd.ca.real
+    g_im += 2.0 * dl_dtotal[:, None, None] * fwd.ca.imag
+    grads, _, _ = pair_backward(policy, cache_p, g_re, g_im, wrt="params")
+    return loss, grads
+
+
+def pair_supervised_grad(model, positions, weights, targets):
+    """(loss, parameter gradients) of one supervised batch: the mean over
+    samples of the summed squared output error, in units of out_scale."""
+    pred, cache = pair_forward(model, positions, weights)
+    out_scale = model.norm("out_scale")
+    err = (pred - targets) / out_scale
+    loss = float(np.sum(err.real ** 2 + err.imag ** 2) / len(pred))
+    denom = out_scale * len(pred)
+    if model.spec.kind == "proj":
+        grads, _, _ = pair_backward(model, cache, 2.0 * err / denom, wrt="params")
+    else:
+        grads, _, _ = pair_backward(model, cache, 2.0 * err.real / denom,
+                                    2.0 * err.imag / denom, wrt="params")
+    return loss, grads

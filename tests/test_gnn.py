@@ -10,7 +10,9 @@ import pytest
 
 from conftest import (all_permutations, cpu_dispatch_targets, random_weights,
                       run_in_fresh_interpreter)
-from oracles import (plain_gnn_backward, plain_gnn_forward,
+from oracles import (pair_backward, pair_forward, pair_output_grads,
+                     pair_unpack_complex, pair_weight_features,
+                     pair_weight_grad, plain_gnn_backward, plain_gnn_forward,
                      reload_from_earlier_format)
 from lcapa.gnn import (
     GnnCache,
@@ -29,6 +31,10 @@ from lcapa.gnn import (
 )
 from lcapa.heads import (
     GnnModel,
+    _complex_head_backward,
+    _pack_weight_features,
+    _unpack_complex,
+    _weight_grad_from_features,
     policy_backward,
     policy_forward,
     proj_backward,
@@ -82,6 +88,16 @@ class TestSpec:
             GnnSpec("policy", (3, width, 2), (1, 8, 2))
         with pytest.raises(ValueError, match="widths must be integers"):
             GnnSpec("policy", (3, 8, 2), (1, width, 2))
+
+    @pytest.mark.parametrize("kind,vertex,edge", [
+        ("policy", 1, 2), ("policy", 3, 2), ("policy", 2, 0),
+        ("value", 2, 1), ("value", 2, 4), ("proj", 2, 0), ("proj", 1, 2)])
+    def test_action_widths_fixed_by_kind(self, kind, vertex, edge):
+        # the heads read a complex entry off every vertex and edge of policy
+        # and value, and one power off every proj vertex
+        inputs = {"policy": (3, 1), "proj": (5, 2), "value": (5, 2)}[kind]
+        with pytest.raises(ValueError, match="action widths"):
+            GnnSpec(kind, (inputs[0], 8, vertex), (inputs[1], 8, edge))
 
     def test_factories(self):
         assert policy_spec().vertex_widths == (3, 64, 64, 2)
@@ -190,7 +206,7 @@ class TestParams:
         for factory in (policy_spec, proj_spec, value_spec):
             spec = factory(**SMALL)
             params = _tree(spec, init_params(spec, 3), reloaded)
-            assert params.layout == param_layout(spec) and params.packed()
+            assert params.layout == param_layout(spec)
             assert params.flat.dtype == np.float64 and params.flat.flags.owndata
             arrays = [a for _, a in params.iter_arrays()]
             assert [a.shape for a in arrays] == [
@@ -215,7 +231,7 @@ class TestParams:
     def test_copy_and_zeros_share_no_memory(self):
         params = init_params(value_spec(**SMALL), 4)
         for other in (params.copy(), zeros_like_params(params)):
-            assert other.layout == params.layout and other.packed()
+            assert other.layout == params.layout
             assert not np.shares_memory(other.flat, params.flat)
             for (name, a), (_, b) in zip(params.iter_arrays(),
                                          other.iter_arrays(), strict=True):
@@ -233,16 +249,29 @@ class TestParams:
         params = init_params(spec, 0)
         assert _tree_digests(params) == PINNED_TREES[kind, hidden, layers]
 
-    def test_kernels_reject_a_rebound_array(self):
-        # the kernels multiply by the blocks of flat, which a rebound array
-        # has left
+    @pytest.mark.parametrize("target", ["field", "layer", "flat", "blocks",
+                                        "layout"])
+    def test_structure_cannot_be_rebound(self, target):
+        # the kernels and the optimizer read the blocks of flat, so no array
+        # can be swapped for one outside it
         spec = value_spec(**SMALL)
         params = init_params(spec, 2)
-        d0, e0 = random_features(np.random.default_rng(3), spec, 1, 3)
-        gnn_forward(spec, params, d0, e0)
-        params.layers[1].w_ein = params.layers[1].w_ein.copy()
-        with pytest.raises(ValueError, match="outside its flat buffer"):
-            gnn_forward(spec, params, d0, e0)
+        before = _tree_digests(params)
+        with pytest.raises((AttributeError, TypeError)):
+            if target == "field":
+                params.layers[1].w_ein = params.layers[1].w_ein.copy()
+            elif target == "layer":
+                params.layers[1] = params.copy().layers[1]
+            elif target == "flat":
+                params.flat = params.flat.copy()
+            elif target == "blocks":
+                params.blocks = params.copy().blocks
+            else:
+                params.layout = param_layout(policy_spec(**SMALL))
+        assert _tree_digests(params) == before
+        # values still change in place, in flat
+        params.layers[1].b_v[...] += 1.0
+        assert _tree_digests(params)[0] != before[0]
 
 
 class TestForward:
@@ -270,8 +299,8 @@ class TestForward:
         mutated = params.copy()
         for lp in mutated.layers:
             if lp.u_edge is not None:
-                lp.u_edge += 10.0
-                lp.u_src += 10.0
+                lp.u_edge[...] += 10.0
+                lp.u_src[...] += 10.0
         out, _, _ = gnn_forward(spec, mutated, d0, e0)
         assert np.array_equal(base, out)
 
@@ -484,11 +513,11 @@ def _reference_backward(spec, params, cache, d_out_grad, e_out_grad):
         col, row = e_in.sum(axis=1), e_in.sum(axis=2)
 
         gzv = gd * _ref_act_grad(cache.zv[t], v_act)
-        gl.w_self += _ref_wgrad(gzv, d_in)
-        gl.w_other += _ref_wgrad(gzv, sum_d - d_in)
-        gl.w_ein += _ref_wgrad(gzv, col)
-        gl.w_eout += _ref_wgrad(gzv, row)
-        gl.b_v += gzv.sum(axis=(0, 1))
+        gl.w_self[...] += _ref_wgrad(gzv, d_in)
+        gl.w_other[...] += _ref_wgrad(gzv, sum_d - d_in)
+        gl.w_ein[...] += _ref_wgrad(gzv, col)
+        gl.w_eout[...] += _ref_wgrad(gzv, row)
+        gl.b_v[...] += gzv.sum(axis=(0, 1))
         sum_gzv = gzv.sum(axis=1, keepdims=True)
         gd_prev = gzv @ lp.w_self + (sum_gzv - gzv) @ lp.w_other
         ge_prev = ((gzv @ lp.w_ein)[:, None, :, :]
@@ -498,10 +527,10 @@ def _reference_backward(spec, params, cache, d_out_grad, e_out_grad):
             gze = ge * _ref_act_grad(cache.ze[t], e_act)
             gze_src = gze.sum(axis=2)
             gze_dst = gze.sum(axis=1)
-            gl.u_edge += _ref_wgrad(gze, e_in)
-            gl.u_src += _ref_wgrad(gze_src, d_in)
-            gl.u_dst += _ref_wgrad(gze_dst, d_in)
-            gl.b_e += gze.sum(axis=(0, 1, 2))
+            gl.u_edge[...] += _ref_wgrad(gze, e_in)
+            gl.u_src[...] += _ref_wgrad(gze_src, d_in)
+            gl.u_dst[...] += _ref_wgrad(gze_dst, d_in)
+            gl.b_e[...] += gze.sum(axis=(0, 1, 2))
             gd_prev += gze_src @ lp.u_src + gze_dst @ lp.u_dst
             ge_prev += gze @ lp.u_edge
         gd, ge = gd_prev, ge_prev * mask
@@ -526,11 +555,11 @@ def _einsum_backward(spec, params, cache, d_out_grad, e_out_grad):
         col, row = e_in.sum(axis=1), e_in.sum(axis=2)
 
         gzv = gd * _ref_act_grad(cache.zv[t], v_act)
-        gl.w_self += np.einsum("nkp,nkq->pq", gzv, d_in)
-        gl.w_other += np.einsum("nkp,nkq->pq", gzv, sum_d - d_in)
-        gl.w_ein += np.einsum("nkp,nkq->pq", gzv, col)
-        gl.w_eout += np.einsum("nkp,nkq->pq", gzv, row)
-        gl.b_v += gzv.sum(axis=(0, 1))
+        gl.w_self[...] += np.einsum("nkp,nkq->pq", gzv, d_in)
+        gl.w_other[...] += np.einsum("nkp,nkq->pq", gzv, sum_d - d_in)
+        gl.w_ein[...] += np.einsum("nkp,nkq->pq", gzv, col)
+        gl.w_eout[...] += np.einsum("nkp,nkq->pq", gzv, row)
+        gl.b_v[...] += gzv.sum(axis=(0, 1))
         sum_gzv = gzv.sum(axis=1, keepdims=True)
         gd_prev = gzv @ lp.w_self + (sum_gzv - gzv) @ lp.w_other
         ge_prev = ((gzv @ lp.w_ein)[:, None, :, :]
@@ -538,10 +567,10 @@ def _einsum_backward(spec, params, cache, d_out_grad, e_out_grad):
 
         if lp.u_edge is not None:
             gze = ge * _ref_act_grad(cache.ze[t], e_act) * mask
-            gl.u_edge += np.einsum("nijp,nijq->pq", gze, e_in)
-            gl.u_src += np.einsum("nijp,niq->pq", gze, d_in)
-            gl.u_dst += np.einsum("nijp,njq->pq", gze, d_in)
-            gl.b_e += gze.sum(axis=(0, 1, 2))
+            gl.u_edge[...] += np.einsum("nijp,nijq->pq", gze, e_in)
+            gl.u_src[...] += np.einsum("nijp,niq->pq", gze, d_in)
+            gl.u_dst[...] += np.einsum("nijp,njq->pq", gze, d_in)
+            gl.b_e[...] += gze.sum(axis=(0, 1, 2))
             gd_prev += gze.sum(axis=2) @ lp.u_src + gze.sum(axis=1) @ lp.u_dst
             ge_prev += gze @ lp.u_edge
         gd, ge = gd_prev, ge_prev * mask
@@ -628,19 +657,17 @@ class TestBackwardWrt:
         a = np.stack([random_weights(rng, 4) for _ in range(2)])
         if kind == "proj":
             _, cache = proj_forward(model, pos, a)
-            upstream = (rng.standard_normal((2, 4)),)
+            upstream = rng.standard_normal((2, 4))
             backward = proj_backward
         else:
             _, cache = value_forward(model, pos, a)
-            upstream = (rng.standard_normal((2, 4, 4)),
-                        rng.standard_normal((2, 4, 4)))
+            upstream = (rng.standard_normal((2, 4, 4))
+                        + 1j * rng.standard_normal((2, 4, 4)))
             backward = value_backward
-        _, g_re, g_im = backward(model, cache, *upstream)
-        grads, i_re, i_im = backward(model, cache, *upstream, wrt="inputs")
-        assert grads is None
-        assert np.array_equal(g_re, i_re) and np.array_equal(g_im, i_im)
-        _, p_re, p_im = backward(model, cache, *upstream, wrt="params")
-        assert p_re is None and p_im is None
+        _, g = backward(model, cache, upstream)
+        grads, i_g = backward(model, cache, upstream, wrt="inputs")
+        assert grads is None and np.array_equal(g, i_g)
+        assert backward(model, cache, upstream, wrt="params")[1] is None
 
 
 # Special values the activation kernels must map like the select forms.
@@ -968,15 +995,14 @@ class TestHeadBackward:
         model = small_model("policy", out_scale=0.7)
         rng = np.random.default_rng(21)
         pos = rng.uniform(10, 20, (1, 3, 3))
-        wr = rng.standard_normal((1, 3, 3))
-        wi = rng.standard_normal((1, 3, 3))
+        w = rng.standard_normal((1, 3, 3)) + 1j * rng.standard_normal((1, 3, 3))
 
         def loss():
             a, _ = policy_forward(model, pos)
-            return float(np.sum(a.real * wr) + np.sum(a.imag * wi))
+            return float(np.sum(a.real * w.real) + np.sum(a.imag * w.imag))
 
         a, cache = policy_forward(model, pos)
-        grads = policy_backward(model, cache, wr, wi)
+        grads = policy_backward(model, cache, w)
         _assert_fd_matches(model, loss, grads, probes=80, seed=22)
 
     def test_proj_head_finite_difference_and_input_grads(self):
@@ -991,26 +1017,135 @@ class TestHeadBackward:
             return float(np.sum(p * wp))
 
         p, cache = proj_forward(model, pos, a)
-        grads, g_re, g_im = proj_backward(model, cache, wp)
+        grads, g = proj_backward(model, cache, wp)
         _assert_fd_matches(model, loss, grads, probes=60, seed=24)
-        _assert_input_fd_matches(loss, a, g_re, g_im, seed=25)
+        _assert_input_fd_matches(loss, a, g, seed=25)
 
     def test_value_head_finite_difference_and_input_grads(self):
         model = small_model("value", a_scale=1.3, out_scale=0.4)
         rng = np.random.default_rng(26)
         pos = rng.uniform(10, 20, (1, 3, 3))
         a = random_weights(rng, 3)[None, ...]
-        wr = rng.standard_normal((1, 3, 3))
-        wi = rng.standard_normal((1, 3, 3))
+        w = rng.standard_normal((1, 3, 3)) + 1j * rng.standard_normal((1, 3, 3))
 
         def loss():
             g, _ = value_forward(model, pos, a)
-            return float(np.sum(g.real * wr) + np.sum(g.imag * wi))
+            return float(np.sum(g.real * w.real) + np.sum(g.imag * w.imag))
 
         g, cache = value_forward(model, pos, a)
-        grads, g_re, g_im = value_backward(model, cache, wr, wi)
+        grads, g_a = value_backward(model, cache, w)
         _assert_fd_matches(model, loss, grads, probes=60, seed=27)
-        _assert_input_fd_matches(loss, a, g_re, g_im, seed=28)
+        _assert_input_fd_matches(loss, a, g_a, seed=28)
+
+
+def _layouts(x):
+    """``x``, and arrays of its values that are not C-contiguous: a stack
+    with its two matrix axes transposed in memory, and every other entry of
+    a stack twice as long."""
+    transposed = np.ascontiguousarray(np.swapaxes(x, 1, 2)).swapaxes(1, 2)
+    stack = np.zeros((2 * len(x),) + x.shape[1:], dtype=x.dtype)
+    stack[::2] = x
+    return {"contiguous": x, "transposed": transposed, "strided": stack[::2]}
+
+
+def _random_complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _assert_trees_equal(grads, ref):
+    for (name, a), (_, b) in zip(grads.iter_arrays(), ref.iter_arrays(),
+                                 strict=True):
+        assert np.array_equal(a, b), name
+
+
+class TestHeadPacking:
+    """The view-based packing of :mod:`lcapa.heads` equals (``np.array_equal``)
+    the (re, im) pair form of ``tests/oracles.py``, for input that is
+    C-contiguous and for input that is not."""
+
+    SIZES = [(n, k) for n in (1, 3, 64) for k in (1, 4, 16)]
+
+    @pytest.mark.parametrize("n,k", SIZES)
+    def test_weight_features(self, n, k):
+        rng = np.random.default_rng(100 * n + k)
+        w = _random_complex(rng, (n, k, k))
+        pos = rng.uniform(10.0, 30.0, (n, k, 3))
+        want = pair_weight_features(w, 0.7, pos, 30.0)
+        for layout, x in _layouts(w).items():
+            got = _pack_weight_features(x, 0.7, pos, 30.0)
+            for a, b in zip(got, want, strict=True):
+                assert np.array_equal(a, b), layout
+
+    @pytest.mark.parametrize("n,k", SIZES)
+    def test_weight_grad(self, n, k):
+        rng = np.random.default_rng(200 * n + k)
+        gd0 = rng.standard_normal((n, k, 5))
+        ge0 = rng.standard_normal((n, k, k, 2))
+        want_re, want_im = pair_weight_grad(gd0, ge0, 0.7)
+        for layout, x in _layouts(ge0).items():
+            got = _weight_grad_from_features(gd0, x, 0.7)
+            assert np.array_equal(got.real, want_re), layout
+            assert np.array_equal(got.imag, want_im), layout
+
+    @pytest.mark.parametrize("n,k", SIZES)
+    def test_unpack_complex(self, n, k):
+        rng = np.random.default_rng(300 * n + k)
+        d_out = rng.standard_normal((n, k, 2))
+        e_out = rng.standard_normal((n, k, k, 2))
+        want = pair_unpack_complex(d_out, e_out, 1.3)
+        for (layout, d), e in zip(_layouts(d_out).items(),
+                                  _layouts(e_out).values()):
+            got = _unpack_complex(d, e, 1.3)
+            assert got.dtype == complex and np.array_equal(got, want), layout
+
+    @pytest.mark.parametrize("n,k", SIZES)
+    def test_complex_head_backward(self, n, k):
+        model = small_model("value", out_scale=1.7)
+        rng = np.random.default_rng(400 * n + k)
+        pos = rng.uniform(10.0, 30.0, (n, k, 3))
+        _, cache = value_forward(model, pos, _random_complex(rng, (n, k, k)))
+        grad = _random_complex(rng, (n, k, k))
+        gd, ge = pair_output_grads(grad.real, grad.imag, 1.7, cache.zv_out.shape)
+        want = gnn_backward(model.spec, model.params, cache, gd, ge)
+        cases = _layouts(grad)
+        if n == 1:
+            cases["unbatched"] = grad[0]
+        for layout, x in cases.items():
+            got = _complex_head_backward(model, cache, x, "both")
+            _assert_trees_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1]), layout
+            assert np.array_equal(got[2], want[2]), layout
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("kind", ["policy", "proj", "value"])
+    def test_heads_equal_the_pair_form(self, kind, batch):
+        # batch None: one unbatched scene, positions (K, 3) and weights (K, K)
+        model = small_model(kind, a_scale=0.6, out_scale=1.3)
+        rng = np.random.default_rng(31)
+        lead = () if batch is None else (batch,)
+        pos = rng.uniform(10.0, 30.0, lead + (4, 3))
+        w = np.swapaxes(_random_complex(rng, lead + (4, 4)), -1, -2)
+        inputs = (pos,) if kind == "policy" else (pos, w)
+        forward = {"policy": policy_forward, "proj": proj_forward,
+                   "value": value_forward}[kind]
+        out, cache = forward(model, *inputs)
+        ref, ref_cache = pair_forward(model, *inputs)
+        assert np.array_equal(out, ref[0] if batch is None else ref)
+        if kind == "proj":
+            upstream = rng.standard_normal(lead + (4,))
+            grads, g_in = proj_backward(model, cache, upstream)
+            ref_grads, re, im = pair_backward(model, ref_cache, upstream)
+        else:
+            upstream = _random_complex(rng, lead + (4, 4))
+            ref_grads, re, im = pair_backward(model, ref_cache, upstream.real,
+                                              upstream.imag)
+            if kind == "policy":
+                grads, g_in = policy_backward(model, cache, upstream), None
+            else:
+                grads, g_in = value_backward(model, cache, upstream)
+        _assert_trees_equal(grads, ref_grads)
+        if g_in is not None:
+            assert np.array_equal(g_in.real, re) and np.array_equal(g_in.imag, im)
 
 
 def _assert_fd_matches(model, loss, grads, probes, seed, tol=1e-5):
@@ -1020,10 +1155,11 @@ def _assert_fd_matches(model, loss, grads, probes, seed, tol=1e-5):
     assert worst <= tol, f"max relative gradient error {worst:.2e}"
 
 
-def _assert_input_fd_matches(loss, a, g_re, g_im, seed, tol=1e-5):
+def _assert_input_fd_matches(loss, a, g, seed, tol=1e-5):
     # entries far below the gradient scale are roundoff-dominated in the
     # difference quotient, so the denominator is floored at a fraction of it
     rng = np.random.default_rng(seed)
+    g_re, g_im = g.real, g.imag
     gscale = max(np.abs(g_re).max(), np.abs(g_im).max())
     worst = 0.0
     for _ in range(40):

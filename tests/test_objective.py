@@ -132,7 +132,7 @@ class TestStackedForms:
         rng = np.random.default_rng(0)
         g = random_weights(rng, 4)[None] * rng.uniform(0.1, 3.0, (6, 1, 1))
         ap, nv = np.full(4, 1.5), np.full(4, 0.25)
-        loss, _, _ = policy_loss_grad(g, ap, nv)
+        loss, _ = policy_loss_grad(g, ap, nv)
         assert loss == pytest.approx(
             -np.mean(sum_se(sinr_vector(g, ap, nv)).sum_se), rel=1e-14)
 

@@ -7,10 +7,8 @@ import pytest
 import lcapa.training as training
 from lcapa.gnn import (init_params, policy_spec, proj_spec, value_spec,
                        zeros_like_params)
-from lcapa.heads import (GnnModel, policy_backward, policy_forward,
-                         proj_backward, proj_forward, value_backward,
-                         value_forward)
-from lcapa.objective import (policy_loss_grad, project_weights, sinr_vector,
+from lcapa.heads import GnnModel, policy_forward, proj_forward, value_forward
+from lcapa.objective import (project_weights, sinr_vector,
                              sum_se)
 from lcapa.quadrature import (GRAM_CHUNK_ENTRIES, integral_couplings,
                               integral_power)
@@ -29,8 +27,9 @@ from lcapa.training import (
     train_policy,
     train_supervised,
 )
-from oracles import (earlier_format_record, per_scene_pool_and_datasets,
-                     reload_from_earlier_format)
+from oracles import (earlier_format_record, pair_analytic_chain,
+                     pair_supervised_grad, pair_surrogate_chain,
+                     per_scene_pool_and_datasets, reload_from_earlier_format)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -341,7 +340,25 @@ class TestExactPolicySe:
         assert np.allclose(se, ref, rtol=1e-12, atol=0.0)
 
 
+def _assert_same_nonzero_grads(grads, ref_grads):
+    assert any(np.any(a != 0.0) for _, a in grads.iter_arrays())
+    for (name, a), (_, b) in zip(grads.iter_arrays(), ref_grads.iter_arrays(),
+                                 strict=True):
+        assert np.array_equal(a, b), name
+
+
 class TestAnalyticChain:
+    def test_gradients_equal_the_pair_form_oracle(self):
+        pool = ScenePool.generate(3, 4, 3, 64, 1e6)
+        policy = tiny_policy(pool, 5)
+        scene = pool.scenes[0]
+        args = (policy, pool.positions, pool.coupling_grams,
+                scene.user_apertures(), scene.noise_vars(), scene.power_budget)
+        loss, grads = analytic_chain_loss_and_grads(*args)
+        ref_loss, ref_grads = pair_analytic_chain(*args)
+        assert loss == ref_loss
+        _assert_same_nonzero_grads(grads, ref_grads)
+
     def test_finite_difference(self):
         pool = ScenePool.generate(3, 2, 3, 64, 1e6)
         policy = tiny_policy(pool, 5)
@@ -353,26 +370,6 @@ class TestAnalyticChain:
             lambda: analytic_chain_loss_and_grads(policy, *args)[0],
             policy.params, grads, probes=120, seed=6)
         assert worst <= 1e-5, f"max relative gradient error {worst:.2e}"
-
-
-def surrogate_chain_with_every_gradient(policy, proj, value, positions,
-                                        user_apertures, noise_vars,
-                                        power_budget):
-    """surrogate_chain_loss_and_grads with full (``wrt="both"``) backward
-    passes through the frozen surrogates: the oracle for the input-only ones."""
-    a_raw, cache_p = policy_forward(policy, positions)
-    powers, cache_proj = proj_forward(proj, positions, a_raw)
-    total = powers.sum(axis=1)
-    scale = np.sqrt(power_budget / total)
-    couplings, cache_v = value_forward(value, positions,
-                                       a_raw * scale[:, None, None])
-    loss, g_re_c, g_im_c = policy_loss_grad(couplings, user_apertures, noise_vars)
-    _, g_re_bar, g_im_bar = value_backward(value, cache_v, g_re_c, g_im_c)
-    g_re, g_im, dl_dtotal = training._projection_chain_backward(
-        g_re_bar, g_im_bar, a_raw, scale, total)
-    grad_powers = np.repeat(dl_dtotal[:, None], powers.shape[1], axis=1)
-    _, g_re_p, g_im_p = proj_backward(proj, cache_proj, grad_powers)
-    return loss, policy_backward(policy, cache_p, g_re + g_re_p, g_im + g_im_p)
 
 
 class TestSurrogateChain:
@@ -394,13 +391,12 @@ class TestSurrogateChain:
         scene = pool.scenes[0]
         args = (policy, proj, value, pool.positions, scene.user_apertures(),
                 scene.noise_vars(), scene.power_budget)
+        # the oracle composes the chain from (re, im) pairs, with full
+        # (wrt="both") passes through the surrogates
         loss, grads = surrogate_chain_loss_and_grads(*args)
-        ref_loss, ref_grads = surrogate_chain_with_every_gradient(*args)
+        ref_loss, ref_grads = pair_surrogate_chain(*args)
         assert loss == ref_loss
-        assert any(np.any(a != 0.0) for _, a in grads.iter_arrays())
-        for (name, a), (_, b) in zip(grads.iter_arrays(), ref_grads.iter_arrays(),
-                                     strict=True):
-            assert np.array_equal(a, b), name
+        _assert_same_nonzero_grads(grads, ref_grads)
 
 
 class TestTrainSupervised:
@@ -419,6 +415,37 @@ class TestTrainSupervised:
             spec, dataset, hyper, seed=3,
             validation_fraction=self.VALIDATION / self.SAMPLES)
         return dataset, model, report
+
+    @pytest.mark.parametrize("mode", ["proj", "value"])
+    def test_batch_gradients_equal_the_pair_form_oracle(self, mode, monkeypatch):
+        dataset = gen_supervised_dataset(5, self.SAMPLES, 3, 16, mode)
+        hyper = TrainHyper(learning_rate=0.2, batch_size=4, epochs=2,
+                           num_nodes=16, num_train=self.SAMPLES)
+        steps = []
+        step = training.Adam.step
+
+        def spy(opt, grads):
+            steps.append((opt.params.copy(), grads.copy()))
+            step(opt, grads)
+
+        monkeypatch.setattr(training.Adam, "step", spy)
+        spec = self.HEADS[mode][0](hidden=8, layers=2)
+        model, _ = train_supervised(
+            spec, dataset, hyper, seed=3,
+            validation_fraction=self.VALIDATION / self.SAMPLES)
+        # train_supervised shuffles with the stream SeedSequence([seed, 7 + epoch])
+        n_train = self.SAMPLES - self.VALIDATION
+        orders = [np.random.default_rng(np.random.SeedSequence([3, 7 + epoch]))
+                  .permutation(n_train) for epoch in range(hyper.epochs)]
+        batches = [order[lo:lo + hyper.batch_size] for order in orders
+                   for lo in range(0, n_train, hyper.batch_size)]
+        assert len(steps) == len(batches) == 6
+        for (params, grads), idx in zip(steps, batches):
+            net = GnnModel(spec=spec, params=params, norms=model.norms)
+            _, ref = pair_supervised_grad(net, dataset.positions[idx],
+                                          dataset.weights[idx],
+                                          dataset.targets[idx])
+            _assert_same_nonzero_grads(grads, ref)
 
     @pytest.mark.parametrize("mode", ["proj", "value"])
     def test_returns_the_best_validation_snapshot(self, mode):
