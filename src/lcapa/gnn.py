@@ -56,7 +56,8 @@ zeroed through the strided view of the diagonal.
 Three head configurations are provided: ``policy`` (positions -> weight
 matrix), ``proj`` (positions + raw weights -> per-user powers through a
 strictly positive output), and ``value`` (positions + projected weights ->
-coupling matrix).
+coupling matrix).  A :class:`GnnSpec` takes only its kind and hidden widths
+and derives its per-layer widths, whose ends the kind fixes.
 """
 
 from __future__ import annotations
@@ -67,13 +68,12 @@ from typing import ClassVar
 
 import numpy as np
 
-POSITION_SCALE = 30.0     # outer radius of the default user region
-
 LEAKY_SLOPE = 0.2         # the negative-side slope of every hidden activation
 
-# The (vertex, edge) action widths of each kind: a complex entry as an
-# (Re, Im) pair on every vertex and edge, or one power per vertex.
-_ACTION_WIDTHS = {"policy": (2, 2), "proj": (1, 0), "value": (2, 2)}
+# The (vertex, edge) input and action widths of each kind; a complex entry
+# is an (Re, Im) pair, and proj has no edge head.
+_END_WIDTHS = {"policy": ((3, 1), (2, 2)), "proj": ((5, 2), (1, 0)),
+               "value": ((5, 2), (2, 2))}
 
 # Spec keys an earlier checkpoint format wrote for settings now fixed.
 _FIXED_SETTINGS = {"edge_aggregation": False, "hidden_slope": LEAKY_SLOPE}
@@ -83,38 +83,32 @@ _FIXED_SETTINGS = {"edge_aggregation": False, "hidden_slope": LEAKY_SLOPE}
 class GnnSpec:
     """Architecture description of one network instantiation.
 
-    ``vertex_widths`` / ``edge_widths`` list the representation widths per
-    layer (length L >= 2; entry 0 is the feature width, entry L-1 the action
-    width).  The action widths are fixed by kind: 2 and 2 for ``policy``
-    and ``value``, and 1 and 0 (no edge head) for ``proj``.  Every hidden
-    layer applies the leaky ReLU with slope :data:`LEAKY_SLOPE` = 0.2, and
-    the edge update reads only its own edge and its two endpoints.
+    A spec takes its ``kind`` and ``hidden_widths``, plain ints >= 1 that
+    vertices and edges share.  The per-layer ``vertex_widths`` and
+    ``edge_widths`` are derived once: the kind's input widths, the hidden
+    widths, then the kind's action widths (table ``_END_WIDTHS``).  Every
+    hidden layer applies the leaky ReLU with slope :data:`LEAKY_SLOPE` = 0.2,
+    and the edge update reads only its own edge and its two endpoints.
     """
 
     kind: str
-    vertex_widths: tuple[int, ...]
-    edge_widths: tuple[int, ...]
+    hidden_widths: tuple[int, ...]
+    vertex_widths: tuple[int, ...] = field(init=False)
+    edge_widths: tuple[int, ...] = field(init=False)
     # no edge update aggregates other edges; perfbench's flop model reads it
     edge_aggregation: ClassVar[bool] = False
 
     def __post_init__(self):
-        if self.kind not in _ACTION_WIDTHS:
+        if self.kind not in _END_WIDTHS:
             raise ValueError(f"unknown network kind {self.kind!r}")
-        if len(self.vertex_widths) < 2:
-            raise ValueError("need at least input and output layers")
-        if len(self.edge_widths) != len(self.vertex_widths):
-            raise ValueError("vertex and edge width lists must align")
-        for w in (*self.vertex_widths, *self.edge_widths):
-            if type(w) is not int:
-                raise ValueError(f"widths must be integers, got {w!r}")
-        if any(w < 1 for w in self.vertex_widths):
-            raise ValueError("vertex widths must be >= 1")
-        if any(w < 1 for w in self.edge_widths[:-1]):
-            raise ValueError("edge widths must be >= 1")
-        actions = (self.vertex_widths[-1], self.edge_widths[-1])
-        if actions != _ACTION_WIDTHS[self.kind]:
-            raise ValueError(f"a {self.kind} network has action widths "
-                             f"{_ACTION_WIDTHS[self.kind]}, got {actions}")
+        hidden = tuple(self.hidden_widths)
+        for w in hidden:
+            if type(w) is not int or w < 1:
+                raise ValueError(f"hidden widths must be integers >= 1, got {w!r}")
+        (v_in, e_in), (v_out, e_out) = _END_WIDTHS[self.kind]
+        object.__setattr__(self, "hidden_widths", hidden)
+        object.__setattr__(self, "vertex_widths", (v_in,) + hidden + (v_out,))
+        object.__setattr__(self, "edge_widths", (e_in,) + hidden + (e_out,))
 
     @property
     def transitions(self) -> int:
@@ -131,14 +125,25 @@ class GnnSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GnnSpec":
+        """The spec of a :meth:`to_dict` record; ``ValueError`` unless its
+        widths are ints, shared hidden widths between the kind's ends."""
         for key, fixed in _FIXED_SETTINGS.items():
             value = data.get(key, fixed)
             if type(value) is not type(fixed) or value != fixed:
                 raise ValueError(f"spec {key} must be {fixed!r} (the one "
                                  f"architecture), got {value!r}")
-        return cls(kind=data["kind"],
-                   vertex_widths=tuple(data["vertex_widths"]),
-                   edge_widths=tuple(data["edge_widths"]))
+        vertex, edge = list(data["vertex_widths"]), list(data["edge_widths"])
+        got = f"got vertex widths {vertex}, edge widths {edge}"
+        if any(type(w) is not int for w in vertex + edge):
+            raise ValueError(f"widths must be integers, {got}")
+        if vertex[1:-1] != edge[1:-1]:
+            raise ValueError(f"vertex and edge hidden widths differ, {got}")
+        spec = cls(data["kind"], tuple(vertex[1:-1]))
+        if (vertex, edge) != (list(spec.vertex_widths), list(spec.edge_widths)):
+            inputs, actions = _END_WIDTHS[spec.kind]
+            raise ValueError(f"a {spec.kind} network has input widths {inputs} "
+                             f"and action widths {actions}, {got}")
+        return spec
 
 
 def _hidden_widths(hidden: int, layers: int) -> tuple[int, ...]:
@@ -151,23 +156,17 @@ def _hidden_widths(hidden: int, layers: int) -> tuple[int, ...]:
 
 def policy_spec(hidden: int = 64, layers: int = 4) -> GnnSpec:
     """Positions in, complex weight matrix out (edges start as a zero feature)."""
-    widths = _hidden_widths(hidden, layers)
-    return GnnSpec(kind="policy", vertex_widths=(3,) + widths + (2,),
-                   edge_widths=(1,) + widths + (2,))
+    return GnnSpec("policy", _hidden_widths(hidden, layers))
 
 
 def proj_spec(hidden: int = 64, layers: int = 4) -> GnnSpec:
     """Positions + raw weights in, strictly positive per-user powers out."""
-    widths = _hidden_widths(hidden, layers)
-    return GnnSpec(kind="proj", vertex_widths=(5,) + widths + (1,),
-                   edge_widths=(2,) + widths + (0,))
+    return GnnSpec("proj", _hidden_widths(hidden, layers))
 
 
 def value_spec(hidden: int = 64, layers: int = 4) -> GnnSpec:
     """Positions + projected weights in, complex coupling matrix out."""
-    widths = _hidden_widths(hidden, layers)
-    return GnnSpec(kind="value", vertex_widths=(5,) + widths + (2,),
-                   edge_widths=(2,) + widths + (2,))
+    return GnnSpec("value", _hidden_widths(hidden, layers))
 
 
 @dataclass(frozen=True)
@@ -335,9 +334,9 @@ class GnnCache:
 
     Per layer t: the message input ``messages[t]``, the (N, K, 2 dv + 2 de)
     matrix X = [d, sum_{i != k} d_i, sum_i e_ik, sum_i e_ki] that the vertex
-    block multiplies, the vertex input ``d_inputs[t]`` (a view of its first
-    column block; for t > 0 the activation of layer t - 1) and the edge
-    input ``e_inputs[t]``.  No hidden pre-activation is kept: the
+    block multiplies, and the edge input ``e_inputs[t]``.  The vertex input
+    is X's first column block (for t > 0 the activation of layer t - 1),
+    which :attr:`d_inputs` lists.  No hidden pre-activation is kept: the
     backward pass reads the leaky-ReLU derivative off the activation, which
     is the next layer's input.  ``zv_out`` is the output layer's vertex
     pre-activation, which is the vertex output itself unless the head is
@@ -347,9 +346,13 @@ class GnnCache:
     spec: GnnSpec
     params: GnnParams
     messages: list[np.ndarray]
-    d_inputs: list[np.ndarray]
     e_inputs: list[np.ndarray]
     zv_out: np.ndarray | None = None
+
+    @property
+    def d_inputs(self) -> list[np.ndarray]:
+        """Each layer's vertex input, the view ``messages[t][..., :dv]``."""
+        return [x[..., :dv] for x, dv in zip(self.messages, self.spec.vertex_widths)]
 
 
 def _diagonal(x: np.ndarray) -> np.ndarray:
@@ -395,8 +398,7 @@ def gnn_forward(spec: GnnSpec, params: GnnParams, d0: np.ndarray,
 
     dvs, des = spec.vertex_widths, spec.edge_widths
     d, e = d0, _zero_diagonal(e0.copy())
-    cache = GnnCache(spec=spec, params=params, messages=[], d_inputs=[],
-                     e_inputs=[])
+    cache = GnnCache(spec=spec, params=params, messages=[], e_inputs=[])
     for t, (lp, (w_v, u_ends)) in enumerate(zip(params.layers, params.blocks)):
         last = t == spec.transitions - 1
         dv, de = dvs[t], des[t]
@@ -409,7 +411,6 @@ def gnn_forward(spec: GnnSpec, params: GnnParams, d0: np.ndarray,
         np.add.reduce(e, 1, out=x[..., 2 * dv:2 * dv + de])   # sum_i e[i, k]
         np.add.reduce(e, 2, out=x[..., 2 * dv + de:])         # sum_i e[k, i]
         cache.messages.append(x)
-        cache.d_inputs.append(x[..., :dv])
         cache.e_inputs.append(e)
 
         zv = x @ w_v.T
@@ -506,11 +507,11 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
         last = t == spec.transitions - 1
         dv, de = dvs[t], des[t]
 
-        d_in = cache.d_inputs[t]
+        d_in = cache.messages[t][..., :dv]
         e_in = cache.e_inputs[t]
 
         if not last:
-            gzv = _dleaky(cache.d_inputs[t + 1])
+            gzv = _dleaky(cache.messages[t + 1][..., :dvs[t + 1]])
             gzv *= gd
         elif spec.vertex_head_activation == "softplus":
             gzv = _dsoftplus(cache.zv_out)

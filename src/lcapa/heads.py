@@ -23,12 +23,11 @@ chain exactly through feature packing and scaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gnn import (POSITION_SCALE, GnnParams, GnnSpec, _diagonal, gnn_backward,
-                  gnn_forward)
+from .gnn import GnnParams, GnnSpec, _diagonal, gnn_backward, gnn_forward
 
 
 # The normalization constants each head kind reads.
@@ -39,14 +38,28 @@ HEAD_NORMS = {"policy": ("pos_scale", "out_scale"),
 
 @dataclass
 class GnnModel:
-    """A network instantiation: architecture, parameters, normalization."""
+    """A network instantiation: architecture, parameters, normalization.
+
+    ``norms`` must name every constant of ``HEAD_NORMS[spec.kind]``, each a
+    positive, finite number and not a bool; else ``ValueError``.
+    """
 
     spec: GnnSpec
     params: GnnParams
-    norms: dict = field(default_factory=dict)
+    norms: dict
 
-    def norm(self, name: str, default: float = 1.0) -> float:
-        return float(self.norms.get(name, default))
+    def __post_init__(self):
+        for name in HEAD_NORMS[self.spec.kind]:
+            if name not in self.norms:
+                raise ValueError(f"missing norm {name}")
+        for name, value in self.norms.items():
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not 0.0 < value < np.inf):
+                raise ValueError(f"norm {name} must be positive and finite, "
+                                 f"got {value!r}")
+
+    def norm(self, name: str) -> float:
+        return float(self.norms[name])
 
 
 def _as_batched_positions(positions: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -112,7 +125,7 @@ def policy_forward(model: GnnModel, positions: np.ndarray):
     """
     pos, squeeze = _as_batched_positions(positions)
     n, k = pos.shape[:2]
-    d0 = pos / model.norm("pos_scale", POSITION_SCALE)
+    d0 = pos / model.norm("pos_scale")
     e0 = np.zeros((n, k, k, model.spec.edge_widths[0]))
     d_out, e_out, cache = gnn_forward(model.spec, model.params, d0, e0)
     weights = _unpack_complex(d_out, e_out, model.norm("out_scale"))
@@ -132,7 +145,7 @@ def proj_forward(model: GnnModel, positions: np.ndarray, weights: np.ndarray):
     pos, squeeze = _as_batched_positions(positions)
     w = _as_batched_matrix(weights)
     d0, e0 = _pack_weight_features(w, model.norm("a_scale"),
-                                   pos, model.norm("pos_scale", POSITION_SCALE))
+                                   pos, model.norm("pos_scale"))
     d_out, _, cache = gnn_forward(model.spec, model.params, d0, e0)
     powers = d_out[:, :, 0] * model.norm("out_scale")
     return (powers[0] if squeeze else powers), cache
@@ -168,7 +181,7 @@ def value_forward(model: GnnModel, positions: np.ndarray, weights: np.ndarray):
     pos, squeeze = _as_batched_positions(positions)
     w = _as_batched_matrix(weights)
     d0, e0 = _pack_weight_features(w, model.norm("a_scale"),
-                                   pos, model.norm("pos_scale", POSITION_SCALE))
+                                   pos, model.norm("pos_scale"))
     d_out, e_out, cache = gnn_forward(model.spec, model.params, d0, e0)
     couplings = _unpack_complex(d_out, e_out, model.norm("out_scale"))
     return (couplings[0] if squeeze else couplings), cache

@@ -6,7 +6,9 @@ factorize once per scene into the K x K coupling Gram, and any candidate
 weight matrix is then evaluated with small matrix products.  (The tests
 check this route against a pointwise oracle that rebuilds the current
 distribution sample by sample on the grid.)  All reductions use numpy's
-deterministic pairwise summation over fixed index order.
+deterministic pairwise summation over fixed index order.  A grid,
+:class:`ApertureGrid`, takes only the aperture and its (nx, nz) cell counts
+and derives its nodes and cell area from them.
 
 Stacks: :func:`gram_pair`, :func:`integral_power` and
 :func:`integral_couplings` broadcast over leading axes, (..., K, M)
@@ -35,7 +37,7 @@ Reproducibility promise:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -56,24 +58,33 @@ GRAM_CHUNK_ENTRIES = 1 << 13
 
 @dataclass(frozen=True)
 class ApertureGrid:
-    """Uniform midpoint partition of the aperture rectangle.
+    """Uniform midpoint partition of the aperture rectangle into nx-by-nz cells.
 
-    ``nodes`` is (M, 3) with the centers of an nx-by-nz cell partition and
-    ``cell_area`` is the common cell area, so sum(cell_area) == aperture area.
+    Derived once from the inputs (nx, nz >= 1): ``nodes``, the read-only
+    (M, 3) cell centers, and ``cell_area``, the common area aperture.area / M.
     """
 
-    nodes: np.ndarray
-    cell_area: float
+    aperture: ApertureSpec
     nx: int
     nz: int
-    aperture: ApertureSpec
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    cell_area: float = field(init=False)
 
     def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=float)
+        nx, nz, ap = self.nx, self.nz, self.aperture
+        if not (nx >= 1 and nz >= 1):
+            raise ValueError(f"grid needs nx, nz >= 1, got {(nx, nz)}")
+        u, w = ap.in_plane_axes()
+        center = np.asarray(ap.center, dtype=float)
+        xs = (np.arange(nx) + 0.5) / nx - 0.5
+        zs = (np.arange(nz) + 0.5) / nz - 0.5
+        xg, zg = np.meshgrid(xs * ap.side_x, zs * ap.side_z, indexing="ij")
+        nodes = (center[None, :]
+                 + xg.reshape(-1, 1) * u[None, :]
+                 + zg.reshape(-1, 1) * w[None, :])
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
-        if abs(self.num_nodes * self.cell_area - self.aperture.area) > 1e-9:
-            raise ValueError("cell areas do not partition the aperture")
+        object.__setattr__(self, "cell_area", ap.area / (nx * nz))
 
     @property
     def num_nodes(self) -> int:
@@ -123,7 +134,6 @@ class GramPair:
     """
 
     coupling: np.ndarray
-    cell_area: float
 
     def __post_init__(self):
         m = np.array(self.coupling)
@@ -169,19 +179,7 @@ def _midpoint_grid(center: tuple[float, float, float],
                    normal: tuple[float, float, float],
                    side_x: float, side_z: float, nx: int, nz: int) -> ApertureGrid:
     """The nx-by-nz midpoint grid, keyed on hashable floats (a spec may hold lists)."""
-    aperture = ApertureSpec(center=center, normal=normal, side_x=side_x,
-                            side_z=side_z)
-    u, w = aperture.in_plane_axes()
-    center = np.asarray(aperture.center, dtype=float)
-    xs = (np.arange(nx) + 0.5) / nx - 0.5
-    zs = (np.arange(nz) + 0.5) / nz - 0.5
-    xg, zg = np.meshgrid(xs * aperture.side_x, zs * aperture.side_z, indexing="ij")
-    nodes = (center[None, :]
-             + xg.reshape(-1, 1) * u[None, :]
-             + zg.reshape(-1, 1) * w[None, :])
-    delta = aperture.area / (nx * nz)
-    return ApertureGrid(nodes=nodes, cell_area=delta, nx=nx, nz=nz,
-                        aperture=aperture)
+    return ApertureGrid(ApertureSpec(center, normal, side_x, side_z), nx, nz)
 
 
 def channel_matrix(scene: Scene, grid: ApertureGrid) -> ChannelMatrix:
@@ -239,8 +237,7 @@ def gram_pair(h: np.ndarray, cell_area: float) -> GramPair:
     summation order.  A (..., K, M) stack of channels gives the (..., K, K)
     stack of Grams, each bit-identical to the Gram of its own slice.
     """
-    return GramPair(coupling=_gram(np.asarray(h), cell_area),
-                    cell_area=cell_area)
+    return GramPair(coupling=_gram(np.asarray(h), cell_area))
 
 
 def coupling_grams(positions: np.ndarray, grid: ApertureGrid,

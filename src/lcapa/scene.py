@@ -2,9 +2,10 @@
 
 A :class:`Scene` bundles everything a single problem instance needs: the
 transmit aperture, physical constants, user positions, the shared user
-aperture size, the noise variance, and the power budget.  All functions here
-are pure and operate on immutable inputs, so they are safe to call from any
-number of workers.
+aperture size, the SNR knob zeta, and the power budget.  Records take only
+their inputs and derive the wavenumber and the noise variance from them.
+All functions here are pure and operate on immutable inputs, so they are
+safe to call from any number of workers.
 
 Sampling contract of :func:`sample_scene`: one generator,
 ``numpy.random.default_rng(seed)``, supplies every draw.  Its stream is read
@@ -30,8 +31,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,29 +59,22 @@ def _require_positive(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Wavelength, wavenumber, and free-space impedance.
+    """Wavelength and free-space impedance, and the wavenumber they fix.
 
-    The wavenumber is derived from the wavelength; construction verifies
-    ``k0 * wavelength == 2*pi`` to 1e-9.  All three must be positive and
-    finite.
+    ``wavenumber`` is derived once, as k0 = 2 pi / wavelength.  All three
+    must be positive and finite (a subnormal wavelength overflows k0).
     """
 
-    wavelength: float
-    wavenumber: float
+    wavelength: float = DEFAULT_WAVELENGTH
     impedance: float = FREE_SPACE_IMPEDANCE
+    wavenumber: float = field(init=False)
 
     def __post_init__(self):
         _require_positive("wavelength", self.wavelength)
-        _require_positive("wavenumber", self.wavenumber)
         _require_positive("impedance", self.impedance)
-        if abs(self.wavenumber * self.wavelength - 2.0 * np.pi) > 1e-9:
-            raise ValueError("wavenumber is inconsistent with wavelength")
-
-    @classmethod
-    def from_wavelength(cls, wavelength: float = DEFAULT_WAVELENGTH,
-                        impedance: float = FREE_SPACE_IMPEDANCE) -> "PhysicalConstants":
-        return cls(wavelength=wavelength, wavenumber=2.0 * np.pi / wavelength,
-                   impedance=impedance)
+        wavenumber = 2.0 * np.pi / self.wavelength
+        _require_positive("wavenumber", wavenumber)
+        object.__setattr__(self, "wavenumber", wavenumber)
 
 
 @dataclass(frozen=True)
@@ -163,10 +156,8 @@ class Region:
 _DEFAULT_REGION = Region()
 
 
-@functools.lru_cache(maxsize=16)
-def _constants_for(wavelength: float) -> PhysicalConstants:
-    """One shared :class:`PhysicalConstants` per wavelength; it is immutable."""
-    return PhysicalConstants.from_wavelength(wavelength)
+# One shared PhysicalConstants per wavelength; it is immutable.
+_constants_for = functools.lru_cache(maxsize=16)(PhysicalConstants)
 
 
 @dataclass(frozen=True)
@@ -174,21 +165,22 @@ class Scene:
     """One problem instance.
 
     ``positions`` is a (K, 3) array of user aperture centers in meters;
-    ``user_aperture`` is the shared user aperture size |A_k| in m^2;
-    ``noise_variance`` is the shared sigma_0^2 in watts, tied to ``snr_zeta``
-    by sigma_0^2 = |A_k| k0^2 eta^2 / (4 pi zeta).  Positions must be finite;
-    the aperture size, noise, power budget and zeta positive and finite.
+    ``user_aperture`` is the shared user aperture size |A_k| in m^2.  The
+    shared noise variance sigma_0^2 in watts, ``noise_var``, is derived once
+    from ``snr_zeta``: sigma_0^2 = |A_k| k0^2 eta^2 / (4 pi zeta)
+    (:func:`noise_variance`).  Positions must be finite; the aperture size,
+    power budget, zeta and the noise variance positive and finite.
     """
 
     aperture: ApertureSpec
     constants: PhysicalConstants
     positions: np.ndarray
     user_aperture: float
-    noise_var: float
     power_budget: float
     snr_zeta: float
     generator: str = "explicit"
     seed: int | None = None
+    noise_var: float = field(init=False)
 
     def __post_init__(self):
         pos = np.array(self.positions, dtype=float)
@@ -196,13 +188,11 @@ class Scene:
             raise ValueError("positions must be a (K, 3) array with K >= 1")
         if not np.isfinite(pos).all():
             raise ValueError("positions must be finite")
-        _require_positive("noise_var", self.noise_var)
         _require_positive("power_budget", self.power_budget)
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
-        expected = noise_variance(self.snr_zeta, self.constants, self.user_aperture)
-        if abs(self.noise_var - expected) > 1e-9 * expected:
-            raise ValueError("noise_var is inconsistent with snr_zeta")
+        object.__setattr__(self, "noise_var", noise_variance(
+            self.snr_zeta, self.constants, self.user_aperture))
         normal = np.asarray(self.aperture.normal, dtype=float)
         center = np.asarray(self.aperture.center, dtype=float)
         heights = (pos - center) @ normal
@@ -222,18 +212,15 @@ class Scene:
         return np.full(self.num_users, self.user_aperture)
 
     def with_positions(self, positions: np.ndarray) -> "Scene":
-        return Scene(aperture=self.aperture, constants=self.constants,
-                     positions=np.array(positions, dtype=float),
-                     user_aperture=self.user_aperture, noise_var=self.noise_var,
-                     power_budget=self.power_budget, snr_zeta=self.snr_zeta,
-                     generator=self.generator, seed=self.seed)
+        return replace(self, positions=np.array(positions, dtype=float))
 
     # -- serialization ------------------------------------------------------
     def to_json(self) -> str:
         """JSON record of the scene; :meth:`from_json` restores it exactly.
 
         Every float is written with enough digits to round-trip, so a rebuilt
-        scene samples bit-identical channels.
+        scene samples bit-identical channels.  The record also carries the
+        derived wavenumber and noise variance, for its readers.
         """
         rec = {
             "record": "scene",
@@ -260,24 +247,32 @@ class Scene:
 
     @classmethod
     def from_json(cls, text: str) -> "Scene":
+        """The scene of a :meth:`to_json` record, rebuilt from its inputs;
+        ``ValueError`` unless the record's wavenumber and noise variance are
+        the derived ones to 1e-9, relative."""
         rec = json.loads(text)
         if rec.get("record") != "scene":
             raise ValueError("not a scene record")
         constants = PhysicalConstants(
             wavelength=float(rec["constants"]["wavelength"]),
-            wavenumber=float(rec["constants"]["wavenumber"]),
             impedance=float(rec["constants"]["impedance"]))
         ap = rec["aperture"]
         aperture = ApertureSpec(center=tuple(ap["center"]), normal=tuple(ap["normal"]),
                                 side_x=ap["side_x"], side_z=ap["side_z"])
-        return cls(aperture=aperture, constants=constants,
-                   positions=np.array(rec["positions"], dtype=float),
-                   user_aperture=float(rec["user_aperture"]),
-                   noise_var=float(rec["noise_var"]),
-                   power_budget=float(rec["power_budget"]),
-                   snr_zeta=float(rec["snr_zeta"]),
-                   generator=rec.get("generator", "unknown"),
-                   seed=rec.get("seed"))
+        scene = cls(aperture=aperture, constants=constants,
+                    positions=np.array(rec["positions"], dtype=float),
+                    user_aperture=float(rec["user_aperture"]),
+                    power_budget=float(rec["power_budget"]),
+                    snr_zeta=float(rec["snr_zeta"]),
+                    generator=rec.get("generator", "unknown"),
+                    seed=rec.get("seed"))
+        for name, carried, derived in (
+                ("wavenumber", rec["constants"]["wavenumber"], constants.wavenumber),
+                ("noise_var", rec["noise_var"], scene.noise_var)):
+            if not abs(float(carried) - derived) <= 1e-9 * derived:
+                raise ValueError(f"record {name} {carried} is inconsistent with "
+                                 f"the derived {derived!r}")
+        return scene
 
 
 def spherical_to_cartesian(r: float, theta: float, phi: float) -> np.ndarray:
@@ -313,13 +308,15 @@ def noise_variance(zeta: float, constants: PhysicalConstants,
 
     zeta is defined as |A_k| k0^2 eta^2 / (4 pi sigma_0^2), so
     sigma_0^2 = |A_k| k0^2 eta^2 / (4 pi zeta).  Both ``zeta`` and
-    ``user_aperture`` must be positive and finite.
+    ``user_aperture`` must be positive and finite, and so must the result
+    (a subnormal zeta overflows it).
     """
     _require_positive("zeta", zeta)
     _require_positive("user_aperture", user_aperture)
-    k0 = constants.wavenumber
-    eta = constants.impedance
-    return user_aperture * k0 ** 2 * eta ** 2 / (4.0 * np.pi * zeta)
+    noise = (user_aperture * constants.wavenumber ** 2 * constants.impedance ** 2
+             / (4.0 * np.pi * zeta))
+    _require_positive("noise variance", noise)
+    return noise
 
 
 def default_user_aperture(constants: PhysicalConstants) -> float:
@@ -389,10 +386,8 @@ def sample_scene(seed: int, num_users: int,
         placed += hits.size
         misses = int(runs[-1])
 
-    user_ap = default_user_aperture(constants)
     return Scene(aperture=aperture, constants=constants, positions=positions,
-                 user_aperture=user_ap,
-                 noise_var=noise_variance(zeta, constants, user_ap),
+                 user_aperture=default_user_aperture(constants),
                  power_budget=power_budget, snr_zeta=zeta,
                  generator="sample_scene", seed=seed)
 

@@ -22,7 +22,6 @@ on its own.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -30,7 +29,6 @@ import numpy as np
 
 from .gnn import PARAM_NAMES, GnnParams, GnnSpec, init_params, zero_params
 from .heads import (
-    HEAD_NORMS,
     GnnModel,
     policy_backward,
     policy_forward,
@@ -668,12 +666,7 @@ def load_checkpoint(path: str) -> GnnModel:
     norms = rec.get("norms")
     if not isinstance(norms, dict):
         raise CheckpointError("checkpoint norms are not a mapping")
-    for name in HEAD_NORMS[spec.kind]:
-        if name not in norms:
-            raise CheckpointError(f"missing norm {name}")
-    for name, value in norms.items():
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not 0.0 < value < math.inf):
-            raise CheckpointError(f"norm {name} must be positive and finite, "
-                                  f"got {value!r}")
-    return GnnModel(spec=spec, params=params, norms=norms)
+    try:
+        return GnnModel(spec=spec, params=params, norms=norms)
+    except ValueError as exc:
+        raise CheckpointError(str(exc)) from exc

@@ -54,9 +54,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from lcapa.gnn import (PARAM_NAMES, POSITION_SCALE, _dleaky, _dsoftplus,
-                       _leaky, _softplus, _wgrad, gnn_backward, gnn_forward,
-                       zeros_like_params)
+from lcapa.gnn import (PARAM_NAMES, _dleaky, _dsoftplus, _leaky, _softplus,
+                       _wgrad, gnn_backward, gnn_forward, zeros_like_params)
 from lcapa.heads import HEAD_NORMS, GnnModel
 from lcapa.objective import _LN2, _sinr_terms, project_weights, sinr_vector, sum_se
 from lcapa.quadrature import (ApertureGrid, build_grid, channel_matrix,
@@ -653,7 +652,7 @@ def pair_forward(model, positions, weights=None):
     spec = model.spec
     pos = np.asarray(positions, dtype=float)
     pos = pos[None, ...] if pos.ndim == 2 else pos
-    pos_scale = model.norm("pos_scale", POSITION_SCALE)
+    pos_scale = model.norm("pos_scale")
     if spec.kind == "policy":
         n, k = pos.shape[:2]
         d0, e0 = pos / pos_scale, np.zeros((n, k, k, spec.edge_widths[0]))

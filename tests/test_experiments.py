@@ -15,7 +15,7 @@ from lcapa.experiments import (
     train_policy_for,
     train_surrogate,
 )
-from lcapa.gnn import init_params, policy_spec, proj_spec, value_spec
+from lcapa.gnn import init_params, policy_spec, proj_spec, value_spec, zero_params
 from lcapa.heads import GnnModel
 from lcapa.objective import DegenerateProjectionError
 from lcapa.scene import sample_scene
@@ -95,13 +95,14 @@ def test_inference_timing_rejects_a_dead_power_estimate():
                       params=init_params(policy_spec(hidden=8, layers=2), 0),
                       norms={"pos_scale": 30.0, "out_scale": 1e-4})
     dead = GnnModel(spec=proj_spec(hidden=8, layers=2),
-                    params=init_params(proj_spec(hidden=8, layers=2), 1),
-                    norms={"pos_scale": 30.0, "out_scale": 0.0})
+                    params=zero_params(proj_spec(hidden=8, layers=2)),
+                    norms={"pos_scale": 30.0, "a_scale": 1.0, "out_scale": 1.0})
+    dead.params.layers[-1].b_v[...] = -1e4      # softplus(-1e4) is exactly 0
     positions = sample_scene(1, 3).positions
     with pytest.raises(DegenerateProjectionError):
         policy_inference_seconds(policy, dead, positions, 1.0)
-    live = GnnModel(spec=dead.spec, params=dead.params,
-                    norms={"pos_scale": 30.0, "out_scale": 1.0})
+    live = GnnModel(spec=dead.spec, params=init_params(dead.spec, 1),
+                    norms=dead.norms)
     assert policy_inference_seconds(policy, live, positions, 1.0) > 0.0
 
 

@@ -67,17 +67,32 @@ def random_features(rng, spec, n, k):
     return d0, e0
 
 
+def _record(kind, vertex, edge):
+    """A spec record as ``GnnSpec.to_dict`` writes it."""
+    return {"kind": kind, "vertex_widths": list(vertex), "edge_widths": list(edge)}
+
+
 class TestSpec:
     def test_validation(self):
+        with pytest.raises(ValueError, match="unknown network kind"):
+            GnnSpec(kind="nope", hidden_widths=())
+        with pytest.raises(ValueError, match="unknown network kind"):
+            GnnSpec.from_dict(_record("nope", (3, 2), (1, 2)))
         with pytest.raises(ValueError):
-            GnnSpec(kind="nope", vertex_widths=(3, 2), edge_widths=(1, 2))
+            GnnSpec.from_dict(_record("policy", (3,), (1,)))
         with pytest.raises(ValueError):
-            GnnSpec(kind="policy", vertex_widths=(3,), edge_widths=(1,))
-        with pytest.raises(ValueError):
-            GnnSpec(kind="policy", vertex_widths=(3, 2), edge_widths=(1, 2, 2))
-        # the widths are the whole architecture
+            GnnSpec.from_dict(_record("policy", (3, 2), (1, 2, 2)))
+        with pytest.raises(ValueError, match="integers >= 1"):
+            GnnSpec("policy", (8, 0))
+        # the kind and the hidden widths are the whole architecture; the
+        # per-layer widths are derived from them
         assert [f.name for f in fields(GnnSpec)] == [
-            "kind", "vertex_widths", "edge_widths"]
+            "kind", "hidden_widths", "vertex_widths", "edge_widths"]
+        assert [f.name for f in fields(GnnSpec) if f.init] == [
+            "kind", "hidden_widths"]
+        spec = GnnSpec("proj", [16, 8])
+        assert spec.hidden_widths == (16, 8)
+        assert (spec.vertex_widths, spec.edge_widths) == ((5, 16, 8, 1), (2, 16, 8, 0))
 
     @pytest.mark.parametrize("width", [8.0, 8.5, True, "8"],
                              ids=["integral-float", "float", "bool", "string"])
@@ -85,9 +100,11 @@ class TestSpec:
         # 8.0 and True used to build a spec that init_params or the first
         # forward pass failed on with TypeError
         with pytest.raises(ValueError, match="widths must be integers"):
-            GnnSpec("policy", (3, width, 2), (1, 8, 2))
+            GnnSpec("policy", (width,))
         with pytest.raises(ValueError, match="widths must be integers"):
-            GnnSpec("policy", (3, 8, 2), (1, width, 2))
+            GnnSpec.from_dict(_record("policy", (3, width, 2), (1, 8, 2)))
+        with pytest.raises(ValueError, match="widths must be integers"):
+            GnnSpec.from_dict(_record("policy", (3, 8, 2), (1, width, 2)))
 
     @pytest.mark.parametrize("kind,vertex,edge", [
         ("policy", 1, 2), ("policy", 3, 2), ("policy", 2, 0),
@@ -97,7 +114,25 @@ class TestSpec:
         # and value, and one power off every proj vertex
         inputs = {"policy": (3, 1), "proj": (5, 2), "value": (5, 2)}[kind]
         with pytest.raises(ValueError, match="action widths"):
-            GnnSpec(kind, (inputs[0], 8, vertex), (inputs[1], 8, edge))
+            GnnSpec.from_dict(_record(kind, (inputs[0], 8, vertex),
+                                      (inputs[1], 8, edge)))
+
+    @pytest.mark.parametrize("kind,vertex,edge", [
+        ("policy", 4, 1), ("policy", 3, 2), ("policy", 5, 2),
+        ("proj", 3, 1), ("proj", 5, 1), ("value", 5, 1), ("value", 4, 2)])
+    def test_input_widths_fixed_by_kind(self, kind, vertex, edge):
+        # a policy record with vertex input width 4 used to load, and failed
+        # only at its first forward pass
+        actions = {"policy": (2, 2), "proj": (1, 0), "value": (2, 2)}[kind]
+        with pytest.raises(ValueError, match="input widths"):
+            GnnSpec.from_dict(_record(kind, (vertex, 8, actions[0]),
+                                      (edge, 8, actions[1])))
+
+    def test_hidden_widths_shared_by_vertices_and_edges(self):
+        with pytest.raises(ValueError, match="hidden widths differ"):
+            GnnSpec.from_dict(_record("policy", (3, 8, 2), (1, 4, 2)))
+        with pytest.raises(ValueError, match="hidden widths differ"):
+            GnnSpec.from_dict(_record("value", (5, 8, 8, 2), (2, 8, 2)))
 
     def test_factories(self):
         assert policy_spec().vertex_widths == (3, 64, 64, 2)
@@ -122,6 +157,22 @@ class TestSpec:
                            ("edge_aggregation", 0), ("hidden_slope", "0.2")):
             with pytest.raises(ValueError, match=key):
                 GnnSpec.from_dict(dict(earlier, **{key: value}))
+
+
+class TestModel:
+    def test_missing_norm_rejected(self):
+        # a policy without norms used to run on pos_scale 30 and out_scale 1
+        s = policy_spec(8, 3)
+        with pytest.raises(ValueError, match="missing norm pos_scale"):
+            GnnModel(s, init_params(s, 0), {})
+        s = value_spec(**SMALL)
+        with pytest.raises(ValueError, match="missing norm a_scale"):
+            GnnModel(s, init_params(s, 0), {"pos_scale": 30.0, "out_scale": 1.0})
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, True, "1.0"])
+    def test_bad_norm_rejected(self, value):
+        with pytest.raises(ValueError, match="norm out_scale must be positive"):
+            small_model("policy", out_scale=value)
 
 
 class TestInit:
@@ -156,10 +207,9 @@ class TestInit:
             assert arr.tobytes() == want.tobytes(), name
 
     def test_fan_in_variance(self):
-        spec = GnnSpec(kind="value", vertex_widths=(64, 256, 2),
-                       edge_widths=(64, 256, 2))
+        spec = GnnSpec(kind="value", hidden_widths=(256, 256))
         params = init_params(spec, 0)
-        w = params.layers[0].w_self
+        w = params.layers[1].w_self
         expected = 1.0 / (3.0 * w.shape[1])
         assert np.var(w) == pytest.approx(expected, rel=0.1)
 
@@ -778,7 +828,7 @@ def _assert_fused_matches_plain(kind, reloaded, n, k):
     _assert_close(d_out, d_ref, f"{case}: vertex output")
     _assert_close(e_out, e_ref, f"{case}: edge output")
     assert {f.name for f in fields(GnnCache)} == {
-        "spec", "params", "messages", "d_inputs", "e_inputs", "zv_out"}
+        "spec", "params", "messages", "e_inputs", "zv_out"}
     for t in range(spec.transitions):
         want = np.concatenate([ref_cache.d_inputs[t], ref_cache.d_others[t],
                                ref_cache.e_col[t], ref_cache.e_row[t]], axis=2)

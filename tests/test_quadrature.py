@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from conftest import (_child_env, all_permutations, cpu_dispatch_targets,
                       cpu_umath, random_weights)
 from lcapa.quadrature import (
     GRAM_CHUNK_ENTRIES,
+    ApertureGrid,
     ChannelMatrix,
     build_grid,
     channel_matrix,
@@ -110,6 +112,25 @@ class TestBuildGrid:
     def test_empty_m_rejected(self, m):
         with pytest.raises(ValueError, match="num_nodes must be >= 1"):
             build_grid(square_aperture(4.0), m)
+
+    @pytest.mark.parametrize("nx,nz", [(-1, -4), (0, 4), (4, 0)])
+    def test_empty_cell_counts_rejected(self, nx, nz):
+        # (-1, -4) used to give a grid of no nodes that reported 4 cells
+        with pytest.raises(ValueError, match="nx, nz >= 1"):
+            build_grid(square_aperture(4.0), nx=nx, nz=nz)
+
+    def test_grid_takes_only_its_inputs(self):
+        # nodes and cell area are derived, so they cannot disagree with the
+        # aperture they partition
+        grid = build_grid(square_aperture(4.0), 16)
+        assert [f.name for f in fields(ApertureGrid) if f.init] == [
+            "aperture", "nx", "nz"]
+        fresh = ApertureGrid(grid.aperture, 4, 4)
+        assert fresh.nodes.tobytes() == grid.nodes.tobytes()
+        assert fresh.cell_area == grid.cell_area == 4.0 / 16
+        assert fresh == grid and not fresh.nodes.flags.writeable
+        with pytest.raises(TypeError, match="cell_area"):
+            ApertureGrid(grid.aperture, 4, 4, cell_area=0.25)
 
     def test_rectangular_ratio(self):
         from lcapa.scene import ApertureSpec

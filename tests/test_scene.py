@@ -1,11 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import cpu_dispatch_targets
 from oracles import plain_los_channels
-from lcapa.quadrature import build_grid
+from lcapa.quadrature import build_grid, channel_matrix
 from lcapa.scene import (
     DEFAULT_WAVELENGTH,
     MAX_DRAWS_PER_USER,
@@ -204,34 +205,34 @@ class TestSphericalToCartesian:
 
 class TestNoiseVariance:
     def test_inversion_identity(self):
-        c = PhysicalConstants.from_wavelength()
+        c = PhysicalConstants()
         ak = default_user_aperture(c)
         zeta_star = ak * c.wavenumber ** 2 * c.impedance ** 2 / (4 * np.pi)
         assert np.isclose(noise_variance(zeta_star, c, ak), 1.0, rtol=1e-12)
 
     def test_frozen_value_at_60db(self):
         # with |A_k| = lambda^2/(4 pi) the formula reduces to eta^2 / (4 zeta)
-        c = PhysicalConstants.from_wavelength(0.0107)
+        c = PhysicalConstants(0.0107)
         ak = c.wavelength ** 2 / (4 * np.pi)
         got = noise_variance(1e6, c, ak)
         assert np.isclose(got, (120 * np.pi) ** 2 / 4e6, rtol=1e-12)
         assert np.isclose(got, 0.03553057584392169, rtol=1e-12)
 
     def test_proportionality(self):
-        c = PhysicalConstants.from_wavelength()
+        c = PhysicalConstants()
         ak = default_user_aperture(c)
         assert np.isclose(noise_variance(2e5, c, ak),
                           noise_variance(1e5, c, ak) / 2, rtol=1e-12)
 
     def test_rejects_nonpositive_zeta(self):
-        c = PhysicalConstants.from_wavelength()
+        c = PhysicalConstants()
         with pytest.raises(ValueError):
             noise_variance(0.0, c, 1e-5)
 
     @pytest.mark.parametrize("zeta,user_aperture", [
         (np.nan, 1e-5), (np.inf, 1e-5), (1e6, np.nan), (1e6, 0.0)])
     def test_rejects_non_finite_inputs(self, zeta, user_aperture):
-        c = PhysicalConstants.from_wavelength()
+        c = PhysicalConstants()
         with pytest.raises(ValueError):
             noise_variance(zeta, c, user_aperture)
 
@@ -263,21 +264,42 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="r_max"):
             Region(r_max=np.inf)
 
-    @pytest.mark.parametrize("field", ["wavelength", "wavenumber", "impedance"])
+    @pytest.mark.parametrize("field", ["wavelength", "impedance"])
     def test_constants_must_be_finite(self, field):
-        kwargs = dict(wavelength=DEFAULT_WAVELENGTH,
-                      wavenumber=2.0 * np.pi / DEFAULT_WAVELENGTH,
-                      impedance=120.0 * np.pi)
+        kwargs = dict(wavelength=DEFAULT_WAVELENGTH, impedance=120.0 * np.pi)
         kwargs[field] = np.inf
         with pytest.raises(ValueError, match=field):
             PhysicalConstants(**kwargs)
 
+    def test_subnormal_wavelength_overflows_the_wavenumber(self):
+        with pytest.raises(ValueError, match="wavenumber"):
+            PhysicalConstants(wavelength=5e-324)
+
+    def test_subnormal_zeta_overflows_the_noise_variance(self):
+        with pytest.raises(ValueError, match="noise variance"):
+            sample_scene(1, 2, zeta=5e-324)
+
+    def test_derived_values_are_not_inputs(self):
+        # a wavenumber or noise variance handed in could disagree with the
+        # inputs that fix it; the records derive them instead
+        with pytest.raises(TypeError, match="wavenumber"):
+            PhysicalConstants(wavelength=DEFAULT_WAVELENGTH, wavenumber=587.0)
+        s = sample_scene(seed=1, num_users=2)
+        with pytest.raises(TypeError, match="noise_var"):
+            Scene(aperture=s.aperture, constants=s.constants, positions=s.positions,
+                  user_aperture=s.user_aperture, noise_var=s.noise_var,
+                  power_budget=1.0, snr_zeta=s.snr_zeta)
+        c = PhysicalConstants()
+        assert c.wavelength == DEFAULT_WAVELENGTH
+        assert c.wavenumber == 2.0 * np.pi / DEFAULT_WAVELENGTH
+        assert s.noise_var == noise_variance(s.snr_zeta, s.constants, s.user_aperture)
+
     def test_scene_rejects_nan_noise_and_positions(self):
         s = sample_scene(seed=1, num_users=2)
-        with pytest.raises(ValueError, match="noise_var"):
+        with pytest.raises(ValueError, match="zeta"):
             Scene(aperture=s.aperture, constants=s.constants, positions=s.positions,
-                  user_aperture=s.user_aperture, noise_var=np.nan,
-                  power_budget=1.0, snr_zeta=s.snr_zeta)
+                  user_aperture=s.user_aperture, power_budget=1.0,
+                  snr_zeta=np.nan)
         bad = s.positions.copy()
         bad[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
@@ -367,13 +389,12 @@ class TestSamplerMatchesPerUserLoop:
 class TestChannelResponse:
     def _broadside_scene(self, d=10.0):
         ap = square_aperture(4.0)
-        c = PhysicalConstants.from_wavelength(0.0107)
+        c = PhysicalConstants(0.0107)
         ak = default_user_aperture(c)
         zeta = 1e6
         return Scene(aperture=ap, constants=c,
                      positions=np.array([[0.0, d, 0.0]]),
-                     user_aperture=ak, noise_var=noise_variance(zeta, c, ak),
-                     power_budget=1.0, snr_zeta=zeta)
+                     user_aperture=ak, power_budget=1.0, snr_zeta=zeta)
 
     def test_broadside_magnitude_and_phase(self):
         scene = self._broadside_scene(10.0)
@@ -418,7 +439,7 @@ class TestChannelResponse:
                 side_x=scene.aperture.side_x, side_z=scene.aperture.side_z),
             constants=scene.constants,
             positions=scene.positions + shift,
-            user_aperture=scene.user_aperture, noise_var=scene.noise_var,
+            user_aperture=scene.user_aperture,
             power_budget=scene.power_budget, snr_zeta=scene.snr_zeta)
         pt = np.array([0.3, 0.0, -0.2])
         h0 = channel_response(scene, 1, pt)
@@ -585,6 +606,32 @@ class TestSceneSerialization:
     def test_rejects_other_records(self):
         with pytest.raises(ValueError):
             Scene.from_json(json.dumps({"record": "something"}))
+
+    # written by to_json when the records also took the wavenumber and noise
+    # variance as inputs
+    RECORD = (Path(__file__).parent / "fixtures"
+              / "scene_seed11_k4_area0.25_zeta1e7.json").read_text()
+
+    def test_earlier_record_round_trips_to_the_same_bytes(self):
+        back = Scene.from_json(self.RECORD)
+        assert back.to_json() == self.RECORD
+        s = sample_scene(seed=11, num_users=4, aperture=square_aperture(0.25),
+                         zeta=1e7, power_budget=2.0)
+        grid = build_grid(back.aperture, 64)
+        assert (channel_matrix(back, grid).h.tobytes()
+                == channel_matrix(s, grid).h.tobytes())
+
+    @pytest.mark.parametrize("key", ["wavenumber", "noise_var"])
+    def test_inconsistent_derived_value_rejected(self, key):
+        rec = json.loads(self.RECORD)
+        holder = rec["constants"] if key == "wavenumber" else rec
+        value = float(holder[key])
+        holder[key] = repr(value * (1.0 + 1e-12))
+        assert Scene.from_json(json.dumps(rec)).to_json() == self.RECORD
+        for bad in (value * (1.0 + 1e-6), value * (1.0 - 1e-6), np.nan):
+            holder[key] = repr(bad)
+            with pytest.raises(ValueError, match=f"{key} .* inconsistent"):
+                Scene.from_json(json.dumps(rec))
 
 
 class TestApertureSpec:

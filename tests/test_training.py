@@ -217,6 +217,15 @@ class TestCheckpoint:
         assert loaded.spec == spec
         assert loaded.params.flat.tobytes() == init_params(spec, 11).flat.tobytes()
 
+    @pytest.mark.parametrize("name,message", [
+        ("policy_checkpoint_input4_h8_l3.json", "input widths"),
+        ("policy_checkpoint_hidden8_edge4_l3.json", "hidden widths differ")])
+    def test_spec_outside_the_kind_rejected(self, name, message):
+        # written by save_checkpoint when a spec took its widths as inputs;
+        # the first used to load and fail only at its first forward pass
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(str(FIXTURES / name))
+
     def test_non_integer_width_rejected(self, tmp_path):
         # a width of 4.0 used to load, and the first forward pass raised
         # TypeError
