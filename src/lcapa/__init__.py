@@ -51,7 +51,6 @@ from .scene import (
     PhysicalConstants,
     Scene,
     SceneGeometryError,
-    Region,
     channel_response,
     noise_variance,
     sample_scene,
@@ -67,7 +66,6 @@ from .quadrature import (
     gram_pair,
     integral_couplings,
     integral_power,
-    quadrature_convergence,
 )
 from .objective import (
     DegenerateProjectionError,
@@ -82,7 +80,6 @@ __all__ = [
     "PhysicalConstants",
     "Scene",
     "SceneGeometryError",
-    "Region",
     "channel_response",
     "noise_variance",
     "sample_scene",
@@ -96,7 +93,6 @@ __all__ = [
     "gram_pair",
     "integral_couplings",
     "integral_power",
-    "quadrature_convergence",
     "DegenerateProjectionError",
     "SeReport",
     "project_weights",

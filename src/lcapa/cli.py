@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from . import __version__, experiments
-from .scene import DEFAULT_WAVELENGTH, FREE_SPACE_IMPEDANCE
+from .scene import (DEFAULT_WAVELENGTH, FREE_SPACE_IMPEDANCE, USER_ANGLE_MAX,
+                    USER_ANGLE_MIN, USER_R_MAX, USER_R_MIN)
 from .training import POLICY_MODES
 from .wmmse import baseline_se
 
@@ -196,7 +197,7 @@ def _cmd_grad_check(args) -> int:
     pos = rng.uniform(10.0, 25.0, (2, 3, 3))
     weights = (rng.standard_normal((2, 3, 3))
                + 1j * rng.standard_normal((2, 3, 3)))
-    norms = {"pos_scale": 30.0, "a_scale": 1.0, "out_scale": 1.0}
+    norms = {"pos_scale": USER_R_MAX, "a_scale": 1.0, "out_scale": 1.0}
     failures = []
 
     def report(name, err):
@@ -239,15 +240,15 @@ def _cmd_grad_check(args) -> int:
     scene = pool.scenes[0]
     p_spec = policy_spec(hidden=args.hidden, layers=3)
     policy = GnnModel(spec=p_spec, params=init_params(p_spec, args.seed + 3),
-                      norms={"pos_scale": 30.0, "a_scale": 2e-4,
+                      norms={"pos_scale": USER_R_MAX, "a_scale": 2e-4,
                              "out_scale": 2e-4})
     pr_spec = proj_spec(hidden=args.hidden, layers=3)
     proj_model = GnnModel(spec=pr_spec, params=init_params(pr_spec, args.seed + 4),
-                          norms={"pos_scale": 30.0, "a_scale": 2e-4,
+                          norms={"pos_scale": USER_R_MAX, "a_scale": 2e-4,
                                  "out_scale": 1.0})
     v_spec = value_spec(hidden=args.hidden, layers=3)
     value_model = GnnModel(spec=v_spec, params=init_params(v_spec, args.seed + 5),
-                           norms={"pos_scale": 30.0, "a_scale": 2e-4,
+                           norms={"pos_scale": USER_R_MAX, "a_scale": 2e-4,
                                   "out_scale": 100.0})
 
     surrogate_args = (policy, proj_model, value_model, pool.positions,
@@ -272,7 +273,9 @@ def _cmd_info(args) -> int:
     print(f"default wavelength: {DEFAULT_WAVELENGTH} m")
     print(f"free-space impedance: 120*pi = {FREE_SPACE_IMPEDANCE:.6f} ohm")
     print("default aperture: 2 m x 2 m square, center (0,0,0), normal [0,1,0]")
-    print("default user region: 20<r<30 m, pi/6<theta<pi/3, pi/6<phi<pi/3")
+    lo, hi = f"pi/{np.pi / USER_ANGLE_MIN:g}", f"pi/{np.pi / USER_ANGLE_MAX:g}"
+    print(f"default user region: {USER_R_MIN:g}<r<{USER_R_MAX:g} m, "
+          f"{lo}<theta<{hi}, {lo}<phi<{hi}")
     print("snr knob: sigma0^2 = |A_k| k0^2 eta^2 / (4 pi zeta)")
     return 0
 

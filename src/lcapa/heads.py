@@ -4,7 +4,8 @@ Maps between domain quantities (positions, complex weight matrices, powers,
 couplings) and the raw real feature/action tensors of :mod:`lcapa.gnn`,
 applying the normalization constants recorded alongside each network:
 
-* ``pos_scale``  -- positions are divided by the region's outer radius;
+* ``pos_scale``  -- positions are divided by the user box's outer radius,
+  :data:`lcapa.scene.USER_R_MAX`;
 * ``a_scale``    -- weight-matrix entries are divided by a dataset-level RMS;
 * ``out_scale``  -- raw head outputs are multiplied back to physical units
   (for the policy head this doubles as the emitted-weight scale, keeping the

@@ -24,8 +24,8 @@ one user at a time.
 Reproducibility promise:
 
 * On one numpy build and CPU, repeated runs are bit-reproducible: the same
-  scene gives bit-identical channels and Grams in one process, in a fresh
-  process, and after a ``Scene.to_json``/``from_json`` round trip.
+  scene gives bit-identical channels and Grams in one process and in a
+  fresh process.
 * Across numpy builds, libm builds or SIMD dispatch targets, the channel
   samples agree entry by entry to |h - h'| <= 8 eps |h'| (eps = 2**-52),
   not bit for bit.  :func:`~lcapa.scene.channel_response` keeps every real
@@ -91,7 +91,7 @@ class ApertureGrid:
         return self.nx * self.nz
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelMatrix:
     """Channel responses sampled at the grid nodes: h[k, m] = H_k(r_m).
 
@@ -99,7 +99,7 @@ class ChannelMatrix:
     an array that is already read-only, C-contiguous and owns its data, as
     :func:`channel_matrix` hands it one; it copies anything else, so an
     array the caller may still write is never frozen.  Non-finite entries
-    raise ``ValueError``.
+    raise ``ValueError``.  Records compare and hash by identity.
     """
 
     h: np.ndarray
@@ -123,7 +123,7 @@ def _require_finite(h: np.ndarray) -> None:
         raise ValueError("channel matrix contains non-finite entries")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramPair:
     """The coupling Gram of the sampled channels on a grid.
 
@@ -131,6 +131,7 @@ class GramPair:
     It is Hermitian positive semidefinite, gives per-user powers through
     p_k = a_k^H C a_k, and gives couplings through G = C A; every downstream
     quantity (powers, couplings, SE, the policy loss) is a function of it.
+    Records compare and hash by identity.
     """
 
     coupling: np.ndarray
@@ -141,34 +142,28 @@ class GramPair:
         object.__setattr__(self, "coupling", m)
 
 
-def build_grid(aperture: ApertureSpec, num_nodes: int | None = None,
-               nx: int | None = None, nz: int | None = None) -> ApertureGrid:
-    """Uniform midpoint grid with M = nx * nz cells.
+def build_grid(aperture: ApertureSpec, num_nodes: int) -> ApertureGrid:
+    """Uniform midpoint grid with M = ``num_nodes`` cells.
 
-    For a square aperture pass ``num_nodes`` as a perfect square; for a
-    rectangular one either pass (nx, nz) explicitly or a ``num_nodes`` that
-    splits in the side ratio.
+    M splits into nx * nz cells in the aperture's side ratio, so for a
+    square aperture it must be a perfect square; a grid of any other cell
+    counts is ``ApertureGrid(aperture, nx, nz)``.
 
     Grids are memoised on the aperture's geometry and (nx, nz): repeated calls
     return one shared, read-only grid.  Its ``aperture`` holds the caller's
     geometry as float tuples.
     """
-    if nx is None or nz is None:
-        if num_nodes is None:
-            raise ValueError("pass either num_nodes or (nx, nz)")
-        if num_nodes < 1:
-            raise ValueError(f"num_nodes must be >= 1, got {num_nodes!r}")
-        ratio = aperture.side_x / aperture.side_z
-        nx_f = np.sqrt(num_nodes * ratio)
-        nx, nz = int(round(nx_f)), int(round(np.sqrt(num_nodes / ratio)))
-        if nx < 1 or nz < 1 or nx * nz != num_nodes:
-            root = int(round(np.sqrt(num_nodes)))
-            hints = sorted({max(1, root - 1) ** 2, root ** 2, (root + 1) ** 2})
-            raise ValueError(
-                f"cannot split M={num_nodes} in the side ratio {ratio:g}; "
-                f"nearest valid values: {hints}")
-    elif num_nodes is not None and num_nodes != nx * nz:
-        raise ValueError("num_nodes inconsistent with nx * nz")
+    if num_nodes < 1:
+        raise ValueError(f"num_nodes must be >= 1, got {num_nodes!r}")
+    ratio = aperture.side_x / aperture.side_z
+    nx = int(round(np.sqrt(num_nodes * ratio)))
+    nz = int(round(np.sqrt(num_nodes / ratio)))
+    if nx < 1 or nz < 1 or nx * nz != num_nodes:
+        root = int(round(np.sqrt(num_nodes)))
+        hints = sorted({max(1, root - 1) ** 2, root ** 2, (root + 1) ** 2})
+        raise ValueError(
+            f"cannot split M={num_nodes} in the side ratio {ratio:g}; "
+            f"nearest valid values: {hints}")
     return _midpoint_grid(tuple(map(float, aperture.center)),
                           tuple(map(float, aperture.normal)),
                           float(aperture.side_x), float(aperture.side_z), nx, nz)
@@ -307,23 +302,3 @@ def integral_couplings(weights: np.ndarray, coupling: np.ndarray) -> np.ndarray:
     Stacks of weights and Grams give the stack of couplings.
     """
     return np.asarray(coupling) @ np.asarray(weights, dtype=complex)
-
-
-def quadrature_convergence(scene: Scene, weights: np.ndarray,
-                           node_counts: list[int]) -> list[dict]:
-    """Per-grid integrals for convergence reporting.
-
-    Returns one row per M with the coupling Gram and the resulting powers and
-    couplings.
-    """
-    rows = []
-    for m in node_counts:
-        grid = build_grid(scene.aperture, m)
-        grams = gram_pair(channel_matrix(scene, grid).h, grid.cell_area)
-        rows.append({
-            "num_nodes": m,
-            "powers": integral_power(weights, grams.coupling),
-            "couplings": integral_couplings(weights, grams.coupling),
-            "coupling_gram": grams.coupling,
-        })
-    return rows

@@ -8,15 +8,14 @@ All functions here are pure and operate on immutable inputs, so they are
 safe to call from any number of workers.
 
 Sampling contract of :func:`sample_scene`: one generator,
-``numpy.random.default_rng(seed)``, supplies every draw.  Its stream is read
-as consecutive (r, theta, phi) triples; a triple is accepted when its point
-lies strictly in front of the aperture plane, and accepted triples become
-users 0, 1, ... in stream order.  Users are drawn in batches, but the stream
-is consumed in exactly this order, so the positions are bit-identical to
-placing one user at a time.  A user that sees ``MAX_DRAWS_PER_USER`` (1000)
-consecutive rejected triples raises :class:`SceneGeometryError` naming that
-user.  Scene inputs that are not finite, or not positive where they must be,
-raise ``ValueError``.
+``numpy.random.default_rng(seed)``, supplies every draw, as one
+``rng.uniform(low, high, size=(K, 3))`` call in the fixed (r, theta, phi)
+box of the module constants; row k is user k.  A user that lands not
+strictly in front of the aperture raises :class:`SceneGeometryError` naming
+the first such user; nothing is re-drawn.  No aperture facing +y from the
+origin can see this, as y >= 20 sin^2(pi/6) = 5 m in the box.  Scene inputs
+that are not finite, or not positive where they must be, raise
+``ValueError``.
 
 Channel contract: :func:`los_channels` holds the one body of the channel
 arithmetic and maps (..., 3) user positions to (..., P) channels at P
@@ -29,7 +28,6 @@ thin call into it.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -38,13 +36,17 @@ import numpy as np
 FREE_SPACE_IMPEDANCE = 120.0 * np.pi
 
 # Simulation defaults: 2 m x 2 m aperture in the x-z plane, normal +y,
-# wavelength 1.07 cm, users in a 20-30 m spherical-coordinate box.
+# wavelength 1.07 cm.
 DEFAULT_WAVELENGTH = 0.0107
 DEFAULT_APERTURE_AREA = 4.0
 DEFAULT_NORMAL = (0.0, 1.0, 0.0)
 
-# Consecutive rejected draws after which sample_scene gives up on a user.
-MAX_DRAWS_PER_USER = 1000
+# The user box of sample_scene: radius in m, and the polar and azimuth
+# angles, which share one range.
+USER_R_MIN, USER_R_MAX = 20.0, 30.0
+USER_ANGLE_MIN, USER_ANGLE_MAX = np.pi / 6, np.pi / 3
+_BOX_LOW = (USER_R_MIN, USER_ANGLE_MIN, USER_ANGLE_MIN)
+_BOX_HIGH = (USER_R_MAX, USER_ANGLE_MAX, USER_ANGLE_MAX)
 
 
 class SceneGeometryError(ValueError):
@@ -130,37 +132,11 @@ def square_aperture(area: float = DEFAULT_APERTURE_AREA,
                         side_x=side, side_z=side)
 
 
-@dataclass(frozen=True)
-class Region:
-    """Spherical-coordinate sampling box for user positions.
-
-    Every bound is finite, so a uniform draw in the box is finite too.
-    """
-
-    r_min: float = 20.0
-    r_max: float = 30.0
-    theta_min: float = np.pi / 6
-    theta_max: float = np.pi / 3
-    phi_min: float = np.pi / 6
-    phi_max: float = np.pi / 3
-
-    def __post_init__(self):
-        if not (0.0 < self.r_min < self.r_max < math.inf):
-            raise ValueError("require 0 < r_min < r_max < inf")
-        if not (0.0 <= self.theta_min < self.theta_max <= np.pi):
-            raise ValueError("theta bounds must satisfy 0 <= min < max <= pi")
-        if not (0.0 <= self.phi_min < self.phi_max < 2.0 * np.pi):
-            raise ValueError("phi bounds must satisfy 0 <= min < max < 2*pi")
-
-
-_DEFAULT_REGION = Region()
-
-
 # One shared PhysicalConstants per wavelength; it is immutable.
 _constants_for = functools.lru_cache(maxsize=16)(PhysicalConstants)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scene:
     """One problem instance.
 
@@ -169,7 +145,8 @@ class Scene:
     shared noise variance sigma_0^2 in watts, ``noise_var``, is derived once
     from ``snr_zeta``: sigma_0^2 = |A_k| k0^2 eta^2 / (4 pi zeta)
     (:func:`noise_variance`).  Positions must be finite; the aperture size,
-    power budget, zeta and the noise variance positive and finite.
+    power budget, zeta and the noise variance positive and finite.  Scenes
+    compare and hash by identity.
     """
 
     aperture: ApertureSpec
@@ -178,8 +155,6 @@ class Scene:
     user_aperture: float
     power_budget: float
     snr_zeta: float
-    generator: str = "explicit"
-    seed: int | None = None
     noise_var: float = field(init=False)
 
     def __post_init__(self):
@@ -213,66 +188,6 @@ class Scene:
 
     def with_positions(self, positions: np.ndarray) -> "Scene":
         return replace(self, positions=np.array(positions, dtype=float))
-
-    # -- serialization ------------------------------------------------------
-    def to_json(self) -> str:
-        """JSON record of the scene; :meth:`from_json` restores it exactly.
-
-        Every float is written with enough digits to round-trip, so a rebuilt
-        scene samples bit-identical channels.  The record also carries the
-        derived wavenumber and noise variance, for its readers.
-        """
-        rec = {
-            "record": "scene",
-            "constants": {
-                "wavelength": repr(self.constants.wavelength),
-                "wavenumber": repr(self.constants.wavenumber),
-                "impedance": repr(self.constants.impedance),
-            },
-            "aperture": {
-                "center": list(self.aperture.center),
-                "normal": list(self.aperture.normal),
-                "side_x": self.aperture.side_x,
-                "side_z": self.aperture.side_z,
-            },
-            "positions": self.positions.tolist(),
-            "user_aperture": repr(self.user_aperture),
-            "noise_var": repr(self.noise_var),
-            "power_budget": self.power_budget,
-            "snr_zeta": self.snr_zeta,
-            "generator": self.generator,
-            "seed": self.seed,
-        }
-        return json.dumps(rec, indent=1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Scene":
-        """The scene of a :meth:`to_json` record, rebuilt from its inputs;
-        ``ValueError`` unless the record's wavenumber and noise variance are
-        the derived ones to 1e-9, relative."""
-        rec = json.loads(text)
-        if rec.get("record") != "scene":
-            raise ValueError("not a scene record")
-        constants = PhysicalConstants(
-            wavelength=float(rec["constants"]["wavelength"]),
-            impedance=float(rec["constants"]["impedance"]))
-        ap = rec["aperture"]
-        aperture = ApertureSpec(center=tuple(ap["center"]), normal=tuple(ap["normal"]),
-                                side_x=ap["side_x"], side_z=ap["side_z"])
-        scene = cls(aperture=aperture, constants=constants,
-                    positions=np.array(rec["positions"], dtype=float),
-                    user_aperture=float(rec["user_aperture"]),
-                    power_budget=float(rec["power_budget"]),
-                    snr_zeta=float(rec["snr_zeta"]),
-                    generator=rec.get("generator", "unknown"),
-                    seed=rec.get("seed"))
-        for name, carried, derived in (
-                ("wavenumber", rec["constants"]["wavenumber"], constants.wavenumber),
-                ("noise_var", rec["noise_var"], scene.noise_var)):
-            if not abs(float(carried) - derived) <= 1e-9 * derived:
-                raise ValueError(f"record {name} {carried} is inconsistent with "
-                                 f"the derived {derived!r}")
-        return scene
 
 
 def spherical_to_cartesian(r: float, theta: float, phi: float) -> np.ndarray:
@@ -325,71 +240,27 @@ def default_user_aperture(constants: PhysicalConstants) -> float:
 
 
 def sample_scene(seed: int, num_users: int,
-                 region: Region | None = None,
                  aperture: ApertureSpec | None = None,
                  zeta: float = 1e6,
                  power_budget: float = 1.0,
                  wavelength: float = DEFAULT_WAVELENGTH) -> Scene:
     """Draw a scene with users uniform in the spherical-coordinate box.
 
-    Deterministic in ``seed``.  Positions are drawn independently and
-    uniformly in (r, theta, phi) over the region, converted to Cartesian.
-    Draws that land behind the aperture plane (possible only for custom
-    regions) are re-drawn from the same stream.
-
-    The stream is read as consecutive (r, theta, phi) triples and the
-    accepted ones are kept in stream order.  Each round draws one triple for
-    every user still missing, as one ``rng.uniform(low, high, size=(n, 3))``
-    call converted with the arithmetic of :func:`spherical_to_cartesian`
-    (its domain checks are skipped: a validated :class:`Region` contains
-    every draw).  A round that accepts every draw skips the bookkeeping of
-    rejections.  Placing one
-    user at a time would read at least as many triples as users are missing,
-    so the positions are bit-identical to that loop's.  The user that sees
-    ``MAX_DRAWS_PER_USER`` consecutive rejected triples raises
-    :class:`SceneGeometryError`.
+    Deterministic in ``seed``: one ``rng.uniform`` call draws every user's
+    (r, theta, phi) in the box of the module constants, converted with the
+    arithmetic of :func:`spherical_to_cartesian` (its domain checks are
+    skipped: the box lies inside the domain).  A user not in front of the
+    aperture raises :class:`SceneGeometryError`, as :class:`Scene` does.
     """
     if num_users < 1:
         raise ValueError("num_users must be >= 1")
-    region = region or _DEFAULT_REGION
-    aperture = aperture or square_aperture()
     constants = _constants_for(float(wavelength))
     rng = np.random.default_rng(seed)
-    normal = np.asarray(aperture.normal, dtype=float)
-    center = np.asarray(aperture.center, dtype=float)
-    low = np.array([region.r_min, region.theta_min, region.phi_min])
-    high = np.array([region.r_max, region.theta_max, region.phi_max])
-
-    positions = np.empty((num_users, 3))
-    placed = 0
-    misses = 0  # rejected draws since the last accepted one
-    while placed < num_users:
-        r, th, ph = rng.uniform(low, high, size=(num_users - placed, 3)).T
-        p = _to_cartesian(r, th, ph)
-        front = (p - center) @ normal > 0.0
-        if front.all():
-            # no rejection to count: the only non-empty run is the misses
-            # carried in, which the round before checked
-            positions[placed:] = p
-            break
-        hits = np.flatnonzero(front)
-        # Rejected draws before each accepted one (the first run continues the
-        # carried-over misses), then the rejected draws after the last.
-        edges = np.concatenate(([-1 - misses], hits, [len(p)]))
-        runs = edges[1:] - edges[:-1] - 1
-        if runs.max() >= MAX_DRAWS_PER_USER:
-            k = placed + int(np.argmax(runs >= MAX_DRAWS_PER_USER))
-            raise SceneGeometryError(
-                f"could not place user {k} in front of the aperture after "
-                f"{MAX_DRAWS_PER_USER} draws")
-        positions[placed:placed + hits.size] = p[hits]
-        placed += hits.size
-        misses = int(runs[-1])
-
-    return Scene(aperture=aperture, constants=constants, positions=positions,
+    r, theta, phi = rng.uniform(_BOX_LOW, _BOX_HIGH, size=(num_users, 3)).T
+    return Scene(aperture=aperture or square_aperture(), constants=constants,
+                 positions=_to_cartesian(r, theta, phi),
                  user_aperture=default_user_aperture(constants),
-                 power_budget=power_budget, snr_zeta=zeta,
-                 generator="sample_scene", seed=seed)
+                 power_budget=power_budget, snr_zeta=zeta)
 
 
 def los_channels(positions: np.ndarray, points: np.ndarray,

@@ -48,7 +48,7 @@ from .quadrature import (  # noqa: F401
     integral_couplings,
     integral_power,
 )
-from .scene import Scene, sample_scene, square_aperture
+from .scene import USER_R_MAX, Scene, sample_scene, square_aperture
 
 CHECKPOINT_VERSION = 1
 
@@ -65,20 +65,19 @@ class DegenerateBatchError(RuntimeError):
 class SupervisedDataset:
     """Stacked supervised samples for one surrogate.
 
-    Sample i is ``scenes[i]`` with ``positions[i]`` (K, 3) and
+    Sample i has user positions ``positions[i]`` (K, 3) and weights
     ``weights[i]`` (K, K); ``targets[i]`` holds its K powers in ``proj``
     mode and its (K, K) couplings in ``value`` mode.
     """
 
     mode: str
-    scenes: list[Scene]
     positions: np.ndarray
     weights: np.ndarray
     targets: np.ndarray
     root_seed: int
 
     def __len__(self):
-        return len(self.scenes)
+        return len(self.positions)
 
 
 @dataclass(frozen=True)
@@ -197,8 +196,8 @@ def gen_supervised_dataset(seed: int, count: int, num_users: int, num_nodes: int
         # project_weights, sample by sample
         a = a * np.sqrt(power_budget / powers.sum(axis=-1))[:, None, None]
         targets = integral_couplings(a, coupling)
-    return SupervisedDataset(mode=mode, scenes=scenes, positions=positions,
-                             weights=a, targets=targets, root_seed=seed)
+    return SupervisedDataset(mode=mode, positions=positions, weights=a,
+                             targets=targets, root_seed=seed)
 
 
 @dataclass
@@ -303,7 +302,7 @@ def train_supervised(spec: GnnSpec, dataset: SupervisedDataset,
         raise ValueError("dataset mode does not match network kind")
 
     start = time.perf_counter()
-    norms = {"pos_scale": 30.0, "a_scale": _rms(dataset.weights),
+    norms = {"pos_scale": USER_R_MAX, "a_scale": _rms(dataset.weights),
              "out_scale": _rms(dataset.targets)}
     model = GnnModel(spec=spec, params=init_params(spec, seed), norms=norms)
     out_scale = model.norm("out_scale")
@@ -496,7 +495,7 @@ def train_policy(spec: GnnSpec, proj_model: GnnModel | None,
         c_diag = np.mean([np.trace(c).real / c.shape[0]
                           for c in pool.coupling_grams])
         a_nat = np.sqrt(power_budget / (scene0.num_users * c_diag))
-        norms = {"pos_scale": 30.0, "a_scale": a_nat, "out_scale": a_nat}
+        norms = {"pos_scale": USER_R_MAX, "a_scale": a_nat, "out_scale": a_nat}
 
     policy = GnnModel(spec=spec, params=init_params(spec, seed),
                       norms=norms)

@@ -954,14 +954,13 @@ class TestPolicyHead:
         assert np.isclose(a[2, 0], a[2, 1], rtol=1e-12)
 
     def test_finite_on_region_boundary(self):
-        from lcapa.scene import Region, spherical_to_cartesian
+        from lcapa.scene import (USER_ANGLE_MAX, USER_ANGLE_MIN, USER_R_MAX,
+                                 USER_R_MIN, spherical_to_cartesian)
 
         model = small_model("policy")
-        region = Region()
+        angles = (USER_ANGLE_MIN, USER_ANGLE_MAX)
         corners = [spherical_to_cartesian(r, t, p)
-                   for r in (region.r_min, region.r_max)
-                   for t in (region.theta_min, region.theta_max)
-                   for p in (region.phi_min, region.phi_max)]
+                   for r in (USER_R_MIN, USER_R_MAX) for t in angles for p in angles]
         a, _ = policy_forward(model, np.stack(corners[:4]))
         assert np.all(np.isfinite(a))
 

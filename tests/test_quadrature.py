@@ -20,9 +20,8 @@ from lcapa.quadrature import (
     gram_pair,
     integral_couplings,
     integral_power,
-    quadrature_convergence,
 )
-from lcapa.scene import DEFAULT_WAVELENGTH, Scene, sample_scene, square_aperture
+from lcapa.scene import DEFAULT_WAVELENGTH, sample_scene, square_aperture
 from oracles import direct_integral_check, plain_integral_power
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -117,7 +116,7 @@ class TestBuildGrid:
     def test_empty_cell_counts_rejected(self, nx, nz):
         # (-1, -4) used to give a grid of no nodes that reported 4 cells
         with pytest.raises(ValueError, match="nx, nz >= 1"):
-            build_grid(square_aperture(4.0), nx=nx, nz=nz)
+            ApertureGrid(square_aperture(4.0), nx, nz)
 
     def test_grid_takes_only_its_inputs(self):
         # nodes and cell area are derived, so they cannot disagree with the
@@ -143,7 +142,6 @@ class TestBuildGrid:
     def test_repeated_call_returns_the_shared_grid(self):
         grid = build_grid(square_aperture(4.0), 256)
         assert build_grid(square_aperture(4.0), 256) is grid
-        assert build_grid(square_aperture(4.0), nx=16, nz=16) is grid
         assert not grid.nodes.flags.writeable
 
     def test_other_m_or_aperture_gets_its_own_grid(self):
@@ -251,8 +249,6 @@ class TestChannelMatrix:
         assert again.tobytes() == h.tobytes(), "second call in one process differs"
         fresh = _seed1_channel_in_subprocess()
         assert fresh.tobytes() == h.tobytes(), "fresh interpreter differs"
-        rebuilt = channel_matrix(Scene.from_json(seed1_scene.to_json()), seed1_grid256).h
-        assert rebuilt.tobytes() == h.tobytes(), "scene rebuilt from JSON differs"
 
         worst, (k, m) = _worst_deviation(h, _golden_channels())
         assert worst <= GOLDEN_C, _golden_report(worst, k, m)
@@ -326,6 +322,16 @@ class TestGramPair:
         assert eig.min() >= -1e-10 * np.trace(c).real
         assert np.all(np.diag(c).real > 0.0)
         assert np.all(np.diag(c).imag == 0.0)
+
+
+@pytest.mark.parametrize("record", ["scene", "channels", "grams"])
+def test_records_compare_by_identity(record, seed1_scene, seed1_grid256):
+    make = {"scene": lambda: sample_scene(1, 2),
+            "channels": lambda: channel_matrix(seed1_scene, seed1_grid256),
+            "grams": lambda: gram_pair(np.eye(2, 4, dtype=complex), 0.5)}[record]
+    a, b = make(), make()
+    assert (a == a) is True and (a == b) is False and (a != b) is True
+    assert len({a, b, a}) == 2
 
 
 class TestIntegralOracles:
@@ -511,22 +517,13 @@ class TestConvergence:
         ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
         assert all(3.0 < r < 5.0 for r in ratios)
 
-    def test_convergence_table_structure(self, seed1_scene):
-        rng = np.random.default_rng(9)
-        a = random_weights(rng, 4, scale=1e-4)
-        rows = quadrature_convergence(seed1_scene, a, [64, 256])
-        assert [r["num_nodes"] for r in rows] == [64, 256]
-        for row in rows:
-            assert row["powers"].shape == (4,)
-            assert row["couplings"].shape == (4, 4)
-            assert row["coupling_gram"].shape == (4, 4)
-            assert np.all(np.isfinite(row["coupling_gram"]))
-
     def test_coupling_diagonal_converges_bilinear_drifts(self, seed1_scene):
-        a = np.eye(4, dtype=complex)
-        rows = quadrature_convergence(seed1_scene, a, [256, 4096])
-        c_lo = np.diag(rows[0]["coupling_gram"]).real
-        c_hi = np.diag(rows[1]["coupling_gram"]).real
+        def coupling_diag(m):
+            grid = build_grid(seed1_scene.aperture, m)
+            gram = gram_pair(channel_matrix(seed1_scene, grid).h, grid.cell_area)
+            return np.diag(gram.coupling).real
+
+        c_lo, c_hi = coupling_diag(256), coupling_diag(4096)
         assert np.all(np.abs(c_lo - c_hi) / c_hi < 0.02)
 
         def unconjugated_diag(m):
