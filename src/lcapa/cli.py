@@ -123,12 +123,8 @@ def _cmd_train(args, which: str) -> int:
     else:
         overrides.update({"surrogate_epochs": epochs, "supervised_lr": lr})
     config = _experiment_config(args, cfg, **overrides)
-    if which == "policy":
-        experiments.train_policy_for(config, config.zeta,
-                                     config.aperture_area, config.num_train)
-    else:
-        experiments.train_surrogate(config, config.zeta, config.aperture_area,
-                                    config.num_train, which)
+    experiments.network(config, config.zeta, config.aperture_area,
+                        config.num_train, which)
     paths = experiments.checkpoint_paths(config, config.zeta,
                                          config.aperture_area, config.num_train)
     print(f"checkpoints under {config.checkpoint_dir}: "
@@ -157,10 +153,10 @@ def _cmd_baseline(args) -> int:
     cfg = _load_config(args.config)
     config = _experiment_config(args, cfg)
     # the scenes, and so the scene ids, of ``lcapa eval``
-    pool = experiments.build_test_pool(config, config.zeta,
-                                       config.aperture_area, config.num_nodes)
+    scenes = experiments.eval_scenes(config, config.zeta, config.aperture_area,
+                                     config.num_test_scenes)
     rows = []
-    for i, scene in enumerate(pool.scenes):
+    for i, scene in enumerate(scenes):
         res = baseline_se(scene, config.num_nodes, config.num_nodes_eval)
         rows.append([f"scene-{config.scene_seed}-{i}", res.num_nodes,
                      res.num_nodes_eval, res.info.iterations,

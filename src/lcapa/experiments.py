@@ -30,15 +30,17 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import __version__
-from .gnn import GnnSpec, policy_spec, proj_spec, value_spec
+from .gnn import policy_spec, proj_spec, value_spec
 from .heads import GnnModel, policy_forward, proj_forward
 from .objective import project_weights
 from .quadrature import build_grid
-from .scene import sample_scene, square_aperture
+from .scene import Scene, square_aperture
 from .training import (
     POLICY_MODES,
     ScenePool,
     TrainHyper,
+    _pool_grams,
+    _sampled_scenes,
     exact_policy_se,
     gen_supervised_dataset,
     load_checkpoint,
@@ -173,98 +175,73 @@ def checkpoint_paths(config: ExperimentConfig, zeta: float, area: float,
             "policy": os.path.join(base, f"policy_{config.policy_mode}_{tag}.json")}
 
 
-def _hyper(config: ExperimentConfig, lr: float, epochs: int,
-           n_train: int) -> TrainHyper:
-    return TrainHyper(learning_rate=lr, batch_size=config.batch_size,
-                      epochs=epochs, num_nodes=config.num_nodes,
-                      num_train=n_train, lr_decay=0.5, lr_decay_every=50)
-
-
-# Each surrogate's network spec, and the offset of its data and init seeds
+# Each network's spec factory, and the offset of its data and init seeds
 # from the config's.
-_SURROGATES = {"proj": (proj_spec, 0), "value": (value_spec, 1)}
+_NETWORKS = {"proj": (proj_spec, 0), "value": (value_spec, 1),
+             "policy": (policy_spec, 2)}
 
 
-def _load_matching(path: str, spec: GnnSpec) -> GnnModel:
-    """The checkpoint at ``path``, which must hold a network of ``spec``."""
-    model = load_checkpoint(path)
-    if model.spec != spec:
-        raise CheckpointMismatchError(
-            f"checkpoint {path!r} holds {model.spec.to_dict()}, but the config "
-            f"asks for {spec.to_dict()}")
-    return model
+def network(config: ExperimentConfig, zeta: float, area: float, n_train: int,
+            head: str) -> GnnModel:
+    """Load or train one network of one (K, zeta, area, N_tr) setting.
 
-
-def train_surrogate(config: ExperimentConfig, zeta: float, area: float,
-                    n_train: int, head: str) -> GnnModel:
-    """Train (or load) one surrogate for one setting.
-
-    ``head`` is ``"proj"`` (the power surrogate) or ``"value"`` (the coupling
-    surrogate); each has its own checkpoint, and only the one asked for is
-    trained or loaded.
+    ``head`` is ``"proj"`` (the power surrogate), ``"value"`` (the coupling
+    surrogate) or ``"policy"``; each has its own checkpoint.  A checkpoint
+    found must hold a network of the config's spec.  Without one, the
+    network is trained only under ``train_inline``, and saved with the seeds
+    it was trained from.  A surrogate-mode policy gets its two surrogates
+    through this same function.
     """
-    factory, offset = _SURROGATES[head]
+    factory, offset = _NETWORKS[head]
     spec = factory(hidden=config.hidden, layers=config.layers)
     path = checkpoint_paths(config, zeta, area, n_train)[head]
     if os.path.exists(path):
-        return _load_matching(path, spec)
+        model = load_checkpoint(path)
+        if model.spec != spec:
+            raise CheckpointMismatchError(
+                f"checkpoint {path!r} holds {model.spec.to_dict()}, but the "
+                f"config asks for {spec.to_dict()}")
+        return model
     if not config.train_inline:
         raise MissingCheckpointError(
-            f"missing surrogate checkpoint {path!r}; run the train-{head} "
+            f"missing {head} checkpoint {path!r}; run the train-{head} "
             f"subcommand first or pass --train-inline")
+    seeds = {"data": config.data_seed + offset, "init": config.init_seed + offset}
+    setting = dict(zeta=zeta, aperture_area=area,
+                   power_budget=config.power_budget)
+    lr, epochs = ((config.policy_lr, config.policy_epochs) if head == "policy"
+                  else (config.supervised_lr, config.surrogate_epochs))
+    hyper = TrainHyper(learning_rate=lr, batch_size=config.batch_size,
+                       epochs=epochs, lr_decay=0.5, lr_decay_every=50)
+    if head == "policy":
+        surrogates = [network(config, zeta, area, n_train, h)
+                      if config.policy_mode == "surrogate" else None
+                      for h in ("proj", "value")]
+        pool = ScenePool.generate(seeds["data"], n_train, config.num_users,
+                                  config.num_nodes, **setting)
+        # the held-out pool draws from the next data seed
+        eval_pool = ScenePool.generate(seeds["data"] + 1, 20, config.num_users,
+                                       config.num_nodes, **setting)
+        model, report = train_policy(
+            spec, *surrogates, pool, eval_pool, hyper, seed=seeds["init"],
+            mode=config.policy_mode, power_budget=config.power_budget)
+    else:
+        data = gen_supervised_dataset(seeds["data"], n_train, config.num_users,
+                                      config.num_nodes, head, **setting)
+        model, report = train_supervised(spec, data, hyper, seed=seeds["init"])
     os.makedirs(config.checkpoint_dir, exist_ok=True)
-    hyper = _hyper(config, config.supervised_lr, config.surrogate_epochs, n_train)
-    data = gen_supervised_dataset(config.data_seed + offset, n_train,
-                                  config.num_users, config.num_nodes, head,
-                                  zeta=zeta, aperture_area=area,
-                                  power_budget=config.power_budget)
-    model, report = train_supervised(spec, data, hyper,
-                                     seed=config.init_seed + offset)
-    save_checkpoint(model, path, report=report,
-                    seed_lineage={"data": config.data_seed + offset,
-                                  "init": config.init_seed + offset})
+    save_checkpoint(model, path, report=report, seed_lineage=seeds)
     return model
 
 
-def train_policy_for(config: ExperimentConfig, zeta: float, area: float,
-                     n_train: int) -> GnnModel:
-    """Train (or load) the policy for one (K, zeta, area, N_tr) setting."""
-    spec = policy_spec(hidden=config.hidden, layers=config.layers)
-    paths = checkpoint_paths(config, zeta, area, n_train)
-    if os.path.exists(paths["policy"]):
-        return _load_matching(paths["policy"], spec)
-    if not config.train_inline:
-        raise MissingCheckpointError(
-            f"missing policy checkpoint {paths['policy']!r}; run the "
-            f"train-policy subcommand first or pass --train-inline")
-    proj_model = value_model = None
-    if config.policy_mode == "surrogate":
-        proj_model = train_surrogate(config, zeta, area, n_train, "proj")
-        value_model = train_surrogate(config, zeta, area, n_train, "value")
-    pool = ScenePool.generate(config.data_seed + 2, n_train, config.num_users,
-                              config.num_nodes, zeta, aperture_area=area,
-                              power_budget=config.power_budget)
-    eval_pool = ScenePool.generate(config.data_seed + 3, 20, config.num_users,
-                                   config.num_nodes, zeta, aperture_area=area,
-                                   power_budget=config.power_budget)
-    hyper = _hyper(config, config.policy_lr, config.policy_epochs, n_train)
-    policy, report = train_policy(
-        spec, proj_model, value_model, pool, eval_pool, hyper,
-        seed=config.init_seed + 2, mode=config.policy_mode,
-        power_budget=config.power_budget)
-    os.makedirs(config.checkpoint_dir, exist_ok=True)
-    save_checkpoint(policy, paths["policy"], report=report,
-                    seed_lineage={"data": config.data_seed + 2,
-                                  "init": config.init_seed + 2})
-    return policy
-
-
-def build_test_pool(config: ExperimentConfig, zeta: float, area: float,
-                    num_nodes: int) -> ScenePool:
-    return ScenePool.generate(config.scene_seed, config.num_test_scenes,
-                              config.num_users, num_nodes, zeta,
-                              aperture_area=area,
-                              power_budget=config.power_budget)
+def eval_scenes(config: ExperimentConfig, zeta: float, area: float,
+                count: int) -> list[Scene]:
+    """The first ``count`` test scenes of a setting: scene i is sample i of
+    ``scene_seed``'s stream, the stream ``ScenePool.generate`` draws from,
+    and every result file names it ``scene-<scene_seed>-i``."""
+    return [scene for _, scene in _sampled_scenes(
+        config.scene_seed, count, config.num_users, square_aperture(area), zeta,
+        config.power_budget)]
 
 
 def _write_csv(path: str, config: ExperimentConfig, columns: list[str],
@@ -304,26 +281,22 @@ def read_result_file(path: str) -> tuple[ExperimentConfig, list[str], list[list[
     return config, columns, rows
 
 
-def evaluate_policy_on_pool(policy: GnnModel, pool: ScenePool,
-                            power_budget: float) -> np.ndarray:
-    scene0 = pool.scenes[0]
-    return exact_policy_se(policy, pool, power_budget, scene0.user_apertures(),
-                           scene0.noise_vars())
-
-
 def policy_se(config: ExperimentConfig, zeta: float, aperture_area: float,
-              num_train: int) -> tuple[ScenePool, np.ndarray]:
-    """Train (or load) the policy of one setting; return the setting's test
-    pool (at ``num_nodes_eval``) and the policy's exact sum SE per scene."""
-    policy = train_policy_for(config, zeta, aperture_area, num_train)
-    pool = build_test_pool(config, zeta, aperture_area, config.num_nodes_eval)
-    return pool, evaluate_policy_on_pool(policy, pool, config.power_budget)
+              num_train: int) -> tuple[list[Scene], np.ndarray]:
+    """Load or train the policy of one setting; return the setting's test
+    scenes and the policy's exact sum SE on each, at ``num_nodes_eval``."""
+    policy = network(config, zeta, aperture_area, num_train, "policy")
+    scenes = eval_scenes(config, zeta, aperture_area, config.num_test_scenes)
+    pool = ScenePool(scenes, *_pool_grams(scenes, config.num_nodes_eval))
+    return scenes, exact_policy_se(policy, pool, config.power_budget,
+                                   scenes[0].user_apertures(),
+                                   scenes[0].noise_vars())
 
 
-def _baseline_se(config: ExperimentConfig, pool: ScenePool,
+def _baseline_se(config: ExperimentConfig, scenes: list[Scene],
                  m: int) -> np.ndarray:
     return np.array([baseline_se(s, m, config.num_nodes_eval).se_report.sum_se
-                     for s in pool.scenes])
+                     for s in scenes])
 
 
 # Each sweep kind's x column, and the config list it sweeps (None: one point).
@@ -338,16 +311,16 @@ def _sweep_points(config: ExperimentConfig) -> list[tuple[object, dict]]:
     setting = {"zeta": config.zeta, "aperture_area": config.aperture_area,
                "num_train": config.num_train}
     if config.kind == "sweep-m":
-        pool, se = policy_se(config, **setting)
+        scenes, se = policy_se(config, **setting)
         return [(config.num_nodes, {"lcapa-gnn": se})] + [
-            (m, {"wmmse": _baseline_se(config, pool, m)}) for m in config.m_list]
+            (m, {"wmmse": _baseline_se(config, scenes, m)}) for m in config.m_list]
     points = []
     for x in getattr(config, swept) if swept else ("",):
         if swept:
             setting[axis] = x
-        pool, se = policy_se(config, **setting)
+        scenes, se = policy_se(config, **setting)
         points.append((x, {"lcapa-gnn": se,
-                           "wmmse": _baseline_se(config, pool, config.num_nodes)}))
+                           "wmmse": _baseline_se(config, scenes, config.num_nodes)}))
     return points
 
 
@@ -396,15 +369,13 @@ def bench_timing(config: ExperimentConfig) -> dict:
     Timing runs are strictly sequential.  The learned path is the inference
     chain only (policy, power estimate, projection scaling; the coupling
     surrogate is not part of inference).  The baseline path includes its
-    integral setup, matching how it must run in practice.
+    integral setup, matching how it must run in practice.  The scenes are
+    the first ``timing_scenes`` test scenes of the config's setting.
     """
-    zeta, area = config.zeta, config.aperture_area
-    policy = train_policy_for(config, zeta, area, config.num_train)
-    proj_model = train_surrogate(config, zeta, area, config.num_train, "proj")
-    scenes = [sample_scene(config.scene_seed + i, config.num_users,
-                           aperture=square_aperture(area), zeta=zeta,
-                           power_budget=config.power_budget)
-              for i in range(config.timing_scenes)]
+    setting = (config.zeta, config.aperture_area)
+    policy = network(config, *setting, config.num_train, "policy")
+    proj_model = network(config, *setting, config.num_train, "proj")
+    scenes = eval_scenes(config, *setting, config.timing_scenes)
     rows = []
     medians = {"lcapa-gnn": [], "wmmse": []}
     for run in range(config.timing_repeats):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -115,16 +115,11 @@ class TrainReport:
     seeds: dict = field(default_factory=dict)
     skipped_batches: int = 0
 
+    def to_dict(self) -> dict:
+        return asdict(self)
+
     def to_json(self) -> str:
-        return json.dumps({
-            "loss_curve": self.loss_curve,
-            "eval_curve": self.eval_curve,
-            "best_epoch": self.best_epoch,
-            "final_metrics": self.final_metrics,
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "seeds": self.seeds,
-            "skipped_batches": self.skipped_batches,
-        }, indent=1)
+        return json.dumps(self.to_dict(), indent=1)
 
 
 # -- scene pools and supervised datasets --------------------------------------
@@ -599,7 +594,7 @@ def save_checkpoint(model: GnnModel, path: str, report: TrainReport | None = Non
         "seed_lineage": seed_lineage or {},
     })
     tail = "}" if report is None else (
-        ', "report": ' + json.dumps(json.loads(report.to_json())) + "}")
+        ', "report": ' + json.dumps(report.to_dict()) + "}")
     with open(path, "w") as fh:
         fh.write(head[:-1] + ', "layers": [')
         for t, lp in enumerate(model.params.layers):

@@ -1,9 +1,11 @@
 import json
 import math
+import re
 
 import pytest
 
 import lcapa.experiments
+import lcapa.training
 from lcapa.cli import main
 
 
@@ -178,9 +180,10 @@ def test_baseline_at_high_snr_exits_zero(tmp_path, capsys):
     assert math.isfinite(float(out.split()[4]))
 
 
-def test_baseline_and_eval_score_the_same_scenes(tmp_path, capsys):
-    from lcapa.experiments import (ExperimentConfig, _fmt, build_test_pool,
-                                   read_result_file)
+def test_baseline_and_eval_score_the_same_scenes(tmp_path, capsys,
+                                                 monkeypatch):
+    from lcapa.experiments import _fmt, read_result_file
+    from lcapa.training import ScenePool
     from lcapa.wmmse import baseline_se
 
     settings = dict(num_users=3, num_nodes=16, num_nodes_eval=64,
@@ -190,7 +193,14 @@ def test_baseline_and_eval_score_the_same_scenes(tmp_path, capsys):
                     output_dir=str(tmp_path / "out"))
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(settings))
-    assert main(["baseline", "--config", str(cfg)]) == 0
+
+    def no_gram(*args, **kwargs):
+        raise AssertionError("the baseline built a coupling Gram")
+
+    # WMMSE samples its own channels: the scenes need no Gram
+    with monkeypatch.context() as patch:
+        patch.setattr(lcapa.training, "coupling_grams", no_gram)
+        assert main(["baseline", "--config", str(cfg)]) == 0
     assert main(["eval", "--config", str(cfg)]) == 0
     capsys.readouterr()
     _, _, baseline = read_result_file(str(tmp_path / "out" / "baseline.csv"))
@@ -199,6 +209,56 @@ def test_baseline_and_eval_score_the_same_scenes(tmp_path, capsys):
     assert [r[0] for r in baseline] == ids
     assert [r[0] for r in evaluated if r[0] != "mean"] == ids
     # the ids name the scenes scored: the test pool's, in order
-    config = ExperimentConfig(**settings)
-    scene = build_test_pool(config, config.zeta, config.aperture_area, 16).scenes[2]
+    scene = ScenePool.generate(9000, 3, 3, 16, 1e6).scenes[2]
     assert baseline[2][5] == _fmt(baseline_se(scene, 16, 64).se_report.sum_se)
+
+
+def test_one_path_from_a_config_to_its_networks_and_scenes(tmp_path, capsys,
+                                                           monkeypatch):
+    settings = dict(num_users=3, num_nodes=16, num_nodes_eval=64,
+                    num_test_scenes=3, num_train=8, surrogate_epochs=1,
+                    policy_epochs=1, batch_size=4, hidden=8, layers=2,
+                    policy_mode="surrogate", timing_scenes=2, timing_repeats=1)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(settings))
+    config = ["--config", str(cfg), "--checkpoint-dir"]
+    output = ["--output-dir", str(tmp_path / "out")]
+    for head in ("proj", "value", "policy"):
+        assert main([f"train-{head}", *config, str(tmp_path / "cli")]) == 0
+    assert main(["experiment", "--kind", "single", "--train-inline",
+                 *config, str(tmp_path / "inline"), *output]) == 0
+
+    def checkpoints(directory):
+        stripped = {}
+        for path in sorted((tmp_path / directory).iterdir()):
+            stripped[path.name], found = re.subn(
+                rb'"wall_clock_seconds": [^,}]*', b"", path.read_bytes())
+            assert found == 1
+        return stripped
+
+    written = checkpoints("cli")
+    assert [name.split("_")[0] for name in written] == ["policy", "proj",
+                                                        "value"]
+    assert written == checkpoints("inline")
+
+    # the timed scenes are the first timing_scenes of the scenes eval scores
+    scored, timed = [], []
+    exact = lcapa.experiments.exact_policy_se
+    baseline = lcapa.experiments.baseline_se
+
+    def scoring(policy, pool, *args):
+        scored.append(pool.positions)
+        return exact(policy, pool, *args)
+
+    def timing(scene, *args):
+        timed.append(scene.positions)
+        return baseline(scene, *args)
+
+    monkeypatch.setattr(lcapa.experiments, "exact_policy_se", scoring)
+    monkeypatch.setattr(lcapa.experiments, "baseline_se", timing)
+    assert main(["eval", *config, str(tmp_path / "cli"), *output]) == 0
+    assert main(["experiment", "--kind", "timing", *config,
+                 str(tmp_path / "cli"), *output]) == 0
+    capsys.readouterr()
+    assert len(scored) == 1 and len(scored[0]) == 3
+    assert [p.tobytes() for p in timed] == [p.tobytes() for p in scored[0][:2]]

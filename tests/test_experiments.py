@@ -9,11 +9,10 @@ from lcapa.experiments import (
     MissingCheckpointError,
     bench_timing,
     checkpoint_paths,
+    network,
     policy_inference_seconds,
     read_result_file,
     run_experiment,
-    train_policy_for,
-    train_surrogate,
 )
 from lcapa.gnn import init_params, policy_spec, proj_spec, value_spec, zero_params
 from lcapa.heads import GnnModel
@@ -47,21 +46,21 @@ def test_bench_timing_writes_medians_and_a_positive_ratio(tmp_path):
     assert written == ["policy", "proj"]
 
 
-def test_train_surrogate_trains_or_loads_only_the_head_asked_for(tmp_path):
+def test_network_trains_or_loads_only_the_head_asked_for(tmp_path):
     config = ExperimentConfig(checkpoint_dir=str(tmp_path), **TINY)
-    value = train_surrogate(config, config.zeta, config.aperture_area,
-                            config.num_train, "value")
+    setting = (config.zeta, config.aperture_area, config.num_train)
+    value = network(config, *setting, "value")
     assert [p.name.split("_")[0] for p in tmp_path.iterdir()] == ["value"]
-    loaded = train_surrogate(config, config.zeta, config.aperture_area,
-                             config.num_train, "value")
+    loaded = network(config, *setting, "value")
     assert loaded.spec == value.spec
     assert [(n, a.tobytes()) for n, a in loaded.params.iter_arrays()] == [
         (n, a.tobytes()) for n, a in value.params.iter_arrays()]
     offline = ExperimentConfig(checkpoint_dir=str(tmp_path),
                                **dict(TINY, train_inline=False))
-    with pytest.raises(MissingCheckpointError, match="train-proj"):
-        train_surrogate(offline, config.zeta, config.aperture_area,
-                        config.num_train, "proj")
+    for head in ("proj", "policy"):
+        with pytest.raises(MissingCheckpointError, match=f"train-{head}"):
+            network(offline, *setting, head)
+    assert [p.name.split("_")[0] for p in tmp_path.iterdir()] == ["value"]
 
 
 def test_checkpoint_of_another_architecture_refused(tmp_path):
@@ -70,24 +69,22 @@ def test_checkpoint_of_another_architecture_refused(tmp_path):
     config = ExperimentConfig(checkpoint_dir=str(tmp_path),
                               **dict(TINY, layers=3, policy_mode="surrogate"))
     setting = (config.zeta, config.aperture_area, config.num_train)
-    train_policy_for(config, *setting)
+    network(config, *setting, "policy")
     written = sorted(tmp_path.iterdir())
     paths = checkpoint_paths(config, *setting)
     for other in (replace(config, hidden=9), replace(config, layers=4)):
-        cases = [(lambda: train_policy_for(other, *setting), "policy", policy_spec)]
-        cases += [(lambda head=head: train_surrogate(other, *setting, head), head,
-                   factory) for head, factory in (("proj", proj_spec),
-                                                  ("value", value_spec))]
-        for load, head, factory in cases:
+        for head, factory in (("policy", policy_spec), ("proj", proj_spec),
+                              ("value", value_spec)):
             with pytest.raises(CheckpointMismatchError) as info:
-                load()
+                network(other, *setting, head)
             message = str(info.value)
             assert paths[head] in message
             assert str(factory(hidden=8, layers=3).to_dict()) in message
             assert str(factory(hidden=other.hidden,
                                layers=other.layers).to_dict()) in message
     assert sorted(tmp_path.iterdir()) == written
-    assert train_policy_for(config, *setting).spec == policy_spec(hidden=8, layers=3)
+    assert network(config, *setting, "policy").spec == policy_spec(hidden=8,
+                                                                   layers=3)
 
 
 def test_inference_timing_rejects_a_dead_power_estimate():
