@@ -21,8 +21,9 @@ in layers:
 * :mod:`lcapa.optim` -- the Adam optimizer.
 * :mod:`lcapa.training` -- scene pools and stacked supervised datasets, one
   epoch loop that fits the two surrogates supervised and then the policy
-  unsupervised (surrogate and analytic chains), exact policy evaluation,
-  gradient checking, checkpoints.
+  unsupervised through one policy chain, whose surrogate and analytic modes
+  differ only in its two integral maps (ProjNet and ValueNet, or the exact
+  Gram forms), exact policy evaluation, gradient checking, checkpoints.
 * :mod:`lcapa.experiments` -- paired sweep/timing experiment runner with
   reproducible CSV outputs.
 * :mod:`lcapa.cli` -- the ``lcapa`` command-line front end.

@@ -1,8 +1,13 @@
 """Command-line front end.
 
 Subcommands: train-proj, train-value, train-policy, eval, baseline,
-experiment, grad-check, info.  A JSON config file supplies defaults; explicit
-flags override it.  Exit codes: 0 success, 1 usage error, 2 runtime failure.
+experiment, grad-check, info.  Every command that runs an experiment config
+takes every config field as a flag, ``--<field>`` with dashes for
+underscores (a tuple field takes one or more values), and ``--config``, a
+JSON file of defaults that the flags override.  The train commands also take
+``--epochs`` and ``--learning-rate``, which set the epochs and learning rate
+of the network they train.  Exit codes: 0 success, 1 usage error, 2 runtime
+failure.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -30,6 +36,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+_FLAG_TYPES = {"int": int, "float": float, "str": str}
+_FLAG_CHOICES = {"kind": experiments.SWEEP_KINDS, "policy_mode": POLICY_MODES}
+
+
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """One flag per ExperimentConfig field, typed from the field's
+    annotation; a flag not given is None."""
+    for f in fields(experiments.ExperimentConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if f.type == "bool":
+            p.add_argument(flag, action="store_true", default=None)
+        elif f.type.startswith("tuple["):
+            element = f.type[len("tuple["):f.type.index(",")]
+            p.add_argument(flag, nargs="+", type=_FLAG_TYPES[element])
+        else:
+            p.add_argument(flag, type=_FLAG_TYPES[f.type],
+                           choices=_FLAG_CHOICES.get(f.name))
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lcapa", description=__doc__)
     sub = parser.add_subparsers(dest="command")
@@ -39,43 +64,18 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="JSON config file with defaults")
         return p
 
-    for name, help_text in (("train-proj", "train the power surrogate"),
-                            ("train-value", "train the coupling surrogate"),
-                            ("train-policy", "train the policy network")):
+    for name, help_text in (
+            ("train-proj", "train the power surrogate"),
+            ("train-value", "train the coupling surrogate"),
+            ("train-policy", "train the policy network"),
+            ("eval", "evaluate a trained policy on a fresh test set"),
+            ("baseline", "run the WMMSE baseline over a test set"),
+            ("experiment", "run a sweep or timing experiment")):
         p = add(name, help_text)
-        for flag, typ in (("--num-users", int), ("--zeta", float),
-                          ("--aperture-area", float), ("--num-nodes", int),
-                          ("--num-train", int), ("--hidden", int),
-                          ("--layers", int), ("--epochs", int),
-                          ("--batch-size", int), ("--learning-rate", float),
-                          ("--init-seed", int), ("--data-seed", int),
-                          ("--checkpoint-dir", str)):
-            p.add_argument(flag, type=typ)
-        if name == "train-policy":
-            p.add_argument("--policy-mode", choices=POLICY_MODES)
-
-    p = add("eval", "evaluate a trained policy on a fresh test set")
-    for flag, typ in (("--num-users", int), ("--zeta", float),
-                      ("--aperture-area", float), ("--num-nodes", int),
-                      ("--num-nodes-eval", int), ("--num-train", int),
-                      ("--num-test-scenes", int), ("--scene-seed", int),
-                      ("--checkpoint-dir", str), ("--output-dir", str)):
-        p.add_argument(flag, type=typ)
-    p.add_argument("--policy-mode", choices=POLICY_MODES)
-
-    p = add("baseline", "run the WMMSE baseline over a test set")
-    for flag, typ in (("--num-users", int), ("--zeta", float),
-                      ("--aperture-area", float), ("--num-nodes", int),
-                      ("--num-nodes-eval", int), ("--num-test-scenes", int),
-                      ("--scene-seed", int), ("--output-dir", str)):
-        p.add_argument(flag, type=typ)
-
-    p = add("experiment", "run a sweep or timing experiment")
-    p.add_argument("--kind", choices=experiments.SWEEP_KINDS)
-    p.add_argument("--policy-mode", choices=POLICY_MODES)
-    p.add_argument("--train-inline", action="store_true", default=None)
-    p.add_argument("--output-dir")
-    p.add_argument("--checkpoint-dir")
+        _add_config_flags(p)
+        if name.startswith("train-"):
+            p.add_argument("--epochs", type=int)
+            p.add_argument("--learning-rate", type=float)
 
     p = add("grad-check", "finite-difference check of every gradient path")
     p.add_argument("--hidden", type=int, default=8)
@@ -115,13 +115,13 @@ def _experiment_config(args, cfg: dict, **overrides):
 
 def _cmd_train(args, which: str) -> int:
     cfg = _load_config(args.config)
-    epochs = getattr(args, "epochs", None)
-    lr = getattr(args, "learning_rate", None)
     overrides = {"train_inline": True}
     if which == "policy":
-        overrides.update({"policy_epochs": epochs, "policy_lr": lr})
+        overrides.update({"policy_epochs": args.epochs,
+                          "policy_lr": args.learning_rate})
     else:
-        overrides.update({"surrogate_epochs": epochs, "supervised_lr": lr})
+        overrides.update({"surrogate_epochs": args.epochs,
+                          "supervised_lr": args.learning_rate})
     config = _experiment_config(args, cfg, **overrides)
     experiments.network(config, config.zeta, config.aperture_area,
                         config.num_train, which)
@@ -174,8 +174,7 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg = _load_config(args.config)
-    config = _experiment_config(args, cfg, kind=args.kind,
-                                train_inline=args.train_inline)
+    config = _experiment_config(args, cfg)
     paths = experiments.run_experiment(config)
     for name, path in paths.items():
         print(f"{name}: {path}")
@@ -183,6 +182,9 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
+    for name in ("hidden", "probes"):
+        if getattr(args, name) < 1:
+            raise UsageError(f"--{name} must be >= 1, got {getattr(args, name)}")
     from .gnn import policy_spec, proj_spec, value_spec, init_params
     from .heads import (GnnModel, policy_forward, policy_backward, proj_forward,
                         proj_backward, value_forward, value_backward)

@@ -48,7 +48,7 @@ from .training import (
     train_policy,
     train_supervised,
 )
-from .wmmse import WmmseOptions, baseline_se
+from .wmmse import baseline_se
 
 SWEEP_KINDS = ("sweep-ntr", "sweep-snr", "sweep-aperture", "sweep-m",
                "timing", "single")
@@ -383,8 +383,7 @@ def bench_timing(config: ExperimentConfig) -> dict:
         for scene in scenes:
             gnn_times.append(policy_inference_seconds(
                 policy, proj_model, scene.positions, config.power_budget))
-            res = baseline_se(scene, config.num_nodes, config.num_nodes,
-                              WmmseOptions())
+            res = baseline_se(scene, config.num_nodes, config.num_nodes)
             wmmse_times.append(res.runtime_seconds)
         med_g = float(np.median(gnn_times))
         med_w = float(np.median(wmmse_times))

@@ -2,9 +2,12 @@
 
 Three-stage procedure: the power net (ProjNet) and coupling net (ValueNet)
 are trained supervised against quadrature targets; the policy net is then
-trained unsupervised by back-propagating the negated sum-SE through the
-frozen surrogates (``surrogate`` mode) or through the exact Gram forms
-(``analytic`` mode, a reference chain that quantifies surrogate fidelity).
+trained unsupervised by back-propagating the negated sum-SE through one
+policy chain (positions -> weights -> powers -> projection -> couplings ->
+SE).  The two modes differ only in the chain's two integral maps, powers and
+couplings: the frozen surrogates in ``surrogate`` mode, the exact Gram forms
+p = a^H C a and G = C A-bar in ``analytic`` mode (a reference that
+quantifies surrogate fidelity).  Exact evaluation uses the same Gram maps.
 All three networks go through one epoch loop (per-epoch seeded shuffles,
 mini-batch Adam, a divergence check, the best held-out snapshot); the
 trainers differ only in the batch loss and the held-out score they hand it.
@@ -337,54 +340,82 @@ def train_supervised(spec: GnnSpec, dataset: SupervisedDataset,
     return model, report
 
 
-# -- policy chains ------------------------------------------------------------
+# -- the policy chain ---------------------------------------------------------
 
 POLICY_MODES = ("surrogate", "analytic")
 
 
-@dataclass(frozen=True)
-class GramForward:
-    """The exact Gram-domain forward pass of a batch of raw weight matrices.
+def _surrogate_maps(proj: GnnModel, value: GnnModel, positions: np.ndarray):
+    """ProjNet and ValueNet as the chain's two integral maps, back-propagating
+    to their inputs only."""
+    def powers(a):
+        p, cache = proj_forward(proj, positions, a)
+        return p, lambda grad: proj_backward(proj, cache, grad, wrt="inputs")[1]
 
-    With C the coupling Grams and A the raw weights, all (N, K, K):
-    ``ca`` = C A, ``powers`` p_k = a_k^H C a_k (N, K), ``total`` their sum,
-    ``scale`` = sqrt(budget / total) (0 where total <= 0), ``a_bar`` = scale A
-    and ``couplings`` G = C A_bar.  Weights carrying no power have scale 0,
-    hence zero couplings and SE 0.
+    def couplings(a, scale):
+        g, cache = value_forward(value, positions, a * scale[:, None, None])
+        return g, lambda grad: value_backward(value, cache, grad,
+                                              wrt="inputs")[1]
+    return powers, couplings
+
+
+def _gram_maps(coupling_grams: np.ndarray):
+    """The exact Gram forms as the chain's two integral maps: p_k = a_k^H C a_k
+    and G = (C A) s.  C is Hermitian, as :func:`~lcapa.quadrature.gram_pair`
+    builds it, so dL/dA = 2 (C A) diag(dL/dp) and dL/d(s A) = C dL/dG."""
+    c = np.asarray(coupling_grams, dtype=complex)
+
+    def powers(a):
+        ca = c @ a
+        return _power_form(a, ca).real, lambda grad: 2.0 * grad[:, None, :] * ca
+
+    def couplings(a, scale):
+        # C A again, bit for bit, so that neither map holds the other's state
+        return (c @ a) * scale[:, None, None], lambda grad: c @ grad
+    return powers, couplings
+
+
+def _exact_projection(a_raw: np.ndarray, coupling_grams: np.ndarray,
+                      power_budget: float):
+    """(powers, s, couplings) of raw weights through the Gram maps, with
+    s = sqrt(budget / sum_k p_k), or 0 (so zero couplings and SE 0) for
+    weights that carry no power."""
+    powers, couplings = _gram_maps(coupling_grams)
+    p, _ = powers(a_raw)
+    total = p.sum(axis=1)
+    live = total > 0.0
+    scale = np.where(live, np.sqrt(power_budget / np.where(live, total, 1.0)),
+                     0.0)
+    return p, scale, couplings(a_raw, scale)[0]
+
+
+def _chain_loss_and_grads(policy: GnnModel, positions: np.ndarray, powers,
+                          couplings, user_apertures: np.ndarray,
+                          noise_vars: np.ndarray, power_budget: float):
+    """(loss, policy parameter grads) of the one policy chain: positions -> A
+    -> p(A) -> s = sqrt(P / sum_k p_k) -> G(A, s) -> negated sum SE.
+
+    ``powers(A)`` gives the (N, K) powers and ``couplings(A, s)`` the
+    (N, K, K) couplings of the projected weights s A; each also returns its
+    backward, dL/dp -> dL/dA and dL/dG -> dL/d(s A).  A batch whose total
+    power is not positive raises :class:`DegenerateBatchError`.
     """
-
-    ca: np.ndarray
-    powers: np.ndarray
-    total: np.ndarray
-    scale: np.ndarray
-    a_bar: np.ndarray
-    couplings: np.ndarray
-
-    @classmethod
-    def evaluate(cls, a_raw: np.ndarray, coupling_grams: np.ndarray,
-                 power_budget: float) -> "GramForward":
-        ca = np.asarray(coupling_grams, dtype=complex) @ a_raw
-        powers = _power_form(a_raw, ca).real
-        total = powers.sum(axis=1)
-        live = total > 0.0
-        scale = np.where(live, np.sqrt(power_budget / np.where(live, total, 1.0)),
-                         0.0)
-        return cls(ca=ca, powers=powers, total=total, scale=scale,
-                   a_bar=a_raw * scale[:, None, None],
-                   couplings=ca * scale[:, None, None])
-
-
-def _projection_chain_backward(grad_bar, weights, scale, total_power):
-    """Back-prop through A_bar = s(A) * A given d loss / d A_bar.
-
-    Returns the direct part (s * upstream) plus d loss/d s times d s/d
-    total, so callers can add the power path.
-    """
-    grad = scale[:, None, None] * grad_bar
-    dl_ds = (np.sum(grad_bar.real * weights.real, axis=(1, 2))
-             + np.sum(grad_bar.imag * weights.imag, axis=(1, 2)))
-    ds_dtotal = -scale / (2.0 * total_power)
-    return grad, dl_ds * ds_dtotal
+    a_raw, cache = policy_forward(policy, positions)
+    p, powers_backward = powers(a_raw)
+    total = p.sum(axis=1)
+    if np.any(total <= 0.0):
+        raise DegenerateBatchError("non-positive total power")
+    scale = np.sqrt(power_budget / total)
+    g, couplings_backward = couplings(a_raw, scale)
+    loss, grad_g = policy_loss_grad(g, user_apertures, noise_vars)
+    # s A: s dL/d(s A) directly, and dL/ds ds/dtotal through every power
+    grad_bar = couplings_backward(grad_g)
+    dl_ds = (np.sum(grad_bar.real * a_raw.real, axis=(1, 2))
+             + np.sum(grad_bar.imag * a_raw.imag, axis=(1, 2)))
+    dl_dtotal = dl_ds * (-scale / (2.0 * total))
+    grad_p = powers_backward(np.repeat(dl_dtotal[:, None], p.shape[1], axis=1))
+    return loss, policy_backward(policy, cache,
+                                 scale[:, None, None] * grad_bar + grad_p)
 
 
 def surrogate_chain_loss_and_grads(policy: GnnModel, proj: GnnModel,
@@ -392,54 +423,20 @@ def surrogate_chain_loss_and_grads(policy: GnnModel, proj: GnnModel,
                                    user_apertures: np.ndarray,
                                    noise_vars: np.ndarray,
                                    power_budget: float):
-    """Loss of the full policy -> projection -> coupling chain, with exact
-    gradients for the policy parameters only (the surrogates stay frozen).
-
-    Returns (loss, policy parameter grads).
-    """
-    a_raw, cache_p = policy_forward(policy, positions)
-    powers, cache_proj = proj_forward(proj, positions, a_raw)
-    total = powers.sum(axis=1)
-    if np.any(total <= 0.0):
-        raise DegenerateBatchError("non-positive total power estimate")
-    scale = np.sqrt(power_budget / total)
-    a_bar = a_raw * scale[:, None, None]
-    couplings, cache_v = value_forward(value, positions, a_bar)
-    loss, grad_c = policy_loss_grad(couplings, user_apertures, noise_vars)
-
-    _, grad_bar = value_backward(value, cache_v, grad_c, wrt="inputs")
-    grad, dl_dtotal = _projection_chain_backward(grad_bar, a_raw, scale, total)
-    grad_powers = np.repeat(dl_dtotal[:, None], powers.shape[1], axis=1)
-    _, grad_p = proj_backward(proj, cache_proj, grad_powers, wrt="inputs")
-    grads = policy_backward(policy, cache_p, grad + grad_p)
-    return loss, grads
+    """The policy chain through the frozen surrogates: (loss, policy grads)."""
+    return _chain_loss_and_grads(policy, positions,
+                                 *_surrogate_maps(proj, value, positions),
+                                 user_apertures, noise_vars, power_budget)
 
 
 def analytic_chain_loss_and_grads(policy: GnnModel, positions: np.ndarray,
                                   coupling_grams: np.ndarray,
                                   user_apertures: np.ndarray,
                                   noise_vars: np.ndarray, power_budget: float):
-    """Loss of the policy through the exact Gram forms, with policy grads.
-
-    Powers and couplings come from the per-scene coupling Gram directly
-    (p = a^H C a, G = C A-bar), giving a differentiable exact chain that
-    upper-references the surrogate path.  C must be Hermitian, as
-    :func:`~lcapa.quadrature.gram_pair` builds it.  Returns (loss, policy
-    parameter grads).
-    """
-    a_raw, cache_p = policy_forward(policy, positions)
-    c = np.asarray(coupling_grams, dtype=complex)
-    fwd = GramForward.evaluate(a_raw, c, power_budget)
-    if np.any(fwd.total <= 0.0):
-        raise DegenerateBatchError("zero-power policy output")
-    loss, grad_c = policy_loss_grad(fwd.couplings, user_apertures, noise_vars)
-    # back through G = C A_bar: d loss / d A_bar = C^H (d loss / d G) = C (...)
-    grad, dl_dtotal = _projection_chain_backward(c @ grad_c, a_raw, fwd.scale,
-                                                 fwd.total)
-    # power path: d total / d A = 2 C A
-    grad += 2.0 * dl_dtotal[:, None, None] * fwd.ca
-    grads = policy_backward(policy, cache_p, grad)
-    return loss, grads
+    """The policy chain through the exact Gram forms of the per-scene coupling
+    Grams, the reference for surrogate fidelity: (loss, policy grads)."""
+    return _chain_loss_and_grads(policy, positions, *_gram_maps(coupling_grams),
+                                 user_apertures, noise_vars, power_budget)
 
 
 # -- policy training ----------------------------------------------------------
@@ -454,8 +451,8 @@ def exact_policy_se(policy: GnnModel, pool: ScenePool, power_budget: float,
     scores 0.
     """
     a_raw, _ = policy_forward(policy, pool.positions)
-    fwd = GramForward.evaluate(a_raw, pool.coupling_grams, power_budget)
-    return sum_se(sinr_vector(fwd.couplings, user_apertures, noise_vars)).sum_se
+    *_, couplings = _exact_projection(a_raw, pool.coupling_grams, power_budget)
+    return sum_se(sinr_vector(couplings, user_apertures, noise_vars)).sum_se
 
 
 def train_policy(spec: GnnSpec, proj_model: GnnModel | None,
@@ -524,13 +521,14 @@ def train_policy(spec: GnnSpec, proj_model: GnnModel | None,
                 raise AssertionError("frozen surrogate parameters changed")
         # surrogate fidelity on the policy's own outputs (diagnostic)
         a_raw, _ = policy_forward(policy, eval_pool.positions)
-        fwd = GramForward.evaluate(a_raw, eval_pool.coupling_grams, power_budget)
-        p_hat, _ = proj_forward(proj_model, eval_pool.positions, a_raw)
+        powers, scale, couplings = _exact_projection(
+            a_raw, eval_pool.coupling_grams, power_budget)
+        p_hat, g_hat = _surrogate_maps(proj_model, value_model,
+                                       eval_pool.positions)
         report.final_metrics["proj_nmse_on_policy_outputs"] = normalized_mse(
-            p_hat, fwd.powers)
-        g_hat, _ = value_forward(value_model, eval_pool.positions, fwd.a_bar)
+            p_hat(a_raw)[0], powers)
         report.final_metrics["value_nmse_on_policy_outputs"] = normalized_mse(
-            g_hat, fwd.couplings)
+            g_hat(a_raw, scale)[0], couplings)
 
     report.wall_clock_seconds = time.perf_counter() - start
     return policy, report

@@ -45,20 +45,9 @@ class BisectionError(RuntimeError):
 
 
 _NEWTON_STEPS = 100     # cap on Newton steps for the power multiplier
+_MAX_ITERATIONS = 200   # cap on WMMSE alternations
+_TOLERANCE = 1e-6       # relative sum-SE change that counts as converged
 _LN2 = np.log(2.0)
-
-
-@dataclass(frozen=True)
-class WmmseOptions:
-    max_iterations: int = 200
-    tolerance: float = 1e-6
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not 0.0 < self.tolerance < np.inf:
-            raise ValueError(f"tolerance must be positive and finite, "
-                             f"got {self.tolerance!r}")
 
 
 @dataclass(frozen=True)
@@ -152,8 +141,7 @@ def _power_multiplier(c: np.ndarray, lam: np.ndarray, power: float) -> float:
 
 
 def wmmse_precoding(coupling: np.ndarray, user_apertures: np.ndarray,
-                    noise_vars: np.ndarray, power_budget: float,
-                    options: WmmseOptions | None = None
+                    noise_vars: np.ndarray, power_budget: float
                     ) -> tuple[np.ndarray, WmmseInfo]:
     """Sum-rate WMMSE precoding on the K x K coupling Gram C.
 
@@ -162,8 +150,8 @@ def wmmse_precoding(coupling: np.ndarray, user_apertures: np.ndarray,
     user-aperture weight is absorbed into E = |A_u| C, so the couplings are
     T = E B = sqrt(|A_u|) C A, user j's power is b_j^H E b_j, and the
     algorithm maximizes the sum SE directly.  Deterministic matched-filter
-    initialization; stops when the sum-SE change falls below the relative
-    tolerance.
+    initialization; stops when the sum-SE change falls below 1e-6 of the
+    sum SE (at least 1), or after 200 iterations.
 
     The regularized least-squares step eigendecomposes D E D with
     D = diag(sqrt(alpha)), and the sum-power multiplier comes from
@@ -177,7 +165,6 @@ def wmmse_precoding(coupling: np.ndarray, user_apertures: np.ndarray,
     if not 0.0 < power_budget < np.inf:
         raise ValueError(f"power_budget must be positive and finite, "
                          f"got {power_budget!r}")
-    options = options or WmmseOptions()
     num_users = len(user_apertures)
     c = np.asarray(coupling, dtype=complex)
     if c.shape != (num_users, num_users):
@@ -208,7 +195,7 @@ def wmmse_precoding(coupling: np.ndarray, user_apertures: np.ndarray,
     trace = [sum_rate(t, rows)]
     converged = False
     iterations = 0
-    for iterations in range(1, options.max_iterations + 1):
+    for iterations in range(1, _MAX_ITERATIONS + 1):
         t_diag = t.diagonal()
         totals = rows + noise
         u = t_diag / totals
@@ -233,7 +220,7 @@ def wmmse_precoding(coupling: np.ndarray, user_apertures: np.ndarray,
         t = e @ b
         rows = row_power(t)
         trace.append(sum_rate(t, rows))
-        if abs(trace[-1] - trace[-2]) <= options.tolerance * max(1.0, abs(trace[-1])):
+        if abs(trace[-1] - trace[-2]) <= _TOLERANCE * max(1.0, abs(trace[-1])):
             converged = True
             break
 
@@ -262,8 +249,8 @@ def lift_precoder(coordinates: np.ndarray, user_apertures: np.ndarray) -> LiftRe
                       * np.asarray(coordinates))
 
 
-def baseline_se(scene: Scene, num_nodes: int, num_nodes_eval: int,
-                options: WmmseOptions | None = None) -> BaselineResult:
+def baseline_se(scene: Scene, num_nodes: int, num_nodes_eval: int
+                ) -> BaselineResult:
     """Full baseline pipeline with end-to-end timing.
 
     Gram C on grid(M) -> WMMSE on C -> weights A = sqrt(|A_u|) B -> exact
@@ -275,8 +262,7 @@ def baseline_se(scene: Scene, num_nodes: int, num_nodes_eval: int,
     grid = build_grid(scene.aperture, num_nodes)
     coupling = gram_pair(channel_matrix(scene, grid).h, grid.cell_area).coupling
     coordinates, info = wmmse_precoding(coupling, scene.user_apertures(),
-                                        scene.noise_vars(), scene.power_budget,
-                                        options)
+                                        scene.noise_vars(), scene.power_budget)
     lift = lift_precoder(coordinates, scene.user_apertures())
 
     grid_eval = build_grid(scene.aperture, num_nodes_eval)

@@ -63,8 +63,8 @@ from lcapa.quadrature import (ApertureGrid, build_grid, channel_matrix,
 from lcapa.quadrature import _require_hermitian
 from lcapa.scene import (Scene, SceneGeometryError, channel_response,
                          los_channels, sample_scene, square_aperture)
-from lcapa.training import GramForward, load_checkpoint
-from lcapa.wmmse import BisectionError, WmmseInfo, WmmseOptions
+from lcapa.training import load_checkpoint
+from lcapa.wmmse import BisectionError, WmmseInfo
 
 
 def direct_integral_check(scene: Scene, grid: ApertureGrid,
@@ -327,9 +327,14 @@ def plain_power_multiplier(c: np.ndarray, lam: np.ndarray, power: float) -> floa
                          f"multiplier in 100 steps (mu={mu:g})")
 
 
+# WMMSE's iteration cap and relative convergence tolerance, kept apart from
+# the constants of ``lcapa.wmmse``
+WMMSE_MAX_ITERATIONS = 200
+WMMSE_TOLERANCE = 1e-6
+
+
 def plain_wmmse_precoding(coupling: np.ndarray, user_apertures: np.ndarray,
-                          noise_vars: np.ndarray, power_budget: float,
-                          options: WmmseOptions | None = None
+                          noise_vars: np.ndarray, power_budget: float
                           ) -> tuple[np.ndarray, WmmseInfo]:
     """Sum-rate WMMSE on the coupling Gram, every step written plainly.
 
@@ -339,7 +344,6 @@ def plain_wmmse_precoding(coupling: np.ndarray, user_apertures: np.ndarray,
     the iteration count and the objective trace must agree bit for bit.
     Assumes valid inputs (a shared, positive user aperture size).
     """
-    options = options or WmmseOptions()
     num_users = len(user_apertures)
     c = np.asarray(coupling, dtype=complex)
     _require_hermitian(c)
@@ -363,7 +367,7 @@ def plain_wmmse_precoding(coupling: np.ndarray, user_apertures: np.ndarray,
     trace = [sum_rate(t, rows)]
     converged = False
     iterations = 0
-    for iterations in range(1, options.max_iterations + 1):
+    for iterations in range(1, WMMSE_MAX_ITERATIONS + 1):
         t_diag = t.diagonal()
         totals = rows + noise
         u = t_diag / totals
@@ -382,7 +386,7 @@ def plain_wmmse_precoding(coupling: np.ndarray, user_apertures: np.ndarray,
         t = e @ b
         rows = row_power(t)
         trace.append(sum_rate(t, rows))
-        if abs(trace[-1] - trace[-2]) <= options.tolerance * max(1.0, abs(trace[-1])):
+        if abs(trace[-1] - trace[-2]) <= WMMSE_TOLERANCE * max(1.0, abs(trace[-1])):
             converged = True
             break
 
@@ -732,14 +736,16 @@ def pair_analytic_chain(policy, positions, coupling_grams, user_apertures,
     """(loss, policy gradients) of the policy through the exact Gram forms."""
     a_raw, cache_p = pair_forward(policy, positions)
     c = np.asarray(coupling_grams, dtype=complex)
-    fwd = GramForward.evaluate(a_raw, c, power_budget)
-    loss, g_re_c, g_im_c = pair_policy_loss_grad(fwd.couplings, user_apertures,
-                                                 noise_vars)
+    ca = c @ a_raw
+    total = np.sum(np.conj(a_raw) * ca, axis=1).real.sum(axis=1)
+    scale = np.sqrt(power_budget / total)
+    loss, g_re_c, g_im_c = pair_policy_loss_grad(ca * scale[:, None, None],
+                                                 user_apertures, noise_vars)
     g_bar = c @ (g_re_c + 1j * g_im_c)
     g_re, g_im, dl_dtotal = _pair_projection_backward(
-        g_bar.real, g_bar.imag, a_raw, fwd.scale, fwd.total)
-    g_re += 2.0 * dl_dtotal[:, None, None] * fwd.ca.real
-    g_im += 2.0 * dl_dtotal[:, None, None] * fwd.ca.imag
+        g_bar.real, g_bar.imag, a_raw, scale, total)
+    g_re += 2.0 * dl_dtotal[:, None, None] * ca.real
+    g_im += 2.0 * dl_dtotal[:, None, None] * ca.imag
     grads, _, _ = pair_backward(policy, cache_p, g_re, g_im, wrt="params")
     return loss, grads
 

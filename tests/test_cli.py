@@ -5,8 +5,10 @@ import re
 import pytest
 
 import lcapa.experiments
+import lcapa.gnn
 import lcapa.training
-from lcapa.cli import main
+from lcapa.cli import _build_parser, _experiment_config, main
+from lcapa.experiments import ExperimentConfig
 
 
 @pytest.mark.parametrize("command", ["eval", "experiment", "train-policy"])
@@ -129,6 +131,66 @@ def test_grad_check_covers_the_analytic_chain(capsys):
     lines = capsys.readouterr().out.splitlines()
     analytic = [line for line in lines if line.startswith("analytic-chain ")]
     assert len(analytic) == 1 and analytic[0].endswith("[ok]")
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--probes", "0"], "--probes must be >= 1, got 0"),
+    (["--probes", "-3"], "--probes must be >= 1, got -3"),
+    (["--hidden", "0"], "--hidden must be >= 1, got 0"),
+], ids=["no-probes", "negative-probes", "no-hidden"])
+def test_grad_check_that_checks_nothing_is_a_usage_error(flags, message,
+                                                         monkeypatch, capsys):
+    # no probe printed five [ok] lines and exited 0; no hidden unit exited 2
+    def must_not_build(*args):
+        raise AssertionError("built a model")
+
+    monkeypatch.setattr(lcapa.gnn, "init_params", must_not_build)
+    assert main(["grad-check", *flags]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+# one non-default value for every ExperimentConfig field
+_EVERY_FIELD = dict(
+    kind="sweep-m", num_users=3, zeta=1e7, zeta_list=[1e5, 1e8],
+    aperture_area=1.0, aperture_list=[0.25, 4.0], num_nodes=16, m_list=[4, 16],
+    num_nodes_eval=64, ntr_list=[4, 8], power_budget=2.0, num_test_scenes=2,
+    scene_seed=1, init_seed=2, data_seed=3, num_train=8, surrogate_epochs=1,
+    policy_epochs=2, policy_lr=0.01, supervised_lr=0.02, batch_size=4,
+    hidden=8, layers=3, policy_mode="analytic", train_inline=True,
+    checkpoint_dir="ck", output_dir="out", timing_scenes=2, timing_repeats=1)
+
+
+@pytest.mark.parametrize("command", ["train-proj", "train-value",
+                                     "train-policy", "eval", "baseline",
+                                     "experiment"])
+def test_every_config_field_is_a_flag(command):
+    assert set(_EVERY_FIELD) == set(ExperimentConfig.__dataclass_fields__)
+    flags = []
+    for name, value in _EVERY_FIELD.items():
+        flags.append("--" + name.replace("_", "-"))
+        if isinstance(value, list):
+            flags += [str(v) for v in value]
+        elif not isinstance(value, bool):
+            flags.append(str(value))
+    args = _build_parser().parse_args([command, *flags])
+    assert _experiment_config(args, {}) == ExperimentConfig.from_dict(
+        _EVERY_FIELD)
+
+
+def test_flags_alone_train_and_evaluate_one_policy(tmp_path, capsys):
+    # eval used to know none of --hidden, --layers, --batch-size or
+    # --policy-epochs, so these flags could not reach the trained network
+    flags = ["--num-users", "3", "--num-nodes", "16", "--num-train", "8",
+             "--policy-epochs", "1", "--batch-size", "4", "--hidden", "8",
+             "--layers", "3", "--policy-mode", "analytic",
+             "--checkpoint-dir", str(tmp_path / "ck")]
+    assert main(["train-policy", *flags]) == 0
+    assert main(["eval", *flags, "--num-nodes-eval", "64",
+                 "--num-test-scenes", "2",
+                 "--output-dir", str(tmp_path / "out")]) == 0
+    assert "over 2 scenes" in capsys.readouterr().out
+    assert (tmp_path / "out" / "eval.csv").stat().st_size > 0
 
 
 def test_info_exits_zero(capsys):

@@ -51,11 +51,11 @@ class TestSinrVector:
 
     def test_wmmse_couplings_match_pointwise_eq1(self, seed1_scene, seed1_grid256,
                                                  seed1_grams):
-        from lcapa.wmmse import WmmseOptions, lift_precoder, wmmse_precoding
+        from lcapa.wmmse import lift_precoder, wmmse_precoding
 
         coordinates, _ = wmmse_precoding(
             seed1_grams.coupling, seed1_scene.user_apertures(),
-            seed1_scene.noise_vars(), seed1_scene.power_budget, WmmseOptions())
+            seed1_scene.noise_vars(), seed1_scene.power_budget)
         lift = lift_precoder(coordinates, seed1_scene.user_apertures())
         a_bar = project_weights(
             lift.weights, integral_power(lift.weights, seed1_grams.coupling),

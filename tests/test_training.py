@@ -531,6 +531,14 @@ class TestTrainPolicy:
         return train_policy(policy_spec(hidden=8, layers=3), proj, value, pool,
                             eval_pool, hyper, 0, mode)
 
+    @staticmethod
+    def surrogates():
+        norms = {"pos_scale": 30.0, "a_scale": 1e-3, "out_scale": 1.0}
+        return tuple(GnnModel(spec=spec, params=init_params(spec, seed),
+                              norms=norms)
+                     for spec, seed in ((proj_spec(hidden=8, layers=3), 1),
+                                        (value_spec(hidden=8, layers=3), 2)))
+
     def test_analytic_returns_the_best_epoch_snapshot(self, pools, monkeypatch):
         snapshots = []
         evaluate = training.exact_policy_se
@@ -583,12 +591,30 @@ class TestTrainPolicy:
         assert report.eval_curve == [0.0] * self.EPOCHS
         assert all(np.all(a == 0.0) for _, a in policy.params.iter_arrays())
 
+    def test_zero_surrogate_powers_skip_every_batch(self, pools):
+        # the degenerate-batch check of the one chain, reached through
+        # ProjNet: softplus(-1e4 + ...) is exactly 0 on every user
+        proj, value = self.surrogates()
+        proj.params.layers[-1].b_v[...] = -1e4
+        pool = pools[0]
+        scene = pool.scenes[0]
+        with pytest.raises(training.DegenerateBatchError):
+            surrogate_chain_loss_and_grads(
+                tiny_policy(pool, 0), proj, value, pool.positions,
+                scene.user_apertures(), scene.noise_vars(), scene.power_budget)
+        policy, report = self.train(pools, "surrogate", proj, value)
+        batches = -(-len(pool.scenes) // self.BATCH)
+        assert report.skipped_batches == self.EPOCHS * batches
+        assert report.loss_curve == [0.0] * self.EPOCHS
+        # no step was taken
+        for (name, a), (_, b) in zip(
+                policy.params.iter_arrays(),
+                init_params(policy_spec(hidden=8, layers=3), 0).iter_arrays(),
+                strict=True):
+            assert np.array_equal(a, b), name
+
     def test_surrogate_mode_leaves_the_surrogates_untouched(self, pools):
-        norms = {"pos_scale": 30.0, "a_scale": 1e-3, "out_scale": 1.0}
-        proj, value = (GnnModel(spec=spec, params=init_params(spec, seed),
-                                norms=norms)
-                       for spec, seed in ((proj_spec(hidden=8, layers=3), 1),
-                                          (value_spec(hidden=8, layers=3), 2)))
+        proj, value = self.surrogates()
         frozen = [a.copy() for m in (proj, value) for _, a in m.params.iter_arrays()]
         policy, report = self.train(pools, "surrogate", proj, value)
         after = [a for m in (proj, value) for _, a in m.params.iter_arrays()]

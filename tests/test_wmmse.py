@@ -10,44 +10,26 @@ from lcapa.wmmse import (
     BaselineResult,
     BisectionError,
     WmmseInfo,
-    WmmseOptions,
     _power_multiplier,
     _shared_aperture,
     baseline_se,
     lift_precoder,
     wmmse_precoding,
 )
-from oracles import (least_squares_lift, plain_power_multiplier,
+from oracles import (WMMSE_MAX_ITERATIONS, WMMSE_TOLERANCE,
+                     least_squares_lift, plain_power_multiplier,
                      plain_wmmse_precoding)
 
 
-def run_wmmse(scene, num_nodes, options=None):
+def run_wmmse(scene, num_nodes):
     """WMMSE on the scene's M-node Gram; returns (grid, h, C, weights A, info)."""
     grid = build_grid(scene.aperture, num_nodes)
     h = channel_matrix(scene, grid).h
     coupling = gram_pair(h, grid.cell_area).coupling
     coordinates, info = wmmse_precoding(coupling, scene.user_apertures(),
-                                        scene.noise_vars(), scene.power_budget,
-                                        options or WmmseOptions())
+                                        scene.noise_vars(), scene.power_budget)
     weights = lift_precoder(coordinates, scene.user_apertures()).weights
     return grid, h, coupling, weights, info
-
-
-class TestWmmseOptions:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WmmseOptions(max_iterations=0)
-        with pytest.raises(ValueError):
-            WmmseOptions(tolerance=0.0)
-        # matched-filter start is the only initialization; there is no knob
-        with pytest.raises(TypeError):
-            WmmseOptions(init_rule="matched")
-
-    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1e-6])
-    def test_tolerance_must_be_positive_and_finite(self, tolerance):
-        # a NaN tolerance would never compare as converged
-        with pytest.raises(ValueError, match="tolerance"):
-            WmmseOptions(tolerance=tolerance)
 
 
 class TestSingleUser:
@@ -264,8 +246,7 @@ class TestBaseline:
         assert res.se_report.sum_se > 0.0
 
 
-def _reference_wmmse(h, cell_area, user_apertures, noise_vars, power_budget,
-                     options=None):
+def _reference_wmmse(h, cell_area, user_apertures, noise_vars, power_budget):
     """WMMSE on the M-row node-domain matrices, with a bisection multiplier.
 
     The node-domain form of :func:`wmmse_precoding`: every product runs over
@@ -274,7 +255,6 @@ def _reference_wmmse(h, cell_area, user_apertures, noise_vars, power_budget,
     delta ||V||_F^2, and the iteration record.  Kept as the oracle for the
     Gram-coordinate iteration, which it meets through V = h^T A.
     """
-    options = options or WmmseOptions()
     h = np.asarray(h, dtype=complex)
     num_users, num_nodes = h.shape
     ap_u = _shared_aperture(user_apertures)
@@ -301,7 +281,7 @@ def _reference_wmmse(h, cell_area, user_apertures, noise_vars, power_budget,
     trace = [sum_rate(v)]
     converged = False
     iterations = 0
-    for iterations in range(1, options.max_iterations + 1):
+    for iterations in range(1, WMMSE_MAX_ITERATIONS + 1):
         t = couplings(v)
         totals = np.sum(np.abs(t) ** 2, axis=1) + noise
         u = np.diag(t) / totals
@@ -345,7 +325,7 @@ def _reference_wmmse(h, cell_area, user_apertures, noise_vars, power_budget,
 
         v = basis @ (coeff / (lam_kept[:, None] + mu)) * (w * u)[None, :]
         trace.append(sum_rate(v))
-        if abs(trace[-1] - trace[-2]) <= options.tolerance * max(1.0, abs(trace[-1])):
+        if abs(trace[-1] - trace[-2]) <= WMMSE_TOLERANCE * max(1.0, abs(trace[-1])):
             converged = True
             break
 
