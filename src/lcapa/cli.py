@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Subcommands: train-proj, train-value, train-policy, eval, baseline,
-experiment, grad-check, info.  Every command that runs an experiment config
-takes every config field as a flag, ``--<field>`` with dashes for
-underscores (a tuple field takes one or more values), and ``--config``, a
-JSON file of defaults that the flags override.  The train commands also take
-``--epochs`` and ``--learning-rate``, which set the epochs and learning rate
-of the network they train.  Exit codes: 0 success, 1 usage error, 2 runtime
-failure.
+experiment, grad-check, info.  Each command that runs an experiment config
+takes as flags exactly the config fields it reads, its row of
+``lcapa.experiments.FIELDS_READ``: ``--<field>`` with dashes for underscores
+(a tuple field takes one or more values).  ``experiment`` takes the fields
+of every kind, and a flag its ``--kind`` does not read is a usage error.
+Each also takes ``--config``, a JSON file of defaults that the flags
+override; one file may serve several commands, so a key outside the
+command's row is accepted, checked and not recorded.  Exit codes: 0 success,
+1 usage error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -40,11 +42,17 @@ _FLAG_TYPES = {"int": int, "float": float, "str": str}
 _FLAG_CHOICES = {"kind": experiments.SWEEP_KINDS, "policy_mode": POLICY_MODES}
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    """One flag per ExperimentConfig field, typed from the field's
-    annotation; a flag not given is None."""
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _add_config_flags(p: argparse.ArgumentParser, names) -> None:
+    """One flag per ExperimentConfig field in ``names``, typed from the
+    field's annotation; a flag not given is None."""
     for f in fields(experiments.ExperimentConfig):
-        flag = "--" + f.name.replace("_", "-")
+        if f.name not in names:
+            continue
+        flag = _flag(f.name)
         if f.type == "bool":
             p.add_argument(flag, action="store_true", default=None)
         elif f.type.startswith("tuple["):
@@ -58,12 +66,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lcapa", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON config file with defaults")
-        return p
-
+    every_kind = set().union(*(experiments.FIELDS_READ[kind]
+                               for kind in experiments.SWEEP_KINDS))
     for name, help_text in (
             ("train-proj", "train the power surrogate"),
             ("train-value", "train the coupling surrogate"),
@@ -71,18 +75,17 @@ def _build_parser() -> _Parser:
             ("eval", "evaluate a trained policy on a fresh test set"),
             ("baseline", "run the WMMSE baseline over a test set"),
             ("experiment", "run a sweep or timing experiment")):
-        p = add(name, help_text)
-        _add_config_flags(p)
-        if name.startswith("train-"):
-            p.add_argument("--epochs", type=int)
-            p.add_argument("--learning-rate", type=float)
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON config file with defaults")
+        _add_config_flags(p, experiments.FIELDS_READ.get(name, every_kind))
 
-    p = add("grad-check", "finite-difference check of every gradient path")
+    p = sub.add_parser("grad-check",
+                       help="finite-difference check of every gradient path")
     p.add_argument("--hidden", type=int, default=8)
     p.add_argument("--probes", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
 
-    add("info", "print version and default constants")
+    sub.add_parser("info", help="print version and default constants")
     return parser
 
 
@@ -99,37 +102,29 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _experiment_config(args, cfg: dict, **overrides):
-    # config file < every given flag naming a config field < overrides; the
-    # parser's own attributes (command, config, epochs, ...) name no field
+def _flags_given(args) -> dict:
+    """The config fields given as flags; the parser's own attributes
+    (command, config) name no field."""
     known = experiments.ExperimentConfig.__dataclass_fields__
-    merged = dict(cfg)
-    for given in (vars(args), overrides):
-        merged.update({k: v for k, v in given.items()
-                       if v is not None and k in known})
+    return {k: v for k, v in vars(args).items() if v is not None and k in known}
+
+
+def _experiment_config(args, cfg: dict, **overrides):
+    # config file < every given flag < overrides
     try:
-        return experiments.ExperimentConfig.from_dict(merged)
+        return experiments.ExperimentConfig.from_dict(
+            {**cfg, **_flags_given(args), **overrides})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
 def _cmd_train(args, which: str) -> int:
     cfg = _load_config(args.config)
-    overrides = {"train_inline": True}
-    if which == "policy":
-        overrides.update({"policy_epochs": args.epochs,
-                          "policy_lr": args.learning_rate})
-    else:
-        overrides.update({"surrogate_epochs": args.epochs,
-                          "supervised_lr": args.learning_rate})
-    config = _experiment_config(args, cfg, **overrides)
-    experiments.network(config, config.zeta, config.aperture_area,
-                        config.num_train, which)
-    paths = experiments.checkpoint_paths(config, config.zeta,
-                                         config.aperture_area, config.num_train)
-    print(f"checkpoints under {config.checkpoint_dir}: "
-          + ", ".join(os.path.basename(p) for p in paths.values()
-                      if os.path.exists(p)))
+    config = _experiment_config(args, cfg, train_inline=True)
+    setting = (config.zeta, config.aperture_area, config.num_train)
+    experiments.network(config, *setting, which)
+    print(f"{which} checkpoint: "
+          f"{experiments.checkpoint_path(config, *setting, which)}")
     return 0
 
 
@@ -143,8 +138,8 @@ def _cmd_eval(args) -> int:
     rows = [[f"scene-{config.scene_seed}-{i}", "lcapa-gnn",
              config.num_nodes_eval, float(v)] for i, v in enumerate(se)]
     rows.append(["mean", "lcapa-gnn", config.num_nodes_eval, float(se.mean())])
-    experiments._write_csv(path, config, ["scene_id", "method", "m_eval",
-                                          "sum_se"], rows)
+    experiments._write_csv(path, config, "eval",
+                           ["scene_id", "method", "m_eval", "sum_se"], rows)
     print(f"mean sum SE {se.mean():.4f} over {len(se)} scenes -> {path}")
     return 0
 
@@ -164,9 +159,9 @@ def _cmd_baseline(args) -> int:
                      res.runtime_seconds])
     os.makedirs(config.output_dir, exist_ok=True)
     path = os.path.join(config.output_dir, "baseline.csv")
-    experiments._write_csv(path, config, ["scene_id", "m", "m_eval",
-                                          "iterations", "converged", "sum_se",
-                                          "runtime_seconds"], rows)
+    experiments._write_csv(path, config, "baseline",
+                           ["scene_id", "m", "m_eval", "iterations",
+                            "converged", "sum_se", "runtime_seconds"], rows)
     mean = np.mean([r[5] for r in rows])
     print(f"baseline mean sum SE {mean:.4f} over {len(rows)} scenes -> {path}")
     return 0
@@ -175,6 +170,11 @@ def _cmd_baseline(args) -> int:
 def _cmd_experiment(args) -> int:
     cfg = _load_config(args.config)
     config = _experiment_config(args, cfg)
+    unread = [_flag(name) for name in _flags_given(args)
+              if name not in experiments.FIELDS_READ[config.kind]]
+    if unread:
+        raise UsageError(f"--kind {config.kind} does not read "
+                         + ", ".join(unread))
     paths = experiments.run_experiment(config)
     for name, path in paths.items():
         print(f"{name}: {path}")
@@ -182,9 +182,10 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
-    for name in ("hidden", "probes"):
-        if getattr(args, name) < 1:
-            raise UsageError(f"--{name} must be >= 1, got {getattr(args, name)}")
+    for name, low in (("hidden", 1), ("probes", 1), ("seed", 0)):
+        if getattr(args, name) < low:
+            raise UsageError(f"--{name} must be >= {low}, "
+                             f"got {getattr(args, name)}")
     from .gnn import policy_spec, proj_spec, value_spec, init_params
     from .heads import (GnnModel, policy_forward, policy_backward, proj_forward,
                         proj_backward, value_forward, value_backward)

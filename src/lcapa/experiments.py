@@ -1,9 +1,10 @@
 """Paired sweep and timing experiments with reproducible CSV outputs.
 
-Every result file embeds its fully resolved configuration (and all seeds) as
-``#``-prefixed header comments, so re-running the embedded config regenerates
-the file.  Learned and baseline methods are always evaluated on identical
-test scenes.
+Every result file embeds, as ``#``-prefixed header comments, the config
+fields that produced it: the row of :data:`FIELDS_READ` for the command or
+kind that wrote it, seeds included.  A field the file does not record was not
+read, so re-running the embedded config regenerates the file.  Learned and
+baseline methods are always evaluated on identical test scenes.
 
 Every kind but ``timing`` runs through one loop: it turns the config into a
 list of points ``(x, {method: per-scene sum SE})`` and writes
@@ -25,7 +26,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -148,9 +149,6 @@ class ExperimentConfig:
         if self.kind in swept and not lst:
             raise ValueError(f"{self.kind} requires its swept list")
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         unknown = sorted(set(data) - set(cls.__dataclass_fields__))
@@ -165,14 +163,52 @@ class ExperimentConfig:
         return cls.from_dict(json.loads(text))
 
 
-def checkpoint_paths(config: ExperimentConfig, zeta: float, area: float,
-                     n_train: int) -> dict:
-    tag = (f"k{config.num_users}_zeta{zeta:g}_area{area:g}_m{config.num_nodes}"
-           f"_ntr{n_train}")
-    base = config.checkpoint_dir
-    return {"proj": os.path.join(base, f"proj_{tag}.json"),
-            "value": os.path.join(base, f"value_{tag}.json"),
-            "policy": os.path.join(base, f"policy_{config.policy_mode}_{tag}.json")}
+# Each sweep kind's x column, and the config list it sweeps (None: one point).
+_AXES = {"single": ("point", None), "sweep-snr": ("zeta", "zeta_list"),
+         "sweep-aperture": ("aperture_area", "aperture_list"),
+         "sweep-ntr": ("num_train", "ntr_list"), "sweep-m": ("m", "m_list")}
+
+
+# The config fields each command and each experiment kind reads, built from
+# these groups.  A command takes its row's fields as flags, and a result file
+# records its row's fields only.
+_SETTING = ("num_users", "zeta", "aperture_area", "power_budget", "num_nodes")
+_SURROGATE_TRAINING = ("num_train", "data_seed", "init_seed", "batch_size",
+                       "hidden", "layers", "surrogate_epochs", "supervised_lr")
+# a surrogate-mode policy loads or trains its two surrogates
+_POLICY_TRAINING = _SURROGATE_TRAINING + ("policy_epochs", "policy_lr",
+                                          "policy_mode")
+_EVALUATION = ("scene_seed", "num_test_scenes", "num_nodes_eval")
+_TIMING = ("scene_seed", "timing_scenes", "timing_repeats")
+_DIRS = ("checkpoint_dir", "output_dir")
+# what scoring a policy reads: eval, and every kind but timing
+_EVAL_READS = (*_SETTING, *_POLICY_TRAINING, "train_inline", *_EVALUATION,
+               *_DIRS)
+# the train commands always train inline, so they take no train_inline
+_TRAIN_SURROGATE = frozenset((*_SETTING, *_SURROGATE_TRAINING, "checkpoint_dir"))
+
+FIELDS_READ = {
+    "train-proj": _TRAIN_SURROGATE,
+    "train-value": _TRAIN_SURROGATE,
+    "train-policy": frozenset((*_SETTING, *_POLICY_TRAINING, "checkpoint_dir")),
+    "eval": frozenset(_EVAL_READS),
+    "baseline": frozenset((*_SETTING, *_EVALUATION, "output_dir")),
+    # a swept kind reads its list in place of the value the list overrides
+    **{kind: frozenset(("kind", swept, *_EVAL_READS)) - {axis, None}
+       for kind, (axis, swept) in _AXES.items()},
+    "timing": frozenset(("kind", *_SETTING, *_POLICY_TRAINING, "train_inline",
+                         *_TIMING, *_DIRS)),
+}
+
+
+def checkpoint_path(config: ExperimentConfig, zeta: float, area: float,
+                    n_train: int, head: str) -> str:
+    """The checkpoint file of one network of one setting; only the policy's
+    name holds the policy mode."""
+    name = f"policy_{config.policy_mode}" if head == "policy" else head
+    return os.path.join(config.checkpoint_dir,
+                        f"{name}_k{config.num_users}_zeta{zeta:g}_area{area:g}"
+                        f"_m{config.num_nodes}_ntr{n_train}.json")
 
 
 # Each network's spec factory, and the offset of its data and init seeds
@@ -194,7 +230,7 @@ def network(config: ExperimentConfig, zeta: float, area: float, n_train: int,
     """
     factory, offset = _NETWORKS[head]
     spec = factory(hidden=config.hidden, layers=config.layers)
-    path = checkpoint_paths(config, zeta, area, n_train)[head]
+    path = checkpoint_path(config, zeta, area, n_train, head)
     if os.path.exists(path):
         model = load_checkpoint(path)
         if model.spec != spec:
@@ -244,12 +280,15 @@ def eval_scenes(config: ExperimentConfig, zeta: float, area: float,
         config.power_budget)]
 
 
-def _write_csv(path: str, config: ExperimentConfig, columns: list[str],
-               rows: list[list]) -> None:
+def _write_csv(path: str, config: ExperimentConfig, reader: str,
+               columns: list[str], rows: list[list]) -> None:
+    """Write a result file that records the fields ``reader``, a command or
+    kind of :data:`FIELDS_READ`, reads."""
+    record = {name: getattr(config, name) for name in FIELDS_READ[reader]}
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
         fh.write(f"# lcapa {__version__}\n")
-        fh.write(f"# config: {config.to_json()}\n")
+        fh.write(f"# config: {json.dumps(record, sort_keys=True)}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -262,7 +301,11 @@ def _fmt(v) -> str:
 
 
 def read_result_file(path: str) -> tuple[ExperimentConfig, list[str], list[list[str]]]:
-    """Parse a result CSV back into (embedded config, columns, rows)."""
+    """Parse a result CSV back into (embedded config, columns, rows).
+
+    A field the file does not record takes its default; the run that wrote
+    the file did not read it.
+    """
     config = None
     columns, rows = None, []
     with open(path) as fh:
@@ -299,17 +342,12 @@ def _baseline_se(config: ExperimentConfig, scenes: list[Scene],
                      for s in scenes])
 
 
-# Each sweep kind's x column, and the config list it sweeps (None: one point).
-_AXES = {"single": ("point", None), "sweep-snr": ("zeta", "zeta_list"),
-         "sweep-aperture": ("aperture_area", "aperture_list"),
-         "sweep-ntr": ("num_train", "ntr_list"), "sweep-m": ("m", "m_list")}
-
-
 def _sweep_points(config: ExperimentConfig) -> list[tuple[object, dict]]:
     """Every ``(x, {method: per-scene sum SE})`` of a sweep kind, in row order."""
     axis, swept = _AXES[config.kind]
-    setting = {"zeta": config.zeta, "aperture_area": config.aperture_area,
-               "num_train": config.num_train}
+    # a swept kind does not read the value its list overrides
+    setting = {name: getattr(config, name)
+               for name in ("zeta", "aperture_area", "num_train") if name != axis}
     if config.kind == "sweep-m":
         scenes, se = policy_se(config, **setting)
         return [(config.num_nodes, {"lcapa-gnn": se})] + [
@@ -341,9 +379,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "summary": os.path.join(config.output_dir, f"{config.kind}_summary.csv"),
         "per_scene": os.path.join(config.output_dir, f"{config.kind}_scenes.csv"),
     }
-    _write_csv(paths["summary"], config,
+    _write_csv(paths["summary"], config, config.kind,
                [label, "method", "mean_sum_se", "std_sum_se", "n_scenes"], summary)
-    _write_csv(paths["per_scene"], config,
+    _write_csv(paths["per_scene"], config, config.kind,
                [label, "scene_id", "method", "sum_se"], per_scene)
     return paths
 
@@ -397,6 +435,6 @@ def bench_timing(config: ExperimentConfig) -> dict:
     rows.append(["all", "cov-gnn", cov["lcapa-gnn"], len(scenes)])
     rows.append(["all", "cov-wmmse", cov["wmmse"], len(scenes)])
     path = os.path.join(config.output_dir, "timing.csv")
-    _write_csv(path, config, ["run", "method", "median_seconds_or_value",
-                              "n_scenes"], rows)
+    _write_csv(path, config, "timing",
+               ["run", "method", "median_seconds_or_value", "n_scenes"], rows)
     return {"timing": path}

@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +10,11 @@ import lcapa.experiments
 import lcapa.gnn
 import lcapa.training
 from lcapa.cli import _build_parser, _experiment_config, main
-from lcapa.experiments import ExperimentConfig
+from lcapa.experiments import (FIELDS_READ, SWEEP_KINDS, ExperimentConfig,
+                               read_result_file)
+from lcapa.training import POLICY_MODES
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.mark.parametrize("command", ["eval", "experiment", "train-policy"])
@@ -26,7 +32,7 @@ _FIELD_RULES = {"zeta": "positive and finite",
 @pytest.mark.parametrize("flags,field", [
     (["--batch-size", "0"], "batch_size"),
     (["--batch-size", "-1"], "batch_size"),
-    (["--epochs", "0"], "surrogate_epochs"),
+    (["--surrogate-epochs", "0"], "surrogate_epochs"),
     (["--num-train", "0"], "num_train"),
     (["--num-users", "0"], "num_users"),
     (["--hidden", "0"], "hidden"),
@@ -137,10 +143,12 @@ def test_grad_check_covers_the_analytic_chain(capsys):
     (["--probes", "0"], "--probes must be >= 1, got 0"),
     (["--probes", "-3"], "--probes must be >= 1, got -3"),
     (["--hidden", "0"], "--hidden must be >= 1, got 0"),
-], ids=["no-probes", "negative-probes", "no-hidden"])
+    (["--seed", "-1"], "--seed must be >= 0, got -1"),
+], ids=["no-probes", "negative-probes", "no-hidden", "negative-seed"])
 def test_grad_check_that_checks_nothing_is_a_usage_error(flags, message,
                                                          monkeypatch, capsys):
-    # no probe printed five [ok] lines and exited 0; no hidden unit exited 2
+    # no probe printed five [ok] lines and exited 0; no hidden unit, and a
+    # negative seed, exited 2
     def must_not_build(*args):
         raise AssertionError("built a model")
 
@@ -150,10 +158,21 @@ def test_grad_check_that_checks_nothing_is_a_usage_error(flags, message,
     assert message in captured.err and captured.out == ""
 
 
-# one non-default value for every ExperimentConfig field
+_COMMANDS = ["train-proj", "train-value", "train-policy", "eval", "baseline"]
+
+# A tiny run that reads every list, and another valid value of every field.
+_TINY = dict(
+    kind="single", num_users=3, zeta=1e6, zeta_list=[1e6, 1e7],
+    aperture_area=4.0, aperture_list=[1.0, 4.0], num_nodes=16, m_list=[4, 64],
+    num_nodes_eval=16, ntr_list=[2, 4], power_budget=1.0, num_test_scenes=1,
+    scene_seed=9000, init_seed=0, data_seed=100, num_train=4,
+    surrogate_epochs=2, policy_epochs=1, policy_lr=1e-4, supervised_lr=1e-3,
+    batch_size=2, hidden=6, layers=2, policy_mode="surrogate",
+    train_inline=False, checkpoint_dir="checkpoints", output_dir="results",
+    timing_scenes=1, timing_repeats=2)
 _EVERY_FIELD = dict(
-    kind="sweep-m", num_users=3, zeta=1e7, zeta_list=[1e5, 1e8],
-    aperture_area=1.0, aperture_list=[0.25, 4.0], num_nodes=16, m_list=[4, 16],
+    kind="sweep-m", num_users=4, zeta=1e7, zeta_list=[1e5, 1e8],
+    aperture_area=1.0, aperture_list=[0.25, 4.0], num_nodes=64, m_list=[4, 16],
     num_nodes_eval=64, ntr_list=[4, 8], power_budget=2.0, num_test_scenes=2,
     scene_seed=1, init_seed=2, data_seed=3, num_train=8, surrogate_epochs=1,
     policy_epochs=2, policy_lr=0.01, supervised_lr=0.02, batch_size=4,
@@ -161,21 +180,161 @@ _EVERY_FIELD = dict(
     checkpoint_dir="ck", output_dir="out", timing_scenes=2, timing_repeats=1)
 
 
-@pytest.mark.parametrize("command", ["train-proj", "train-value",
-                                     "train-policy", "eval", "baseline",
-                                     "experiment"])
-def test_every_config_field_is_a_flag(command):
-    assert set(_EVERY_FIELD) == set(ExperimentConfig.__dataclass_fields__)
+def _flags(settings: dict) -> list[str]:
     flags = []
-    for name, value in _EVERY_FIELD.items():
+    for name, value in settings.items():
         flags.append("--" + name.replace("_", "-"))
         if isinstance(value, list):
             flags += [str(v) for v in value]
         elif not isinstance(value, bool):
             flags.append(str(value))
-    args = _build_parser().parse_args([command, *flags])
-    assert _experiment_config(args, {}) == ExperimentConfig.from_dict(
-        _EVERY_FIELD)
+    return flags
+
+
+@pytest.mark.parametrize("command", _COMMANDS + ["experiment"])
+def test_every_config_field_is_a_flag(command, tmp_path, monkeypatch,
+                                      capsys):
+    # every field the command reads is a flag, and no other field is: each
+    # command used to take all 29, and the train commands two aliases
+    assert set(_EVERY_FIELD) == set(_TINY) == set(
+        ExperimentConfig.__dataclass_fields__)
+    assert all(_EVERY_FIELD[name] != _TINY[name] for name in _TINY)
+    row = (FIELDS_READ[command] if command != "experiment" else
+           set().union(*(FIELDS_READ[kind] for kind in SWEEP_KINDS)))
+    parser = _build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    options = {o for a in sub._actions for o in a.option_strings}
+    assert options == {"-h", "--help", "--config"} | {
+        "--" + name.replace("_", "-") for name in row}
+    given = {name: _EVERY_FIELD[name] for name in row}
+    args = parser.parse_args([command, *_flags(given)])
+    assert _experiment_config(args, {}) == ExperimentConfig.from_dict(given)
+
+    def must_not_run(config):
+        raise AssertionError("ran with a flag its kind does not read")
+
+    monkeypatch.setattr(lcapa.experiments, "run_experiment", must_not_run)
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_EVERY_FIELD))
+    outside = [(command, name) for name in _EVERY_FIELD if name not in row]
+    if command == "experiment":
+        outside = [(kind, name) for kind in SWEEP_KINDS for name in _EVERY_FIELD
+                   if name not in FIELDS_READ[kind]]
+    for reader, name in outside:
+        flag = _flags({name: _EVERY_FIELD[name]})
+        argv = ([command] if reader == command else
+                [command, "--config", str(cfg), "--kind", reader])
+        assert main([*argv, *flag]) == 1, (reader, name)
+        message = (f"unrecognized arguments: {' '.join(flag)}"
+                   if reader == command else
+                   f"--kind {reader} does not read {flag[0]}")
+        assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def _run(reader: str, settings: dict, run_dir: Path, monkeypatch) -> None:
+    """Run a command, or an experiment kind, from ``settings`` as a config
+    file; its relative directories land in ``run_dir``."""
+    run_dir.mkdir(parents=True)
+    cfg = run_dir.parent / f"{run_dir.name}.json"
+    cfg.write_text(json.dumps(settings))
+    monkeypatch.chdir(run_dir)
+    argv = ([reader] if reader in _COMMANDS else
+            ["experiment", "--kind", reader])
+    if "train_inline" in FIELDS_READ[reader]:
+        argv.append("--train-inline")
+    assert main([*argv, "--config", str(cfg)]) == 0, reader
+
+
+def test_each_command_and_kind_reads_exactly_its_row(tmp_path, monkeypatch):
+    reads, paused = set(), []
+
+    class Recording(ExperimentConfig):
+        """A config that notes each field read once it is built."""
+
+        def __post_init__(self):
+            paused.append(True)
+            try:
+                super().__post_init__()
+            finally:
+                paused.pop()
+
+        def __getattribute__(self, name):
+            if not paused and name in ExperimentConfig.__dataclass_fields__:
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    write_csv = lcapa.experiments._write_csv
+
+    def write_unread(*args):
+        # the record reads the row itself
+        paused.append(True)
+        try:
+            write_csv(*args)
+        finally:
+            paused.pop()
+
+    monkeypatch.setattr(lcapa.experiments, "ExperimentConfig", Recording)
+    monkeypatch.setattr(lcapa.experiments, "_write_csv", write_unread)
+    for reader in _COMMANDS + list(SWEEP_KINDS):
+        reads.clear()
+        for mode in POLICY_MODES:
+            _run(reader, dict(_TINY, policy_mode=mode),
+                 tmp_path / mode / reader, monkeypatch)
+        # the train commands set train_inline themselves
+        own = {"train_inline"} if reader.startswith("train-") else set()
+        assert reads == set(FIELDS_READ[reader]) | own, reader
+
+
+def _without_wall_clock(path: Path) -> str:
+    text = path.read_text()
+    if path.suffix == ".json":
+        text, found = re.subn(r'"wall_clock_seconds": [^,}]*', "", text)
+        assert found == 1
+    elif path.name == "baseline.csv":       # its last column is a runtime
+        text = "\n".join(line if line.startswith("#") else line.rsplit(",", 1)[0]
+                         for line in text.splitlines())
+    return text
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_a_field_outside_the_row_changes_no_output_byte(command, tmp_path,
+                                                        monkeypatch):
+    def outputs(name, settings):
+        run_dir = tmp_path / name
+        _run(command, settings, run_dir, monkeypatch)
+        return {str(p.relative_to(run_dir)): _without_wall_clock(p)
+                for p in sorted(run_dir.rglob("*")) if p.is_file()}
+
+    expected = outputs("tiny", _TINY)
+    assert expected
+    for name in _EVERY_FIELD:
+        if name not in FIELDS_READ[command]:
+            changed = dict(_TINY, **{name: _EVERY_FIELD[name]})
+            assert outputs(name, changed) == expected, name
+
+
+def test_a_file_that_records_every_field_still_reads(tmp_path, monkeypatch):
+    # a baseline file written when every file recorded all 29 fields, two
+    # of them lists the baseline does not read
+    path = FIXTURES / "baseline_every_field.csv"
+    embedded, columns, rows = read_result_file(str(path))
+    record = next(line[len("# config: "):]
+                  for line in path.read_text().splitlines()
+                  if line.startswith("# config: "))
+    assert set(json.loads(record)) == set(ExperimentConfig.__dataclass_fields__)
+    assert embedded.m_list == (4, 16) and embedded.zeta_list == (1e5,)
+    # its config, keys outside the baseline's row and all, re-runs every row
+    # but the runtime
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(record)
+    assert main(["baseline", "--config", "config.json"]) == 0
+    _, again_columns, again = read_result_file(str(tmp_path / "out" /
+                                                   "baseline.csv"))
+    assert again_columns == columns
+    assert [r[:-1] for r in again] == [r[:-1] for r in rows]
 
 
 def test_flags_alone_train_and_evaluate_one_policy(tmp_path, capsys):

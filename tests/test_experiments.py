@@ -1,14 +1,16 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lcapa.experiments import (
+    FIELDS_READ,
     CheckpointMismatchError,
     ExperimentConfig,
     MissingCheckpointError,
     bench_timing,
-    checkpoint_paths,
+    checkpoint_path,
     network,
     policy_inference_seconds,
     read_result_file,
@@ -71,14 +73,13 @@ def test_checkpoint_of_another_architecture_refused(tmp_path):
     setting = (config.zeta, config.aperture_area, config.num_train)
     network(config, *setting, "policy")
     written = sorted(tmp_path.iterdir())
-    paths = checkpoint_paths(config, *setting)
     for other in (replace(config, hidden=9), replace(config, layers=4)):
         for head, factory in (("policy", policy_spec), ("proj", proj_spec),
                               ("value", value_spec)):
             with pytest.raises(CheckpointMismatchError) as info:
                 network(other, *setting, head)
             message = str(info.value)
-            assert paths[head] in message
+            assert checkpoint_path(config, *setting, head) in message
             assert str(factory(hidden=8, layers=3).to_dict()) in message
             assert str(factory(hidden=other.hidden,
                                layers=other.layers).to_dict()) in message
@@ -152,7 +153,13 @@ def test_embedded_config_reproduces_every_row(tmp_path, kind, swept):
                               output_dir=str(tmp_path / "out"), **TINY, **swept)
     paths = run_experiment(config)
     first = {name: read_result_file(path) for name, path in paths.items()}
-    assert all(embedded == config for embedded, _, _ in first.values())
+    row = FIELDS_READ[kind]
+    for name, (embedded, _, _) in first.items():
+        assert [getattr(embedded, f) for f in row] == [getattr(config, f)
+                                                       for f in row]
+        with open(paths[name]) as fh:
+            record = next(line for line in fh if line.startswith("# config: "))
+        assert sorted(json.loads(record[len("# config: "):])) == sorted(row)
     # re-run each file's embedded config from scratch: fresh directories, so
     # every network is trained again
     for name, (embedded, columns, rows) in first.items():
