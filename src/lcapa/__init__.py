@@ -23,7 +23,7 @@ in layers:
   epoch loop that fits the two surrogates supervised and then the policy
   unsupervised through one policy chain, whose surrogate and analytic modes
   differ only in its two integral maps (ProjNet and ValueNet, or the exact
-  Gram forms), exact policy evaluation, gradient checking, checkpoints.
+  Gram forms), exact policy evaluation, checkpoints.
 * :mod:`lcapa.experiments` -- paired sweep/timing experiment runner with
   reproducible CSV outputs.
 * :mod:`lcapa.cli` -- the ``lcapa`` command-line front end.

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: train-proj, train-value, train-policy, eval, baseline,
-experiment, grad-check, info.  Each command that runs an experiment config
+experiment, info.  Each command that runs an experiment config
 takes as flags exactly the config fields it reads, its row of
 ``lcapa.experiments.FIELDS_READ``: ``--<field>`` with dashes for underscores
 (a tuple field takes one or more values).  ``experiment`` takes the fields
@@ -78,12 +78,6 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file with defaults")
         _add_config_flags(p, experiments.FIELDS_READ.get(name, every_kind))
-
-    p = sub.add_parser("grad-check",
-                       help="finite-difference check of every gradient path")
-    p.add_argument("--hidden", type=int, default=8)
-    p.add_argument("--probes", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
 
     sub.add_parser("info", help="print version and default constants")
     return parser
@@ -181,92 +175,6 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_grad_check(args) -> int:
-    for name, low in (("hidden", 1), ("probes", 1), ("seed", 0)):
-        if getattr(args, name) < low:
-            raise UsageError(f"--{name} must be >= {low}, "
-                             f"got {getattr(args, name)}")
-    from .gnn import policy_spec, proj_spec, value_spec, init_params
-    from .heads import (GnnModel, policy_forward, policy_backward, proj_forward,
-                        proj_backward, value_forward, value_backward)
-    from .training import (ScenePool, analytic_chain_loss_and_grads,
-                           finite_diff_check, surrogate_chain_loss_and_grads)
-
-    rng = np.random.default_rng(args.seed)
-    pos = rng.uniform(10.0, 25.0, (2, 3, 3))
-    weights = (rng.standard_normal((2, 3, 3))
-               + 1j * rng.standard_normal((2, 3, 3)))
-    norms = {"pos_scale": USER_R_MAX, "a_scale": 1.0, "out_scale": 1.0}
-    failures = []
-
-    def report(name, err):
-        status = "ok" if err <= 1e-5 else "FAIL"
-        print(f"{name:<24s} max relative error {err:.3e}  [{status}]")
-        if err > 1e-5:
-            failures.append(name)
-
-    spec = policy_spec(hidden=args.hidden, layers=3)
-    model = GnnModel(spec=spec, params=init_params(spec, args.seed), norms=norms)
-    w = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
-    a, cache = policy_forward(model, pos)
-    grads = policy_backward(model, cache, w)
-    report("policy", finite_diff_check(
-        lambda: float(np.sum(policy_forward(model, pos)[0].real * w.real)
-                      + np.sum(policy_forward(model, pos)[0].imag * w.imag)),
-        model.params, grads, probes=args.probes, seed=args.seed))
-
-    spec = proj_spec(hidden=args.hidden, layers=3)
-    model = GnnModel(spec=spec, params=init_params(spec, args.seed + 1),
-                     norms=norms)
-    wp = rng.standard_normal((2, 3))
-    _, cache = proj_forward(model, pos, weights)
-    grads, _ = proj_backward(model, cache, wp, wrt="params")
-    report("proj", finite_diff_check(
-        lambda: float(np.sum(proj_forward(model, pos, weights)[0] * wp)),
-        model.params, grads, probes=args.probes, seed=args.seed + 1))
-
-    spec = value_spec(hidden=args.hidden, layers=3)
-    model = GnnModel(spec=spec, params=init_params(spec, args.seed + 2),
-                     norms=norms)
-    _, cache = value_forward(model, pos, weights)
-    grads, _ = value_backward(model, cache, w, wrt="params")
-    report("value", finite_diff_check(
-        lambda: float(np.sum(value_forward(model, pos, weights)[0].real * w.real)
-                      + np.sum(value_forward(model, pos, weights)[0].imag * w.imag)),
-        model.params, grads, probes=args.probes, seed=args.seed + 2))
-
-    pool = ScenePool.generate(args.seed, 2, 3, 64, 1e6)
-    scene = pool.scenes[0]
-    p_spec = policy_spec(hidden=args.hidden, layers=3)
-    policy = GnnModel(spec=p_spec, params=init_params(p_spec, args.seed + 3),
-                      norms={"pos_scale": USER_R_MAX, "a_scale": 2e-4,
-                             "out_scale": 2e-4})
-    pr_spec = proj_spec(hidden=args.hidden, layers=3)
-    proj_model = GnnModel(spec=pr_spec, params=init_params(pr_spec, args.seed + 4),
-                          norms={"pos_scale": USER_R_MAX, "a_scale": 2e-4,
-                                 "out_scale": 1.0})
-    v_spec = value_spec(hidden=args.hidden, layers=3)
-    value_model = GnnModel(spec=v_spec, params=init_params(v_spec, args.seed + 5),
-                           norms={"pos_scale": USER_R_MAX, "a_scale": 2e-4,
-                                  "out_scale": 100.0})
-
-    surrogate_args = (policy, proj_model, value_model, pool.positions,
-                      scene.user_apertures(), scene.noise_vars(),
-                      scene.power_budget)
-    _, grads = surrogate_chain_loss_and_grads(*surrogate_args)
-    report("policy-chain", finite_diff_check(
-        lambda: surrogate_chain_loss_and_grads(*surrogate_args)[0],
-        policy.params, grads, probes=args.probes, seed=args.seed + 6))
-
-    chain_args = (pool.positions, pool.coupling_grams, scene.user_apertures(),
-                  scene.noise_vars(), scene.power_budget)
-    _, grads = analytic_chain_loss_and_grads(policy, *chain_args)
-    report("analytic-chain", finite_diff_check(
-        lambda: analytic_chain_loss_and_grads(policy, *chain_args)[0],
-        policy.params, grads, probes=args.probes, seed=args.seed + 7))
-    return 0 if not failures else 2
-
-
 def _cmd_info(args) -> int:
     print(f"lcapa {__version__}")
     print(f"default wavelength: {DEFAULT_WAVELENGTH} m")
@@ -297,7 +205,6 @@ def main(argv: list[str] | None = None) -> int:
         "eval": _cmd_eval,
         "baseline": _cmd_baseline,
         "experiment": _cmd_experiment,
-        "grad-check": _cmd_grad_check,
         "info": _cmd_info,
     }
     try:

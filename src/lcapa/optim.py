@@ -6,12 +6,16 @@ import numpy as np
 
 from .gnn import GnnParams
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8    # the moment decays and the floor
+
 
 class Adam:
     """Standard adaptive moment estimation on a :class:`GnnParams` tree.
 
     m <- b1 m + (1 - b1) g ;  v <- b2 v + (1 - b2) g^2 ;
-    p <- p - lr * m_hat / (sqrt(v_hat) + eps)  with bias-corrected moments.
+    p <- p - lr * m_hat / (sqrt(v_hat) + eps)  with bias-corrected moments,
+    b1, b2 and eps the module's ``BETA1``, ``BETA2`` and ``EPS``; only the
+    learning rate ``lr`` is set per optimizer (and may change between steps).
     Updates are applied in place.
 
     Adam is elementwise, and every tree keeps its arrays as views of one
@@ -27,13 +31,9 @@ class Adam:
     before any state changes.
     """
 
-    def __init__(self, params: GnnParams, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: GnnParams, lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         size = params.flat.size
         self._m = np.zeros(size)
@@ -45,21 +45,21 @@ class Adam:
             raise ValueError("gradient tree is laid out for another network")
         g = grads.flat
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - BETA1 ** self.t
+        c2 = 1.0 - BETA2 ** self.t
         m, v = self._m, self._v
         s, r = self._scratch
-        m *= self.beta1
-        m += np.multiply(g, 1.0 - self.beta1, out=s)
-        v *= self.beta2
-        np.multiply(g, 1.0 - self.beta2, out=s)
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=s)
+        v *= BETA2
+        np.multiply(g, 1.0 - BETA2, out=s)
         v += np.multiply(s, g, out=s)
         # lr * (m / c1) / (sqrt(v / c2) + eps)
         np.divide(m, c1, out=s)
         s *= self.lr
         np.divide(v, c2, out=r)
         np.sqrt(r, out=r)
-        r += self.eps
+        r += EPS
         s /= r
         flat = self.params.flat
         flat -= s

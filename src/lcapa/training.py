@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .gnn import PARAM_NAMES, GnnParams, GnnSpec, init_params, zero_params
+from .gnn import PARAM_NAMES, GnnSpec, init_params, zero_params
 from .heads import (
     GnnModel,
     policy_backward,
@@ -54,6 +54,7 @@ from .quadrature import (  # noqa: F401
 from .scene import USER_R_MAX, Scene, sample_scene, square_aperture
 
 CHECKPOINT_VERSION = 1
+VALIDATION_FRACTION = 0.1   # share of a supervised dataset held out
 
 
 class CheckpointError(RuntimeError, ValueError):
@@ -285,14 +286,12 @@ def normalized_mse(predictions: np.ndarray, targets: np.ndarray) -> float:
 
 
 def train_supervised(spec: GnnSpec, dataset: SupervisedDataset,
-                     hyper: TrainHyper, seed: int,
-                     validation_fraction: float = 0.1
-                     ) -> tuple[GnnModel, TrainReport]:
+                     hyper: TrainHyper, seed: int) -> tuple[GnnModel, TrainReport]:
     """Minimize the mean (over samples) summed squared output error.
 
-    The last ``validation_fraction`` of the samples is held out; returns the
-    parameters with the best validation NMSE seen (the last parameters, and
-    a ``validation_nmse`` of None, when nothing is held out).
+    The last ``round(VALIDATION_FRACTION * n)`` of the n samples are held
+    out; returns the parameters with the best validation NMSE seen (the last
+    parameters, and a ``validation_nmse`` of None, when nothing is held out).
     """
     if dataset.mode not in ("proj", "value"):
         raise ValueError("dataset mode must be proj or value")
@@ -306,7 +305,7 @@ def train_supervised(spec: GnnSpec, dataset: SupervisedDataset,
     out_scale = model.norm("out_scale")
     forward = {"proj": proj_forward, "value": value_forward}[dataset.mode]
     pos, weights, targets = dataset.positions, dataset.weights, dataset.targets
-    n_train = len(dataset) - int(round(validation_fraction * len(dataset)))
+    n_train = len(dataset) - int(round(VALIDATION_FRACTION * len(dataset)))
     held_out = slice(n_train, None)
 
     def batch_loss(idx):
@@ -532,44 +531,6 @@ def train_policy(spec: GnnSpec, proj_model: GnnModel | None,
 
     report.wall_clock_seconds = time.perf_counter() - start
     return policy, report
-
-
-# -- gradient checking --------------------------------------------------------
-
-def finite_diff_check(loss_fn, params: GnnParams, grads: GnnParams,
-                      probes: int = 200, seed: int = 0) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Probes random parameters with step 1e-6 * max(1, |w|); probes whose
-    difference quotient is cancellation-limited at that step are re-measured
-    at 1e-5 * max(1, |w|) and the better of the two is kept (a genuinely
-    wrong adjoint disagrees at every step, so the detector stays sharp).
-    Relative error uses a max(|analytic|, |numeric|, 1e-12) denominator.
-    """
-    rng = np.random.default_rng(seed)
-    arrays = list(params.iter_arrays())
-    garrays = dict(grads.iter_arrays())
-    worst = 0.0
-    for _ in range(probes):
-        name, arr = arrays[rng.integers(len(arrays))]
-        idx = tuple(int(rng.integers(s)) for s in arr.shape)
-        w0 = arr[idx]
-        analytic = garrays[name][idx]
-        best = np.inf
-        for step_scale in (1e-6, 1e-5):
-            step = step_scale * max(1.0, abs(w0))
-            arr[idx] = w0 + step
-            up = loss_fn()
-            arr[idx] = w0 - step
-            down = loss_fn()
-            arr[idx] = w0
-            numeric = (up - down) / (2.0 * step)
-            denom = max(abs(analytic), abs(numeric), 1e-12)
-            best = min(best, abs(analytic - numeric) / denom)
-            if best <= 1e-6:
-                break
-        worst = max(worst, best)
-    return worst
 
 
 # -- checkpoints --------------------------------------------------------------

@@ -44,7 +44,10 @@ Gram-domain code in ``lcapa``, so the tests can check that code against it:
   :func:`pair_supervised_grad` -- the heads, the policy loss, both policy
   chains and the supervised batch gradient composed from those pairs, every
   gradient of a complex array carried as two real arrays: the bit-identity
-  references for the complex-gradient code of ``lcapa``.
+  references for the complex-gradient code of ``lcapa``;
+* :func:`finite_diff_check` -- central differences of a scalar loss at
+  random parameters: the reference within a stated tolerance for every
+  hand-written adjoint.
 """
 
 import json
@@ -764,3 +767,38 @@ def pair_supervised_grad(model, positions, weights, targets):
         grads, _, _ = pair_backward(model, cache, 2.0 * err.real / denom,
                                     2.0 * err.imag / denom, wrt="params")
     return loss, grads
+
+
+def finite_diff_check(loss_fn, params, grads, probes=200, seed=0):
+    """Max relative error between analytic and central-difference gradients.
+
+    Probes random parameters with step 1e-6 * max(1, |w|); probes whose
+    difference quotient is cancellation-limited at that step are re-measured
+    at 1e-5 * max(1, |w|) and the better of the two is kept (a genuinely
+    wrong adjoint disagrees at every step, so the detector stays sharp).
+    Relative error uses a max(|analytic|, |numeric|, 1e-12) denominator.
+    """
+    rng = np.random.default_rng(seed)
+    arrays = list(params.iter_arrays())
+    garrays = dict(grads.iter_arrays())
+    worst = 0.0
+    for _ in range(probes):
+        name, arr = arrays[rng.integers(len(arrays))]
+        idx = tuple(int(rng.integers(s)) for s in arr.shape)
+        w0 = arr[idx]
+        analytic = garrays[name][idx]
+        best = np.inf
+        for step_scale in (1e-6, 1e-5):
+            step = step_scale * max(1.0, abs(w0))
+            arr[idx] = w0 + step
+            up = loss_fn()
+            arr[idx] = w0 - step
+            down = loss_fn()
+            arr[idx] = w0
+            numeric = (up - down) / (2.0 * step)
+            denom = max(abs(analytic), abs(numeric), 1e-12)
+            best = min(best, abs(analytic - numeric) / denom)
+            if best <= 1e-6:
+                break
+        worst = max(worst, best)
+    return worst

@@ -10,9 +10,10 @@ import pytest
 
 from conftest import (all_permutations, cpu_dispatch_targets, random_weights,
                       run_in_fresh_interpreter)
-from oracles import (pair_backward, pair_forward, pair_output_grads,
-                     pair_unpack_complex, pair_weight_features,
-                     pair_weight_grad, plain_gnn_backward, plain_gnn_forward,
+from oracles import (finite_diff_check, pair_backward, pair_forward,
+                     pair_output_grads, pair_unpack_complex,
+                     pair_weight_features, pair_weight_grad,
+                     plain_gnn_backward, plain_gnn_forward,
                      reload_from_earlier_format)
 from lcapa.gnn import (
     GnnCache,
@@ -403,8 +404,6 @@ class TestForward:
 
 def _fd_check_raw(spec, params, d0, e0, probes, seed, tol=1e-5):
     """Central-difference check of gnn_backward on random parameters."""
-    from lcapa.training import finite_diff_check
-
     rng = np.random.default_rng(seed)
     d_out, e_out, cache = gnn_forward(spec, params, d0, e0)
     wd = rng.standard_normal(d_out.shape)
@@ -1198,8 +1197,6 @@ class TestHeadPacking:
 
 
 def _assert_fd_matches(model, loss, grads, probes, seed, tol=1e-5):
-    from lcapa.training import finite_diff_check
-
     worst = finite_diff_check(loss, model.params, grads, probes=probes, seed=seed)
     assert worst <= tol, f"max relative gradient error {worst:.2e}"
 

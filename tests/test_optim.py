@@ -51,8 +51,8 @@ def random_grads(params, rng, low=-1.0, high=1.0):
 def test_flat_pass_matches_the_per_array_oracle(kind):
     params = init_params(SPECS[kind], 1)
     reference = params.copy()
-    opt = Adam(params, lr=1e-2, beta1=0.8, beta2=0.99)
-    oracle = PerArrayAdam(reference, lr=1e-2, beta1=0.8, beta2=0.99)
+    opt = Adam(params, lr=1e-2)
+    oracle = PerArrayAdam(reference, lr=1e-2)
     hyper = TrainHyper(learning_rate=1e-2, lr_decay=0.5, lr_decay_every=4)
     rng = np.random.default_rng(2)
     for step in range(30):

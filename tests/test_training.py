@@ -18,7 +18,6 @@ from lcapa.training import (
     TrainHyper,
     analytic_chain_loss_and_grads,
     exact_policy_se,
-    finite_diff_check,
     gen_supervised_dataset,
     load_checkpoint,
     normalized_mse,
@@ -27,9 +26,10 @@ from lcapa.training import (
     train_policy,
     train_supervised,
 )
-from oracles import (earlier_format_record, pair_analytic_chain,
-                     pair_supervised_grad, pair_surrogate_chain,
-                     per_scene_pool_and_datasets, reload_from_earlier_format)
+from oracles import (earlier_format_record, finite_diff_check,
+                     pair_analytic_chain, pair_supervised_grad,
+                     pair_surrogate_chain, per_scene_pool_and_datasets,
+                     reload_from_earlier_format)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -406,22 +406,39 @@ class TestSurrogateChain:
         assert loss == ref_loss
         _assert_same_nonzero_grads(grads, ref_grads)
 
+    def test_finite_difference(self):
+        pool = ScenePool.generate(3, 2, 3, 64, 1e6)
+        policy = tiny_policy(pool, 5)
+        models = []
+        for spec, seed, out_scale in ((proj_spec(hidden=8, layers=3), 1, 1.0),
+                                      (value_spec(hidden=8, layers=3), 2, 100.0)):
+            models.append(GnnModel(spec=spec, params=init_params(spec, seed),
+                                   norms={"pos_scale": 30.0, "a_scale": 2e-4,
+                                          "out_scale": out_scale}))
+        proj, value = models
+        scene = pool.scenes[0]
+        args = (proj, value, pool.positions, scene.user_apertures(),
+                scene.noise_vars(), scene.power_budget)
+        _, grads = surrogate_chain_loss_and_grads(policy, *args)
+        worst = finite_diff_check(
+            lambda: surrogate_chain_loss_and_grads(policy, *args)[0],
+            policy.params, grads, probes=120, seed=7)
+        assert worst <= 1e-5, f"max relative gradient error {worst:.2e}"
+
 
 class TestTrainSupervised:
-    """train_supervised end to end at a tiny config: K=3, H=8, L=2, 12 samples."""
+    """train_supervised end to end at a tiny config: K=3, H=8, L=2, 30 samples."""
 
     HEADS = {"proj": (proj_spec, proj_forward), "value": (value_spec, value_forward)}
-    SAMPLES = 12
-    VALIDATION = 3
+    SAMPLES = 30
+    VALIDATION = 3      # round(training.VALIDATION_FRACTION * SAMPLES)
 
     def train(self, mode):
         dataset = gen_supervised_dataset(5, self.SAMPLES, 3, 16, mode)
         hyper = TrainHyper(learning_rate=0.2, batch_size=4, epochs=20,
                            num_nodes=16, num_train=self.SAMPLES)
         spec = self.HEADS[mode][0](hidden=8, layers=2)
-        model, report = train_supervised(
-            spec, dataset, hyper, seed=3,
-            validation_fraction=self.VALIDATION / self.SAMPLES)
+        model, report = train_supervised(spec, dataset, hyper, seed=3)
         return dataset, model, report
 
     @pytest.mark.parametrize("mode", ["proj", "value"])
@@ -438,16 +455,14 @@ class TestTrainSupervised:
 
         monkeypatch.setattr(training.Adam, "step", spy)
         spec = self.HEADS[mode][0](hidden=8, layers=2)
-        model, _ = train_supervised(
-            spec, dataset, hyper, seed=3,
-            validation_fraction=self.VALIDATION / self.SAMPLES)
+        model, _ = train_supervised(spec, dataset, hyper, seed=3)
         # train_supervised shuffles with the stream SeedSequence([seed, 7 + epoch])
         n_train = self.SAMPLES - self.VALIDATION
         orders = [np.random.default_rng(np.random.SeedSequence([3, 7 + epoch]))
                   .permutation(n_train) for epoch in range(hyper.epochs)]
         batches = [order[lo:lo + hyper.batch_size] for order in orders
                    for lo in range(0, n_train, hyper.batch_size)]
-        assert len(steps) == len(batches) == 6
+        assert len(steps) == len(batches) == 14
         for (params, grads), idx in zip(steps, batches):
             net = GnnModel(spec=spec, params=params, norms=model.norms)
             _, ref = pair_supervised_grad(net, dataset.positions[idx],
@@ -491,9 +506,11 @@ class TestTrainSupervised:
                                "out_scale": rms(dataset.targets)}
 
     def test_no_held_out_samples_keeps_the_last_parameters(self, monkeypatch):
-        dataset = gen_supervised_dataset(5, self.SAMPLES, 3, 16, "proj")
-        hyper = TrainHyper(learning_rate=0.2, batch_size=4, epochs=3,
-                           num_nodes=16, num_train=self.SAMPLES)
+        # round(0.1 n) holds out nothing for n <= 5 (round(0.5) is 0)
+        samples = 4
+        dataset = gen_supervised_dataset(5, samples, 3, 16, "proj")
+        hyper = TrainHyper(learning_rate=0.2, batch_size=2, epochs=3,
+                           num_nodes=16, num_train=samples)
         steps = []
         step = training.Adam.step
 
@@ -503,8 +520,8 @@ class TestTrainSupervised:
 
         monkeypatch.setattr(training.Adam, "step", spy)
         model, report = train_supervised(proj_spec(hidden=8, layers=2), dataset,
-                                         hyper, seed=3, validation_fraction=0.0)
-        assert len(steps) == 3 * self.SAMPLES // 4
+                                         hyper, seed=3)
+        assert len(steps) == 3 * samples // 2
         assert report.final_metrics["validation_nmse"] is None
         assert report.best_epoch == -1
         assert all(np.isnan(v) for v in report.eval_curve)
