@@ -44,11 +44,17 @@ for the rest: ``"inputs"`` (the frozen surrogates in the policy chain) runs
 no weight-gradient GEMM and builds no gradient tree, and ``"params"`` (every
 trained net) forms no layer-0 input gradient, so its layer 0 skips the
 ``gze @ U`` buffer.  Each output computed equals (``np.array_equal``) that
-of ``"both"``.
+of ``"both"``.  An ``"inputs"`` pass reads no hidden activation but its
+sign, so :func:`sign_only_cache` turns a forward cache into one that keeps
+layer 0's arrays and ``zv_out`` and, for every hidden vertex and edge
+activation, only its ``> 0`` bool mask (1 byte an entry, not 8).  The frozen
+surrogates hold that cache between their forward and backward passes; a
+sign-only cache serves ``"inputs"`` only, and its input gradients equal
+(``np.array_equal``) those of the full cache.
 Every hidden layer applies one activation, the leaky ReLU ``max(z, 0.2 z)``
 (slope :data:`LEAKY_SLOPE`).  It is positive exactly when z is, for +-0,
 +-inf, NaN and subnormal z too, so the backward pass reads the derivative
-``max(1{z > 0}, 0.2)`` off the activation.  Both kernels equal
+``max(1{z > 0}, 0.2)`` off the activation, or off its mask.  Both kernels equal
 (``np.array_equal``) the select forms ``where(z > 0, z, 0.2 z)`` and
 ``where(z > 0, 1, 0.2)``, which the tests keep as oracles.  Self-edges are
 zeroed through the strided view of the diagonal.
@@ -308,8 +314,8 @@ def _leaky(z):
 def _dleaky(x):
     """max(1{x > 0}, 0.2), the leaky-ReLU derivative, 1 or 0.2 with no
     select.  x may be the pre-activation z or the activation _leaky(z): the
-    two are positive together."""
-    d = (x > 0.0).astype(float)
+    two are positive together.  A bool x is taken as the mask x > 0 itself."""
+    d = (x if x.dtype == bool else x > 0.0).astype(float)
     return np.maximum(d, LEAKY_SLOPE, out=d)
 
 
@@ -341,6 +347,13 @@ class GnnCache:
     is the next layer's input.  ``zv_out`` is the output layer's vertex
     pre-activation, which is the vertex output itself unless the head is
     softplus.
+
+    A sign-only cache (:func:`sign_only_cache`) keeps ``messages[0]``,
+    ``e_inputs[0]`` and ``zv_out``; for t > 0 ``messages[t]`` is the
+    (N, K, dv) bool mask ``d > 0`` of the vertex input alone and
+    ``e_inputs[t]`` the mask ``e > 0`` of the edge input.  It serves a
+    ``wrt="inputs"`` backward only, since the weight gradients read the
+    inputs themselves.
     """
 
     spec: GnnSpec
@@ -351,8 +364,29 @@ class GnnCache:
 
     @property
     def d_inputs(self) -> list[np.ndarray]:
-        """Each layer's vertex input, the view ``messages[t][..., :dv]``."""
+        """Each layer's vertex input, the view ``messages[t][..., :dv]`` (on
+        a sign-only cache its mask for t > 0)."""
         return [x[..., :dv] for x, dv in zip(self.messages, self.spec.vertex_widths)]
+
+
+def sign_only_cache(cache: GnnCache) -> GnnCache:
+    """The sign-only cache of a forward pass: what a ``wrt="inputs"``
+    backward reads of ``cache``.
+
+    Layer 0's message and edge input and ``zv_out`` stay as they are; each
+    hidden vertex and edge activation becomes its ``> 0.0`` bool mask, the
+    compare :func:`_dleaky` would make, so the backward pass gives the same
+    input gradients bit for bit.  The hidden messages' neighbour sums, which
+    only the weight gradients read, are dropped.  ``cache`` is not changed;
+    the caller drops it to free its arrays.
+    """
+    dvs = cache.spec.vertex_widths
+    return GnnCache(
+        spec=cache.spec, params=cache.params,
+        messages=cache.messages[:1] + [x[..., :dv] > 0.0 for x, dv
+                                       in zip(cache.messages[1:], dvs[1:])],
+        e_inputs=cache.e_inputs[:1] + [e > 0.0 for e in cache.e_inputs[1:]],
+        zv_out=cache.zv_out)
 
 
 def _diagonal(x: np.ndarray) -> np.ndarray:
@@ -455,7 +489,8 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
 
     Returns (parameter gradients, input vertex-feature gradients, input
     edge-feature gradients).  The cache must come from a forward call with
-    the same parameter object.
+    the same parameter object; a sign-only cache (:func:`sign_only_cache`)
+    serves ``wrt="inputs"`` only, and raises ``ValueError`` for the others.
 
     ``wrt`` names the outputs the caller uses; the others are not computed
     and come back as None.  ``"both"`` computes all three.  ``"params"``
@@ -481,6 +516,10 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
         raise ValueError(f"wrt must be one of {_WRT}, got {wrt!r}")
     if cache.params is not params or cache.spec is not spec:
         raise ValueError("cache does not belong to these parameters (stale cache)")
+    # a sign-only cache keeps its hidden activations as bool masks
+    if wrt != "inputs" and any(x.dtype == bool for x in cache.messages):
+        raise ValueError(f"a sign-only cache serves wrt='inputs' only, "
+                         f"got wrt={wrt!r}")
     want_inputs = wrt != "params"
     grads = zeros_like_params(params) if wrt != "inputs" else None
     dvs, des = spec.vertex_widths, spec.edge_widths

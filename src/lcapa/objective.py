@@ -38,14 +38,20 @@ class SeReport:
     sum_se: float | np.ndarray
 
 
+def _check_positive_finite(x: np.ndarray, what: str) -> None:
+    # min and max propagate NaN, which fails both compares
+    if not (0.0 < x.min() and x.max() < np.inf):
+        raise ValueError(f"{what} must be positive and finite, got {x}")
+
+
 def _sinr_terms(couplings: np.ndarray, user_apertures: np.ndarray,
                 noise_vars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-user SINR of (..., K, K) couplings and its denominators, both (..., K)."""
     g = np.asarray(couplings, dtype=complex)
     ap = np.asarray(user_apertures, dtype=float)
     nv = np.asarray(noise_vars, dtype=float)
-    if np.any(nv <= 0.0):
-        raise ValueError("noise variances must be positive")
+    _check_positive_finite(nv, "noise variances")
+    _check_positive_finite(ap, "user apertures")
     weighted = ap * np.abs(g) ** 2     # [..., k, j] = |A_j| |g_kj|^2
     signal = np.diagonal(weighted, axis1=-2, axis2=-1)
     denom = weighted.sum(axis=-1) - signal + nv
@@ -58,16 +64,18 @@ def sinr_vector(couplings: np.ndarray, user_apertures: np.ndarray,
 
     gamma_k = |A_k| |g_kk|^2 / (sum_{j != k} |A_j| |g_kj|^2 + sigma_k^2).
     The j-th interference term is weighted by the j-th user aperture, matching
-    the model definition term by term.
+    the model definition term by term.  Raises ``ValueError`` unless every
+    noise variance and user aperture is positive and finite.
     """
     return _sinr_terms(couplings, user_apertures, noise_vars)[0]
 
 
 def sum_se(sinr: np.ndarray) -> SeReport:
-    """Sum spectral efficiency of a SINR vector, or of each in a stack."""
+    """Sum spectral efficiency of a SINR vector, or of each in a stack;
+    ``ValueError`` for a negative or NaN entry."""
     sinr = np.asarray(sinr, dtype=float)
-    if np.any(sinr < 0.0):
-        raise ValueError("SINR entries must be nonnegative")
+    if not np.all(sinr >= 0.0):        # NaN fails the compare too
+        raise ValueError("SINR entries must be nonnegative, not NaN")
     rates = np.log1p(sinr) / _LN2
     total = rates.sum(axis=-1) if rates.ndim > 1 else float(np.sum(rates))
     return SeReport(rates=rates, sum_se=total)

@@ -8,6 +8,9 @@ SE).  The two modes differ only in the chain's two integral maps, powers and
 couplings: the frozen surrogates in ``surrogate`` mode, the exact Gram forms
 p = a^H C a and G = C A-bar in ``analytic`` mode (a reference that
 quantifies surrogate fidelity).  Exact evaluation uses the same Gram maps.
+The frozen surrogates back-propagate to their inputs only, so the chain
+keeps only the signs of their hidden activations (a sign-only
+:class:`~lcapa.gnn.GnnCache`) and the policy's full cache.
 All three networks go through one epoch loop (per-epoch seeded shuffles,
 mini-batch Adam, a divergence check, the best held-out snapshot); the
 trainers differ only in the batch loss and the held-out score they hand it.
@@ -30,7 +33,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .gnn import PARAM_NAMES, GnnSpec, init_params, zero_params
+from .gnn import PARAM_NAMES, GnnSpec, init_params, sign_only_cache, zero_params
 from .heads import (
     GnnModel,
     policy_backward,
@@ -346,13 +349,15 @@ POLICY_MODES = ("surrogate", "analytic")
 
 def _surrogate_maps(proj: GnnModel, value: GnnModel, positions: np.ndarray):
     """ProjNet and ValueNet as the chain's two integral maps, back-propagating
-    to their inputs only."""
+    to their inputs only, from the sign-only cache of each forward pass."""
     def powers(a):
         p, cache = proj_forward(proj, positions, a)
+        cache = sign_only_cache(cache)
         return p, lambda grad: proj_backward(proj, cache, grad, wrt="inputs")[1]
 
     def couplings(a, scale):
         g, cache = value_forward(value, positions, a * scale[:, None, None])
+        cache = sign_only_cache(cache)
         return g, lambda grad: value_backward(value, cache, grad,
                                               wrt="inputs")[1]
     return powers, couplings
@@ -519,7 +524,7 @@ def train_policy(spec: GnnSpec, proj_model: GnnModel | None,
             if not np.array_equal(saved, model.params.flat):
                 raise AssertionError("frozen surrogate parameters changed")
         # surrogate fidelity on the policy's own outputs (diagnostic)
-        a_raw, _ = policy_forward(policy, eval_pool.positions)
+        a_raw = policy_forward(policy, eval_pool.positions)[0]
         powers, scale, couplings = _exact_projection(
             a_raw, eval_pool.coupling_grams, power_budget)
         p_hat, g_hat = _surrogate_maps(proj_model, value_model,

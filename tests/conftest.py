@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,22 @@ def cpu_umath():
 def cpu_dispatch_targets():
     """Every CPU feature numpy can dispatch to; NPY_DISABLE_CPU_FEATURES takes them."""
     return list(getattr(cpu_umath(), "__cpu_dispatch__", None) or [])
+
+
+def traced_peak_bytes(fn):
+    """The peak bytes that ``tracemalloc`` traces while ``fn()`` runs, above
+    what was traced when it started; numpy reports its array buffers to it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 _TESTS_DIR = str(Path(__file__).resolve().parent)

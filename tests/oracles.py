@@ -45,6 +45,10 @@ Gram-domain code in ``lcapa``, so the tests can check that code against it:
   chains and the supervised batch gradient composed from those pairs, every
   gradient of a complex array carried as two real arrays: the bit-identity
   references for the complex-gradient code of ``lcapa``;
+* :func:`full_cache_surrogate_maps` -- ProjNet and ValueNet as the policy
+  chain's integral maps, each holding its full forward cache until its
+  backward pass: the bit-identity and memory reference for the sign-only
+  caches of ``lcapa.training``;
 * :func:`finite_diff_check` -- central differences of a scalar loss at
   random parameters: the reference within a stated tolerance for every
   hand-written adjoint.
@@ -59,7 +63,8 @@ import numpy as np
 
 from lcapa.gnn import (PARAM_NAMES, _dleaky, _dsoftplus, _leaky, _softplus,
                        _wgrad, gnn_backward, gnn_forward, zeros_like_params)
-from lcapa.heads import HEAD_NORMS, GnnModel
+from lcapa.heads import (HEAD_NORMS, GnnModel, proj_backward, proj_forward,
+                         value_backward, value_forward)
 from lcapa.objective import _LN2, _sinr_terms, project_weights, sinr_vector, sum_se
 from lcapa.quadrature import (ApertureGrid, build_grid, channel_matrix,
                               gram_pair, integral_couplings, integral_power)
@@ -732,6 +737,20 @@ def pair_surrogate_chain(policy, proj, value, positions, user_apertures,
     grads, _, _ = pair_backward(policy, cache_p, g_re + g_re_p, g_im + g_im_p,
                                 wrt="params")
     return loss, grads
+
+
+def full_cache_surrogate_maps(proj, value, positions):
+    """The (powers, couplings) integral-map pair of the surrogate chain, each
+    map keeping its full forward cache for its ``wrt="inputs"`` backward."""
+    def powers(a):
+        p, cache = proj_forward(proj, positions, a)
+        return p, lambda grad: proj_backward(proj, cache, grad, wrt="inputs")[1]
+
+    def couplings(a, scale):
+        g, cache = value_forward(value, positions, a * scale[:, None, None])
+        return g, lambda grad: value_backward(value, cache, grad,
+                                              wrt="inputs")[1]
+    return powers, couplings
 
 
 def pair_analytic_chain(policy, positions, coupling_grams, user_apertures,

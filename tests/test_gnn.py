@@ -27,6 +27,7 @@ from lcapa.gnn import (
     param_layout,
     policy_spec,
     proj_spec,
+    sign_only_cache,
     value_spec,
     zeros_like_params,
 )
@@ -698,6 +699,56 @@ class TestBackwardWrt:
         with pytest.raises(ValueError, match="wrt"):
             gnn_backward(spec, params, cache, wd, we, wrt="weights")
 
+
+def _hidden_activations(cache):
+    """Every hidden vertex and edge activation a cache keeps, as views."""
+    return cache.d_inputs[1:] + cache.e_inputs[1:]
+
+
+def _cache_nbytes(cache):
+    return sum(x.nbytes for x in cache.messages + cache.e_inputs + [cache.zv_out])
+
+
+class TestSignOnlyCache:
+    """The cache the frozen surrogates hold: the hidden activations' signs."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("kind", ["policy", "proj", "value"])
+    def test_input_gradients_equal_the_full_cache(self, kind, n):
+        spec, params, cache, _, wd, we = _backward_case(kind, False, n, 3)
+        rng = np.random.default_rng(33)
+        # the masks must map the special values as _dleaky's x > 0 does
+        for x in _hidden_activations(cache):
+            flat = rng.choice(x.size, _SPECIAL.size, replace=False)
+            x[np.unravel_index(flat, x.shape)] = _SPECIAL
+        signs = sign_only_cache(cache)
+        for mask, x in zip(_hidden_activations(signs),
+                           _hidden_activations(cache), strict=True):
+            assert mask.dtype == bool and np.array_equal(mask, x > 0.0)
+        assert signs.messages[0] is cache.messages[0]
+        assert signs.e_inputs[0] is cache.e_inputs[0]
+        assert signs.zv_out is cache.zv_out
+        _, gd0, ge0 = gnn_backward(spec, params, cache, wd, we, wrt="inputs")
+        grads, s_gd0, s_ge0 = gnn_backward(spec, params, signs, wd, we,
+                                           wrt="inputs")
+        assert grads is None
+        assert np.array_equal(gd0, s_gd0) and np.array_equal(ge0, s_ge0)
+
+    @pytest.mark.parametrize("wrt", ["params", "both"])
+    def test_serves_input_gradients_only(self, wrt):
+        spec, params, cache, _, wd, we = _backward_case("value", False, 1, 3)
+        signs = sign_only_cache(cache)
+        with pytest.raises(ValueError, match="sign-only"):
+            gnn_backward(spec, params, signs, wd, we, wrt=wrt)
+        with pytest.raises(ValueError, match="stale"):
+            gnn_backward(spec, params.copy(), signs, wd, we, wrt="inputs")
+
+    @pytest.mark.parametrize("kind", ["policy", "proj", "value"])
+    def test_holds_a_sixth_of_the_full_cache(self, kind):
+        spec, params, cache, _, _, _ = _backward_case(kind, False, 2, 4)
+        assert spec.hidden_widths == (64, 64)
+        assert _cache_nbytes(sign_only_cache(cache)) <= _cache_nbytes(cache) / 6
+
     @pytest.mark.parametrize("kind", ["proj", "value"])
     def test_head_input_gradients_equal_both(self, kind):
         model = small_model(kind, a_scale=0.5, out_scale=2.0)
@@ -738,8 +789,9 @@ def _assert_activation_kernels_exact():
                         np.random.default_rng(40).standard_normal(1000)])
     assert _same_values(_leaky(z), _ref_act(z, "leaky"))
     assert _same_values(_dleaky(z), _ref_act_grad(z, "leaky"))
-    # the backward pass reads the derivative off the activation
+    # the backward pass reads the derivative off the activation, or its mask
     assert np.array_equal(_dleaky(_leaky(z)), _dleaky(z))
+    assert np.array_equal(_dleaky(_leaky(z) > 0.0), _dleaky(z))
 
 
 def _snapshot(arrays):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import lcapa
 from conftest import all_permutations, random_weights
 from lcapa.objective import (
     DegenerateProjectionError,
@@ -49,6 +50,26 @@ class TestSinrVector:
         with pytest.raises(ValueError):
             sinr_vector(np.eye(2, dtype=complex), np.ones(2), np.array([1.0, 0.0]))
 
+    # NaN noise used to give a NaN sum SE, infinite noise a sum SE of 1.0,
+    # and a NaN aperture a NaN SINR for every user
+    @pytest.mark.parametrize("apertures,noise,what", [
+        ([1.0, 1.0], [np.nan, 1.0], "noise variances"),
+        ([1.0, 1.0], [np.inf, 1.0], "noise variances"),
+        ([1.0, 1.0], [-1.0, 1.0], "noise variances"),
+        ([np.nan, 1.0], [1.0, 1.0], "user apertures"),
+        ([np.inf, 1.0], [1.0, 1.0], "user apertures"),
+        ([0.0, 1.0], [1.0, 1.0], "user apertures"),
+        ([-1.0, 1.0], [1.0, 1.0], "user apertures"),
+    ], ids=["nan-noise", "inf-noise", "negative-noise", "nan-aperture",
+            "inf-aperture", "zero-aperture", "negative-aperture"])
+    def test_rejects_noise_or_apertures_not_positive_and_finite(
+            self, apertures, noise, what):
+        g = np.eye(2, dtype=complex)
+        with pytest.raises(ValueError, match=f"{what} must be positive and finite"):
+            lcapa.sum_se(lcapa.sinr_vector(g, apertures, noise))
+        with pytest.raises(ValueError, match=f"{what} must be positive and finite"):
+            policy_loss_grad(g[None], apertures, noise)
+
     def test_wmmse_couplings_match_pointwise_eq1(self, seed1_scene, seed1_grid256,
                                                  seed1_grams):
         from lcapa.wmmse import lift_precoder, wmmse_precoding
@@ -85,6 +106,13 @@ class TestSumSe:
             bumped = gamma.copy()
             bumped[k] += 0.01
             assert sum_se(bumped).sum_se > base
+
+    @pytest.mark.parametrize("sinr", [[np.nan, 1.0], [1.0, -np.nan],
+                                      [[1.0, 2.0], [np.nan, 0.5]]],
+                             ids=["nan", "negative-nan", "nan-in-a-stack"])
+    def test_rejects_nan(self, sinr):
+        with pytest.raises(ValueError, match="not NaN"):
+            sum_se(np.array(sinr))
 
     def test_sum_equals_rate_total(self):
         rep = sum_se(np.array([0.3, 2.0, 11.0]))

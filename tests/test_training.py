@@ -26,10 +26,11 @@ from lcapa.training import (
     train_policy,
     train_supervised,
 )
+from conftest import traced_peak_bytes
 from oracles import (earlier_format_record, finite_diff_check,
-                     pair_analytic_chain, pair_supervised_grad,
-                     pair_surrogate_chain, per_scene_pool_and_datasets,
-                     reload_from_earlier_format)
+                     full_cache_surrogate_maps, pair_analytic_chain,
+                     pair_supervised_grad, pair_surrogate_chain,
+                     per_scene_pool_and_datasets, reload_from_earlier_format)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -424,6 +425,37 @@ class TestSurrogateChain:
             lambda: surrogate_chain_loss_and_grads(policy, *args)[0],
             policy.params, grads, probes=120, seed=7)
         assert worst <= 1e-5, f"max relative gradient error {worst:.2e}"
+
+    def test_a_step_holds_only_the_surrogates_signs(self):
+        # N=64, K=4, H=32, L=4: the surrogates' caches outweigh the policy's
+        pool = ScenePool.generate(3, 64, 4, 16, 1e6)
+        a_nat = tiny_policy(pool, 5).norm("a_scale")
+        policy, proj, value = (
+            GnnModel(spec=spec, params=init_params(spec, seed),
+                     norms={"pos_scale": 30.0, "a_scale": a_nat,
+                            "out_scale": out_scale})
+            for spec, seed, out_scale in ((policy_spec(32, 4), 5, a_nat),
+                                          (proj_spec(32, 4), 1, 1.0),
+                                          (value_spec(32, 4), 2, 100.0)))
+        scene = pool.scenes[0]
+        tail = (scene.user_apertures(), scene.noise_vars(), scene.power_budget)
+
+        def step():
+            return surrogate_chain_loss_and_grads(policy, proj, value,
+                                                  pool.positions, *tail)
+
+        def full_cache_step():
+            return training._chain_loss_and_grads(
+                policy, pool.positions,
+                *full_cache_surrogate_maps(proj, value, pool.positions), *tail)
+
+        loss, grads = step()
+        ref_loss, ref_grads = full_cache_step()
+        assert loss == ref_loss
+        _assert_same_nonzero_grads(grads, ref_grads)
+        peak, ref_peak = traced_peak_bytes(step), traced_peak_bytes(full_cache_step)
+        assert peak <= 0.7 * ref_peak, (
+            f"traced peak {peak} B, {peak / ref_peak:.3f} of the full caches' {ref_peak} B")
 
 
 class TestTrainSupervised:
