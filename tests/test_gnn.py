@@ -699,6 +699,26 @@ class TestBackwardWrt:
         with pytest.raises(ValueError, match="wrt"):
             gnn_backward(spec, params, cache, wd, we, wrt="weights")
 
+    @pytest.mark.parametrize("kind", ["proj", "value"])
+    def test_head_input_gradients_equal_both(self, kind):
+        model = small_model(kind, a_scale=0.5, out_scale=2.0)
+        rng = np.random.default_rng(29)
+        pos = rng.uniform(10, 20, (2, 4, 3))
+        a = np.stack([random_weights(rng, 4) for _ in range(2)])
+        if kind == "proj":
+            _, cache = proj_forward(model, pos, a)
+            upstream = rng.standard_normal((2, 4))
+            backward = proj_backward
+        else:
+            _, cache = value_forward(model, pos, a)
+            upstream = (rng.standard_normal((2, 4, 4))
+                        + 1j * rng.standard_normal((2, 4, 4)))
+            backward = value_backward
+        _, g = backward(model, cache, upstream)
+        grads, i_g = backward(model, cache, upstream, wrt="inputs")
+        assert grads is None and np.array_equal(g, i_g)
+        assert backward(model, cache, upstream, wrt="params")[1] is None
+
 
 def _hidden_activations(cache):
     """Every hidden vertex and edge activation a cache keeps, as views."""
@@ -748,26 +768,6 @@ class TestSignOnlyCache:
         spec, params, cache, _, _, _ = _backward_case(kind, False, 2, 4)
         assert spec.hidden_widths == (64, 64)
         assert _cache_nbytes(sign_only_cache(cache)) <= _cache_nbytes(cache) / 6
-
-    @pytest.mark.parametrize("kind", ["proj", "value"])
-    def test_head_input_gradients_equal_both(self, kind):
-        model = small_model(kind, a_scale=0.5, out_scale=2.0)
-        rng = np.random.default_rng(29)
-        pos = rng.uniform(10, 20, (2, 4, 3))
-        a = np.stack([random_weights(rng, 4) for _ in range(2)])
-        if kind == "proj":
-            _, cache = proj_forward(model, pos, a)
-            upstream = rng.standard_normal((2, 4))
-            backward = proj_backward
-        else:
-            _, cache = value_forward(model, pos, a)
-            upstream = (rng.standard_normal((2, 4, 4))
-                        + 1j * rng.standard_normal((2, 4, 4)))
-            backward = value_backward
-        _, g = backward(model, cache, upstream)
-        grads, i_g = backward(model, cache, upstream, wrt="inputs")
-        assert grads is None and np.array_equal(g, i_g)
-        assert backward(model, cache, upstream, wrt="params")[1] is None
 
 
 # Special values the activation kernels must map like the select forms.
