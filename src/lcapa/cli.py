@@ -115,18 +115,15 @@ def _experiment_config(args, cfg: dict, **overrides):
 def _cmd_train(args, which: str) -> int:
     cfg = _load_config(args.config)
     config = _experiment_config(args, cfg, train_inline=True)
-    setting = (config.zeta, config.aperture_area, config.num_train)
-    experiments.network(config, *setting, which)
-    print(f"{which} checkpoint: "
-          f"{experiments.checkpoint_path(config, *setting, which)}")
+    experiments.network(config, which)
+    print(f"{which} checkpoint: {experiments.checkpoint_path(config, which)}")
     return 0
 
 
 def _cmd_eval(args) -> int:
     cfg = _load_config(args.config)
     config = _experiment_config(args, cfg)
-    _, se = experiments.policy_se(config, config.zeta, config.aperture_area,
-                                  config.num_train)
+    _, se = experiments.policy_se(config)
     os.makedirs(config.output_dir, exist_ok=True)
     path = os.path.join(config.output_dir, "eval.csv")
     rows = [[f"scene-{config.scene_seed}-{i}", "lcapa-gnn",
@@ -142,13 +139,12 @@ def _cmd_baseline(args) -> int:
     cfg = _load_config(args.config)
     config = _experiment_config(args, cfg)
     # the scenes, and so the scene ids, of ``lcapa eval``
-    scenes = experiments.eval_scenes(config, config.zeta, config.aperture_area,
-                                     config.num_test_scenes)
+    scenes = experiments.eval_scenes(config, config.num_test_scenes)
     rows = []
     for i, scene in enumerate(scenes):
         res = baseline_se(scene, config.num_nodes, config.num_nodes_eval)
-        rows.append([f"scene-{config.scene_seed}-{i}", res.num_nodes,
-                     res.num_nodes_eval, res.info.iterations,
+        rows.append([f"scene-{config.scene_seed}-{i}", config.num_nodes,
+                     config.num_nodes_eval, res.info.iterations,
                      int(res.info.converged), res.se_report.sum_se,
                      res.runtime_seconds])
     os.makedirs(config.output_dir, exist_ok=True)

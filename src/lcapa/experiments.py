@@ -15,6 +15,8 @@ list of points ``(x, {method: per-scene sum SE})`` and writes
 * ``sweep-snr``, ``sweep-aperture``, ``sweep-ntr``: one point per value of
   ``zeta_list``, ``aperture_list`` or ``ntr_list``, each with its own policy
   and test scenes, and ``lcapa-gnn`` then ``wmmse`` (WMMSE at ``num_nodes``);
+  a point is the config with the value in place (``dataclasses.replace``),
+  so each function below reads its setting from the one config it is given;
 * ``sweep-m``: ``lcapa-gnn`` once at ``x = num_nodes``, then ``wmmse`` at each
   ``m`` of ``m_list``, all on the same test scenes.
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -201,14 +203,14 @@ FIELDS_READ = {
 }
 
 
-def checkpoint_path(config: ExperimentConfig, zeta: float, area: float,
-                    n_train: int, head: str) -> str:
-    """The checkpoint file of one network of one setting; only the policy's
-    name holds the policy mode."""
+def checkpoint_path(config: ExperimentConfig, head: str) -> str:
+    """One network's checkpoint file for the config's setting; only the
+    policy's name holds the policy mode."""
     name = f"policy_{config.policy_mode}" if head == "policy" else head
     return os.path.join(config.checkpoint_dir,
-                        f"{name}_k{config.num_users}_zeta{zeta:g}_area{area:g}"
-                        f"_m{config.num_nodes}_ntr{n_train}.json")
+                        f"{name}_k{config.num_users}_zeta{config.zeta:g}"
+                        f"_area{config.aperture_area:g}_m{config.num_nodes}"
+                        f"_ntr{config.num_train}.json")
 
 
 # Each network's spec factory, and the offset of its data and init seeds
@@ -217,9 +219,9 @@ _NETWORKS = {"proj": (proj_spec, 0), "value": (value_spec, 1),
              "policy": (policy_spec, 2)}
 
 
-def network(config: ExperimentConfig, zeta: float, area: float, n_train: int,
-            head: str) -> GnnModel:
-    """Load or train one network of one (K, zeta, area, N_tr) setting.
+def network(config: ExperimentConfig, head: str) -> GnnModel:
+    """Load or train one network of the config's (K, zeta, area, N_tr)
+    setting; a sweep point is the config with its swept value in place.
 
     ``head`` is ``"proj"`` (the power surrogate), ``"value"`` (the coupling
     surrogate) or ``"policy"``; each has its own checkpoint.  A checkpoint
@@ -230,7 +232,7 @@ def network(config: ExperimentConfig, zeta: float, area: float, n_train: int,
     """
     factory, offset = _NETWORKS[head]
     spec = factory(hidden=config.hidden, layers=config.layers)
-    path = checkpoint_path(config, zeta, area, n_train, head)
+    path = checkpoint_path(config, head)
     if os.path.exists(path):
         model = load_checkpoint(path)
         if model.spec != spec:
@@ -243,41 +245,39 @@ def network(config: ExperimentConfig, zeta: float, area: float, n_train: int,
             f"missing {head} checkpoint {path!r}; run the train-{head} "
             f"subcommand first or pass --train-inline")
     seeds = {"data": config.data_seed + offset, "init": config.init_seed + offset}
-    setting = dict(zeta=zeta, aperture_area=area,
+    setting = dict(num_users=config.num_users, num_nodes=config.num_nodes,
+                   zeta=config.zeta, aperture_area=config.aperture_area,
                    power_budget=config.power_budget)
     lr, epochs = ((config.policy_lr, config.policy_epochs) if head == "policy"
                   else (config.supervised_lr, config.surrogate_epochs))
     hyper = TrainHyper(learning_rate=lr, batch_size=config.batch_size,
                        epochs=epochs, lr_decay=0.5, lr_decay_every=50)
     if head == "policy":
-        surrogates = [network(config, zeta, area, n_train, h)
+        surrogates = [network(config, h)
                       if config.policy_mode == "surrogate" else None
                       for h in ("proj", "value")]
-        pool = ScenePool.generate(seeds["data"], n_train, config.num_users,
-                                  config.num_nodes, **setting)
+        pool = ScenePool.generate(seeds["data"], config.num_train, **setting)
         # the held-out pool draws from the next data seed
-        eval_pool = ScenePool.generate(seeds["data"] + 1, 20, config.num_users,
-                                       config.num_nodes, **setting)
+        eval_pool = ScenePool.generate(seeds["data"] + 1, 20, **setting)
         model, report = train_policy(
             spec, *surrogates, pool, eval_pool, hyper, seed=seeds["init"],
             mode=config.policy_mode, power_budget=config.power_budget)
     else:
-        data = gen_supervised_dataset(seeds["data"], n_train, config.num_users,
-                                      config.num_nodes, head, **setting)
+        data = gen_supervised_dataset(seeds["data"], config.num_train,
+                                      mode=head, **setting)
         model, report = train_supervised(spec, data, hyper, seed=seeds["init"])
     os.makedirs(config.checkpoint_dir, exist_ok=True)
     save_checkpoint(model, path, report=report, seed_lineage=seeds)
     return model
 
 
-def eval_scenes(config: ExperimentConfig, zeta: float, area: float,
-                count: int) -> list[Scene]:
-    """The first ``count`` test scenes of a setting: scene i is sample i of
-    ``scene_seed``'s stream, the stream ``ScenePool.generate`` draws from,
-    and every result file names it ``scene-<scene_seed>-i``."""
+def eval_scenes(config: ExperimentConfig, count: int) -> list[Scene]:
+    """The first ``count`` test scenes of the config's setting (a point's
+    swept value in place): scene i is sample i of ``scene_seed``'s stream,
+    which ``ScenePool.generate`` draws from, named ``scene-<scene_seed>-i``."""
     return [scene for _, scene in _sampled_scenes(
-        config.scene_seed, count, config.num_users, square_aperture(area), zeta,
-        config.power_budget)]
+        config.scene_seed, count, config.num_users,
+        square_aperture(config.aperture_area), config.zeta, config.power_budget)]
 
 
 def _write_csv(path: str, config: ExperimentConfig, reader: str,
@@ -324,12 +324,12 @@ def read_result_file(path: str) -> tuple[ExperimentConfig, list[str], list[list[
     return config, columns, rows
 
 
-def policy_se(config: ExperimentConfig, zeta: float, aperture_area: float,
-              num_train: int) -> tuple[list[Scene], np.ndarray]:
-    """Load or train the policy of one setting; return the setting's test
-    scenes and the policy's exact sum SE on each, at ``num_nodes_eval``."""
-    policy = network(config, zeta, aperture_area, num_train, "policy")
-    scenes = eval_scenes(config, zeta, aperture_area, config.num_test_scenes)
+def policy_se(config: ExperimentConfig) -> tuple[list[Scene], np.ndarray]:
+    """Load or train the policy of the config's setting (a sweep point's
+    swept value in place); return the setting's test scenes and the policy's
+    exact sum SE on each, at ``num_nodes_eval``."""
+    policy = network(config, "policy")
+    scenes = eval_scenes(config, config.num_test_scenes)
     pool = ScenePool(scenes, *_pool_grams(scenes, config.num_nodes_eval))
     return scenes, exact_policy_se(policy, pool, config.power_budget,
                                    scenes[0].user_apertures(),
@@ -344,21 +344,18 @@ def _baseline_se(config: ExperimentConfig, scenes: list[Scene],
 
 def _sweep_points(config: ExperimentConfig) -> list[tuple[object, dict]]:
     """Every ``(x, {method: per-scene sum SE})`` of a sweep kind, in row order."""
-    axis, swept = _AXES[config.kind]
-    # a swept kind does not read the value its list overrides
-    setting = {name: getattr(config, name)
-               for name in ("zeta", "aperture_area", "num_train") if name != axis}
     if config.kind == "sweep-m":
-        scenes, se = policy_se(config, **setting)
+        scenes, se = policy_se(config)
         return [(config.num_nodes, {"lcapa-gnn": se})] + [
             (m, {"wmmse": _baseline_se(config, scenes, m)}) for m in config.m_list]
+    axis, swept = _AXES[config.kind]
     points = []
     for x in getattr(config, swept) if swept else ("",):
-        if swept:
-            setting[axis] = x
-        scenes, se = policy_se(config, **setting)
+        # a swept kind never reads the value its list overrides
+        point = replace(config, **{axis: x}) if swept else config
+        scenes, se = policy_se(point)
         points.append((x, {"lcapa-gnn": se,
-                           "wmmse": _baseline_se(config, scenes, config.num_nodes)}))
+                           "wmmse": _baseline_se(point, scenes, point.num_nodes)}))
     return points
 
 
@@ -387,17 +384,18 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
 
 def policy_inference_seconds(policy: GnnModel, proj_model: GnnModel,
-                             positions: np.ndarray, power_budget: float) -> float:
-    """One timed inference: weights, estimated powers, projection scaling.
+                             scene: Scene) -> float:
+    """One timed inference on a scene: weights, estimated powers, projection
+    scaling to the scene's power budget.
 
     The projection is :func:`~lcapa.objective.project_weights`, as deployed,
     so a power estimate that is not positive and finite raises its
     ``DegenerateProjectionError``.
     """
     start = time.perf_counter()
-    a_raw, _ = policy_forward(policy, positions)
-    p_hat, _ = proj_forward(proj_model, positions, a_raw)
-    project_weights(a_raw, p_hat, power_budget)
+    a_raw, _ = policy_forward(policy, scene.positions)
+    p_hat, _ = proj_forward(proj_model, scene.positions, a_raw)
+    project_weights(a_raw, p_hat, scene.power_budget)
     return time.perf_counter() - start
 
 
@@ -406,21 +404,20 @@ def bench_timing(config: ExperimentConfig) -> dict:
 
     Timing runs are strictly sequential.  The learned path is the inference
     chain only (policy, power estimate, projection scaling; the coupling
-    surrogate is not part of inference).  The baseline path includes its
-    integral setup, matching how it must run in practice.  The scenes are
+    surrogate is not part of inference).  The baseline path is its Gram on
+    grid(``num_nodes``), WMMSE and the lift, and like the learned path not
+    its scoring (``baseline_se``'s ``runtime_seconds``).  The scenes are
     the first ``timing_scenes`` test scenes of the config's setting.
     """
-    setting = (config.zeta, config.aperture_area)
-    policy = network(config, *setting, config.num_train, "policy")
-    proj_model = network(config, *setting, config.num_train, "proj")
-    scenes = eval_scenes(config, *setting, config.timing_scenes)
+    policy = network(config, "policy")
+    proj_model = network(config, "proj")
+    scenes = eval_scenes(config, config.timing_scenes)
     rows = []
     medians = {"lcapa-gnn": [], "wmmse": []}
     for run in range(config.timing_repeats):
         gnn_times, wmmse_times = [], []
         for scene in scenes:
-            gnn_times.append(policy_inference_seconds(
-                policy, proj_model, scene.positions, config.power_budget))
+            gnn_times.append(policy_inference_seconds(policy, proj_model, scene))
             res = baseline_se(scene, config.num_nodes, config.num_nodes)
             wmmse_times.append(res.runtime_seconds)
         med_g = float(np.median(gnn_times))

@@ -101,6 +101,14 @@ def _weight_grad_from_features(gd0: np.ndarray, ge0: np.ndarray, a_scale: float
     return _as_complex(g)
 
 
+def _weight_grad(model: GnnModel, gd0, ge0, squeeze: bool) -> np.ndarray | None:
+    """dLoss/dA (None if not asked for), (K, K) after an unbatched forward."""
+    if gd0 is None:
+        return None
+    grad = _weight_grad_from_features(gd0, ge0, model.norm("a_scale"))
+    return grad[0] if squeeze else grad
+
+
 def _unpack_complex(d_out: np.ndarray, e_out: np.ndarray, scale: float
                     ) -> np.ndarray:
     """Complex K x K output: entry (k, j) from edge (k, j), a_kk from vertex k."""
@@ -162,17 +170,15 @@ def proj_backward(model: GnnModel, cache, grad_powers: np.ndarray,
     gradient; ``"inputs"`` computes the weight gradient only and returns
     None for the parameters, so the first return value may be None.  Every
     array returned equals (``np.array_equal``) the same one under
-    ``"both"``.
+    ``"both"``.  After an unbatched forward (a (K,) ``grad_powers``) the
+    weight gradient is (K, K), the batched call's first.
     """
     gp = np.asarray(grad_powers, dtype=float)
-    if gp.ndim == 1:
-        gp = gp[None, ...]
-    gd = gp[..., None] * model.norm("out_scale")
+    squeeze = gp.ndim == 1
+    gd = (gp[None] if squeeze else gp)[..., None] * model.norm("out_scale")
     grads, gd0, ge0 = gnn_backward(model.spec, model.params, cache, gd, None,
                                    wrt=wrt)
-    if gd0 is None:
-        return grads, None
-    return grads, _weight_grad_from_features(gd0, ge0, model.norm("a_scale"))
+    return grads, _weight_grad(model, gd0, ge0, squeeze)
 
 
 # -- ValueNet -----------------------------------------------------------------
@@ -194,9 +200,8 @@ def value_backward(model: GnnModel, cache, grad: np.ndarray, wrt: str = "both"
 
     ``wrt`` selects the outputs as in :func:`proj_backward`; the first
     return value is None under ``"inputs"``, the second under ``"params"``,
-    and every array returned equals the same one under ``"both"``.
+    and every array returned equals the same one under ``"both"``; after
+    an unbatched forward, (K, K) ``grad``, the second is (K, K).
     """
     grads, gd0, ge0 = _complex_head_backward(model, cache, grad, wrt=wrt)
-    if gd0 is None:
-        return grads, None
-    return grads, _weight_grad_from_features(gd0, ge0, model.norm("a_scale"))
+    return grads, _weight_grad(model, gd0, ge0, np.ndim(grad) == 2)

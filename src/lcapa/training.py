@@ -237,7 +237,9 @@ def _train_epochs(model: GnnModel, hyper: TrainHyper, seed: int, tag: int,
     0..count-1 with the stream ``SeedSequence([seed, tag + epoch])`` and takes
     one Adam step per mini-batch on ``batch_loss(idx) -> (loss, grads)``.  A
     batch that raises :class:`DegenerateBatchError` is counted and skipped; a
-    non-finite loss raises ``RuntimeError``.  After every epoch ``score()`` is
+    non-finite loss raises ``RuntimeError``.  An epoch's recorded loss is the
+    mean over the batches it took, NaN when it skipped every batch (a loss
+    of 0 would read as a perfect epoch).  After every epoch ``score()`` is
     recorded, and the parameters with the best finite score (the lowest, or
     the highest when ``maximize``) are restored on exit.  When no score is
     finite the last parameters stay, and None is returned.
@@ -261,7 +263,7 @@ def _train_epochs(model: GnnModel, hyper: TrainHyper, seed: int, tag: int,
             opt.step(grads)
             epoch_loss += loss
             n_batches += 1
-        report.loss_curve.append(epoch_loss / max(n_batches, 1))
+        report.loss_curve.append(epoch_loss / n_batches if n_batches else np.nan)
         val = score()
         report.eval_curve.append(val)
         if np.isfinite(val) and (best is None

@@ -70,21 +70,6 @@ class BaselineResult:
     runtime_seconds: float
     info: WmmseInfo
     lift: LiftResult
-    num_nodes: int
-    num_nodes_eval: int
-
-
-def _shared_aperture(user_apertures: np.ndarray) -> float:
-    """The users' one aperture size |A_u|; ``ValueError`` unless every size is
-    within 1e-12 of the first, relative, and that is positive and finite."""
-    ap = np.asarray(user_apertures, dtype=float)
-    first = float(ap[0])
-    if not 0.0 < first < math.inf:
-        raise ValueError(f"user aperture size must be positive and finite, "
-                         f"got {first!r}")
-    if not (np.abs(ap - first) <= 1e-12 * first).all():
-        raise ValueError("the WMMSE baseline requires a shared user aperture size")
-    return first
 
 
 def _power_multiplier(c: np.ndarray, lam: np.ndarray, power: float) -> float:
@@ -140,39 +125,40 @@ def _power_multiplier(c: np.ndarray, lam: np.ndarray, power: float) -> float:
                          f"multiplier in {_NEWTON_STEPS} steps (mu={mu:g})")
 
 
-def wmmse_precoding(coupling: np.ndarray, user_apertures: np.ndarray,
-                    noise_vars: np.ndarray, power_budget: float
+def wmmse_precoding(scene: Scene, coupling: np.ndarray
                     ) -> tuple[np.ndarray, WmmseInfo]:
-    """Sum-rate WMMSE precoding on the K x K coupling Gram C.
+    """Sum-rate WMMSE precoding of a scene on its K x K coupling Gram C.
 
-    Returns the Gram coordinates B, whose current weights are
-    A = sqrt(|A_u|) B (:func:`lift_precoder`), and the iteration record.  The
-    user-aperture weight is absorbed into E = |A_u| C, so the couplings are
-    T = E B = sqrt(|A_u|) C A, user j's power is b_j^H E b_j, and the
-    algorithm maximizes the sum SE directly.  Deterministic matched-filter
-    initialization; stops when the sum-SE change falls below 1e-6 of the
-    sum SE (at least 1), or after 200 iterations.
+    K, the shared user aperture size |A_u|, the noise variance sigma^2 and
+    the power budget P are the scene's; ``Scene`` has already checked that
+    they are positive and finite.  Returns the Gram coordinates B, whose
+    current weights are A = sqrt(|A_u|) B (:func:`lift_precoder`), and the
+    iteration record.  The user-aperture weight is absorbed into
+    E = |A_u| C, so the couplings are T = E B = sqrt(|A_u|) C A, user j's
+    power is b_j^H E b_j, and the algorithm maximizes the sum SE directly.
+    Deterministic matched-filter initialization; stops when the sum-SE
+    change falls below 1e-6 of the sum SE (at least 1), or after 200
+    iterations.
 
     The regularized least-squares step eigendecomposes D E D with
     D = diag(sqrt(alpha)), and the sum-power multiplier comes from
     :func:`_power_multiplier` (Newton's method, stopped once a step is at
     most 1e-13 mu or negative).  The final rescale to the exact budget uses
-    sum_j b_j^H E b_j = Re sum conj(B) * T.  Raises ``ValueError`` for a
-    ``power_budget`` that is not positive and finite or a ``coupling`` that is
-    not K x K, and ``AssertionError`` for one that is not Hermitian or not
-    finite (the rule of :func:`~lcapa.quadrature.integral_power`).
+    sum_j b_j^H E b_j = Re sum conj(B) * T.  The Gram is the one outside
+    input, so it alone is checked: ``ValueError`` for a ``coupling`` that is
+    not K x K or has a zero diagonal entry (a user with no channel), and
+    ``AssertionError`` for one that is not Hermitian or not finite (the rule
+    of :func:`~lcapa.quadrature.integral_power`).
     """
-    if not 0.0 < power_budget < np.inf:
-        raise ValueError(f"power_budget must be positive and finite, "
-                         f"got {power_budget!r}")
-    num_users = len(user_apertures)
+    power_budget = scene.power_budget
+    num_users = scene.num_users
     c = np.asarray(coupling, dtype=complex)
     if c.shape != (num_users, num_users):
         raise ValueError(f"coupling must be {num_users} x {num_users} for "
                          f"{num_users} users, got shape {c.shape}")
     _require_hermitian(c)
-    e = _shared_aperture(user_apertures) * c  # E = |A_u| C
-    noise = np.asarray(noise_vars, dtype=float)
+    e = scene.user_aperture * c               # E = |A_u| C
+    noise = scene.noise_var
 
     e_norms = np.sqrt(e.diagonal().real)
     if np.any(e_norms == 0.0):
@@ -238,41 +224,42 @@ def wmmse_precoding(coupling: np.ndarray, user_apertures: np.ndarray,
     return b, info
 
 
-def lift_precoder(coordinates: np.ndarray, user_apertures: np.ndarray) -> LiftResult:
-    """Current weights of WMMSE's Gram coordinates B: A = sqrt(|A_u|) B.
+def lift_precoder(coordinates: np.ndarray, scene: Scene) -> LiftResult:
+    """Current weights of WMMSE's Gram coordinates B: A = sqrt(|A_u|) B, with
+    the scene's shared user aperture size |A_u|.
 
     WMMSE's couplings are T = |A_u| C B, and the couplings of weights A are
     G = C A, so A = sqrt(|A_u|) B carries T = sqrt(|A_u|) G exactly; no solve
     and no channel samples are needed, whatever the Gram's condition.
     """
-    return LiftResult(weights=np.sqrt(_shared_aperture(user_apertures))
+    return LiftResult(weights=np.sqrt(scene.user_aperture)
                       * np.asarray(coordinates))
 
 
 def baseline_se(scene: Scene, num_nodes: int, num_nodes_eval: int
                 ) -> BaselineResult:
-    """Full baseline pipeline with end-to-end timing.
+    """Full baseline pipeline, with the precoder's own wall clock.
 
     Gram C on grid(M) -> WMMSE on C -> weights A = sqrt(|A_u|) B -> exact
-    power projection on grid(M_eval) -> SINR/sum-SE on grid(M_eval).  The
-    wall clock includes the integral setup (channel sampling and Gram
-    construction) on both grids.
+    power projection on grid(M_eval) -> SINR/sum-SE on grid(M_eval).  |A_u|,
+    sigma^2 and P are the scene's.  ``runtime_seconds`` times what deploying
+    the baseline costs: the grid, the channel sampling and the Gram on
+    grid(M), WMMSE and the lift.  It stops before scoring, as the learned
+    path's inference time does, so the M_eval grid, its Gram and the SE are
+    not in it.
     """
     start = time.perf_counter()
     grid = build_grid(scene.aperture, num_nodes)
     coupling = gram_pair(channel_matrix(scene, grid).h, grid.cell_area).coupling
-    coordinates, info = wmmse_precoding(coupling, scene.user_apertures(),
-                                        scene.noise_vars(), scene.power_budget)
-    lift = lift_precoder(coordinates, scene.user_apertures())
+    coordinates, info = wmmse_precoding(scene, coupling)
+    lift = lift_precoder(coordinates, scene)
+    elapsed = time.perf_counter() - start
 
     grid_eval = build_grid(scene.aperture, num_nodes_eval)
     grams_eval = gram_pair(channel_matrix(scene, grid_eval).h, grid_eval.cell_area)
     powers = integral_power(lift.weights, grams_eval.coupling)
     weights = project_weights(lift.weights, powers, scene.power_budget)
     couplings = integral_couplings(weights, grams_eval.coupling)
-    report = sum_se(sinr_vector(couplings, scene.user_apertures(),
-                                scene.noise_vars()))
-    elapsed = time.perf_counter() - start
+    report = sum_se(sinr_vector(couplings, scene.user_aperture, scene.noise_var))
     return BaselineResult(se_report=report, runtime_seconds=elapsed, info=info,
-                          lift=lift, num_nodes=num_nodes,
-                          num_nodes_eval=num_nodes_eval)
+                          lift=lift)

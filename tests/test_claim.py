@@ -44,9 +44,9 @@ def test_analytic_policy_reaches_the_wmmse_bound():
     grams = [gauss_legendre_gram(s) for s in test_pool.scenes]
 
     bound = np.mean([
-        reference_sum_se(c, lift_precoder(wmmse_precoding(c, ap, nv, budget)[0],
-                                          ap).weights, ap, nv, budget)
-        for c in grams])
+        reference_sum_se(c, lift_precoder(wmmse_precoding(s, c)[0], s).weights,
+                         ap, nv, budget)
+        for s, c in zip(test_pool.scenes, grams)])
     assert 23.5 < bound < 23.7
 
     policy, _ = train_policy(policy_spec(32, 4), None, None, pool, eval_pool,

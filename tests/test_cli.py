@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -227,11 +228,17 @@ def _run(reader: str, settings: dict, run_dir: Path, monkeypatch) -> None:
     assert main([*argv, "--config", str(cfg)]) == 0, reader
 
 
+# the list a sweep point's swept value comes from
+_SWEPT_LIST = {"zeta": "zeta_list", "aperture_area": "aperture_list",
+               "num_train": "ntr_list"}
+
+
 def test_each_command_and_kind_reads_exactly_its_row(tmp_path, monkeypatch):
     reads, paused = set(), []
 
     class Recording(ExperimentConfig):
-        """A config that notes each field read once it is built."""
+        """A config that notes each field read once it is built; a sweep
+        point notes a read of its swept value as a read of the list."""
 
         def __post_init__(self):
             paused.append(True)
@@ -242,8 +249,19 @@ def test_each_command_and_kind_reads_exactly_its_row(tmp_path, monkeypatch):
 
         def __getattribute__(self, name):
             if not paused and name in ExperimentConfig.__dataclass_fields__:
-                reads.add(name)
+                reads.add(vars(self).get("_read_as", {}).get(name, name))
             return super().__getattribute__(name)
+
+    def point_unread(config, **changes):
+        # building a point is bookkeeping: replace copies every field
+        paused.append(True)
+        try:
+            point = replace(config, **changes)
+        finally:
+            paused.pop()
+        object.__setattr__(point, "_read_as",
+                           {name: _SWEPT_LIST[name] for name in changes})
+        return point
 
     write_csv = lcapa.experiments._write_csv
 
@@ -257,6 +275,7 @@ def test_each_command_and_kind_reads_exactly_its_row(tmp_path, monkeypatch):
 
     monkeypatch.setattr(lcapa.experiments, "ExperimentConfig", Recording)
     monkeypatch.setattr(lcapa.experiments, "_write_csv", write_unread)
+    monkeypatch.setattr(lcapa.experiments, "replace", point_unread)
     for reader in _COMMANDS + list(SWEEP_KINDS):
         reads.clear()
         for mode in POLICY_MODES:

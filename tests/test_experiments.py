@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from lcapa.experiments import (
     checkpoint_path,
     network,
     policy_inference_seconds,
+    policy_se,
     read_result_file,
     run_experiment,
 )
@@ -50,10 +52,9 @@ def test_bench_timing_writes_medians_and_a_positive_ratio(tmp_path):
 
 def test_network_trains_or_loads_only_the_head_asked_for(tmp_path):
     config = ExperimentConfig(checkpoint_dir=str(tmp_path), **TINY)
-    setting = (config.zeta, config.aperture_area, config.num_train)
-    value = network(config, *setting, "value")
+    value = network(config, "value")
     assert [p.name.split("_")[0] for p in tmp_path.iterdir()] == ["value"]
-    loaded = network(config, *setting, "value")
+    loaded = network(config, "value")
     assert loaded.spec == value.spec
     assert [(n, a.tobytes()) for n, a in loaded.params.iter_arrays()] == [
         (n, a.tobytes()) for n, a in value.params.iter_arrays()]
@@ -61,7 +62,7 @@ def test_network_trains_or_loads_only_the_head_asked_for(tmp_path):
                                **dict(TINY, train_inline=False))
     for head in ("proj", "policy"):
         with pytest.raises(MissingCheckpointError, match=f"train-{head}"):
-            network(offline, *setting, head)
+            network(offline, head)
     assert [p.name.split("_")[0] for p in tmp_path.iterdir()] == ["value"]
 
 
@@ -70,22 +71,20 @@ def test_checkpoint_of_another_architecture_refused(tmp_path):
     # another size finds this setting's checkpoints
     config = ExperimentConfig(checkpoint_dir=str(tmp_path),
                               **dict(TINY, layers=3, policy_mode="surrogate"))
-    setting = (config.zeta, config.aperture_area, config.num_train)
-    network(config, *setting, "policy")
+    network(config, "policy")
     written = sorted(tmp_path.iterdir())
     for other in (replace(config, hidden=9), replace(config, layers=4)):
         for head, factory in (("policy", policy_spec), ("proj", proj_spec),
                               ("value", value_spec)):
             with pytest.raises(CheckpointMismatchError) as info:
-                network(other, *setting, head)
+                network(other, head)
             message = str(info.value)
-            assert checkpoint_path(config, *setting, head) in message
+            assert checkpoint_path(config, head) in message
             assert str(factory(hidden=8, layers=3).to_dict()) in message
             assert str(factory(hidden=other.hidden,
                                layers=other.layers).to_dict()) in message
     assert sorted(tmp_path.iterdir()) == written
-    assert network(config, *setting, "policy").spec == policy_spec(hidden=8,
-                                                                   layers=3)
+    assert network(config, "policy").spec == policy_spec(hidden=8, layers=3)
 
 
 def test_inference_timing_rejects_a_dead_power_estimate():
@@ -96,12 +95,12 @@ def test_inference_timing_rejects_a_dead_power_estimate():
                     params=zero_params(proj_spec(hidden=8, layers=2)),
                     norms={"pos_scale": 30.0, "a_scale": 1.0, "out_scale": 1.0})
     dead.params.layers[-1].b_v[...] = -1e4      # softplus(-1e4) is exactly 0
-    positions = sample_scene(1, 3).positions
+    scene = sample_scene(1, 3)
     with pytest.raises(DegenerateProjectionError):
-        policy_inference_seconds(policy, dead, positions, 1.0)
+        policy_inference_seconds(policy, dead, scene)
     live = GnnModel(spec=dead.spec, params=init_params(dead.spec, 1),
                     norms=dead.norms)
-    assert policy_inference_seconds(policy, live, positions, 1.0) > 0.0
+    assert policy_inference_seconds(policy, live, scene) > 0.0
 
 
 # Each sweep kind's swept list, and the layout its files must have: the x
@@ -143,6 +142,24 @@ def test_every_sweep_kind_writes_finite_rows_in_its_layout(tmp_path, kind,
     assert all(r[4] == "2" for r in rows)
     se += [float(v) for r in rows for v in r[2:4]]
     assert np.all(np.isfinite(se))
+
+
+def test_a_sweep_point_is_the_config_with_its_value_in_place(tmp_path):
+    config = ExperimentConfig(kind="sweep-snr", zeta_list=(1e5, 1e7),
+                              num_test_scenes=2,
+                              checkpoint_dir=str(tmp_path / "ck"),
+                              output_dir=str(tmp_path / "out"), **TINY)
+    _, _, rows = read_result_file(run_experiment(config)["per_scene"])
+    points = [replace(config, zeta=x, train_inline=False)
+              for x in config.zeta_list]
+    assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == sorted(
+        os.path.basename(checkpoint_path(p, "policy")) for p in points)
+    # each point's policy loads from the checkpoint the sweep wrote, and
+    # scores its rows on its own scenes
+    for x, point in zip(("100000", "10000000"), points):
+        _, se = policy_se(point)
+        assert [r[3] for r in rows if r[0] == x and r[2] == "lcapa-gnn"] == [
+            f"{v:.12g}" for v in se]
 
 
 @pytest.mark.parametrize("kind,swept", [(kind, SWEEPS[kind][0])

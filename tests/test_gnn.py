@@ -719,6 +719,24 @@ class TestBackwardWrt:
         assert grads is None and np.array_equal(g, i_g)
         assert backward(model, cache, upstream, wrt="params")[1] is None
 
+    @pytest.mark.parametrize("kind", ["proj", "value"])
+    def test_unbatched_forward_gives_an_unbatched_input_gradient(self, kind):
+        # backward after a (K, 3) forward used to return (1, K, K)
+        model = small_model(kind, a_scale=0.5, out_scale=2.0)
+        rng = np.random.default_rng(31)
+        pos = rng.uniform(10, 20, (4, 3))
+        a = random_weights(rng, 4)
+        forward, backward = ((proj_forward, proj_backward) if kind == "proj"
+                             else (value_forward, value_backward))
+        out, cache = forward(model, pos, a)
+        upstream = rng.standard_normal(out.shape) * (1.0 if kind == "proj"
+                                                     else 1.0 + 1j)
+        _, batched_cache = forward(model, pos[None], a[None])
+        for wrt in ("both", "inputs"):
+            g = backward(model, cache, upstream, wrt=wrt)[1]
+            batched = backward(model, batched_cache, upstream[None], wrt=wrt)[1]
+            assert g.shape == (4, 4) and np.array_equal(g, batched[0]), wrt
+
 
 def _hidden_activations(cache):
     """Every hidden vertex and edge activation a cache keeps, as views."""
@@ -1245,6 +1263,9 @@ class TestHeadPacking:
                 grads, g_in = value_backward(model, cache, upstream)
         _assert_trees_equal(grads, ref_grads)
         if g_in is not None:
+            # the pair form's input gradient keeps the batch axis
+            if batch is None:
+                re, im = re[0], im[0]
             assert np.array_equal(g_in.real, re) and np.array_equal(g_in.imag, im)
 
 

@@ -74,10 +74,8 @@ class TestSinrVector:
                                                  seed1_grams):
         from lcapa.wmmse import lift_precoder, wmmse_precoding
 
-        coordinates, _ = wmmse_precoding(
-            seed1_grams.coupling, seed1_scene.user_apertures(),
-            seed1_scene.noise_vars(), seed1_scene.power_budget)
-        lift = lift_precoder(coordinates, seed1_scene.user_apertures())
+        coordinates, _ = wmmse_precoding(seed1_scene, seed1_grams.coupling)
+        lift = lift_precoder(coordinates, seed1_scene)
         a_bar = project_weights(
             lift.weights, integral_power(lift.weights, seed1_grams.coupling),
             seed1_scene.power_budget)

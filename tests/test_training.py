@@ -262,6 +262,27 @@ def test_train_hyper_rejects_bad_values(field, value):
         TrainHyper(**{field: value})
 
 
+def test_an_epoch_that_skips_every_batch_records_nan():
+    # epoch 0 takes its three batches; epochs 1 and 2 skip all of theirs,
+    # and used to record a loss of 0
+    model = tiny_value_model()
+    taken = []
+
+    def batch_loss(idx):
+        if len(taken) == 3:
+            raise training.DegenerateBatchError("no power")
+        taken.append(idx)
+        return 0.25, zeros_like_params(model.params)
+
+    report = training.TrainReport()
+    training._train_epochs(model, TrainHyper(learning_rate=1e-3, batch_size=2,
+                                             epochs=3),
+                           0, 0, 6, batch_loss, lambda: 1.0, False, report)
+    assert report.skipped_batches == 6
+    assert report.loss_curve[0] == 0.25
+    assert len(report.loss_curve) == 3 and np.isnan(report.loss_curve[1:]).all()
+
+
 def tiny_policy(pool: ScenePool, seed: int) -> GnnModel:
     """A policy emitting weights at the pool's natural projected scale."""
     k = pool.coupling_grams.shape[1]
@@ -638,6 +659,8 @@ class TestTrainPolicy:
         batches = -(-len(pools[0].scenes) // self.BATCH)
         assert report.skipped_batches == self.EPOCHS * batches
         assert report.eval_curve == [0.0] * self.EPOCHS
+        assert len(report.loss_curve) == self.EPOCHS
+        assert all(np.isnan(loss) for loss in report.loss_curve)
         assert all(np.all(a == 0.0) for _, a in policy.params.iter_arrays())
 
     def test_zero_surrogate_powers_skip_every_batch(self, pools):
@@ -654,7 +677,9 @@ class TestTrainPolicy:
         policy, report = self.train(pools, "surrogate", proj, value)
         batches = -(-len(pool.scenes) // self.BATCH)
         assert report.skipped_batches == self.EPOCHS * batches
-        assert report.loss_curve == [0.0] * self.EPOCHS
+        # an epoch that took no batch has no loss, not a perfect one
+        assert len(report.loss_curve) == self.EPOCHS
+        assert all(np.isnan(loss) for loss in report.loss_curve)
         # no step was taken
         for (name, a), (_, b) in zip(
                 policy.params.iter_arrays(),

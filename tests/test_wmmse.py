@@ -1,3 +1,6 @@
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,12 +9,12 @@ from lcapa.objective import sinr_vector, sum_se
 from lcapa.quadrature import (build_grid, channel_matrix, gram_pair,
                               integral_couplings, integral_power)
 from lcapa.scene import sample_scene
+import lcapa.wmmse
 from lcapa.wmmse import (
     BaselineResult,
     BisectionError,
     WmmseInfo,
     _power_multiplier,
-    _shared_aperture,
     baseline_se,
     lift_precoder,
     wmmse_precoding,
@@ -26,9 +29,8 @@ def run_wmmse(scene, num_nodes):
     grid = build_grid(scene.aperture, num_nodes)
     h = channel_matrix(scene, grid).h
     coupling = gram_pair(h, grid.cell_area).coupling
-    coordinates, info = wmmse_precoding(coupling, scene.user_apertures(),
-                                        scene.noise_vars(), scene.power_budget)
-    weights = lift_precoder(coordinates, scene.user_apertures()).weights
+    coordinates, info = wmmse_precoding(scene, coupling)
+    weights = lift_precoder(coordinates, scene).weights
     return grid, h, coupling, weights, info
 
 
@@ -81,35 +83,26 @@ class TestIterationProperties:
             total = integral_power(a, coupling).sum()
             assert abs(total - scene.power_budget) <= 1e-6 * scene.power_budget
 
-    def test_shared_aperture_required(self, seed1_scene, seed1_grams):
-        with pytest.raises(ValueError):
-            wmmse_precoding(seed1_grams.coupling, np.array([1e-5, 2e-5, 1e-5, 1e-5]),
-                            seed1_scene.noise_vars(), 1.0)
-
-    @pytest.mark.parametrize("sizes", [[np.inf] * 4, [np.nan] * 4, [0.0] * 4,
-                                       [-1e-5] * 4, [1e-5, np.inf, 1e-5, 1e-5]],
-                             ids=["inf", "nan", "zero", "negative", "one-inf"])
-    def test_bad_aperture_size_rejected(self, sizes, seed1_scene, seed1_grams):
+    # wmmse_precoding and lift_precoder read |A_u| and P from the scene, so
+    # a bad one reaches them only through a Scene, which refuses it
+    @pytest.mark.parametrize("size", [np.inf, np.nan, 0.0, -1e-5],
+                             ids=["inf", "nan", "zero", "negative"])
+    def test_bad_aperture_size_rejected(self, size, seed1_scene):
         # all-inf sizes used to end in LinAlgError inside eigh, and
         # lift_precoder returned non-finite weights
-        with pytest.raises(ValueError, match="aperture size"):
-            wmmse_precoding(seed1_grams.coupling, np.array(sizes),
-                            seed1_scene.noise_vars(), 1.0)
-        with pytest.raises(ValueError, match="aperture size"):
-            lift_precoder(np.eye(4, dtype=complex), np.array(sizes))
+        with pytest.raises(ValueError, match="user_aperture"):
+            replace(seed1_scene, user_aperture=size)
 
     @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan"), float("inf")])
-    def test_power_budget_validated(self, budget, seed1_scene, seed1_grams):
+    def test_power_budget_validated(self, budget, seed1_scene):
         with pytest.raises(ValueError, match="power_budget"):
-            wmmse_precoding(seed1_grams.coupling, seed1_scene.user_apertures(),
-                            seed1_scene.noise_vars(), budget)
+            replace(seed1_scene, power_budget=budget)
 
     @pytest.mark.parametrize("cut", [lambda c: c[:3, :3], lambda c: c[:, :3],
                                      np.diagonal], ids=["3x3", "4x3", "vector"])
     def test_coupling_must_be_k_by_k(self, cut, seed1_scene, seed1_grams):
         with pytest.raises(ValueError, match="coupling"):
-            wmmse_precoding(cut(seed1_grams.coupling), seed1_scene.user_apertures(),
-                            seed1_scene.noise_vars(), seed1_scene.power_budget)
+            wmmse_precoding(seed1_scene, cut(seed1_grams.coupling))
 
     @pytest.mark.parametrize("entry", ["off_hermitian", float("nan"), float("inf")])
     def test_coupling_must_be_hermitian_and_finite(self, entry, seed1_scene,
@@ -121,8 +114,7 @@ class TestIterationProperties:
         else:
             bad[2, 2] = entry
         with pytest.raises(AssertionError, match="Hermitian"):
-            wmmse_precoding(bad, seed1_scene.user_apertures(),
-                            seed1_scene.noise_vars(), seed1_scene.power_budget)
+            wmmse_precoding(seed1_scene, bad)
 
     def test_permutation_covariance_with_fixed_init(self):
         scene = sample_scene(seed=4, num_users=4)
@@ -168,8 +160,7 @@ class TestLift:
                                            seed1_channels):
         rng = np.random.default_rng(1)
         a0 = random_weights(rng, 4, scale=1e-4)
-        ap = seed1_scene.user_apertures()
-        lift = lift_precoder(a0 / np.sqrt(ap[0]), ap)
+        lift = lift_precoder(a0 / np.sqrt(seed1_scene.user_aperture), seed1_scene)
         assert np.allclose(lift.weights, a0, rtol=1e-15, atol=0.0)
         # the least-squares reference recovers the same weights from V = h^T A
         v = seed1_channels.h.T @ a0
@@ -179,8 +170,7 @@ class TestLift:
         assert residual <= 1e-8 * np.linalg.norm(v)
 
     def test_zero_precoder(self, seed1_scene, seed1_channels, seed1_grid256):
-        lift = lift_precoder(np.zeros((4, 4), dtype=complex),
-                             seed1_scene.user_apertures())
+        lift = lift_precoder(np.zeros((4, 4), dtype=complex), seed1_scene)
         assert np.array_equal(lift.weights, np.zeros((4, 4)))
         weights, residual, _ = least_squares_lift(
             np.zeros((256, 4), dtype=complex), seed1_channels.h,
@@ -218,7 +208,17 @@ class TestBaseline:
         assert isinstance(res, BaselineResult)
         assert res.runtime_seconds > 0.0
         assert res.se_report.sum_se > 0.0
-        assert (res.num_nodes, res.num_nodes_eval) == (64, 256)
+
+    def test_runtime_excludes_the_scoring(self, seed1_scene, monkeypatch):
+        # integral_power runs only in the scoring on grid(M_eval), so a slow
+        # one must not show in runtime_seconds
+        def slow(*args):
+            time.sleep(0.05)
+            return integral_power(*args)
+
+        monkeypatch.setattr(lcapa.wmmse, "integral_power", slow)
+        res = baseline_se(seed1_scene, num_nodes=64, num_nodes_eval=256)
+        assert res.runtime_seconds < 0.05
 
     def test_finer_wmmse_grid_improves_se(self):
         # seed-averaged: evaluating on a common fine grid, the M=256 baseline
@@ -257,7 +257,7 @@ def _reference_wmmse(h, cell_area, user_apertures, noise_vars, power_budget):
     """
     h = np.asarray(h, dtype=complex)
     num_users, num_nodes = h.shape
-    ap_u = _shared_aperture(user_apertures)
+    ap_u = float(user_apertures[0])
     noise = np.asarray(noise_vars, dtype=float)
     power = power_budget / cell_area
 
@@ -349,10 +349,11 @@ class TestGramDomainAgreement:
         grid = build_grid(scene.aperture, num_nodes)
         h = channel_matrix(scene, grid).h
         coupling = gram_pair(h, grid.cell_area).coupling
-        budget = (scene.user_apertures(), scene.noise_vars(), scene.power_budget)
-        coordinates, info = wmmse_precoding(coupling, *budget)
-        weights = lift_precoder(coordinates, scene.user_apertures()).weights
-        ref_v, ref_info = _reference_wmmse(h, grid.cell_area, *budget)
+        coordinates, info = wmmse_precoding(scene, coupling)
+        weights = lift_precoder(coordinates, scene).weights
+        ref_v, ref_info = _reference_wmmse(h, grid.cell_area,
+                                           scene.user_apertures(),
+                                           scene.noise_vars(), scene.power_budget)
         return grid, h, weights, info, ref_v, ref_info
 
     @pytest.mark.parametrize("seed,num_users,num_nodes", AGREEMENT_CASES)
@@ -467,8 +468,8 @@ class TestPowerMultiplier:
 
 
 def _plain_pool():
-    """(label, Gram, apertures, noise, budget) at K = 1, 4 and 16, plus Grams
-    of rank below K: two users at one point, and M < K."""
+    """(label, scene, Gram) at K = 1, 4 and 16, plus Grams of rank below K:
+    two users at one point, and M < K."""
     cases = []
     for num_users in (1, 4, 16):
         for seed in range(5000, 5006):
@@ -484,21 +485,22 @@ def _plain_pool():
         grid = build_grid(scene.aperture, num_nodes)
         coupling = gram_pair(channel_matrix(scene, grid).h,
                              grid.cell_area).coupling
-        pool.append((label, coupling, scene.user_apertures(), scene.noise_vars(),
-                     scene.power_budget))
+        pool.append((label, scene, coupling))
     return pool
 
 
 def _assert_wmmse_matches_plain():
     rank_deficient = 0
-    for label, coupling, ap, nv, budget in _plain_pool():
-        b, info = wmmse_precoding(coupling, ap, nv, budget)
-        want_b, want = plain_wmmse_precoding(coupling, ap, nv, budget)
+    for label, scene, coupling in _plain_pool():
+        b, info = wmmse_precoding(scene, coupling)
+        want_b, want = plain_wmmse_precoding(coupling, scene.user_apertures(),
+                                             scene.noise_vars(),
+                                             scene.power_budget)
         assert b.tobytes() == want_b.tobytes(), label
         assert (info.iterations, info.converged) \
             == (want.iterations, want.converged), label
         assert info.objective_trace.tobytes() == want.objective_trace.tobytes(), label
-        rank_deficient += np.linalg.matrix_rank(coupling) < len(ap)
+        rank_deficient += np.linalg.matrix_rank(coupling) < scene.num_users
     assert rank_deficient == 2
 
 
