@@ -30,8 +30,24 @@ same way.  At batch 1, where numpy's per-call cost dominates, that is what
 the fused blocks save.  One GEMM sums its products in another order than
 four GEMMs and three adds, so every forward output, cached array and
 gradient agrees with the one-GEMM-per-matrix form (``tests/oracles.py``)
-to within 1e-12 of the array's largest entry, not bit for bit; repeated
-calls on one build are bit-identical.
+to within 1e-12 of the array's largest entry, not bit for bit.
+
+Batch kernels.  A pass picks one pair of kernels, from the batch size N:
+the forward pass reads N off ``d0``, the backward pass off its cache.  At
+N = 1 the weight products are ``np.matmul`` and the edge sums
+``np.add.reduce``, which cost the least per call.  Over N > 1 scenes numpy
+makes one BLAS call per K-row slice of a stacked matmul and runs one inner
+loop per row of a reduction over a length-K axis, so there each of the six
+weight products (``X @ W_v.T``, ``d @ [U_src; U_dst].T`` and ``e @
+U_edge.T`` forward; ``gzv @ W_v``, ``gze_ends @ [U_src; U_dst]`` and ``gze
+@ U_edge`` backward) is one 2-D GEMM over the flattened leading axes, and
+each of the four edge-array sums (X's sum_i e_ik and sum_i e_ki, and the
+two endpoint sums of the edge gradient) is a GEMV by a read-only ones
+vector.  The two pairs may sum in other orders, so a scene in a batch
+agrees with the same scene alone to within the same 1e-12, not bit for
+bit.  The promise is repetition: the same inputs give bit-identical
+outputs, caches and gradients on one numpy/BLAS build with one BLAS
+thread.
 
 The elementwise work runs no select kernel and makes few fresh full-size
 (N, K, K, width) arrays.  Per hidden edge layer the forward pass keeps one:
@@ -68,6 +84,7 @@ and derives its per-layer widths, whose ends the kind fixes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from typing import ClassVar
@@ -405,6 +422,40 @@ def _zero_diagonal(x: np.ndarray) -> np.ndarray:
     return x
 
 
+# -- batch kernels (module docstring, "Batch kernels") ------------------------
+# A pass binds its pair once: a choice at each call site costs a one-scene
+# pass measurably, since per-call overhead dominates there.
+
+@functools.lru_cache(maxsize=64)
+def _ones(k: int) -> np.ndarray:
+    """The read-only length-k ones vector the batch edge sums multiply by."""
+    ones = np.ones(k)
+    ones.flags.writeable = False
+    return ones
+
+
+def _flat_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a 2-D b, as one GEMM over a's flattened leading axes."""
+    return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[1:])
+
+
+def _ones_sum(e: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """np.add.reduce(e, axis, out=out) over axis 1 or 2 of an (N, K, K, W)
+    edge array, as GEMVs by a ones vector."""
+    n, k = e.shape[:2]
+    if axis == 2:                      # sum_j e[n, k, j]: one GEMV per (n, k)
+        return np.matmul(_ones(k), e, out=out)
+    # sum_i e[n, i]: one GEMV per scene over the rows of the (K, K W) view
+    out[...] = (_ones(k) @ e.reshape(n, k, k * e.shape[3])).reshape(out.shape)
+    return out
+
+
+def _kernels(n: int):
+    """(GEMM, edge-axis sum) for a batch of n scenes; both take numpy's
+    ``np.matmul(a, b)`` and ``np.add.reduce(e, axis, out=...)`` arguments."""
+    return (np.matmul, np.add.reduce) if n == 1 else (_flat_matmul, _ones_sum)
+
+
 def gnn_forward(spec: GnnSpec, params: GnnParams, d0: np.ndarray,
                 e0: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, GnnCache]:
     """Batched forward pass.
@@ -414,8 +465,10 @@ def gnn_forward(spec: GnnSpec, params: GnnParams, d0: np.ndarray,
     (N, K, K, out) or None when the spec has no edge head, and the cache for
     :func:`gnn_backward`.  An identity-activated vertex output is the cached
     pre-activation itself, so callers must not write to the outputs.
-    Neighbor sums run over numpy's fixed deterministic reduction order, so
-    identical inputs give bit-identical outputs.
+    The edge sums are ``np.add.reduce`` for one scene and GEMVs by a ones
+    vector for a batch (module docstring, "Batch kernels"); either way
+    identical inputs give bit-identical outputs on one numpy/BLAS build
+    with one BLAS thread.
     """
     d0 = np.asarray(d0, dtype=float)
     e0 = np.asarray(e0, dtype=float)
@@ -431,6 +484,7 @@ def gnn_forward(spec: GnnSpec, params: GnnParams, d0: np.ndarray,
             f"{(spec.vertex_widths[0], spec.edge_widths[0])}")
 
     dvs, des = spec.vertex_widths, spec.edge_widths
+    matmul, edge_sum = _kernels(n)
     d, e = d0, _zero_diagonal(e0.copy())
     cache = GnnCache(spec=spec, params=params, messages=[], e_inputs=[])
     for t, (lp, (w_v, u_ends)) in enumerate(zip(params.layers, params.blocks)):
@@ -442,18 +496,18 @@ def gnn_forward(spec: GnnSpec, params: GnnParams, d0: np.ndarray,
         x = np.empty((n, k, 2 * (dv + de)))
         x[..., :dv] = d
         np.subtract(np.add.reduce(d, 1, keepdims=True), d, out=x[..., dv:2 * dv])
-        np.add.reduce(e, 1, out=x[..., 2 * dv:2 * dv + de])   # sum_i e[i, k]
-        np.add.reduce(e, 2, out=x[..., 2 * dv + de:])         # sum_i e[k, i]
+        edge_sum(e, 1, out=x[..., 2 * dv:2 * dv + de])   # sum_i e[i, k]
+        edge_sum(e, 2, out=x[..., 2 * dv + de:])         # sum_i e[k, i]
         cache.messages.append(x)
         cache.e_inputs.append(e)
 
-        zv = x @ w_v.T
+        zv = matmul(x, w_v.T)
         zv += lp.b_v
 
         if u_ends is not None:
             de_out = des[t + 1]
-            ends = d @ u_ends.T            # [d U_src^T, d U_dst^T]
-            ze = e @ lp.u_edge.T
+            ends = matmul(d, u_ends.T)     # [d U_src^T, d U_dst^T]
+            ze = matmul(e, lp.u_edge.T)
             ze += ends[:, :, None, :de_out]
             ze += ends[:, None, :, de_out:]
             del ends                       # before the edge-sized arrays
@@ -506,8 +560,10 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
     which are reduced before it.  One GEMM ``gzv @ W_v`` gives all four
     vertex-message parts of the input gradient, and one the endpoint pair.
     The neighbour sums of the layer inputs are the cached X, so no edge
-    input is reduced again.  Reproducibility: repeated calls on one cache
-    give bit-identical results on one numpy/BLAS build.  The summation order
+    input is reduced again.  The products and edge sums run on the kernel
+    pair of the cache's batch size (module docstring, "Batch kernels").
+    Reproducibility: repeated calls on one cache give bit-identical results
+    on one numpy/BLAS build with one BLAS thread.  The summation order
     differs from the direct contractions (``einsum("nijp,niq->pq", ...)``
     and the like), so across the two forms every returned array, parameter
     and input gradients alike, agrees to within 1e-12 of its largest entry.
@@ -523,6 +579,7 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
     want_inputs = wrt != "params"
     grads = zeros_like_params(params) if wrt != "inputs" else None
     dvs, des = spec.vertex_widths, spec.edge_widths
+    matmul, edge_sum = _kernels(cache.messages[0].shape[0])
 
     # read only: the output layer takes it as its vertex gradient
     gd = np.ascontiguousarray(d_out_grad, dtype=float)
@@ -563,7 +620,7 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
             gl.b_v[...] += gzv.sum(axis=(0, 1))
 
         if pass_down:
-            gx = gzv @ w_v                 # dLoss/dX, (N, K, 2 dv + 2 de)
+            gx = matmul(gzv, w_v)          # dLoss/dX, (N, K, 2 dv + 2 de)
             g_other = gx[..., dv:2 * dv]
             gd_prev = np.add.reduce(g_other, 1, keepdims=True) - g_other
             gd_prev += gx[..., :dv]
@@ -578,15 +635,15 @@ def gnn_backward(spec: GnnSpec, params: GnnParams, cache: GnnCache,
                 gze *= _dleaky(cache.e_inputs[t + 1])
             de_out = des[t + 1]
             gze_ends = np.empty(gze.shape[:2] + (2 * de_out,))
-            np.add.reduce(gze, 2, out=gze_ends[..., :de_out])   # sum_j gze[k, j]
-            np.add.reduce(gze, 1, out=gze_ends[..., de_out:])   # sum_i gze[i, k]
+            edge_sum(gze, 2, out=gze_ends[..., :de_out])   # sum_j gze[k, j]
+            edge_sum(gze, 1, out=gze_ends[..., de_out:])   # sum_i gze[i, k]
             if gl is not None:
                 gl.u_edge[...] += _wgrad(gze, e_in)
                 gu_ends += _wgrad(gze_ends, d_in)
                 gl.b_e[...] += gze.sum(axis=(0, 1, 2))
             if pass_down:
-                gd_prev += gze_ends @ u_ends
-                ge_prev += gze @ lp.u_edge
+                gd_prev += matmul(gze_ends, u_ends)
+                ge_prev += matmul(gze, lp.u_edge)
 
         if pass_down:
             gd, ge = gd_prev, _zero_diagonal(ge_prev)

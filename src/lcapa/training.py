@@ -28,6 +28,7 @@ on its own.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -123,10 +124,24 @@ class TrainReport:
     skipped_batches: int = 0
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The report as JSON values: a NaN or infinite float (the eval
+        curve with nothing held out, the loss of an all-skipped epoch)
+        becomes None, so the record is standard JSON (RFC 8259)."""
+        return _finite_or_none(asdict(self))
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1)
+        return json.dumps(self.to_dict(), indent=1, allow_nan=False)
+
+
+def _finite_or_none(value):
+    """``value`` with every non-finite float in its dicts and lists None."""
+    if isinstance(value, float):        # np.float64 is a float too
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_none(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(v) for v in value]
+    return value
 
 
 # -- scene pools and supervised datasets --------------------------------------
@@ -560,7 +575,7 @@ def save_checkpoint(model: GnnModel, path: str, report: TrainReport | None = Non
         "seed_lineage": seed_lineage or {},
     })
     tail = "}" if report is None else (
-        ', "report": ' + json.dumps(report.to_dict()) + "}")
+        ', "report": ' + json.dumps(report.to_dict(), allow_nan=False) + "}")
     with open(path, "w") as fh:
         fh.write(head[:-1] + ', "layers": [')
         for t, lp in enumerate(model.params.layers):

@@ -236,23 +236,30 @@ def lift_precoder(coordinates: np.ndarray, scene: Scene) -> LiftResult:
                       * np.asarray(coordinates))
 
 
+def deploy_baseline(scene: Scene, num_nodes: int
+                    ) -> tuple[LiftResult, WmmseInfo]:
+    """What deploying the baseline costs: the grid, the channel sampling and
+    the Gram C on grid(M), WMMSE on C and the lift A = sqrt(|A_u|) B.
+    Returns the lifted weights and WMMSE's record."""
+    grid = build_grid(scene.aperture, num_nodes)
+    coupling = gram_pair(channel_matrix(scene, grid).h, grid.cell_area).coupling
+    coordinates, info = wmmse_precoding(scene, coupling)
+    return lift_precoder(coordinates, scene), info
+
+
 def baseline_se(scene: Scene, num_nodes: int, num_nodes_eval: int
                 ) -> BaselineResult:
     """Full baseline pipeline, with the precoder's own wall clock.
 
     Gram C on grid(M) -> WMMSE on C -> weights A = sqrt(|A_u|) B -> exact
     power projection on grid(M_eval) -> SINR/sum-SE on grid(M_eval).  |A_u|,
-    sigma^2 and P are the scene's.  ``runtime_seconds`` times what deploying
-    the baseline costs: the grid, the channel sampling and the Gram on
-    grid(M), WMMSE and the lift.  It stops before scoring, as the learned
-    path's inference time does, so the M_eval grid, its Gram and the SE are
-    not in it.
+    sigma^2 and P are the scene's.  ``runtime_seconds`` times
+    :func:`deploy_baseline`, the first three steps.  It stops before
+    scoring, as the learned path's inference time does, so the M_eval grid,
+    its Gram and the SE are not in it.
     """
     start = time.perf_counter()
-    grid = build_grid(scene.aperture, num_nodes)
-    coupling = gram_pair(channel_matrix(scene, grid).h, grid.cell_area).coupling
-    coordinates, info = wmmse_precoding(scene, coupling)
-    lift = lift_precoder(coordinates, scene)
+    lift, info = deploy_baseline(scene, num_nodes)
     elapsed = time.perf_counter() - start
 
     grid_eval = build_grid(scene.aperture, num_nodes_eval)

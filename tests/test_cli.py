@@ -463,7 +463,7 @@ def test_one_path_from_a_config_to_its_networks_and_scenes(tmp_path, capsys,
     # the timed scenes are the first timing_scenes of the scenes eval scores
     scored, timed = [], []
     exact = lcapa.experiments.exact_policy_se
-    baseline = lcapa.experiments.baseline_se
+    baseline = lcapa.experiments.deploy_baseline
 
     def scoring(policy, pool, *args):
         scored.append(pool.positions)
@@ -474,7 +474,7 @@ def test_one_path_from_a_config_to_its_networks_and_scenes(tmp_path, capsys,
         return baseline(scene, *args)
 
     monkeypatch.setattr(lcapa.experiments, "exact_policy_se", scoring)
-    monkeypatch.setattr(lcapa.experiments, "baseline_se", timing)
+    monkeypatch.setattr(lcapa.experiments, "deploy_baseline", timing)
     assert main(["eval", *config, str(tmp_path / "cli"), *output]) == 0
     assert main(["experiment", "--kind", "timing", *config,
                  str(tmp_path / "cli"), *output]) == 0

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import lcapa.wmmse
 from lcapa.experiments import (
     FIELDS_READ,
     CheckpointMismatchError,
@@ -29,7 +30,14 @@ TINY = dict(num_users=3, num_nodes=16, num_train=8, surrogate_epochs=1,
             timing_repeats=2)
 
 
-def test_bench_timing_writes_medians_and_a_positive_ratio(tmp_path):
+def test_bench_timing_writes_medians_and_a_positive_ratio(tmp_path,
+                                                         monkeypatch):
+    def scoring(*args):
+        raise AssertionError("the timing run scored the baseline")
+
+    # integral_power runs only in baseline_se's scoring on grid(M_eval),
+    # whose result the timing run would throw away
+    monkeypatch.setattr(lcapa.wmmse, "integral_power", scoring)
     config = ExperimentConfig(kind="timing", checkpoint_dir=str(tmp_path / "ck"),
                               output_dir=str(tmp_path / "out"), **TINY)
     paths = bench_timing(config)

@@ -971,6 +971,50 @@ class TestLayerKernels:
         assert np.array_equal(cache.d_inputs[0], d0)
 
 
+class TestBatchOfScenes:
+    """A batch of N > 1 scenes runs the flattened GEMMs and the ones-vector
+    edge sums, and one scene numpy's stacked matmul and np.add.reduce; each
+    scene of a batch agrees with that scene run alone, within the stated
+    tolerance."""
+
+    @pytest.mark.parametrize("k", [2, 4, 16])
+    @pytest.mark.parametrize("n", [2, 64])
+    @pytest.mark.parametrize("kind", ["policy", "proj", "value"])
+    def test_equals_its_scenes_one_at_a_time(self, kind, n, k):
+        spec, params, d0, e0, wd, we = _kernel_case(kind, False, n, k)
+        d_out, e_out, cache = gnn_forward(spec, params, d0, e0)
+        wrts = ("both", "params", "inputs")
+        batch = {wrt: gnn_backward(spec, params, cache, wd, we, wrt=wrt)
+                 for wrt in wrts}
+        # a batch's parameter gradient is the sum of its scenes'
+        summed = {wrt: zeros_like_params(params) for wrt in ("both", "params")}
+        for i in range(n):
+            one = slice(i, i + 1)
+            case = f"{kind} n={n} k={k} scene {i}"
+            d_i, e_i, cache_i = gnn_forward(spec, params, d0[one], e0[one])
+            _assert_close(d_out[one], d_i, f"{case}: vertex output")
+            _assert_close(None if e_out is None else e_out[one], e_i,
+                          f"{case}: edge output")
+            for j, (a, b) in enumerate(zip(_cache_arrays(cache),
+                                           _cache_arrays(cache_i), strict=True)):
+                _assert_close(a[one], b, f"{case}: cached array {j}")
+            for wrt in wrts:
+                grads, gd0, ge0 = gnn_backward(
+                    spec, params, cache_i, wd[one],
+                    None if we is None else we[one], wrt=wrt)
+                if grads is not None:
+                    summed[wrt].flat[...] += grads.flat
+                _, batch_gd0, batch_ge0 = batch[wrt]
+                _assert_close(None if batch_gd0 is None else batch_gd0[one],
+                              gd0, f"{case}: {wrt} vertex input gradient")
+                _assert_close(None if batch_ge0 is None else batch_ge0[one],
+                              ge0, f"{case}: {wrt} edge input gradient")
+        for wrt, tree in summed.items():
+            for (name, a), (_, b) in zip(batch[wrt][0].iter_arrays(),
+                                         tree.iter_arrays(), strict=True):
+                _assert_close(a, b, f"{kind} n={n} k={k}: {wrt} {name}")
+
+
 def _print_minor_faults_per_call(calls=20):
     """Minor page faults per value-spec forward+backward at N=64, K=4, H=64."""
     spec = value_spec(hidden=64)

@@ -558,7 +558,8 @@ class TestTrainSupervised:
                                "a_scale": rms(dataset.weights),
                                "out_scale": rms(dataset.targets)}
 
-    def test_no_held_out_samples_keeps_the_last_parameters(self, monkeypatch):
+    def test_no_held_out_samples_keeps_the_last_parameters(self, monkeypatch,
+                                                            tmp_path):
         # round(0.1 n) holds out nothing for n <= 5 (round(0.5) is 0)
         samples = 4
         dataset = gen_supervised_dataset(5, samples, 3, 16, "proj")
@@ -581,6 +582,16 @@ class TestTrainSupervised:
         for (name, a), (_, b) in zip(model.params.iter_arrays(),
                                      steps[-1].iter_arrays(), strict=True):
             assert a.tobytes() == b.tobytes(), name
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not standard JSON")
+
+        # the NaN curve is written as null, so a strict reader takes the file
+        path = tmp_path / "proj.json"
+        save_checkpoint(model, str(path), report=report)
+        record = json.loads(path.read_text(), parse_constant=refuse)
+        assert record["report"]["eval_curve"] == [None] * 3
+        assert json.loads(report.to_json(), parse_constant=refuse) == record["report"]
 
 
 class TestTrainPolicy:
